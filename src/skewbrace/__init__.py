@@ -45,6 +45,7 @@ from .constructions import (
     a5_factorization,
     divisor_count,
     exact_factorization,
+    factorization_from_permutations,
     family_formula_report,
     family_spec,
     multiplicative_order,
@@ -68,6 +69,7 @@ from .groups import (
     element_order,
     enumerate_subgroups,
     generated_subgroup,
+    is_automorphism,
     is_isomorphic,
     is_normal,
     semidirect_product_cyclic,

@@ -31,6 +31,7 @@ from .groups import (
     automorphism_group,
     build_from_table,
     enumerate_subgroups,
+    is_automorphism,
     is_normal,
 )
 
@@ -230,15 +231,7 @@ def gc_ratio(b: SkewBrace, cap: int = DEFAULT_ORDER_CAP) -> GcRatio:
 
 def skew_brace_automorphism_count(b: SkewBrace, cap: int = DEFAULT_AUT_CAP) -> int:
     """Number of bijections that are automorphisms of both tables."""
-    cop = b.circ.op
-    n = b.order
-    count = 0
-    for phi in automorphism_group(b.star, cap):
-        if all(
-            phi[cop[x][y]] == cop[phi[x]][phi[y]] for x in range(n) for y in range(n)
-        ):
-            count += 1
-    return count
+    return sum(is_automorphism(b.circ, phi) for phi in automorphism_group(b.star, cap))
 
 
 def hgs_count(b: SkewBrace, cap: int = DEFAULT_AUT_CAP) -> int:

@@ -29,12 +29,15 @@ import os
 import random
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import asdict, dataclass
+from functools import partial
+from itertools import product
 
 from . import algebras, braces, constructions, groups
 from .errors import (
     CapExceeded,
+    OrderCapExceeded,
     ParseError,
     ValidationFailure,
 )
@@ -67,18 +70,13 @@ FAMILY_CSV_COLUMNS = [
 class RunConfig:
     order_cap: int = groups.DEFAULT_ORDER_CAP
     aut_cap: int = groups.DEFAULT_AUT_CAP
-    jobs: int = 1
     format: str = "text"
     seed: int = 0
 
     def as_dict(self) -> dict:
-        # jobs is scheduling only; leaving it out keeps reports byte-identical
-        # across worker counts
-        return {
-            "order_cap": self.order_cap,
-            "aut_cap": self.aut_cap,
-            "seed": self.seed,
-        }
+        # the output format is left out: it changes how a report is written,
+        # not what it says
+        return {k: v for k, v in asdict(self).items() if k != "format"}
 
 
 def _digest(payload) -> str:
@@ -89,13 +87,13 @@ def _digest(payload) -> str:
     ).hexdigest()
 
 
-def _report(command: str, source, digest: str, cfg: RunConfig, result, flags=None) -> dict:
+def _report(command: str, source, digest: str, cfg: RunConfig, result) -> dict:
     return {
         "command": command,
         "source": source,
         "input_digest": digest,
         "config": cfg.as_dict(),
-        "flags": flags or {},
+        "flags": {},
         "result": result,
     }
 
@@ -129,33 +127,65 @@ def _ratio_payload(ratio: braces.GcRatio, star: groups.FiniteGroup, direction: s
 
 def _ratio_lines(payload: dict) -> list[str]:
     rn, rd = payload["reduced"]
-    lines = [
+    return [
         f"[{payload['direction']}] ratio {payload['numerator']}/{payload['denominator']}"
         f" = {rn}/{rd} = {payload['value']:.6f}",
         f"[{payload['direction']}] stable subgroup sizes: "
         + " ".join(str(s["size"]) for s in payload["stable_subgroups"]),
     ]
-    return lines
+
+
+def _json_int(value, where: str) -> int:
+    # bool is a subclass of int, and int() would truncate 1.5 silently
+    if type(value) is not int:
+        raise ParseError(f"{where} must be an integer, got {json.dumps(value)}")
+    return value
+
+
+def _json_list(value, where: str) -> list:
+    if not isinstance(value, list):
+        raise ParseError(f"{where} must be a list, got {json.dumps(value)}")
+    return value
 
 
 def _parse_algebra_json(data: dict) -> algebras.FpAlgebra:
     for key in ("p", "dim"):
         if key not in data:
             raise ParseError(f"algebra file is missing the key {key!r}")
-    p = int(data["p"])
-    dim = int(data["dim"])
+    p = _json_int(data["p"], "p")
+    dim = _json_int(data["dim"], "dim")
     labels = data.get("labels")
+    if labels is not None:
+        _json_list(labels, "labels")
     zero = tuple(0 for _ in range(dim))
     sc = [[zero] * dim for _ in range(dim)]
-    for k, entry in enumerate(data.get("products", [])):
-        try:
-            i, j, value = int(entry["i"]), int(entry["j"]), list(entry["value"])
-        except (KeyError, TypeError) as exc:
-            raise ParseError(f"products[{k}] must have keys i, j, value") from exc
+    for k, entry in enumerate(_json_list(data.get("products", []), "products")):
+        if not isinstance(entry, dict) or not {"i", "j", "value"} <= entry.keys():
+            raise ParseError(f"products[{k}] must have keys i, j, value")
+        i = _json_int(entry["i"], f"products[{k}].i")
+        j = _json_int(entry["j"], f"products[{k}].j")
+        value = _json_list(entry["value"], f"products[{k}].value")
         if not (0 <= i < dim and 0 <= j < dim) or len(value) != dim:
             raise ParseError(f"products[{k}] is out of range for dimension {dim}")
-        sc[i][j] = tuple(int(v) for v in value)
+        sc[i][j] = tuple(
+            _json_int(v, f"products[{k}].value[{l}]") for l, v in enumerate(value)
+        )
     return algebras.make_algebra(p, dim, sc, labels=labels)
+
+
+def _parse_brace_json(data: dict, cap: int) -> list[list[list[int]]]:
+    """The star and circ tables of a brace file, checked against the order
+    cap before anything is built from them."""
+    tables = []
+    for key in ("star", "circ"):
+        table = _json_list(data[key], key)
+        if len(table) > cap:
+            raise OrderCapExceeded(len(table), cap)
+        for i, row in enumerate(table):
+            for j, v in enumerate(_json_list(row, f"{key}[{i}]")):
+                _json_int(v, f"{key}[{i}][{j}]")
+        tables.append(table)
+    return tables
 
 
 def _load_input_file(path: str) -> tuple[str, dict, bytes]:
@@ -220,18 +250,8 @@ def parse_permutations(text: str, degree: int | None = None) -> list[tuple[int, 
 # verify
 
 
-def _witness_payload(exc: Exception):
-    witness = getattr(exc, "witness", None)
-    if witness is None:
-        return None
-    if isinstance(witness, (tuple, list)):
-        return [int(v) if isinstance(v, int) else v for v in witness]
-    return witness
-
-
 def _cmd_verify(args, cfg: RunConfig) -> tuple[dict, list[str], int]:
     kind, data, blob = _load_input_file(args.input)
-    digest = _digest(blob)
     try:
         if kind == "algebra":
             A = _parse_algebra_json(data)
@@ -251,7 +271,7 @@ def _cmd_verify(args, cfg: RunConfig) -> tuple[dict, list[str], int]:
                 result["bi_skew"] = braces.is_bi_skew(brace)
                 lines.append(f"bi-skew: {result['bi_skew']}")
         else:
-            brace = braces.validate_skew_brace(data["star"], data["circ"])
+            brace = braces.validate_skew_brace(*_parse_brace_json(data, cfg.order_cap))
             result = {
                 "kind": "brace",
                 "valid": True,
@@ -263,18 +283,19 @@ def _cmd_verify(args, cfg: RunConfig) -> tuple[dict, list[str], int]:
                 f"bi-skew: {result['bi_skew']}",
             ]
     except ValidationFailure as exc:
+        witness = getattr(exc, "witness", None)
         result = {
             "kind": kind,
             "valid": False,
             "error": type(exc).__name__,
             "message": str(exc),
-            "witness": _witness_payload(exc),
+            "witness": list(witness) if isinstance(witness, tuple) else witness,
         }
         lines = [f"{kind}: INVALID ({type(exc).__name__}: {exc})"]
-        report = _report("verify", {"path": args.input}, digest, cfg, result)
-        return report, lines, EXIT_INVALID
-    report = _report("verify", {"path": args.input}, digest, cfg, result)
-    return report, lines, EXIT_OK
+        code = EXIT_INVALID
+    else:
+        code = EXIT_OK
+    return _report("verify", {"path": args.input}, _digest(blob), cfg, result), lines, code
 
 
 # ---------------------------------------------------------------------------
@@ -293,10 +314,14 @@ def _algebra_from_args(args) -> algebras.FpAlgebra:
 
 
 def _cmd_ratio(args, cfg: RunConfig) -> tuple[dict, list[str], int]:
-    payloads = []
+    def payload(name: str, brace: braces.SkewBrace) -> dict:
+        return _ratio_payload(braces.gc_ratio(brace, cfg.order_cap), brace.star, name)
+
     if args.family is not None:
         if args.m is None or args.n is None or args.b is None:
             raise ParseError("--family requires --m, --n and --b")
+        if args.direction == "circ":
+            raise ParseError("semidirect sources use --direction mult|add|both")
         if args.family != "semidirect":
             constructions.family_spec(args.family, args.m, args.n, args.b)
         source = {"family": args.family, "m": args.m, "n": args.n, "b": args.b}
@@ -305,25 +330,18 @@ def _cmd_ratio(args, cfg: RunConfig) -> tuple[dict, list[str], int]:
         )
         directions = {"mult": mult_galois, "add": add_galois}
         wanted = ["mult", "add"] if args.direction == "both" else [args.direction]
-        if args.direction == "circ":
-            raise ParseError("semidirect sources use --direction mult|add|both")
-        for name in wanted:
-            brace = directions[name]
-            ratio = braces.gc_ratio(brace, cfg.order_cap)
-            payloads.append(_ratio_payload(ratio, brace.star, name))
+        payloads = [payload(name, directions[name]) for name in wanted]
     elif args.algebra is not None:
+        if args.direction == "mult":
+            raise ParseError("algebra sources use --direction circ|add|both")
         A = _algebra_from_args(args)
         source = {"algebra": args.algebra, "p": A.p, "dim": A.dim}
+        makers = {
+            "circ": algebras.brace_from_radical,
+            "add": algebras.brace_from_radical_flipped,
+        }
         wanted = ["circ", "add"] if args.direction == "both" else [args.direction]
-        if args.direction in ("mult",):
-            raise ParseError("algebra sources use --direction circ|add|both")
-        for name in wanted:
-            if name == "circ":
-                brace = algebras.brace_from_radical(A, cfg.order_cap)
-            else:
-                brace = algebras.brace_from_radical_flipped(A, cfg.order_cap)
-            ratio = braces.gc_ratio(brace, cfg.order_cap)
-            payloads.append(_ratio_payload(ratio, brace.star, name))
+        payloads = [payload(name, makers[name](A, cfg.order_cap)) for name in wanted]
     elif args.zappa_szep is not None:
         if args.zappa_szep == "a5":
             fact = constructions.a5_factorization(cfg.order_cap)
@@ -336,29 +354,14 @@ def _cmd_ratio(args, cfg: RunConfig) -> tuple[dict, list[str], int]:
             degree = max(len(p) for p in left + right)
             left = parse_permutations(args.left_gens, degree)
             right = parse_permutations(args.right_gens, degree)
-            G = groups.closure_from_permutations(left + right, cfg.order_cap)
-            # generators sit at the front of the closure order
-            seen: dict[tuple[int, ...], int] = {}
-            idx = 1
-            for perm in left + right:
-                if perm not in seen and perm != tuple(range(degree)):
-                    seen[perm] = idx
-                    idx += 1
-            lseed = [seen[p] for p in left if p in seen]
-            rseed = [seen[p] for p in right if p in seen]
-            fact = constructions.exact_factorization(G, lseed, rseed)
+            fact = constructions.factorization_from_permutations(left, right, cfg.order_cap)
             source = {"zappa_szep": "custom", "left": args.left_gens, "right": args.right_gens}
-        brace = constructions.zappa_szep_brace(fact)
-        ratio = braces.gc_ratio(brace, cfg.order_cap)
-        payloads.append(_ratio_payload(ratio, brace.star, "circ"))
+        payloads = [payload("circ", constructions.zappa_szep_brace(fact))]
     else:
         raise ParseError("ratio needs one of --family, --algebra, --zappa-szep")
-    digest = _digest(source)
     result = {"ratios": payloads}
-    lines = []
-    for payload in payloads:
-        lines.extend(_ratio_lines(payload))
-    report = _report("ratio", source, digest, cfg, result)
+    lines = [line for p in payloads for line in _ratio_lines(p)]
+    report = _report("ratio", source, _digest(source), cfg, result)
     return report, lines, EXIT_OK
 
 
@@ -393,162 +396,139 @@ def _cmd_ideals(args, cfg: RunConfig) -> tuple[dict, list[str], int]:
 
 
 # ---------------------------------------------------------------------------
-# the built-in example regression
+# the built-in example regression: one (builder id, builder) entry per
+# worked example.  A builder returns its rows, each judged against expected
+# values pinned inside the builder; an error it raises becomes one failed row
+# under the builder id.
 
 
 def _row(row_id: str, ok: bool, detail: str) -> dict:
     return {"id": row_id, "ok": bool(ok), "detail": detail}
 
 
-def _row_semidirect_counts(cfg: RunConfig) -> dict:
-    add_galois, mult_galois = constructions.semidirect_biskew(9, 6, 2, cfg.order_cap)
+def _pinned(row_id: str, detail: str, got: tuple, want: tuple) -> dict:
+    """Row that passes iff ``got`` equals ``want``; ``detail`` formats ``got``."""
+    return _row(row_id, got == want, detail.format(*got))
+
+
+def _z9z6(cfg: RunConfig) -> tuple[braces.SkewBrace, braces.SkewBrace]:
+    return constructions.semidirect_biskew(9, 6, 2, cfg.order_cap)
+
+
+def _z9z6_counts(cfg: RunConfig) -> list[dict]:
+    add_galois, mult_galois = _z9z6(cfg)
     subs_add = groups.enumerate_subgroups(mult_galois.star, cfg.order_cap)
     subs_mult = groups.enumerate_subgroups(add_galois.star, cfg.order_cap)
     G = add_galois.star
-    cyclic = 0
-    for H in subs_mult:
-        if any(
-            groups.generated_subgroup(G, [x]).mask == H.mask for x in H.elements()
-        ):
-            cyclic += 1
-    detail = (
-        f"subgroups: add={len(subs_add)} mult={len(subs_mult)} "
-        f"(mult split: cyclic={cyclic} noncyclic={len(subs_mult) - cyclic})"
-    )
-    return _row(
-        "semidirect-9-6-2-counts",
-        len(subs_add) == 20 and len(subs_mult) == 36,
-        detail,
-    )
+    orders = [groups.element_order(G, x) for x in range(G.order)]
+    # H is cyclic exactly when one of its elements has order |H|
+    cyclic = sum(any(orders[x] == H.size for x in H.elements()) for H in subs_mult)
+    got = (len(subs_add), len(subs_mult), cyclic, len(subs_mult) - cyclic)
+    detail = "subgroups: add={} mult={} (mult split: cyclic={} noncyclic={})"
+    return [_pinned("semidirect-9-6-2-counts", detail, got, (20, 36, 26, 10))]
 
 
-def _row_semidirect_ratios(cfg: RunConfig) -> dict:
-    add_galois, mult_galois = constructions.semidirect_biskew(9, 6, 2, cfg.order_cap)
+def _z9z6_ratios(cfg: RunConfig) -> list[dict]:
+    add_galois, mult_galois = _z9z6(cfg)
     r_mult = braces.gc_ratio(mult_galois, cfg.order_cap)
     r_add = braces.gc_ratio(add_galois, cfg.order_cap)
-    ok = (r_mult.numerator, r_mult.denominator) == (12, 36) and (
-        r_add.numerator,
-        r_add.denominator,
-    ) == (9, 20)
-    detail = (
-        f"mult-galois {r_mult.numerator}/{r_mult.denominator}, "
-        f"add-galois {r_add.numerator}/{r_add.denominator}"
-    )
-    return _row("semidirect-9-6-2-ratios", ok, detail)
+    got = (r_mult.numerator, r_mult.denominator, r_add.numerator, r_add.denominator)
+    detail = "mult-galois {}/{}, add-galois {}/{}"
+    return [_pinned("semidirect-9-6-2-ratios", detail, got, (12, 36, 9, 20))]
 
 
-def _row_semidirect_shortcuts(cfg: RunConfig) -> dict:
-    add_galois, mult_galois = constructions.semidirect_biskew(9, 6, 2, cfg.order_cap)
+def _z9z6_shortcuts(cfg: RunConfig) -> list[dict]:
+    add_galois, mult_galois = _z9z6(cfg)
     subs_add = groups.enumerate_subgroups(mult_galois.star, cfg.order_cap)
     agree = 0
     for H in subs_add:
-        sc_mult, sc_add = constructions.stability_criterion_z9z6(H)
-        gen_mult = braces.is_circ_stable(mult_galois, H)
         try:
             gen_add = braces.is_circ_stable(add_galois, H)
-        except ValidationFailure:
+        except ValidationFailure:  # H is not a subgroup of add_galois.star
             gen_add = False
-        if (sc_mult, sc_add) == (gen_mult, gen_add):
-            agree += 1
-    return _row(
-        "semidirect-9-6-2-shortcuts",
-        agree == len(subs_add),
-        f"shortcut agreement on {agree}/{len(subs_add)} subgroups",
-    )
+        general = (braces.is_circ_stable(mult_galois, H), gen_add)
+        agree += constructions.stability_criterion_z9z6(H) == general
+    detail = "shortcut agreement on {}/{} subgroups"
+    return [_pinned("semidirect-9-6-2-shortcuts", detail, (agree, len(subs_add)), (20, 20))]
 
 
-def _row_zappa_a5(cfg: RunConfig) -> dict:
+def _zappa_a5(cfg: RunConfig) -> list[dict]:
     fact = constructions.a5_factorization(cfg.order_cap)
-    brace = constructions.zappa_szep_brace(fact)
-    ratio = braces.gc_ratio(brace, cfg.order_cap)
-    orders = sorted(H.size for H in ratio.stable)
-    ok = (ratio.numerator, ratio.denominator) == (4, 20) and orders == [1, 5, 10, 60]
-    return _row(
-        "zappa-a5",
-        ok,
-        f"ratio {ratio.numerator}/{ratio.denominator}, stable orders {orders}",
-    )
+    ratio = braces.gc_ratio(constructions.zappa_szep_brace(fact), cfg.order_cap)
+    got = (ratio.numerator, ratio.denominator, sorted(H.size for H in ratio.stable))
+    return [_pinned("zappa-a5", "ratio {}/{}, stable orders {}", got, (4, 20, [1, 5, 10, 60]))]
 
 
 def _algebra_rows(p: int, cfg: RunConfig) -> list[dict]:
-    rows = []
     A = algebras.degraaf_algebra(p)
+    n_left, n_right = p**2 + 3 * p + 5, 2 * p**2 + 3 * p + 5
+    n_circle = 2 * p**3 + 4 * p**2 + 3 * p + 5
+    n_add = p**4 + 3 * p**3 + 4 * p**2 + 3 * p + 5
     left = algebras.enumerate_left_ideals(A)
     right = algebras.enumerate_right_ideals(A)
-    ok_ideals = len(left) == p**2 + 3 * p + 5 and len(right) == 2 * p**2 + 3 * p + 5
-    rows.append(
-        _row(
-            f"algebra-p{p}-ideals",
-            ok_ideals,
-            f"left={len(left)} right={len(right)}",
-        )
-    )
+    got = (len(left), len(right))
+    rows = [_pinned(f"algebra-p{p}-ideals", "left={} right={}", got, (n_left, n_right))]
     subspaces = algebras.enumerate_subspaces(A.p, A.dim)
-    circle = algebras.circle_group(A, cfg.order_cap)
-    additive = algebras.additive_group(A, cfg.order_cap)
-    subs_circle = groups.enumerate_subgroups(circle, cfg.order_cap)
-    subs_add = groups.enumerate_subgroups(additive, cfg.order_cap)
-    want_circle = 2 * p**3 + 4 * p**2 + 3 * p + 5
-    want_add = p**4 + 3 * p**3 + 4 * p**2 + 3 * p + 5
-    rows.append(
-        _row(
-            f"algebra-p{p}-subgroup-counts",
-            len(subs_circle) == want_circle
-            and len(subs_add) == want_add
-            and len(subspaces) == want_add,
-            f"circle={len(subs_circle)} additive={len(subs_add)} subspaces={len(subspaces)}",
-        )
-    )
+    subs_circle = groups.enumerate_subgroups(algebras.circle_group(A, cfg.order_cap), cfg.order_cap)
+    subs_add = groups.enumerate_subgroups(algebras.additive_group(A, cfg.order_cap), cfg.order_cap)
+    got = (len(subs_circle), len(subs_add), len(subspaces))
+    detail = "circle={} additive={} subspaces={}"
+    rows.append(_pinned(f"algebra-p{p}-subgroup-counts", detail, got, (n_circle, n_add, n_add)))
     brace = algebras.brace_from_radical(A, cfg.order_cap)
     flipped = algebras.brace_from_radical_flipped(A, cfg.order_cap)
     stable = [H for H in subs_add if braces.is_circ_stable(brace, H)]
     stable_flip = [H for H in subs_circle if braces.is_circ_stable(flipped, H)]
-    rows.append(
-        _row(
-            f"algebra-p{p}-ratios",
-            (len(stable), len(subs_circle)) == (len(left), want_circle)
-            and (len(stable_flip), len(subs_add)) == (len(right), want_add),
-            f"circ-galois {len(stable)}/{len(subs_circle)}, "
-            f"add-galois {len(stable_flip)}/{len(subs_add)}",
-        )
-    )
+    got = (len(stable), len(subs_circle), len(stable_flip), len(subs_add))
+    detail = "circ-galois {}/{}, add-galois {}/{}"
+    rows.append(_pinned(f"algebra-p{p}-ratios", detail, got, (n_left, n_circle, n_right, n_add)))
     left_masks = {algebras.subspace_subgroup(A, S).mask for S in left}
     right_masks = {algebras.subspace_subgroup(A, S).mask for S in right}
-    rows.append(
-        _row(
-            f"algebra-p{p}-ideal-correspondence",
-            left_masks == {H.mask for H in stable}
-            and right_masks == {H.mask for H in stable_flip},
-            "stable subgroup sets equal ideal sets elementwise",
-        )
-    )
-    ok_power = True
-    from itertools import product as iproduct
+    ok = left_masks == {H.mask for H in stable} and right_masks == {H.mask for H in stable_flip}
+    detail = "stable subgroup sets equal ideal sets elementwise"
+    rows.append(_row(f"algebra-p{p}-ideal-correspondence", ok, detail))
 
-    for vec in iproduct(range(p), repeat=4):
-        x = tuple(vec)
+    def power_formula_holds(x) -> bool:
         xx = algebras.multiply(A, x, x)
-        for m in range(1, p + 1):
-            closed = tuple(
-                (m * x[l] + (m * (m - 1) // 2) * xx[l]) % p for l in range(4)
-            )
-            if algebras.circle_power(A, x, m) != closed:
-                ok_power = False
-                break
-        if not ok_power:
-            break
-    rows.append(
-        _row(
-            f"algebra-p{p}-power-formula",
-            ok_power,
-            "m-fold circle equals m*x + binom(m,2)*x^2 for all x, m <= p",
+        return all(
+            algebras.circle_power(A, x, m)
+            == tuple((m * a + m * (m - 1) // 2 * c) % p for a, c in zip(x, xx))
+            for m in range(1, p + 1)
         )
-    )
+
+    ok = all(power_formula_holds(x) for x in product(range(p), repeat=A.dim))
+    detail = "m-fold circle equals m*x + binom(m,2)*x^2 for all x, m <= p"
+    rows.append(_row(f"algebra-p{p}-power-formula", ok, detail))
     return rows
 
 
-def _row_fuzz(cfg: RunConfig) -> dict:
-    add_galois, _ = constructions.semidirect_biskew(9, 6, 2, cfg.order_cap)
+def _family_ratios(report: constructions.FormulaReport) -> str:
+    add_num, add_den = report.enumerated["ratio_add_galois"]
+    mult_num, mult_den = report.enumerated["ratio_mult_galois"]
+    return f"add-galois {add_num}/{add_den}, mult-galois {mult_num}/{mult_den}"
+
+
+def _dihedral_row(m: int, cfg: RunConfig) -> list[dict]:
+    spec = constructions.family_spec("generalized_dihedral", m, 2, m - 1)
+    report = constructions.family_formula_report(spec, cfg.order_cap)
+    if not report.verified:
+        return [_row(f"dihedral-{m}", False, "unverified: order cap exceeded")]
+    ok = report.all_match and bool(report.bound_ok)
+    return [_row(f"dihedral-{m}", ok, f"{_family_ratios(report)}, bound_ok={report.bound_ok}")]
+
+
+def _pq_row(p: int, q: int, b: int, cfg: RunConfig) -> list[dict]:
+    row_id = f"pq-{p}-{q}-{b}"
+    spec = constructions.family_spec("pq", p, q, b)
+    report = constructions.family_formula_report(spec, cfg.order_cap)
+    if not report.verified:
+        return [_row(row_id, False, "unverified: order cap exceeded")]
+    prop = constructions.all_additive_subgroups_stable(spec, cfg.order_cap)
+    detail = f"{_family_ratios(report)}, all_add_stable={prop}"
+    return [_row(row_id, report.all_match and prop, detail)]
+
+
+def _fuzz(cfg: RunConfig) -> list[dict]:
+    add_galois, _ = _z9z6(cfg)
     rng = random.Random(cfg.seed)
     star_table = add_galois.star.op
     circ_table = [list(row) for row in add_galois.circ.op]
@@ -568,122 +548,46 @@ def _row_fuzz(cfg: RunConfig) -> dict:
             braces.validate_skew_brace(star_table, mutated)
         except ValidationFailure:
             rejected += 1
-    return _row(
-        "fuzz-semidirect-9-6-2",
-        rejected == trials,
-        f"{rejected}/{trials} single-entry circ mutations rejected (seed {cfg.seed})",
+    detail = f"{rejected}/{trials} single-entry circ mutations rejected (seed {cfg.seed})"
+    return [_row("fuzz-semidirect-9-6-2", rejected == trials, detail)]
+
+
+def _stability_maps(cfg: RunConfig) -> list[dict]:
+    ok = all(
+        groups.is_automorphism(brace.star, braces.stability_map(brace, g))
+        for brace in _z9z6(cfg)
+        for g in range(brace.order)
     )
+    detail = "every stability map is a star-automorphism (exhaustive)"
+    return [_row("stability-maps-9-6-2", ok, detail)]
 
 
-def _row_stability_maps(cfg: RunConfig) -> dict:
-    add_galois, mult_galois = constructions.semidirect_biskew(9, 6, 2, cfg.order_cap)
-    ok = True
-    for brace in (add_galois, mult_galois):
-        sop = brace.star.op
-        for g in range(brace.order):
-            rho = braces.stability_map(brace, g)
-            if sorted(rho) != list(range(brace.order)):
-                ok = False
-                break
-            for x in range(brace.order):
-                for y in range(brace.order):
-                    if rho[sop[x][y]] != sop[rho[x]][rho[y]]:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    return _row(
-        "stability-maps-9-6-2",
-        ok,
-        "every stability map is a star-automorphism (exhaustive)",
+def _aut_counts(cfg: RunConfig) -> list[dict]:
+    add_galois, _ = _z9z6(cfg)
+    got = (
+        len(groups.automorphism_group(add_galois.circ, cfg.aut_cap)),
+        braces.skew_brace_automorphism_count(add_galois, cfg.aut_cap),
+        braces.hgs_count(add_galois, cfg.aut_cap),
     )
+    detail = "|Aut(add)|={} two-sided={} quotient={}"
+    return [_pinned("aut-counts-9-6-2", detail, got, (108, 6, 18))]
 
 
-def _row_aut_counts(cfg: RunConfig) -> dict:
-    add_galois, _ = constructions.semidirect_biskew(9, 6, 2, cfg.order_cap)
-    aut_add = len(groups.automorphism_group(add_galois.circ, cfg.aut_cap))
-    both = braces.skew_brace_automorphism_count(add_galois, cfg.aut_cap)
-    quotient = braces.hgs_count(add_galois, cfg.aut_cap)
-    ok = aut_add == 108 and both == 6 and quotient == 18
-    return _row(
-        "aut-counts-9-6-2",
-        ok,
-        f"|Aut(add)|={aut_add} two-sided={both} quotient={quotient}",
-    )
-
-
-def _dihedral_row(m: int, cfg: RunConfig) -> dict:
-    spec = constructions.family_spec("generalized_dihedral", m, 2, m - 1)
-    report = constructions.family_formula_report(spec, cfg.order_cap)
-    if not report.verified:
-        return _row(f"dihedral-{m}", False, "unverified: order cap exceeded")
-    ok = report.all_match and bool(report.bound_ok)
-    ratios = (
-        f"add-galois {report.enumerated['ratio_add_galois'][0]}"
-        f"/{report.enumerated['ratio_add_galois'][1]}, "
-        f"mult-galois {report.enumerated['ratio_mult_galois'][0]}"
-        f"/{report.enumerated['ratio_mult_galois'][1]}"
-    )
-    return _row(f"dihedral-{m}", ok, f"{ratios}, bound_ok={report.bound_ok}")
-
-
-def _pq_row(p: int, q: int, b: int, cfg: RunConfig) -> dict:
-    spec = constructions.family_spec("pq", p, q, b)
-    report = constructions.family_formula_report(spec, cfg.order_cap)
-    if not report.verified:
-        return _row(f"pq-{p}-{q}-{b}", False, "unverified: order cap exceeded")
-    prop = constructions.all_additive_subgroups_stable(spec, cfg.order_cap)
-    ok = report.all_match and prop
-    ratios = (
-        f"add-galois {report.enumerated['ratio_add_galois'][0]}"
-        f"/{report.enumerated['ratio_add_galois'][1]}, "
-        f"mult-galois {report.enumerated['ratio_mult_galois'][0]}"
-        f"/{report.enumerated['ratio_mult_galois'][1]}"
-    )
-    return _row(f"pq-{p}-{q}-{b}", ok, f"{ratios}, all_add_stable={prop}")
-
-
-def _example_rows(cfg: RunConfig, p_list, dihedral_ms, pq_specs):
-    builders = [
-        ("semidirect-9-6-2-counts", lambda: _row_semidirect_counts(cfg)),
-        ("semidirect-9-6-2-ratios", lambda: _row_semidirect_ratios(cfg)),
-        ("semidirect-9-6-2-shortcuts", lambda: _row_semidirect_shortcuts(cfg)),
-        ("zappa-a5", lambda: _row_zappa_a5(cfg)),
+def _example_builders(
+    p_list, dihedral_ms, pq_specs
+) -> list[tuple[str, Callable[[RunConfig], list[dict]]]]:
+    return [
+        ("semidirect-9-6-2-counts", _z9z6_counts),
+        ("semidirect-9-6-2-ratios", _z9z6_ratios),
+        ("semidirect-9-6-2-shortcuts", _z9z6_shortcuts),
+        ("zappa-a5", _zappa_a5),
+        *((f"algebra-p{p}", partial(_algebra_rows, p)) for p in p_list),
+        *((f"dihedral-{m}", partial(_dihedral_row, m)) for m in dihedral_ms),
+        *((f"pq-{p}-{q}-{b}", partial(_pq_row, p, q, b)) for p, q, b in pq_specs),
+        ("fuzz", _fuzz),
+        ("stability-maps", _stability_maps),
+        ("aut-counts", _aut_counts),
     ]
-    for p in p_list:
-        builders.append((f"algebra-p{p}", lambda p=p: _algebra_rows(p, cfg)))
-    for m in dihedral_ms:
-        builders.append((f"dihedral-{m}", lambda m=m: _dihedral_row(m, cfg)))
-    for p, q, b in pq_specs:
-        builders.append(
-            (f"pq-{p}-{q}-{b}", lambda p=p, q=q, b=b: _pq_row(p, q, b, cfg))
-        )
-    builders.append(("fuzz", lambda: _row_fuzz(cfg)))
-    builders.append(("stability-maps", lambda: _row_stability_maps(cfg)))
-    builders.append(("aut-counts", lambda: _row_aut_counts(cfg)))
-    return builders
-
-
-def _run_rows(builders, jobs: int) -> list[dict]:
-    # row failures are collected, never fatal mid-run
-    def run(item):
-        row_id, fn = item
-        try:
-            out = fn()
-        except (CapExceeded, ValidationFailure, ValueError) as exc:
-            return [_row(row_id, False, f"error: {type(exc).__name__}: {exc}")]
-        return out if isinstance(out, list) else [out]
-
-    if jobs <= 1:
-        nested = [run(item) for item in builders]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            nested = list(pool.map(run, builders))
-    return [row for chunk in nested for row in chunk]
 
 
 def _parse_grid(grid_args) -> tuple[list[int], list[tuple[int, int, int]]]:
@@ -712,8 +616,12 @@ def _cmd_examples(args, cfg: RunConfig) -> tuple[dict, list[str], int]:
     if not dihedral_ms and not pq_specs and not args.grid:
         dihedral_ms = [15]
         pq_specs = [(7, 3, 2)]
-    builders = _example_rows(cfg, p_list, dihedral_ms, pq_specs)
-    rows = _run_rows(builders, cfg.jobs)
+    rows: list[dict] = []
+    for builder_id, build in _example_builders(p_list, dihedral_ms, pq_specs):
+        try:
+            rows += build(cfg)
+        except (CapExceeded, ValidationFailure, ValueError) as exc:
+            rows.append(_row(builder_id, False, f"error: {type(exc).__name__}: {exc}"))
     failed = [row for row in rows if not row["ok"]]
     source = {
         "p": list(p_list),
@@ -736,65 +644,45 @@ def _cmd_examples(args, cfg: RunConfig) -> tuple[dict, list[str], int]:
 
 def _family_row(spec_args, cfg: RunConfig) -> dict:
     family, m, n, b = spec_args
-    base = {
-        "family": family,
-        "m": m,
-        "n": n,
-        "b": b,
-        "g": "",
-        "h": "",
-        "n_sub_add": "",
-        "n_sub_mult": "",
-        "n_stable_dir1": "",
-        "n_stable_dir2": "",
-        "ratio1_num": "",
-        "ratio1_den": "",
-        "ratio2_num": "",
-        "ratio2_den": "",
-        "predicted_match": "",
-    }
+    row = dict.fromkeys(FAMILY_CSV_COLUMNS, "")
+    row.update(family=family, m=m, n=n, b=b)
     try:
         spec = constructions.family_spec(family, m, n, b)
     except (ValueError, ValidationFailure) as exc:
-        base["predicted_match"] = f"error:{type(exc).__name__}"
-        return base
-    base["g"] = spec.g
-    base["h"] = spec.h
+        row["predicted_match"] = f"error:{type(exc).__name__}"
+        return row
     report = constructions.family_formula_report(spec, cfg.order_cap)
-    if not report.verified:
-        base["predicted_match"] = "unverified"
-        for key, value in report.predicted.items():
-            if key == "subgroups_add":
-                base["n_sub_add"] = value
-            if key == "subgroups_mult":
-                base["n_sub_mult"] = value
-        base["predicted"] = {k: list(v) if isinstance(v, tuple) else v
-                             for k, v in report.predicted.items()}
-        return base
-    enum = report.enumerated
-    base.update(
-        {
-            "n_sub_add": enum["subgroups_add"],
-            "n_sub_mult": enum["subgroups_mult"],
-            "n_stable_dir1": enum["stable_in_add"],
-            "n_stable_dir2": enum["stable_in_mult"],
-            "ratio1_num": enum["ratio_mult_galois"][0],
-            "ratio1_den": enum["ratio_mult_galois"][1],
-            "ratio2_num": enum["ratio_add_galois"][0],
-            "ratio2_den": enum["ratio_add_galois"][1],
-            "predicted_match": "true" if report.all_match else "false",
-        }
-    )
-    if not report.predicted:
-        base["predicted_match"] = "no-prediction"
+    predicted = report.predicted
     # JSON output carries the full prediction detail; the CSV writer only
     # picks the fixed columns
-    base["predicted"] = {k: list(v) if isinstance(v, tuple) else v
-                         for k, v in report.predicted.items()}
-    base["match"] = report.match
+    row.update(
+        g=spec.g,
+        h=spec.h,
+        predicted={k: list(v) if isinstance(v, tuple) else v for k, v in predicted.items()},
+    )
+    if not report.verified:
+        row.update(
+            n_sub_add=predicted.get("subgroups_add", ""),
+            n_sub_mult=predicted.get("subgroups_mult", ""),
+            predicted_match="unverified",
+        )
+        return row
+    enum = report.enumerated
+    row.update(
+        n_sub_add=enum["subgroups_add"],
+        n_sub_mult=enum["subgroups_mult"],
+        n_stable_dir1=enum["stable_in_add"],
+        n_stable_dir2=enum["stable_in_mult"],
+        ratio1_num=enum["ratio_mult_galois"][0],
+        ratio1_den=enum["ratio_mult_galois"][1],
+        ratio2_num=enum["ratio_add_galois"][0],
+        ratio2_den=enum["ratio_add_galois"][1],
+        predicted_match=str(report.all_match).lower() if predicted else "no-prediction",
+        match=report.match,
+    )
     if report.bound_ok is not None:
-        base["bound_ok"] = report.bound_ok
-    return base
+        row["bound_ok"] = report.bound_ok
+    return row
 
 
 def _cmd_family(args, cfg: RunConfig) -> tuple[dict, list[str], int]:
@@ -817,11 +705,7 @@ def _cmd_family(args, cfg: RunConfig) -> tuple[dict, list[str], int]:
     elif args.family:
         specs.append((args.family, args.m, args.n, args.b))
     source = {"specs": [list(s) for s in specs]}
-    if cfg.jobs <= 1 or len(specs) <= 1:
-        rows = [_family_row(s, cfg) for s in specs]
-    else:
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            rows = list(pool.map(lambda s: _family_row(s, cfg), specs))
+    rows = [_family_row(s, cfg) for s in specs]
     result = {"columns": FAMILY_CSV_COLUMNS, "rows": rows}
     if cfg.format == "csv":
         lines = [",".join(FAMILY_CSV_COLUMNS)]
@@ -849,12 +733,6 @@ def _add_common(parser: argparse.ArgumentParser, suppress: bool) -> None:
         "--format",
         choices=["text", "json", "csv"],
         **(kw or {"default": "text"}),
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        help="worker count for sweeps (default: available parallelism)",
-        **(kw or {"default": None}),
     )
     parser.add_argument("--order-cap", type=int, **(kw or {"default": None}))
     parser.add_argument("--aut-cap", type=int, **(kw or {"default": None}))
@@ -923,22 +801,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _config_from_args(args) -> RunConfig:
     cfg = RunConfig()
-    env_order = os.environ.get("BRACE_ORDER_CAP")
-    env_aut = os.environ.get("BRACE_AUT_CAP")
-    try:
-        if env_order is not None:
-            cfg.order_cap = int(env_order)
-        if env_aut is not None:
-            cfg.aut_cap = int(env_aut)
-    except ValueError as exc:
-        raise ParseError(f"bad cap in environment: {exc}") from exc
-    if args.order_cap is not None:
-        cfg.order_cap = args.order_cap
-    if args.aut_cap is not None:
-        cfg.aut_cap = args.aut_cap
+    # a flag overrides the environment, which overrides the default
+    for field, env in (("order_cap", "BRACE_ORDER_CAP"), ("aut_cap", "BRACE_AUT_CAP")):
+        try:
+            setattr(cfg, field, int(os.environ.get(env, getattr(cfg, field))))
+        except ValueError as exc:
+            raise ParseError(f"bad cap in environment: {exc}") from exc
+        if getattr(args, field) is not None:
+            setattr(cfg, field, getattr(args, field))
     if cfg.order_cap < 1 or cfg.aut_cap < 1:
         raise ParseError("caps must be positive")
-    cfg.jobs = max(1, args.jobs if args.jobs is not None else os.cpu_count() or 1)
     cfg.format = args.format
     cfg.seed = args.seed
     if cfg.format == "csv" and args.command != "family":
@@ -962,18 +834,12 @@ def main(argv=None) -> int:
     try:
         cfg = _config_from_args(args)
         report, lines, code = _HANDLERS[args.command](args, cfg)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except CapExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAP
     except ValidationFailure as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except ValueError as exc:
+    except (ParseError, CapExceeded, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return EXIT_CAP if isinstance(exc, CapExceeded) else EXIT_CONFIG
     _emit(report, cfg, lines)
     print(f"elapsed {time.perf_counter() - start:.3f}s", file=sys.stderr)
     return code

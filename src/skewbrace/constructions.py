@@ -119,14 +119,32 @@ def stable_iff_normalized_check(
     return stable, normalized
 
 
+def factorization_from_permutations(
+    left, right, cap: int = DEFAULT_ORDER_CAP
+) -> ExactFactorization:
+    """Exact factorization of <left, right> into <left> * <right>.
+
+    ``left`` and ``right`` are lists of permutations of one degree.
+    """
+    left = [tuple(g) for g in left]
+    right = [tuple(g) for g in right]
+    G = closure_from_permutations(left + right, cap=cap)
+    # distinct non-identity generators occupy indices 1, 2, ... in closure order
+    index: dict[tuple[int, ...], int] = {}
+    for g in left + right:
+        if g not in index and g != tuple(range(len(g))):
+            index[g] = len(index) + 1
+    lseed = [index[g] for g in left if g in index]
+    rseed = [index[g] for g in right if g in index]
+    return exact_factorization(G, lseed, rseed)
+
+
 def a5_factorization(cap: int = DEFAULT_ORDER_CAP) -> ExactFactorization:
     """Alternating group on 5 points as (5-cycle subgroup) * (point stabilizer)."""
     five_cycle = (1, 2, 3, 4, 0)
     three_cycle = (1, 2, 0, 3, 4)
     double_swap = (1, 0, 3, 2, 4)
-    G = closure_from_permutations([five_cycle, three_cycle, double_swap], cap=cap)
-    # distinct non-identity generators occupy indices 1, 2, 3 in closure order
-    return exact_factorization(G, [1], [2, 3])
+    return factorization_from_permutations([five_cycle], [three_cycle, double_swap], cap)
 
 
 def semidirect_biskew(
@@ -138,10 +156,8 @@ def semidirect_biskew(
     addition on the same pair indexing.  Second brace: roles swapped.
     Both validate, which is exactly the bi-skew property.
     """
-    mult = semidirect_product_cyclic(m, n, b)
-    if mult.order > cap:
-        raise OrderCapExceeded(mult.order, cap)
-    addg = direct_product(cyclic_group(m), cyclic_group(n))
+    mult = semidirect_product_cyclic(m, n, b, cap)
+    addg = direct_product(cyclic_group(m, cap), cyclic_group(n, cap), cap)
     first = _assemble_brace(mult, addg, "semidirect")
     second = _assemble_brace(addg, mult, "semidirect")
     return first, second

@@ -150,16 +150,22 @@ def build_from_table(op_table, labels=None, *, trusted: bool = False) -> FiniteG
     return FiniteGroup(n, rows, identity, tuple(inv), labels, assoc_checked)
 
 
-def cyclic_group(k: int) -> FiniteGroup:
+def cyclic_group(k: int, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     """Additive group of integers modulo k."""
     if k < 1:
         raise ValueError("cyclic group order must be at least 1")
+    if k > cap:
+        raise OrderCapExceeded(k, cap)
     rows = tuple(tuple((i + j) % k for j in range(k)) for i in range(k))
     return build_from_table(rows, labels=[str(i) for i in range(k)], trusted=True)
 
 
-def direct_product(G: FiniteGroup, H: FiniteGroup) -> FiniteGroup:
+def direct_product(
+    G: FiniteGroup, H: FiniteGroup, cap: int = DEFAULT_ORDER_CAP
+) -> FiniteGroup:
     """Componentwise product on pairs, indexed row-major: (g,h) -> g*|H| + h."""
+    if G.order * H.order > cap:
+        raise OrderCapExceeded(G.order * H.order, cap)
     n2 = H.order
     rows = []
     for g in range(G.order):
@@ -177,13 +183,17 @@ def direct_product(G: FiniteGroup, H: FiniteGroup) -> FiniteGroup:
     return build_from_table(rows, labels=labels, trusted=True)
 
 
-def semidirect_product_cyclic(m: int, n: int, b: int) -> FiniteGroup:
+def semidirect_product_cyclic(
+    m: int, n: int, b: int, cap: int = DEFAULT_ORDER_CAP
+) -> FiniteGroup:
     """Group on pairs (r,s) with (r,s)(r',s') = (r + b^s r' mod m, s+s' mod n)."""
     if m < 1 or n < 1:
         raise ValueError("factors must have positive order")
     b %= m
     if math.gcd(b, m) != 1 or pow(b, n, m) != 1:
         raise InvalidAction(f"b={b} must be a unit modulo {m} with b^{n} = 1 (mod {m})")
+    if m * n > cap:
+        raise OrderCapExceeded(m * n, cap)
     powers = [pow(b, s, m) for s in range(n)]
     rows = []
     for r in range(m):
@@ -406,6 +416,16 @@ def element_order(G: FiniteGroup, x: int) -> int:
         y = G.op[y][x]
         k += 1
     return k
+
+
+def is_automorphism(G: FiniteGroup, perm) -> bool:
+    """True iff ``perm`` (the images of 0..n-1) is a bijection that respects
+    the operation table of G."""
+    if sorted(perm) != list(range(G.order)):
+        return False
+    phi = np.asarray(perm, dtype=np.int64)
+    op = G.op_array()
+    return bool(np.array_equal(phi[op], op[phi[:, None], phi[None, :]]))
 
 
 def _element_orders(G: FiniteGroup) -> list[int]:

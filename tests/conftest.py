@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 from itertools import combinations
 
 import pytest
@@ -145,7 +146,52 @@ def truncated_poly_algebra(p: int, k: int) -> sb.FpAlgebra:
 
 
 # ---------------------------------------------------------------------------
+# the default `skewbrace examples` report, pinned line by line
+
+
+EXAMPLES_DEFAULT_LINES = [
+    "PASS  semidirect-9-6-2-counts: subgroups: add=20 mult=36 (mult split: cyclic=26 noncyclic=10)",
+    "PASS  semidirect-9-6-2-ratios: mult-galois 12/36, add-galois 9/20",
+    "PASS  semidirect-9-6-2-shortcuts: shortcut agreement on 20/20 subgroups",
+    "PASS  zappa-a5: ratio 4/20, stable orders [1, 5, 10, 60]",
+    "PASS  algebra-p3-ideals: left=23 right=32",
+    "PASS  algebra-p3-subgroup-counts: circle=104 additive=212 subspaces=212",
+    "PASS  algebra-p3-ratios: circ-galois 23/104, add-galois 32/212",
+    "PASS  algebra-p3-ideal-correspondence: stable subgroup sets equal ideal sets elementwise",
+    "PASS  algebra-p3-power-formula: m-fold circle equals m*x + binom(m,2)*x^2 for all x, m <= p",
+    "PASS  dihedral-15: add-galois 5/8, mult-galois 8/28, bound_ok=True",
+    "PASS  pq-7-3-2: add-galois 3/4, mult-galois 4/10, all_add_stable=True",
+    "PASS  fuzz-semidirect-9-6-2: 100/100 single-entry circ mutations rejected (seed 0)",
+    "PASS  stability-maps-9-6-2: every stability map is a star-automorphism (exhaustive)",
+    "PASS  aut-counts-9-6-2: |Aut(add)|=108 two-sided=6 quotient=18",
+    "14/14 rows passed",
+]
+
+
+# ---------------------------------------------------------------------------
 # fixtures
+
+
+@pytest.fixture
+def tables_built(monkeypatch):
+    """List of the table orders passed to build_from_table, one per call.
+
+    The counting wrapper replaces the name in every skewbrace module that
+    binds it, so calls through ``from .groups import build_from_table``
+    are counted too.
+    """
+    calls = []
+    original = sb.build_from_table
+
+    def counting(op_table, *args, **kwargs):
+        calls.append(len(op_table))
+        return original(op_table, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        binds = getattr(module, "build_from_table", None) is original
+        if binds and name.split(".")[0] == "skewbrace":
+            monkeypatch.setattr(module, "build_from_table", counting)
+    return calls
 
 
 @pytest.fixture(scope="session")

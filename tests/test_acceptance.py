@@ -14,7 +14,12 @@ import time
 import skewbrace as sb
 from skewbrace.cli import main
 
-from conftest import heisenberg_algebra, transported_algebra, truncated_poly_algebra
+from conftest import (
+    EXAMPLES_DEFAULT_LINES,
+    heisenberg_algebra,
+    transported_algebra,
+    truncated_poly_algebra,
+)
 
 
 def _report(ok: bool, label: str) -> None:
@@ -356,13 +361,22 @@ def test_criterion_12_hgs_counts(s3, z9z6_braces):
 
 
 def test_criterion_13_cli_determinism(capsys):
-    code1 = main(["examples", "--jobs", "1"])
-    out1 = capsys.readouterr().out
-    code4 = main(["examples", "--jobs", "4"])
-    out4 = capsys.readouterr().out
-    ok = code1 == 0 and code4 == 0 and out1 == out4 and out1 != ""
+    runs = []
+    for argv in (
+        ["examples"],
+        ["examples"],
+        ["examples", "--order-cap", "2000", "--aut-cap", "200"],
+    ):
+        code = main(argv)
+        runs.append((code, capsys.readouterr().out))
+    (code1, out1), (code2, out2), (code3, out3) = runs
+    ok = (
+        code1 == code2 == code3 == 0
+        and out1.splitlines() == EXAMPLES_DEFAULT_LINES
+        and out1 == out2 == out3
+    )
     _report(
         ok,
-        f"criterion 13: examples byte-identical across jobs 1 and 4 "
+        f"criterion 13: examples byte-identical across runs and options "
         f"({len(out1)} bytes)",
     )

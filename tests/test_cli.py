@@ -8,6 +8,8 @@ import pytest
 
 from skewbrace.cli import EXIT_CAP, EXIT_CONFIG, EXIT_INVALID, EXIT_OK, main, parse_permutations
 
+from conftest import EXAMPLES_DEFAULT_LINES
+
 DEGRAAF3 = {
     "p": 3,
     "dim": 4,
@@ -70,6 +72,53 @@ def test_verify_empty_file_is_parse_error(tmp_path, capsys):
     path.write_text("")
     code, _ = run(capsys, "verify", str(path))
     assert code == EXIT_CONFIG
+
+
+def test_verify_brace_over_order_cap_builds_nothing(tmp_path, capsys, tables_built):
+    z6 = [[(i + j) % 6 for j in range(6)] for i in range(6)]
+    path = tmp_path / "brace.json"
+    path.write_text(json.dumps({"star": z6, "circ": z6}))
+    code, _ = run(capsys, "--order-cap", "5", "verify", str(path))
+    assert code == EXIT_CAP
+    assert tables_built == []
+    code, _ = run(capsys, "--order-cap", "6", "verify", str(path))
+    assert code == EXIT_OK
+    assert tables_built == [6, 6]
+
+
+Z2 = [[0, 1], [1, 0]]
+
+
+def _algebra_with_product(**entry) -> dict:
+    return {"p": 3, "dim": 2, "products": [{"i": 0, "j": 0, "value": [0, 1], **entry}]}
+
+
+# malformed input file -> text the parse error must contain
+MALFORMED = {
+    "null-entry": ({"star": [[0, None], [1, 0]], "circ": Z2}, "star[0][1]"),
+    "string-entry": ({"star": [[0, "1"], [1, 0]], "circ": Z2}, "star[0][1]"),
+    "nested-entry": ({"star": [[0, [1]], [1, 0]], "circ": Z2}, "star[0][1]"),
+    "fractional-entry": ({"star": Z2, "circ": [[0, 1], [1.5, 0]]}, "circ[1][0]"),
+    "row-not-list": ({"star": Z2, "circ": [5, [1, 0]]}, "circ[0] must be a list"),
+    "table-not-list": ({"star": 5, "circ": Z2}, "star must be a list"),
+    "p-list": ({"p": [3], "dim": 2}, "p must be an integer"),
+    "dim-float": ({"p": 3, "dim": 2.0}, "dim must be an integer"),
+    "i-string": (_algebra_with_product(i="0"), "products[0].i"),
+    "value-entry-list": (_algebra_with_product(value=[[0], 1]), "products[0].value[0]"),
+    "value-not-list": (_algebra_with_product(value=5), "products[0].value must be a list"),
+    "products-not-list": ({"p": 3, "dim": 2, "products": 5}, "products must be a list"),
+    "labels-not-list": ({"p": 3, "dim": 2, "labels": 5}, "labels must be a list"),
+}
+
+
+@pytest.mark.parametrize("payload, where", list(MALFORMED.values()), ids=list(MALFORMED))
+def test_verify_malformed_file_is_parse_error(tmp_path, capsys, payload, where):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    code = main(["verify", str(path)])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert where in err
 
 
 # ---------------------------------------------------------------------------
@@ -157,6 +206,26 @@ def test_ratio_invalid_action_is_validation_error(capsys):
         capsys, "ratio", "--family", "semidirect", "--m", "9", "--n", "6", "--b", "3"
     )
     assert code == EXIT_INVALID
+    # an invalid action is reported ahead of the order cap
+    code = main(
+        ["ratio", "--family", "semidirect", "--m", "1201", "--n", "2", "--b", "5",
+         "--order-cap", "100"]
+    )
+    assert code == EXIT_INVALID
+    assert "InvalidAction" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        ["--family", "semidirect", "--m", "9", "--n", "6", "--b", "2", "--direction", "circ"],
+        ["--algebra", "degraaf", "--p", "3", "--direction", "mult"],
+    ],
+)
+def test_ratio_wrong_direction_rejected_before_building(capsys, tables_built, source):
+    code, _ = run(capsys, "ratio", "--order-cap", "10", *source)
+    assert code == EXIT_CONFIG
+    assert tables_built == []
 
 
 # ---------------------------------------------------------------------------
@@ -198,11 +267,13 @@ def test_examples_default_all_pass(capsys):
     assert out.strip().endswith("rows passed")
 
 
-def test_examples_byte_identical_across_jobs(capsys):
-    code1, out1 = run(capsys, "examples", "--jobs", "1")
-    code4, out4 = run(capsys, "examples", "--jobs", "4")
-    assert code1 == code4 == EXIT_OK
-    assert out1 == out4
+def test_examples_byte_identical_across_runs_and_options(capsys):
+    code1, out1 = run(capsys, "examples")
+    code2, out2 = run(capsys, "examples")
+    code3, out3 = run(capsys, "examples", "--order-cap", "2000", "--aut-cap", "200")
+    assert code1 == code2 == code3 == EXIT_OK
+    assert out1.splitlines() == EXAMPLES_DEFAULT_LINES
+    assert out1 == out2 == out3
 
 
 def test_examples_grid_row(capsys):

@@ -33,6 +33,15 @@ def test_a5_factorization():
     assert f.left.size == 5 and f.right.size == 12
 
 
+def test_factorization_from_permutations_skips_identity_and_repeats():
+    five, three, swaps = (1, 2, 3, 4, 0), (1, 2, 0, 3, 4), (1, 0, 3, 2, 4)
+    identity = (0, 1, 2, 3, 4)
+    f = sb.factorization_from_permutations([identity, five, five], [three, identity, swaps])
+    a5 = sb.a5_factorization()
+    assert f.parent.op == a5.parent.op
+    assert (f.left, f.right) == (a5.left, a5.right)
+
+
 # ---------------------------------------------------------------------------
 # Zappa-Szep braces
 

@@ -125,6 +125,23 @@ def test_semidirect_trivial_action_is_direct_product():
     assert G.op == D.op
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda Z41, Z50: sb.cyclic_group(2001),
+        lambda Z41, Z50: sb.direct_product(Z41, Z50),
+        lambda Z41, Z50: sb.semidirect_biskew(1009, 2, 1008),
+    ],
+    ids=["cyclic", "direct", "semidirect_biskew"],
+)
+def test_order_cap_checked_before_any_table_is_built(tables_built, build):
+    Z41, Z50 = sb.cyclic_group(41), sb.cyclic_group(50)
+    del tables_built[:]
+    with pytest.raises(OrderCapExceeded):
+        build(Z41, Z50)
+    assert tables_built == []
+
+
 def test_semidirect_rejects_bad_action():
     with pytest.raises(InvalidAction):
         sb.semidirect_product_cyclic(7, 3, 3)  # 3^3 = 27 = 6 (mod 7)
@@ -290,6 +307,15 @@ def test_aut_group_closed_under_composition_and_inverse(s3):
             assert tuple(inv) in auts
             for g in auts:
                 assert tuple(f[g[i]] for i in range(G.order)) in auts
+
+
+def test_is_automorphism_matches_brute_force(s3):
+    from itertools import permutations
+
+    auts = brute_force_automorphisms(s3)
+    for perm in permutations(range(s3.order)):
+        assert sb.is_automorphism(s3, perm) == (perm in auts)
+    assert not sb.is_automorphism(s3, (0, 0, 1, 2, 3, 4))  # not a bijection
 
 
 def test_aut_cap():

@@ -27,6 +27,16 @@ from .groups import DEFAULT_ORDER_CAP, FiniteGroup, SubgroupSet, build_from_tabl
 DEFAULT_POINT_BUDGET = 100_000
 
 
+def check_point_budget(p: int, dim: int, budget: int = DEFAULT_POINT_BUDGET) -> None:
+    """Raise BudgetExceeded when F_p^dim has more than ``budget`` points.
+
+    Runs before any work that grows with p or dim.  Since p**dim >= 2**dim,
+    a dim of budget.bit_length() or more is rejected without forming p**dim.
+    """
+    if p > 1 and (dim >= budget.bit_length() or p**dim > budget):
+        raise BudgetExceeded(f"{p}^{dim}", budget)
+
+
 def _is_prime(p: int) -> bool:
     if p < 2:
         return False
@@ -115,8 +125,10 @@ def make_algebra(p: int, dim: int, sc, labels=None) -> FpAlgebra:
 
     Associativity is checked on basis triples (bilinearity covers the rest)
     and nilpotency by iterating the power chain A, A^2, A^3, ... which must
-    strictly shrink to zero.
+    strictly shrink to zero.  F_p^dim may have at most DEFAULT_POINT_BUDGET
+    points.
     """
+    check_point_budget(p, dim)
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
     if dim < 1:
@@ -130,14 +142,13 @@ def make_algebra(p: int, dim: int, sc, labels=None) -> FpAlgebra:
         tuple(tuple(int(v) % p for v in raw[i][j]) for j in range(dim))
         for i in range(dim)
     )
+    SC = np.array(table, dtype=np.int64)  # SC[i, j, l]: coordinate l of e_i e_j
+    lhs = np.einsum("ijl,lkm->ijkm", SC, SC) % p  # (e_i e_j) e_k
+    rhs = np.einsum("jkl,ilm->ijkm", SC, SC) % p  # e_i (e_j e_k)
+    bad = np.argwhere(lhs != rhs)
+    if len(bad):
+        raise NotAssociative(tuple(bad[0, :3].tolist()))
     units = [tuple(1 if k == i else 0 for k in range(dim)) for i in range(dim)]
-    for i in range(dim):
-        for j in range(dim):
-            for k in range(dim):
-                lhs = _raw_multiply(table, p, dim, table[i][j], units[k])
-                rhs = _raw_multiply(table, p, dim, units[i], table[j][k])
-                if lhs != rhs:
-                    raise NotAssociative((i, j, k))
     current = [list(u) for u in units]
     index = 1
     while current:
@@ -161,6 +172,7 @@ def degraaf_algebra(p: int) -> FpAlgebra:
 
     Defined for odd primes only.
     """
+    check_point_budget(p, 4)
     if p <= 2:
         raise ValueError("p must be an odd prime")
     if not _is_prime(p):
@@ -244,16 +256,21 @@ def _point_grid(A: FpAlgebra) -> np.ndarray:
     return (ks[:, None] // A.p ** np.arange(A.dim)[None, :]) % A.p
 
 
+def _group_on_points(A: FpAlgebra, V: np.ndarray, coords) -> FiniteGroup:
+    """Group on the base-p indexing whose product of x and y has coordinate
+    l equal to the [x, y] entry of the l-th array of ``coords``, modulo p."""
+    table = sum(c % A.p * A.p**l for l, c in enumerate(coords))
+    labels = [format_vector(A, vec) for vec in V.tolist()]
+    return build_from_table(table, labels=labels)
+
+
 def additive_group(A: FpAlgebra, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     """Elementary abelian group of the underlying vector space."""
     n = A.p**A.dim
     if n > cap:
         raise OrderCapExceeded(n, cap)
     V = _point_grid(A)
-    pv = A.p ** np.arange(A.dim)
-    rows = [((V[a] + V) % A.p @ pv).tolist() for a in range(n)]
-    labels = [format_vector(A, tuple(int(v) for v in V[a])) for a in range(n)]
-    return build_from_table(rows, labels=labels, trusted=True)
+    return _group_on_points(A, V, (V[:, l, None] + V[:, l] for l in range(A.dim)))
 
 
 def circle_group(A: FpAlgebra, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
@@ -262,15 +279,10 @@ def circle_group(A: FpAlgebra, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     if n > cap:
         raise OrderCapExceeded(n, cap)
     V = _point_grid(A)
-    pv = A.p ** np.arange(A.dim)
     SC = np.array(A.sc)  # SC[i, j, l]
-    rows = []
-    for a in range(n):
-        left = np.tensordot(V[a], SC, axes=(0, 0))  # left[j, l]: x * e_j
-        w = (V[a] + V + V @ left) % A.p
-        rows.append((w @ pv).tolist())
-    labels = [format_vector(A, tuple(int(v) for v in V[a])) for a in range(n)]
-    return build_from_table(rows, labels=labels, trusted=True)
+    # coordinate l of x * y is V[x] @ SC[:, :, l] @ V[y]
+    coords = (V[:, l, None] + V[:, l] + V @ SC[:, :, l] @ V.T for l in range(A.dim))
+    return _group_on_points(A, V, coords)
 
 
 @dataclass(frozen=True)
@@ -322,8 +334,7 @@ def enumerate_subspaces(p: int, dim: int, budget: int = DEFAULT_POINT_BUDGET) ->
     Enumerated by pivot-column pattern, then free entries; the zero space
     and the full space are included.
     """
-    if p**dim > budget:
-        raise BudgetExceeded(p**dim, budget)
+    check_point_budget(p, dim, budget)
     out = [SubspaceBasis(p, dim, ())]
     for r in range(1, dim + 1):
         for pivots in combinations(range(dim), r):

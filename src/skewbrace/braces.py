@@ -5,7 +5,10 @@ tables, star and circ, tied together by the left brace law
 
     a circ (b star c) = (a circ b) star a^-1 star (a circ c)
 
-with a^-1 the star-inverse.  Validation checks the law on all n^3 triples.
+with a^-1 the star-inverse.  Validation checks the law as "every
+lambda_a: x -> a^-1 star (a circ x) is a star-endomorphism" on a
+star-generating set, n^2 cells per generator instead of n^3 triples, and
+reports the same lexicographically first violating triple as a full scan.
 """
 
 from __future__ import annotations
@@ -27,7 +30,9 @@ from .groups import (
     DEFAULT_ORDER_CAP,
     FiniteGroup,
     SubgroupSet,
-    _closure,
+    _magma_generators,
+    _mask,
+    _right_closure,
     automorphism_group,
     build_from_table,
     enumerate_subgroups,
@@ -70,20 +75,26 @@ class GcRatio:
 
 
 def _brace_law_witness(star: FiniteGroup, circ: FiniteGroup):
-    """First (a,b,c) violating the left brace law, or None."""
-    S = star.op_array()
-    C = circ.op_array()
-    sinv = star.inv
-    n = star.order
-    for a in range(n):
-        ca = C[a]
-        lhs = ca[S]  # a circ (b star c)
-        w = S[ca, sinv[a]]  # (a circ b) star a^-1
-        rhs = S[w[:, None], ca[None, :]]
-        if not np.array_equal(lhs, rhs):
-            b, c = np.argwhere(lhs != rhs)[0]
-            return a, int(b), int(c)
-    return None
+    """Lexicographically first (a,b,c) violating the left brace law, or None.
+
+    The law holds at (a,b,c) iff lambda_a(b star c) = lambda_a(b) star
+    lambda_a(c), so the first a whose lambda_a fails on a star-generator is
+    the first a of a violating triple; that row is then scanned in full.
+    """
+    S, C = star.table, circ.table
+    sinv = np.asarray(star.inv)
+    lam = S[sinv[:, None], C]  # lam[a, x] = lambda_a(x)
+    failing = np.zeros(star.order, dtype=bool)
+    for g in _magma_generators(S, star.identity):
+        lhs = lam[:, S[:, g]]  # lambda_a(x star g)
+        rhs = S[lam, lam[:, g][:, None]]  # lambda_a(x) star lambda_a(g)
+        failing |= (lhs != rhs).any(axis=1)
+    if not failing.any():
+        return None
+    a = int(np.argmax(failing))
+    row = lam[a]
+    b, c = np.argwhere(row[S] != S[row[:, None], row])[0]
+    return a, int(b), int(c)
 
 
 def _assemble_brace(star: FiniteGroup, circ: FiniteGroup, provenance: str) -> SkewBrace:
@@ -101,7 +112,7 @@ def validate_skew_brace(star_table, circ_table, provenance: str = "raw") -> Skew
     """Validate two raw tables as a skew brace.
 
     Both tables go through full group validation first; then the brace law
-    is checked on every triple.
+    is checked, on star-generators.
     """
     star = build_from_table(star_table)
     circ = build_from_table(circ_table)
@@ -130,17 +141,16 @@ def stability_map(b: SkewBrace, g: int) -> tuple[int, ...]:
 def _subgroup_gens(b: SkewBrace, H: SubgroupSet) -> tuple[int, ...]:
     if H.size == 1:
         return ()
-    if H.gens:
-        mask, _ = _closure(b.star.op, b.star.identity, H.gens)
-        if mask == H.mask:
-            return H.gens
+    table, e = b.star.table, b.star.identity
+    if H.gens and _mask(_right_closure(table, [e], H.gens)) == H.mask:
+        return H.gens
     gens: list[int] = []
-    mask = 1 << b.star.identity
+    members = _right_closure(table, [e], gens)
     for x in H.elements():
-        if not mask >> x & 1:
+        if not members[x]:
             gens.append(x)
-            mask, _ = _closure(b.star.op, b.star.identity, gens)
-            if mask == H.mask:
+            members = _right_closure(table, [e], gens)
+            if _mask(members) == H.mask:
                 break
     return tuple(gens)
 
@@ -196,17 +206,11 @@ def enumerate_stable_subgroups(
     subgroup is a subgroup of both structures.
     """
     out = []
-    cop = b.circ.op
     for H in enumerate_subgroups(b.star, cap):
         if _stable(b, H.gens, H.mask):
-            elems = H.elements()
-            for x in elems:
-                row = cop[x]
-                for y in elems:
-                    if not H.mask >> row[y] & 1:
-                        raise RuntimeError(
-                            "stable subgroup is not circ-closed; tables inconsistent"
-                        )
+            elems = np.array(H.elements())
+            if not np.isin(b.circ.table[np.ix_(elems, elems)], elems).all():
+                raise RuntimeError("stable subgroup is not circ-closed; tables inconsistent")
             out.append(H)
     return out
 

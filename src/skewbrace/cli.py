@@ -13,6 +13,7 @@ Input file schemas (JSON):
   algebra: {"p": int, "dim": int, "labels": [str, ...]?,
             "products": [{"i": int, "j": int, "value": [int; dim]}, ...]}
            with 0-indexed basis positions; unlisted products are zero.
+           p**dim above algebras.DEFAULT_POINT_BUDGET is a cap error.
 
   brace:   {"star": [[int; n]; n], "circ": [[int; n]; n]}
 
@@ -154,6 +155,7 @@ def _parse_algebra_json(data: dict) -> algebras.FpAlgebra:
             raise ParseError(f"algebra file is missing the key {key!r}")
     p = _json_int(data["p"], "p")
     dim = _json_int(data["dim"], "dim")
+    algebras.check_point_budget(p, dim)
     labels = data.get("labels")
     if labels is not None:
         _json_list(labels, "labels")
@@ -175,14 +177,18 @@ def _parse_algebra_json(data: dict) -> algebras.FpAlgebra:
 
 def _parse_brace_json(data: dict, cap: int) -> list[list[list[int]]]:
     """The star and circ tables of a brace file, checked against the order
-    cap before anything is built from them."""
+    cap and for one square shape before anything is built from them."""
     tables = []
     for key in ("star", "circ"):
         table = _json_list(data[key], key)
         if len(table) > cap:
             raise OrderCapExceeded(len(table), cap)
+        if tables and len(table) != len(tables[0]):
+            raise ParseError(f"{key} has {len(table)} rows but star has {len(tables[0])}")
         for i, row in enumerate(table):
-            for j, v in enumerate(_json_list(row, f"{key}[{i}]")):
+            if len(_json_list(row, f"{key}[{i}]")) != len(table):
+                raise ParseError(f"{key}[{i}] has length {len(row)}, not {len(table)}")
+            for j, v in enumerate(row):
                 _json_int(v, f"{key}[{i}][{j}]")
         tables.append(table)
     return tables

@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .braces import (
     SkewBrace,
     _assemble_brace,
@@ -82,15 +84,10 @@ def zappa_szep_brace(f: ExactFactorization) -> SkewBrace:
     For g = l * r^-1 the circ operation acts by g circ y = l * y * r^-1.
     """
     G = f.parent
-    op, inv = G.op, G.inv
-    n = G.order
-    rows = []
-    for x in range(n):
-        l, r = f.decomp[x]
-        ri = inv[r]
-        lrow = op[l]
-        rows.append(tuple(op[lrow[y]][ri] for y in range(n)))
-    circ = build_from_table(rows, labels=G.labels)
+    left, right = np.array(f.decomp).T
+    ri = np.asarray(G.inv)[right]
+    # entry [x, y] is l * y * r^-1 for x = l * r^-1
+    circ = build_from_table(G.table[G.table[left], ri[:, None]], labels=G.labels)
     return _assemble_brace(G, circ, "zappa_szep")
 
 

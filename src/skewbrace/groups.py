@@ -1,8 +1,11 @@
 """Finite groups as dense operation tables.
 
-Groups live on element indices 0..n-1.  Constructors validate the axioms
-exhaustively (associativity with a vectorized scan), and the rest of the
-module works directly on the tables: subgroup-lattice enumeration,
+Groups live on element indices 0..n-1.  Every table, from a constructor or
+from outside, goes through the one validation path of ``build_from_table``:
+closure, identity and inverses checked with vectorized operations, and
+associativity by Light's test on a magma-generating set.  A group keeps its
+table as one read-only small-int array plus a tuple view that the scalar
+loops of the rest of the module index: subgroup-lattice enumeration,
 normality, element orders, automorphism search and isomorphism testing.
 """
 
@@ -26,25 +29,21 @@ from .errors import (
 DEFAULT_ORDER_CAP = 2000
 DEFAULT_AUT_CAP = 200
 
-# Above this order, constructors whose tables are associative by construction
-# (products, closures) skip the exhaustive recheck and record that fact.
-ASSOC_SKIP_ORDER = 1024
-
 
 @dataclass(frozen=True)
 class FiniteGroup:
     """A finite group given by its full n-by-n operation table.
 
-    ``assoc_checked`` is False only for tables from trusted constructors
-    above the associativity-scan threshold.
+    ``table`` is the read-only array of the table; ``op`` holds the same
+    entries as tuples and is what equality compares.
     """
 
     order: int
     op: tuple[tuple[int, ...], ...]
     identity: int
     inv: tuple[int, ...]
+    table: np.ndarray = field(compare=False, repr=False)
     labels: tuple[str, ...] | None = None
-    assoc_checked: bool = True
 
     def mul(self, a: int, b: int) -> int:
         return self.op[a][b]
@@ -54,9 +53,6 @@ class FiniteGroup:
 
     def label(self, a: int) -> str:
         return self.labels[a] if self.labels is not None else str(a)
-
-    def op_array(self) -> np.ndarray:
-        return np.asarray(self.op, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -84,70 +80,98 @@ class SubgroupSet:
         return tuple(bool(self.mask >> i & 1) for i in range(self.parent_order))
 
 
-def _normalize_table(op_table) -> tuple[tuple[tuple[int, ...], ...], int]:
-    rows = [tuple(int(v) for v in row) for row in op_table]
-    n = len(rows)
+def _table_array(op_table) -> np.ndarray:
+    """The square table as a read-only array of the smallest signed dtype
+    that holds its indices; the first entry outside 0..n-1 in row-major
+    order raises NotClosed."""
+    n = len(op_table)
     if n == 0:
         raise ValueError("operation table is empty")
-    for i, row in enumerate(rows):
+    for i, row in enumerate(op_table):
         if len(row) != n:
             raise ValueError(f"table is not square: row {i} has length {len(row)}")
-        for j, v in enumerate(row):
-            if not 0 <= v < n:
-                raise NotClosed(i, j, v)
-    return tuple(rows), n
+    # entries beyond int64 give an object array, still compared exactly
+    raw = np.asarray(op_table)
+    outside = (raw < 0) | (raw >= n)
+    if outside.any():
+        i, j = np.argwhere(outside)[0]
+        raise NotClosed(int(i), int(j), int(raw[i, j]))
+    arr = raw.astype(np.min_scalar_type(-n))
+    arr.flags.writeable = False
+    return arr
 
 
-def _assoc_witness(arr: np.ndarray) -> tuple[int, int, int] | None:
-    """First (a,b,c) violating associativity, scanning one row at a time."""
-    n = arr.shape[0]
-    for a in range(n):
-        row = arr[a]
-        lhs = arr[row]  # lhs[b, c] = op[op[a][b]][c]
-        rhs = row[arr]  # rhs[b, c] = op[a][op[b][c]]
+def _right_closure(table: np.ndarray, start, gens) -> np.ndarray:
+    """Membership array of everything reached from ``start`` by repeated
+    right multiplication with ``gens``; in a group, from the identity,
+    that is the subgroup the generators generate."""
+    seen = np.zeros(len(table), dtype=bool)
+    seen[start] = True
+    frontier = np.flatnonzero(seen)
+    while frontier.size:
+        reached = np.unique(table[np.ix_(frontier, gens)])
+        frontier = reached[~seen[reached]]
+        seen[frontier] = True
+    return seen
+
+
+def _mask(members: np.ndarray) -> int:
+    return int.from_bytes(np.packbits(members, bitorder="little").tobytes(), "little")
+
+
+def _magma_generators(arr: np.ndarray, identity: int) -> list[int]:
+    """Greedy generators of the table as a magma, the identity given: each
+    pick is the least element not yet reached by right multiplication."""
+    gens: list[int] = []
+    seen = _right_closure(arr, [identity], gens)
+    while not seen.all():
+        gens.append(int(np.argmin(seen)))
+        seen = _right_closure(arr, [identity, *gens], gens)
+    return gens
+
+
+def _assoc_witness(arr: np.ndarray, identity: int) -> tuple[int, int, int] | None:
+    """First (x,g,y) with (x g) y != x (g y), g running over magma generators.
+
+    Light's test: the middle elements g that associate with every x and y
+    form a submagma, so checking generators covers the whole table.
+    """
+    for g in _magma_generators(arr, identity):
+        lhs = arr[arr[:, g]]  # lhs[x, y] = op[op[x][g]][y]
+        rhs = arr[:, arr[g]]  # rhs[x, y] = op[x][op[g][y]]
         if not np.array_equal(lhs, rhs):
-            b, c = np.argwhere(lhs != rhs)[0]
-            return a, int(b), int(c)
+            x, y = np.argwhere(lhs != rhs)[0]
+            return int(x), g, int(y)
     return None
 
 
-def build_from_table(op_table, labels=None, *, trusted: bool = False) -> FiniteGroup:
+def build_from_table(op_table, labels=None) -> FiniteGroup:
     """Validate an operation table and return the group it defines.
 
+    ``op_table`` is a square sequence of rows or a 2-d integer array.
     Raises NotClosed, NoIdentity, NoInverse or NotAssociative with a
-    witness.  ``trusted`` marks tables that are associative by construction;
-    those skip the O(n^3) scan above ASSOC_SKIP_ORDER.
+    witness.
     """
-    rows, n = _normalize_table(op_table)
-    full = tuple(range(n))
-    identity = None
-    for e in range(n):
-        if rows[e] == full and all(rows[x][e] == x for x in range(n)):
-            identity = e
-            break
-    if identity is None:
+    arr = _table_array(op_table)
+    n = len(arr)
+    ar = np.arange(n)
+    is_identity = (arr == ar).all(axis=1) & (arr == ar[:, None]).all(axis=0)
+    if not is_identity.any():
         raise NoIdentity()
-    inv = []
-    for x in range(n):
-        y = next(
-            (y for y in range(n) if rows[x][y] == identity and rows[y][x] == identity),
-            None,
-        )
-        if y is None:
-            raise NoInverse(x)
-        inv.append(y)
-    assoc_checked = True
-    if trusted and n > ASSOC_SKIP_ORDER:
-        assoc_checked = False
-    else:
-        witness = _assoc_witness(np.asarray(rows, dtype=np.int64))
-        if witness is not None:
-            raise NotAssociative(witness)
+    identity = int(np.argmax(is_identity))
+    two_sided = (arr == identity) & (arr.T == identity)
+    has_inverse = two_sided.any(axis=1)
+    if not has_inverse.all():
+        raise NoInverse(int(np.argmin(has_inverse)))
+    witness = _assoc_witness(arr, identity)
+    if witness is not None:
+        raise NotAssociative(witness)
     if labels is not None:
         labels = tuple(str(s) for s in labels)
         if len(labels) != n:
             raise ValueError(f"got {len(labels)} labels for {n} elements")
-    return FiniteGroup(n, rows, identity, tuple(inv), labels, assoc_checked)
+    inv = tuple(np.argmax(two_sided, axis=1).tolist())
+    return FiniteGroup(n, tuple(map(tuple, arr.tolist())), identity, inv, arr, labels)
 
 
 def cyclic_group(k: int, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
@@ -156,31 +180,23 @@ def cyclic_group(k: int, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
         raise ValueError("cyclic group order must be at least 1")
     if k > cap:
         raise OrderCapExceeded(k, cap)
-    rows = tuple(tuple((i + j) % k for j in range(k)) for i in range(k))
-    return build_from_table(rows, labels=[str(i) for i in range(k)], trusted=True)
+    ar = np.arange(k)
+    return build_from_table((ar[:, None] + ar) % k, labels=[str(i) for i in range(k)])
 
 
 def direct_product(
     G: FiniteGroup, H: FiniteGroup, cap: int = DEFAULT_ORDER_CAP
 ) -> FiniteGroup:
     """Componentwise product on pairs, indexed row-major: (g,h) -> g*|H| + h."""
-    if G.order * H.order > cap:
-        raise OrderCapExceeded(G.order * H.order, cap)
-    n2 = H.order
-    rows = []
-    for g in range(G.order):
-        grow = G.op[g]
-        for h in range(H.order):
-            hrow = H.op[h]
-            rows.append(
-                tuple(
-                    grow[j // n2] * n2 + hrow[j % n2] for j in range(G.order * n2)
-                )
-            )
+    n = G.order * H.order
+    if n > cap:
+        raise OrderCapExceeded(n, cap)
+    # entry [g, h, g', h'] is the index of (g g', h h')
+    table = G.table.astype(np.intp)[:, None, :, None] * H.order + H.table[None, :, None, :]
     labels = tuple(
         f"({G.label(g)},{H.label(h)})" for g in range(G.order) for h in range(H.order)
     )
-    return build_from_table(rows, labels=labels, trusted=True)
+    return build_from_table(table.reshape(n, n), labels=labels)
 
 
 def semidirect_product_cyclic(
@@ -194,19 +210,15 @@ def semidirect_product_cyclic(
         raise InvalidAction(f"b={b} must be a unit modulo {m} with b^{n} = 1 (mod {m})")
     if m * n > cap:
         raise OrderCapExceeded(m * n, cap)
-    powers = [pow(b, s, m) for s in range(n)]
-    rows = []
-    for r in range(m):
-        for s in range(n):
-            bs = powers[s]
-            rows.append(
-                tuple(
-                    ((r + bs * (j // n)) % m) * n + (s + j % n) % n
-                    for j in range(m * n)
-                )
-            )
+    r = np.arange(m)[:, None, None, None]
+    s = np.arange(n)[None, :, None, None]
+    r2 = np.arange(m)[None, None, :, None]
+    s2 = np.arange(n)[None, None, None, :]
+    powers = np.array([pow(b, k, m) for k in range(n)])[s]
+    # entry [r, s, r', s'] is the index of (r + b^s r', s + s')
+    table = (r + powers * r2) % m * n + (s + s2) % n
     labels = tuple(f"({r},{s})" for r in range(m) for s in range(n))
-    return build_from_table(rows, labels=labels, trusted=True)
+    return build_from_table(table.reshape(m * n, m * n), labels=labels)
 
 
 def _cycle_label(perm: tuple[int, ...]) -> str:
@@ -259,35 +271,7 @@ def closure_from_permutations(gens, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup
         tuple(index[tuple(x[y[k]] for k in range(d))] for y in elems) for x in elems
     )
     labels = tuple(_cycle_label(p) for p in elems)
-    return build_from_table(rows, labels=labels, trusted=True)
-
-
-def _closure(op, identity: int, seed) -> tuple[int, list[int]]:
-    """Mask and element list of the subgroup generated by ``seed``."""
-    elems = [identity]
-    mask = 1 << identity
-    for s in seed:
-        if not mask >> s & 1:
-            mask |= 1 << s
-            elems.append(s)
-    i = 0
-    while i < len(elems):
-        a = elems[i]
-        row = op[a]
-        j = 0
-        while j < len(elems):
-            b = elems[j]
-            t = row[b]
-            if not mask >> t & 1:
-                mask |= 1 << t
-                elems.append(t)
-            t = op[b][a]
-            if not mask >> t & 1:
-                mask |= 1 << t
-                elems.append(t)
-            j += 1
-        i += 1
-    return mask, elems
+    return build_from_table(rows, labels=labels)
 
 
 def generated_subgroup(G: FiniteGroup, seed) -> SubgroupSet:
@@ -296,9 +280,9 @@ def generated_subgroup(G: FiniteGroup, seed) -> SubgroupSet:
     for s in seed:
         if not 0 <= s < G.order:
             raise ValueError(f"seed element {s} out of range")
-    mask, elems = _closure(G.op, G.identity, seed)
+    members = _right_closure(G.table, [G.identity], seed)
     gens = tuple(dict.fromkeys(s for s in seed if s != G.identity))
-    return SubgroupSet(G.order, mask, len(elems), gens=gens)
+    return SubgroupSet(G.order, _mask(members), int(members.sum()), gens=gens)
 
 
 def _dimino_join(op, s_elems, s_mask: int, gens, identity: int):
@@ -424,7 +408,7 @@ def is_automorphism(G: FiniteGroup, perm) -> bool:
     if sorted(perm) != list(range(G.order)):
         return False
     phi = np.asarray(perm, dtype=np.int64)
-    op = G.op_array()
+    op = G.table
     return bool(np.array_equal(phi[op], op[phi[:, None], phi[None, :]]))
 
 
@@ -438,14 +422,10 @@ def small_generating_set(G: FiniteGroup, orders=None) -> tuple[int, ...]:
         return ()
     orders = orders if orders is not None else _element_orders(G)
     gens: list[int] = []
-    mask = 1 << G.identity
-    while mask.bit_count() < G.order:
-        cand = max(
-            (x for x in range(G.order) if not mask >> x & 1),
-            key=lambda x: (orders[x], -x),
-        )
-        gens.append(cand)
-        mask, _ = _closure(G.op, G.identity, gens)
+    members = _right_closure(G.table, [G.identity], gens)
+    while not members.all():
+        gens.append(max(np.flatnonzero(~members).tolist(), key=lambda x: (orders[x], -x)))
+        members = _right_closure(G.table, [G.identity], gens)
     return tuple(gens)
 
 
@@ -553,8 +533,7 @@ def is_isomorphic(G: FiniteGroup, H: FiniteGroup, cap: int = DEFAULT_AUT_CAP) ->
 
 def subgroup_as_group(G: FiniteGroup, H: SubgroupSet) -> FiniteGroup:
     """The subgroup H as a standalone group, elements reindexed ascending."""
-    elems = H.elements()
-    pos = {x: i for i, x in enumerate(elems)}
-    rows = tuple(tuple(pos[G.op[a][b]] for b in elems) for a in elems)
+    elems = np.array(H.elements())
     labels = tuple(G.label(x) for x in elems) if G.labels is not None else None
-    return build_from_table(rows, labels=labels, trusted=True)
+    # elems is ascending, so an element's new index is its rank in elems
+    return build_from_table(np.searchsorted(elems, G.table[np.ix_(elems, elems)]), labels=labels)

@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
+import math
 import random
 import sys
 from itertools import combinations
 
 import pytest
-from hypothesis import settings
+from hypothesis import settings, strategies as st
 
 import skewbrace as sb
+from skewbrace.errors import NoIdentity, NoInverse, NotAssociative, NotClosed
 
 settings.register_profile("suite", derandomize=True, max_examples=60)
 settings.load_profile("suite")
@@ -73,6 +75,69 @@ def brace_law_violations(star: sb.FiniteGroup, circ: sb.FiniteGroup) -> list[tup
                 if lhs != rhs:
                     out.append((a, b, c))
     return out
+
+
+def associativity_violations(table):
+    """Plain-python triple scan of associativity, yielding (a,b,c) in
+    lexicographic order."""
+    n = len(table)
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                if table[table[a][b]][c] != table[a][table[b][c]]:
+                    yield a, b, c
+
+
+def reference_error(table):
+    """The error class a plain validator raises on a square table, or None
+    for a group table: closure, identity, inverses, then associativity."""
+    n = len(table)
+    if any(not 0 <= v < n for row in table for v in row):
+        return NotClosed
+    identities = [
+        e for e in range(n) if all(table[e][x] == x == table[x][e] for x in range(n))
+    ]
+    if not identities:
+        return NoIdentity
+    e = identities[0]
+    if not all(any(table[x][y] == e == table[y][x] for y in range(n)) for x in range(n)):
+        return NoInverse
+    if next(associativity_violations(table), None) is not None:
+        return NotAssociative
+    return None
+
+
+# ---------------------------------------------------------------------------
+# generated groups: cyclic semidirect products, direct products, and
+# permutation closures in S4/S5 (the nonsolvable A5 among them)
+
+A5_GENS = [(1, 2, 3, 4, 0), (1, 2, 0, 3, 4)]
+
+
+@st.composite
+def semidirect_params(draw, max_m: int = 12, max_n: int = 6):
+    """(m, n, b) with b a unit modulo m and b^n = 1 (mod m)."""
+    m = draw(st.integers(2, max_m))
+    n = draw(st.integers(1, max_n))
+    actions = [b for b in range(1, m) if math.gcd(b, m) == 1 and pow(b, n, m) == 1]
+    return m, n, draw(st.sampled_from(actions))
+
+
+@st.composite
+def generated_groups(draw):
+    kind = draw(st.sampled_from(["semidirect", "direct", "permutations"]))
+    if kind == "semidirect":
+        return sb.semidirect_product_cyclic(*draw(semidirect_params()))
+    if kind == "direct":
+        left = sb.semidirect_product_cyclic(*draw(semidirect_params(max_m=6, max_n=3)))
+        return sb.direct_product(left, sb.cyclic_group(draw(st.integers(1, 4))))
+    gens = draw(
+        st.just(A5_GENS)
+        | st.integers(4, 5).flatmap(
+            lambda d: st.lists(st.permutations(range(d)), min_size=1, max_size=2)
+        )
+    )
+    return sb.closure_from_permutations(gens)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 import skewbrace as sb
+from skewbrace import algebras
 from skewbrace.errors import (
+    BudgetExceeded,
     DimensionMismatch,
     NilpotencyTooDeep,
     NotAssociative,
@@ -73,6 +75,23 @@ def test_non_prime_rejected():
     with pytest.raises(ValueError):
         zero = (0, 0)
         sb.make_algebra(6, 2, [[zero] * 2] * 2)
+
+
+def test_point_budget_checked_before_primality_and_before_p_to_the_dim(monkeypatch):
+    def no_primality_test(p):
+        raise AssertionError("primality tested before the point budget")
+
+    monkeypatch.setattr(algebras, "_is_prime", no_primality_test)
+    with pytest.raises(BudgetExceeded):
+        sb.degraaf_algebra(1000000000000000003)
+    with pytest.raises(BudgetExceeded):
+        sb.make_algebra(3, 11, [])  # 3^11 = 177147 points
+    with pytest.raises(BudgetExceeded):
+        sb.make_algebra(3, 10**12, [])  # 3^(10^12) is never formed
+
+
+def test_largest_algebra_within_point_budget_is_accepted():
+    assert zero_algebra(3, 10).dim == 10  # 3^10 = 59049 points
 
 
 # ---------------------------------------------------------------------------

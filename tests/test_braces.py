@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 import skewbrace as sb
 from skewbrace.errors import (
@@ -15,7 +16,7 @@ from skewbrace.errors import (
     ValidationFailure,
 )
 
-from conftest import brace_law_violations, truncated_poly_algebra
+from conftest import brace_law_violations, semidirect_params, truncated_poly_algebra
 
 
 def _self_brace(G: sb.FiniteGroup) -> sb.SkewBrace:
@@ -73,6 +74,27 @@ def test_law_scan_matches_plain_python(s3, z9z6_braces):
     z6 = sb.cyclic_group(6)
     plain = brace_law_violations(z6, s3)
     assert plain  # the pairing above really does violate the law
+
+
+@given(semidirect_params(max_m=10, max_n=4), st.data())
+def test_relabelled_circ_witness_is_lex_first_violation(params, data):
+    # circ relabelled by a permutation fixing the identity 0 is still a
+    # group table with the star identity, so only the brace law can fail
+    brace = sb.semidirect_biskew(*params)[0]
+    star, circ = brace.star, brace.circ
+    n = star.order
+    perm = [0, *data.draw(st.permutations(range(1, n)))]
+    moved = [[0] * n for _ in range(n)]
+    for x in range(n):
+        for y in range(n):
+            moved[perm[x]][perm[y]] = perm[circ.op[x][y]]
+    violations = brace_law_violations(star, sb.build_from_table(moved))
+    try:
+        sb.validate_skew_brace(star.op, moved)
+    except BraceLawViolation as exc:
+        assert exc.witness == min(violations)
+    else:
+        assert violations == []
 
 
 def test_mutation_fuzzing_rejects_every_single_entry_change(

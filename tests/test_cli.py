@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from skewbrace import algebras
 from skewbrace.cli import EXIT_CAP, EXIT_CONFIG, EXIT_INVALID, EXIT_OK, main, parse_permutations
 
 from conftest import EXAMPLES_DEFAULT_LINES
@@ -108,17 +109,49 @@ MALFORMED = {
     "value-not-list": (_algebra_with_product(value=5), "products[0].value must be a list"),
     "products-not-list": ({"p": 3, "dim": 2, "products": 5}, "products must be a list"),
     "labels-not-list": ({"p": 3, "dim": 2, "labels": 5}, "labels must be a list"),
+    "ragged-row": ({"star": Z2, "circ": [[0, 1], [1]]}, "circ[1] has length 1"),
+    "orders-differ": ({"star": Z2, "circ": [[0, 1, 2], [1, 2, 0], [2, 0, 1]]}, "circ has 3 rows"),
 }
 
 
 @pytest.mark.parametrize("payload, where", list(MALFORMED.values()), ids=list(MALFORMED))
-def test_verify_malformed_file_is_parse_error(tmp_path, capsys, payload, where):
+def test_verify_malformed_file_is_parse_error(tmp_path, capsys, tables_built, payload, where):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(payload))
     code = main(["verify", str(path)])
     err = capsys.readouterr().err
     assert code == EXIT_CONFIG
     assert where in err
+    assert tables_built == []
+
+
+HUGE_PRIME = 1000000000000000003
+
+
+@pytest.mark.parametrize(
+    "argv, payload",
+    [
+        (["ratio", "--algebra", "degraaf", "--p", str(HUGE_PRIME), "--order-cap", "100"], None),
+        (["ideals", "--algebra", "degraaf", "--p", str(HUGE_PRIME), "--side", "left"], None),
+        (["verify"], {"p": HUGE_PRIME, "dim": 1}),
+        (["verify"], {"p": 3, "dim": 40}),
+    ],
+    ids=["ratio-degraaf", "ideals-degraaf", "verify-huge-p", "verify-huge-dim"],
+)
+def test_algebra_over_point_budget_is_cap_error_before_any_work(
+    tmp_path, capsys, monkeypatch, argv, payload
+):
+    def no_primality_test(p):
+        raise AssertionError("primality tested before the point budget")
+
+    monkeypatch.setattr(algebras, "_is_prime", no_primality_test)
+    if payload is not None:
+        path = tmp_path / "alg.json"
+        path.write_text(json.dumps(payload))
+        argv = [*argv, str(path)]
+    code = main(argv)
+    assert code == EXIT_CAP
+    assert "exceeds the enumeration budget" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -14,9 +15,16 @@ from skewbrace.errors import (
     NotAssociative,
     NotClosed,
     OrderCapExceeded,
+    ValidationFailure,
 )
 
-from conftest import brute_force_automorphisms, brute_force_subgroups
+from conftest import (
+    associativity_violations,
+    brute_force_automorphisms,
+    brute_force_subgroups,
+    generated_groups,
+    reference_error,
+)
 
 
 def klein_four():
@@ -61,6 +69,99 @@ def test_no_inverse_rejected():
     # idempotent monoid element: 1*1 = 1 never reaches the identity
     with pytest.raises(NoInverse):
         sb.build_from_table([[0, 1], [1, 1]])
+
+
+Z3 = [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
+
+
+@pytest.mark.parametrize("value", [-1, 3, 10**30], ids=["negative", "order", "huge"])
+def test_out_of_range_entry_witness_is_first_in_row_major_order(value):
+    table = [row[:] for row in Z3]
+    table[1][2] = value
+    table[2][0] = -5
+    with pytest.raises(NotClosed) as exc:
+        sb.build_from_table(table)
+    assert exc.value.witness == (1, 2, value)
+
+
+@pytest.mark.parametrize(
+    "table, labels",
+    [([], None), ([[0, 1, 2], [1, 2], [2, 0, 1]], None), (Z3, ["0", "1"])],
+    ids=["empty", "ragged", "label-count"],
+)
+def test_malformed_table_or_labels_is_value_error(table, labels):
+    with pytest.raises(ValueError):
+        sb.build_from_table(table, labels=labels)
+
+
+def test_one_sided_identity_is_no_identity():
+    # 0 is a left identity (row 0 is the identity map) but x * 0 = 0
+    with pytest.raises(NoIdentity):
+        sb.build_from_table([[0, 1], [0, 1]])
+
+
+def test_identity_need_not_be_index_zero():
+    # Z3 relabelled so that its identity is element 2
+    G = sb.build_from_table([[1, 2, 0], [2, 0, 1], [0, 1, 2]])
+    assert G.identity == 2 and G.inv == (1, 0, 2)
+
+
+def test_no_inverse_witness_is_first_element_without_one():
+    # 1 is its own inverse; 2 and 3 never multiply to the identity 0
+    table = [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 2, 3], [3, 2, 3, 2]]
+    with pytest.raises(NoInverse) as exc:
+        sb.build_from_table(table)
+    assert exc.value.witness == 2
+
+
+def test_stored_table_is_read_only_and_matches_op():
+    G = sb.direct_product(sb.cyclic_group(3), sb.cyclic_group(4))
+    assert not G.table.flags.writeable
+    with pytest.raises(ValueError):
+        G.table[0, 0] = 1
+    assert G.table.tolist() == [list(row) for row in G.op]
+
+
+def test_groups_from_the_same_table_compare_equal():
+    table = [[(i + j) % 4 for j in range(4)] for i in range(4)]
+    G = sb.build_from_table(table)
+    assert G == sb.build_from_table(table)
+    assert G == sb.build_from_table(np.array(table))
+    assert hash(G) == hash(sb.build_from_table(table))
+
+
+def test_associativity_checked_beyond_the_first_generator():
+    # right multiplication by 1 only reaches {0, 1}, and 1 associates with
+    # everything, so only the second generator 2 exposes the violations
+    table = [[0, 1, 2, 3], [1, 0, 2, 3], [2, 2, 0, 0], [3, 3, 0, 0]]
+    violations = list(associativity_violations(table))
+    assert violations and all(b != 1 for _, b, _ in violations)
+    with pytest.raises(NotAssociative) as exc:
+        sb.build_from_table(table)
+    assert exc.value.witness in violations
+
+
+@given(generated_groups())
+def test_generated_group_tables_pass_validation(G):
+    assert sb.build_from_table(G.op, labels=G.labels) == G
+
+
+@given(generated_groups(), st.data())
+def test_single_entry_mutation_matches_reference_validator(G, data):
+    n = G.order
+    r = data.draw(st.integers(0, n - 1))
+    c = data.draw(st.integers(0, n - 1))
+    value = data.draw(st.integers(-1, n).filter(lambda v: v != G.op[r][c]))
+    table = [list(row) for row in G.op]
+    table[r][c] = value
+    try:
+        sb.build_from_table(table)
+        error = None
+    except ValidationFailure as exc:
+        error = exc
+    assert type(error) is (reference_error(table) or type(None))
+    if isinstance(error, NotAssociative):
+        assert error.witness in associativity_violations(table)
 
 
 def test_subgroup_membership_views(s3):

@@ -22,7 +22,7 @@ from .errors import (
     NotNilpotent,
     OrderCapExceeded,
 )
-from .groups import DEFAULT_ORDER_CAP, FiniteGroup, SubgroupSet, build_from_table
+from .groups import DEFAULT_ORDER_CAP, FiniteGroup, SubgroupSet, _first_non_integer, build_from_table
 
 DEFAULT_POINT_BUDGET = 100_000
 
@@ -123,6 +123,7 @@ def _raw_multiply(sc, p: int, dim: int, x, y) -> tuple[int, ...]:
 def make_algebra(p: int, dim: int, sc, labels=None) -> FpAlgebra:
     """Validate structure constants and return the algebra.
 
+    Every structure constant must be an integer (ValueError otherwise).
     Associativity is checked on basis triples (bilinearity covers the rest)
     and nilpotency by iterating the power chain A, A^2, A^3, ... which must
     strictly shrink to zero.  F_p^dim may have at most DEFAULT_POINT_BUDGET
@@ -138,6 +139,11 @@ def make_algebra(p: int, dim: int, sc, labels=None) -> FpAlgebra:
         raise ValueError("structure constant table must be dim x dim x dim")
     if any(len(entry) != dim for row in raw for entry in row):
         raise ValueError("structure constant table must be dim x dim x dim")
+    for k, entry in enumerate(entry for row in raw for entry in row):
+        l = _first_non_integer(entry)
+        if l is not None:
+            where = (k // dim, k % dim, l)
+            raise ValueError(f"structure constant {where} is not an integer: {entry[l]!r}")
     table = tuple(
         tuple(tuple(int(v) % p for v in raw[i][j]) for j in range(dim))
         for i in range(dim)

@@ -31,8 +31,7 @@ from .groups import (
     FiniteGroup,
     SubgroupSet,
     _magma_generators,
-    _mask,
-    _right_closure,
+    _members,
     automorphism_group,
     build_from_table,
     enumerate_subgroups,
@@ -132,60 +131,47 @@ def stability_map(b: SkewBrace, g: int) -> tuple[int, ...]:
     subgroup is circ-stable exactly when every one of these maps keeps it
     inside itself.
     """
-    sop, cop = b.star.op, b.circ.op
-    gi = b.star.inv[g]
-    crow = cop[g]
-    return tuple(sop[crow[x]][gi] for x in range(b.order))
+    return tuple(b.star.table[b.circ.table[g], b.star.inv[g]].tolist())
 
 
-def _subgroup_gens(b: SkewBrace, H: SubgroupSet) -> tuple[int, ...]:
-    if H.size == 1:
-        return ()
-    table, e = b.star.table, b.star.identity
-    if H.gens and _mask(_right_closure(table, [e], H.gens)) == H.mask:
-        return H.gens
-    gens: list[int] = []
-    members = _right_closure(table, [e], gens)
-    for x in H.elements():
-        if not members[x]:
-            gens.append(x)
-            members = _right_closure(table, [e], gens)
-            if _mask(members) == H.mask:
-                break
-    return tuple(gens)
+def _escape(table: np.ndarray, members: np.ndarray) -> tuple[int, int] | None:
+    """First (x, y) of members, in row-major order, whose product in
+    ``table`` is not a member, or None."""
+    elems = np.flatnonzero(members)
+    out = ~members[table[np.ix_(elems, elems)]]
+    if not out.any():
+        return None
+    i, j = np.argwhere(out)[0]
+    return int(elems[i]), int(elems[j])
 
 
-def _require_star_subgroup(b: SkewBrace, H: SubgroupSet) -> None:
+def _require_star_subgroup(b: SkewBrace, H: SubgroupSet) -> np.ndarray:
+    """The membership array of H, once H is known to be a star-subgroup."""
     if H.parent_order != b.order:
         raise NotAStarSubgroup(
             f"subgroup parent order {H.parent_order} does not match brace order {b.order}"
         )
+    if H.mask < 0 or H.mask >> b.order:
+        raise NotAStarSubgroup(f"membership mask has bits outside 0..{b.order - 1}")
     if not H.contains(b.star.identity):
         raise NotAStarSubgroup("set does not contain the identity")
-    op = b.star.op
-    elems = H.elements()
-    if len(elems) != H.size:
+    members = _members(H)
+    if members.sum() != H.size:
         raise NotAStarSubgroup("recorded size does not match the membership mask")
-    for x in elems:
-        row = op[x]
-        for y in elems:
-            if not H.mask >> row[y] & 1:
-                raise NotAStarSubgroup(
-                    f"set is not closed under star: {x} star {y} escapes"
-                )
+    escape = _escape(b.star.table, members)
+    if escape is not None:
+        raise NotAStarSubgroup(
+            "set is not closed under star: {} star {} escapes".format(*escape)
+        )
+    return members
 
 
-def _stable(b: SkewBrace, gens, mask: int) -> bool:
+def _stable(b: SkewBrace, gens, members: np.ndarray) -> bool:
     # The brace law makes every stability map a star-automorphism, so the
     # image of a subgroup is the subgroup generated by the generator images.
-    sop, cop, sinv = b.star.op, b.circ.op, b.star.inv
-    for g in range(b.order):
-        gi = sinv[g]
-        crow = cop[g]
-        for h in gens:
-            if not mask >> sop[crow[h]][gi] & 1:
-                return False
-    return True
+    gens = np.asarray(gens, dtype=np.intp)
+    sinv = np.asarray(b.star.inv)
+    return bool(members[b.star.table[b.circ.table[:, gens], sinv[:, None]]].all())
 
 
 def is_circ_stable(b: SkewBrace, H: SubgroupSet) -> bool:
@@ -193,8 +179,8 @@ def is_circ_stable(b: SkewBrace, H: SubgroupSet) -> bool:
 
     H must be a subgroup of the star group (NotAStarSubgroup otherwise).
     """
-    _require_star_subgroup(b, H)
-    return _stable(b, _subgroup_gens(b, H), H.mask)
+    members = _require_star_subgroup(b, H)
+    return _stable(b, np.flatnonzero(members), members)
 
 
 def enumerate_stable_subgroups(
@@ -207,9 +193,9 @@ def enumerate_stable_subgroups(
     """
     out = []
     for H in enumerate_subgroups(b.star, cap):
-        if _stable(b, H.gens, H.mask):
-            elems = np.array(H.elements())
-            if not np.isin(b.circ.table[np.ix_(elems, elems)], elems).all():
+        members = _members(H)
+        if _stable(b, H.gens, members):
+            if _escape(b.circ.table, members) is not None:
                 raise RuntimeError("stable subgroup is not circ-closed; tables inconsistent")
             out.append(H)
     return out

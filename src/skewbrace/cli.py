@@ -188,8 +188,9 @@ def _parse_brace_json(data: dict, cap: int) -> list[list[list[int]]]:
         for i, row in enumerate(table):
             if len(_json_list(row, f"{key}[{i}]")) != len(table):
                 raise ParseError(f"{key}[{i}] has length {len(row)}, not {len(table)}")
-            for j, v in enumerate(row):
-                _json_int(v, f"{key}[{i}][{j}]")
+            if set(map(type, row)) != {int}:  # walk the row only to name the entry
+                for j, v in enumerate(row):
+                    _json_int(v, f"{key}[{i}][{j}]")
         tables.append(table)
     return tables
 
@@ -536,20 +537,18 @@ def _pq_row(p: int, q: int, b: int, cfg: RunConfig) -> list[dict]:
 def _fuzz(cfg: RunConfig) -> list[dict]:
     add_galois, _ = _z9z6(cfg)
     rng = random.Random(cfg.seed)
-    star_table = add_galois.star.op
-    circ_table = [list(row) for row in add_galois.circ.op]
+    star_table, circ_table = add_galois.star.table, add_galois.circ.table
     n = add_galois.order
     rejected = 0
     trials = 100
     for _ in range(trials):
         r = rng.randrange(n)
         c = rng.randrange(n)
-        old = circ_table[r][c]
         new = rng.randrange(n - 1)
-        if new >= old:
+        if new >= circ_table[r, c]:
             new += 1
-        mutated = [row[:] for row in circ_table]
-        mutated[r][c] = new
+        mutated = circ_table.copy()
+        mutated[r, c] = new
         try:
             braces.validate_skew_brace(star_table, mutated)
         except ValidationFailure:

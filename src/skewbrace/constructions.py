@@ -30,6 +30,8 @@ from .groups import (
     DEFAULT_ORDER_CAP,
     FiniteGroup,
     SubgroupSet,
+    _conjugates_inside,
+    _members,
     build_from_table,
     closure_from_permutations,
     cyclic_group,
@@ -53,9 +55,9 @@ class ExactFactorization:
 def exact_factorization(G: FiniteGroup, left_seed, right_seed) -> ExactFactorization:
     """Verify that the generated subgroups factor G exactly.
 
-    The decomposition table is built by enumerating all products l * r^-1;
+    The decomposition table is built from all products l * r^-1;
     complementarity forces that map to be bijective, which is asserted
-    anyway.
+    anyway (a repeated product raises NotExhaustive).
     """
     left = generated_subgroup(G, left_seed)
     right = generated_subgroup(G, right_seed)
@@ -64,18 +66,17 @@ def exact_factorization(G: FiniteGroup, left_seed, right_seed) -> ExactFactoriza
         raise NotComplementary(
             f"|L|={left.size}, |R|={right.size}, |G|={G.order}, |L n R|={inter}"
         )
-    op, inv = G.op, G.inv
-    decomp: list[tuple[int, int] | None] = [None] * G.order
-    for l in left.elements():
-        row = op[l]
-        for r in right.elements():
-            g = row[inv[r]]
-            if decomp[g] is not None:
-                raise NotExhaustive(f"element {g} decomposes twice")
-            decomp[g] = (l, r)
-    if any(d is None for d in decomp):
-        raise NotExhaustive("product map does not cover the group")
-    return ExactFactorization(G, left, right, tuple(decomp))
+    elems_l, elems_r = np.array(left.elements()), np.array(right.elements())
+    # products[k] = l * r^-1 for the k-th pair (l, r) in row-major order
+    products = G.table[np.ix_(elems_l, np.asarray(G.inv)[elems_r])].ravel()
+    repeated = np.ones(G.order, dtype=bool)
+    repeated[np.unique(products, return_index=True)[1]] = False
+    if repeated.any():
+        raise NotExhaustive(f"element {products[np.argmax(repeated)]} decomposes twice")
+    # |L| |R| = |G| distinct products cover G
+    decomp = np.empty((G.order, 2), dtype=np.intp)
+    decomp[products] = np.stack(np.meshgrid(elems_l, elems_r, indexing="ij"), -1).reshape(-1, 2)
+    return ExactFactorization(G, left, right, tuple(map(tuple, decomp.tolist())))
 
 
 def zappa_szep_brace(f: ExactFactorization) -> SkewBrace:
@@ -101,18 +102,7 @@ def stable_iff_normalized_check(
     """
     b = brace if brace is not None else zappa_szep_brace(f)
     stable = is_circ_stable(b, H)
-    G = f.parent
-    op, inv = G.op, G.inv
-    normalized = True
-    for l in f.left.elements():
-        li = inv[l]
-        row = op[l]
-        for h in H.gens or H.elements():
-            if not H.mask >> op[row[h]][li] & 1:
-                normalized = False
-                break
-        if not normalized:
-            break
+    normalized = _conjugates_inside(f.parent, f.left.elements(), H)
     return stable, normalized
 
 
@@ -381,4 +371,4 @@ def all_additive_subgroups_stable(spec: FamilySpec, cap: int = DEFAULT_ORDER_CAP
         raise InvalidAction(f"b={spec.b} must have order {spec.n} modulo {spec.m}")
     _, mult_galois = semidirect_biskew(spec.m, spec.n, spec.b, cap)
     subs = enumerate_subgroups(mult_galois.star, cap)
-    return all(_stable(mult_galois, H.gens, H.mask) for H in subs)
+    return all(_stable(mult_galois, H.gens, _members(H)) for H in subs)

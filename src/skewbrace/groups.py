@@ -4,9 +4,10 @@ Groups live on element indices 0..n-1.  Every table, from a constructor or
 from outside, goes through the one validation path of ``build_from_table``:
 closure, identity and inverses checked with vectorized operations, and
 associativity by Light's test on a magma-generating set.  A group keeps its
-table as one read-only small-int array plus a tuple view that the scalar
-loops of the rest of the module index: subgroup-lattice enumeration,
-normality, element orders, automorphism search and isomorphism testing.
+table as one read-only small-int array and nothing else.  Predicates such as
+normality and element orders run on that array; the two searches that walk
+it one entry at a time, subgroup-lattice enumeration and the isomorphism
+search, take one list view of it per call.
 """
 
 from __future__ import annotations
@@ -30,26 +31,28 @@ DEFAULT_ORDER_CAP = 2000
 DEFAULT_AUT_CAP = 200
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiniteGroup:
     """A finite group given by its full n-by-n operation table.
 
-    ``table`` is the read-only array of the table; ``op`` holds the same
-    entries as tuples and is what equality compares.
+    ``table`` is the read-only array of the table.  Two groups are equal
+    when their tables and labels are.
     """
 
     order: int
-    op: tuple[tuple[int, ...], ...]
+    table: np.ndarray = field(repr=False)
     identity: int
     inv: tuple[int, ...]
-    table: np.ndarray = field(compare=False, repr=False)
     labels: tuple[str, ...] | None = None
 
-    def mul(self, a: int, b: int) -> int:
-        return self.op[a][b]
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, FiniteGroup):
+            return NotImplemented
+        return self.labels == other.labels and np.array_equal(self.table, other.table)
 
-    def inverse(self, a: int) -> int:
-        return self.inv[a]
+    def __hash__(self) -> int:
+        # the dtype is a function of the order, so equal tables have equal bytes
+        return hash((self.order, self.table.tobytes(), self.labels))
 
     def label(self, a: int) -> str:
         return self.labels[a] if self.labels is not None else str(a)
@@ -80,16 +83,33 @@ class SubgroupSet:
         return tuple(bool(self.mask >> i & 1) for i in range(self.parent_order))
 
 
+def _integral(t: type) -> bool:
+    return issubclass(t, (int, np.integer)) and t is not bool
+
+
+def _first_non_integer(values) -> int | None:
+    """Index of the first entry of ``values`` that is not an integer (bools
+    and floats are not), or None."""
+    if all(map(_integral, set(map(type, values)))):
+        return None
+    return next(k for k, v in enumerate(values) if not _integral(type(v)))
+
+
 def _table_array(op_table) -> np.ndarray:
     """The square table as a read-only array of the smallest signed dtype
-    that holds its indices; the first entry outside 0..n-1 in row-major
-    order raises NotClosed."""
+    that holds its indices.  A row of the wrong length or an entry that is
+    not an integer raises ValueError; the first entry outside 0..n-1 in
+    row-major order raises NotClosed."""
     n = len(op_table)
     if n == 0:
         raise ValueError("operation table is empty")
+    typed = isinstance(op_table, np.ndarray) and op_table.dtype.kind in "iu"
     for i, row in enumerate(op_table):
         if len(row) != n:
             raise ValueError(f"table is not square: row {i} has length {len(row)}")
+        j = None if typed else _first_non_integer(row)
+        if j is not None:
+            raise ValueError(f"table entry ({i}, {j}) is not an integer: {row[j]!r}")
     # entries beyond int64 give an object array, still compared exactly
     raw = np.asarray(op_table)
     outside = (raw < 0) | (raw >= n)
@@ -117,6 +137,15 @@ def _right_closure(table: np.ndarray, start, gens) -> np.ndarray:
 
 def _mask(members: np.ndarray) -> int:
     return int.from_bytes(np.packbits(members, bitorder="little").tobytes(), "little")
+
+
+def _members(H: SubgroupSet) -> np.ndarray:
+    """Membership array of H over 0..n-1, the inverse of ``_mask``; bits of
+    the mask outside that range are ignored."""
+    n = H.parent_order
+    mask = H.mask & ((1 << n) - 1)
+    bits = np.frombuffer(mask.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(bits, count=n, bitorder="little").astype(bool)
 
 
 def _magma_generators(arr: np.ndarray, identity: int) -> list[int]:
@@ -148,9 +177,9 @@ def _assoc_witness(arr: np.ndarray, identity: int) -> tuple[int, int, int] | Non
 def build_from_table(op_table, labels=None) -> FiniteGroup:
     """Validate an operation table and return the group it defines.
 
-    ``op_table`` is a square sequence of rows or a 2-d integer array.
-    Raises NotClosed, NoIdentity, NoInverse or NotAssociative with a
-    witness.
+    ``op_table`` is a square sequence of rows of integers or a 2-d integer
+    array; any other shape or entry raises ValueError.  Raises NotClosed,
+    NoIdentity, NoInverse or NotAssociative with a witness.
     """
     arr = _table_array(op_table)
     n = len(arr)
@@ -171,7 +200,7 @@ def build_from_table(op_table, labels=None) -> FiniteGroup:
         if len(labels) != n:
             raise ValueError(f"got {len(labels)} labels for {n} elements")
     inv = tuple(np.argmax(two_sided, axis=1).tolist())
-    return FiniteGroup(n, tuple(map(tuple, arr.tolist())), identity, inv, arr, labels)
+    return FiniteGroup(n, arr, identity, inv, labels)
 
 
 def cyclic_group(k: int, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
@@ -322,7 +351,7 @@ def enumerate_subgroups(G: FiniteGroup, cap: int = DEFAULT_ORDER_CAP) -> list[Su
     """
     if G.order > cap:
         raise OrderCapExceeded(G.order, cap)
-    n, op, e = G.order, G.op, G.identity
+    n, op, e = G.order, G.table.tolist(), G.identity
 
     atoms: dict[int, tuple[list[int], int]] = {}
     for x in range(n):
@@ -377,17 +406,19 @@ def enumerate_subgroups(G: FiniteGroup, cap: int = DEFAULT_ORDER_CAP) -> list[Su
     return subs
 
 
+def _conjugates_inside(G: FiniteGroup, conjugators, H: SubgroupSet) -> bool:
+    """True iff g h g^-1 is in H for every conjugator g and every h among
+    the generators of H (its elements when none are recorded)."""
+    g = np.asarray(conjugators, dtype=np.intp)
+    h = np.asarray(H.gens or H.elements(), dtype=np.intp)
+    gi = np.asarray(G.inv)[g]
+    T = G.table
+    return bool(_members(H)[T[T[np.ix_(g, h)], gi[:, None]]].all())
+
+
 def is_normal(G: FiniteGroup, H: SubgroupSet) -> bool:
     """True iff gHg^-1 = H for every g (conjugation checked on generators)."""
-    gens = H.gens or H.elements()
-    op, inv = G.op, G.inv
-    for g in range(G.order):
-        gi = inv[g]
-        row = op[g]
-        for h in gens:
-            if not H.mask >> op[row[h]][gi] & 1:
-                return False
-    return True
+    return _conjugates_inside(G, range(G.order), H)
 
 
 def element_order(G: FiniteGroup, x: int) -> int:
@@ -397,7 +428,7 @@ def element_order(G: FiniteGroup, x: int) -> int:
     k = 1
     y = x
     while y != G.identity:
-        y = G.op[y][x]
+        y = G.table[y, x]
         k += 1
     return k
 
@@ -413,13 +444,20 @@ def is_automorphism(G: FiniteGroup, perm) -> bool:
 
 
 def _element_orders(G: FiniteGroup) -> list[int]:
-    return [element_order(G, x) for x in range(G.order)]
+    """Order of every element, all powers taken in step."""
+    x = np.arange(G.order)
+    power = x
+    orders = np.ones(G.order, dtype=np.intp)
+    pending = power != G.identity
+    while pending.any():
+        power = G.table[power, x]
+        orders += pending
+        pending &= power != G.identity
+    return orders.tolist()
 
 
 def small_generating_set(G: FiniteGroup, orders=None) -> tuple[int, ...]:
     """Short generating sequence, greedily picking highest-order elements."""
-    if G.order == 1:
-        return ()
     orders = orders if orders is not None else _element_orders(G)
     gens: list[int] = []
     members = _right_closure(G.table, [G.identity], gens)
@@ -429,19 +467,20 @@ def small_generating_set(G: FiniteGroup, orders=None) -> tuple[int, ...]:
     return tuple(gens)
 
 
-def _extend_hom(G: FiniteGroup, H: FiniteGroup, gens, imgs):
+def _extend_hom(Gop, Hop, ge: int, he: int, gens, imgs):
     """Extend generator images to a homomorphism on <gens>, or None.
 
-    Walks the Cayley graph of <gens>; an edge conflict kills the candidate,
-    and so does any collision of images (an automorphism search never wants
-    a map that is non-injective on a subgroup).
+    ``Gop`` and ``Hop`` are list views of the two tables, ``ge`` and ``he``
+    their identities.  Walks the Cayley graph of <gens>; an edge conflict
+    kills the candidate, and so does any collision of images (an
+    isomorphism search never wants a map that is non-injective on a
+    subgroup).
     """
-    img = [-1] * G.order
-    img[G.identity] = H.identity
-    used = 1 << H.identity
-    lst = [G.identity]
+    img = [-1] * len(Gop)
+    img[ge] = he
+    used = 1 << he
+    lst = [ge]
     qi = 0
-    Gop, Hop = G.op, H.op
     while qi < len(lst):
         x = lst[qi]
         qi += 1
@@ -461,38 +500,37 @@ def _extend_hom(G: FiniteGroup, H: FiniteGroup, gens, imgs):
     return img
 
 
-def automorphism_group(G: FiniteGroup, cap: int = DEFAULT_AUT_CAP) -> list[tuple[int, ...]]:
-    """All automorphisms as element permutations, sorted lexicographically.
+def _isomorphisms(G: FiniteGroup, H: FiniteGroup, orders_g, orders_h):
+    """Every isomorphism from G onto H of equal order, as a list of images.
 
-    Backtracks over images of a small generating sequence; a generator may
-    only map to an element of equal order, and partial assignments are
+    Backtracks over images of a small generating sequence of G; a generator
+    may only map to an element of equal order, and partial assignments are
     pruned through _extend_hom.
     """
-    if G.order > cap:
-        raise OrderCapExceeded(G.order, cap)
-    if G.order == 1:
-        return [(0,)]
-    orders = _element_orders(G)
-    gens = small_generating_set(G, orders)
-    candidates = [
-        [x for x in range(G.order) if orders[x] == orders[g]] for g in gens
-    ]
-    out: list[tuple[int, ...]] = []
+    gens = small_generating_set(G, orders_g)
+    candidates = [[x for x in range(H.order) if orders_h[x] == orders_g[g]] for g in gens]
+    Gop, Hop = G.table.tolist(), H.table.tolist()
 
-    def extend(k: int, chosen: list[int]) -> None:
-        img = _extend_hom(G, G, gens[:k], chosen)
+    def extend(chosen: list[int]):
+        k = len(chosen)
+        img = _extend_hom(Gop, Hop, G.identity, H.identity, gens[:k], chosen)
         if img is None:
             return
         if k == len(gens):
-            out.append(tuple(img))
+            yield img
             return
         for c in candidates[k]:
-            chosen.append(c)
-            extend(k + 1, chosen)
-            chosen.pop()
+            yield from extend(chosen + [c])
 
-    extend(0, [])
-    return sorted(out)
+    return extend([])
+
+
+def automorphism_group(G: FiniteGroup, cap: int = DEFAULT_AUT_CAP) -> list[tuple[int, ...]]:
+    """All automorphisms as element permutations, sorted lexicographically."""
+    if G.order > cap:
+        raise OrderCapExceeded(G.order, cap)
+    orders = _element_orders(G)
+    return sorted(tuple(img) for img in _isomorphisms(G, G, orders, orders))
 
 
 def is_isomorphic(G: FiniteGroup, H: FiniteGroup, cap: int = DEFAULT_AUT_CAP) -> bool:
@@ -504,31 +542,11 @@ def is_isomorphic(G: FiniteGroup, H: FiniteGroup, cap: int = DEFAULT_AUT_CAP) ->
         raise OrderCapExceeded(max(G.order, H.order), cap)
     if G.order != H.order:
         return False
-    if G.order == 1:
-        return True
     orders_g = _element_orders(G)
     orders_h = _element_orders(H)
     if sorted(orders_g) != sorted(orders_h):
         return False
-    gens = small_generating_set(G, orders_g)
-    candidates = [
-        [x for x in range(H.order) if orders_h[x] == orders_g[g]] for g in gens
-    ]
-
-    def extend(k: int, chosen: list[int]) -> bool:
-        img = _extend_hom(G, H, gens[:k], chosen)
-        if img is None:
-            return False
-        if k == len(gens):
-            return True
-        for c in candidates[k]:
-            chosen.append(c)
-            if extend(k + 1, chosen):
-                return True
-            chosen.pop()
-        return False
-
-    return extend(0, [])
+    return next(_isomorphisms(G, H, orders_g, orders_h), None) is not None
 
 
 def subgroup_as_group(G: FiniteGroup, H: SubgroupSet) -> FiniteGroup:

@@ -27,7 +27,7 @@ def brute_force_subgroups(G: sb.FiniteGroup) -> set[int]:
 
     Only usable for tiny groups; the cost is 2^(n-1) closure checks.
     """
-    n = G.order
+    n, op = G.order, G.table.tolist()
     others = [x for x in range(n) if x != G.identity]
     found = set()
     for r in range(len(others) + 1):
@@ -36,7 +36,7 @@ def brute_force_subgroups(G: sb.FiniteGroup) -> set[int]:
             if len(elems) > 0 and n % len(elems) != 0:
                 continue
             inside = set(elems)
-            if all(G.op[a][b] in inside for a in elems for b in elems):
+            if all(op[a][b] in inside for a in elems for b in elems):
                 mask = 0
                 for x in elems:
                     mask |= 1 << x
@@ -48,7 +48,7 @@ def brute_force_automorphisms(G: sb.FiniteGroup) -> set[tuple[int, ...]]:
     """All automorphisms by scanning every bijection fixing the identity."""
     from itertools import permutations
 
-    n = G.order
+    n, op = G.order, G.table.tolist()
     others = [x for x in range(n) if x != G.identity]
     out = set()
     for images in permutations(others):
@@ -57,7 +57,7 @@ def brute_force_automorphisms(G: sb.FiniteGroup) -> set[tuple[int, ...]]:
         for x, y in zip(others, images):
             phi[x] = y
         if all(
-            phi[G.op[a][b]] == G.op[phi[a]][phi[b]] for a in range(n) for b in range(n)
+            phi[op[a][b]] == op[phi[a]][phi[b]] for a in range(n) for b in range(n)
         ):
             out.add(tuple(phi))
     return out
@@ -65,13 +65,13 @@ def brute_force_automorphisms(G: sb.FiniteGroup) -> set[tuple[int, ...]]:
 
 def brace_law_violations(star: sb.FiniteGroup, circ: sb.FiniteGroup) -> list[tuple]:
     """Plain-python triple scan of the left brace law."""
-    n = star.order
+    n, sop, cop = star.order, star.table.tolist(), circ.table.tolist()
     out = []
     for a in range(n):
         for b in range(n):
             for c in range(n):
-                lhs = circ.op[a][star.op[b][c]]
-                rhs = star.op[star.op[circ.op[a][b]][star.inv[a]]][circ.op[a][c]]
+                lhs = cop[a][sop[b][c]]
+                rhs = sop[sop[cop[a][b]][star.inv[a]]][cop[a][c]]
                 if lhs != rhs:
                     out.append((a, b, c))
     return out

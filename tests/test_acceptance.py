@@ -276,8 +276,8 @@ def test_criterion_10_mutation_fuzzing(z9z6_braces, a5_brace, degraaf3_braces):
     rejected = 0
     total = 0
     for brace in braces_under_test:
-        star_table = brace.star.op
-        circ_table = [list(row) for row in brace.circ.op]
+        star_table = brace.star.table
+        circ_table = brace.circ.table.tolist()
         n = brace.order
         for _ in range(100):
             total += 1
@@ -305,13 +305,13 @@ def test_criterion_11_stability_maps_preserve_star(
         "radical": degraaf3_braces[0],
         "radical-flipped": degraaf3_braces[1],
         "trivial-z6": sb.validate_skew_brace(
-            sb.cyclic_group(6).op, sb.cyclic_group(6).op
+            sb.cyclic_group(6).table, sb.cyclic_group(6).table
         ),
-        "self-s3": sb.validate_skew_brace(s3.op, s3.op),
+        "self-s3": sb.validate_skew_brace(s3.table, s3.table),
     }
     violations = 0
     for brace in suite.values():
-        sop = brace.star.op
+        sop = brace.star.table.tolist()
         n = brace.order
         for g in range(n):
             rho = sb.stability_map(brace, g)
@@ -341,8 +341,8 @@ def test_criterion_12_hgs_counts(s3, z9z6_braces):
     # (see test_braces) and the backtracking search; the quotient by the
     # 6 two-sided automorphisms is 18.
     z6 = sb.cyclic_group(6)
-    trivial = sb.validate_skew_brace(z6.op, z6.op)
-    self_s3 = sb.validate_skew_brace(s3.op, s3.op)
+    trivial = sb.validate_skew_brace(z6.table, z6.table)
+    self_s3 = sb.validate_skew_brace(s3.table, s3.table)
     add_galois, _ = z9z6_braces
     aut_add = len(sb.automorphism_group(add_galois.circ))
     quotient = sb.hgs_count(add_galois)

@@ -21,7 +21,7 @@ from conftest import brace_law_violations, semidirect_params, truncated_poly_alg
 
 def _self_brace(G: sb.FiniteGroup) -> sb.SkewBrace:
     """Brace whose two operations coincide."""
-    return sb.validate_skew_brace(G.op, G.op)
+    return sb.validate_skew_brace(G.table, G.table)
 
 
 # ---------------------------------------------------------------------------
@@ -46,25 +46,26 @@ def test_z9z6_pairing_is_valid_and_bi_skew(z9z6_braces):
 
 def test_identity_mismatch_detected():
     z3 = sb.cyclic_group(3)
+    op = z3.table.tolist()
     # relabel so the identity sits at index 1
     perm = [1, 0, 2]
     inv = [1, 0, 2]
     moved = [
-        [perm[z3.op[inv[i]][inv[j]]] for j in range(3)] for i in range(3)
+        [perm[op[inv[i]][inv[j]]] for j in range(3)] for i in range(3)
     ]
     with pytest.raises(IdentityMismatch):
-        sb.validate_skew_brace(z3.op, moved)
+        sb.validate_skew_brace(z3.table, moved)
 
 
 def test_brace_law_violation_has_witness(s3):
     z6 = sb.cyclic_group(6)
     with pytest.raises(BraceLawViolation) as exc:
-        sb.validate_skew_brace(z6.op, s3.op)
+        sb.validate_skew_brace(z6.table, s3.table)
     a, b, c = exc.value.witness
     # replay the witness against a plain triple scan
-    star, circ = z6, s3
-    lhs = circ.op[a][star.op[b][c]]
-    rhs = star.op[star.op[circ.op[a][b]][star.inv[a]]][circ.op[a][c]]
+    sop, cop = z6.table.tolist(), s3.table.tolist()
+    lhs = cop[a][sop[b][c]]
+    rhs = sop[sop[cop[a][b]][z6.inv[a]]][cop[a][c]]
     assert lhs != rhs
 
 
@@ -81,16 +82,16 @@ def test_relabelled_circ_witness_is_lex_first_violation(params, data):
     # circ relabelled by a permutation fixing the identity 0 is still a
     # group table with the star identity, so only the brace law can fail
     brace = sb.semidirect_biskew(*params)[0]
-    star, circ = brace.star, brace.circ
+    star, cop = brace.star, brace.circ.table.tolist()
     n = star.order
     perm = [0, *data.draw(st.permutations(range(1, n)))]
     moved = [[0] * n for _ in range(n)]
     for x in range(n):
         for y in range(n):
-            moved[perm[x]][perm[y]] = perm[circ.op[x][y]]
+            moved[perm[x]][perm[y]] = perm[cop[x][y]]
     violations = brace_law_violations(star, sb.build_from_table(moved))
     try:
-        sb.validate_skew_brace(star.op, moved)
+        sb.validate_skew_brace(star.table, moved)
     except BraceLawViolation as exc:
         assert exc.witness == min(violations)
     else:
@@ -103,8 +104,8 @@ def test_mutation_fuzzing_rejects_every_single_entry_change(
     rng = random.Random(12345)
     braces_under_test = [z9z6_braces[0], a5_brace, degraaf3_braces[0]]
     for brace in braces_under_test:
-        star_table = brace.star.op
-        circ_table = [list(row) for row in brace.circ.op]
+        star_table = brace.star.table
+        circ_table = brace.circ.table.tolist()
         n = brace.order
         for _ in range(100):
             r, c = rng.randrange(n), rng.randrange(n)
@@ -154,10 +155,11 @@ def test_stability_maps_trivial_for_abelian_self_brace():
 
 def test_stability_map_is_conjugation_for_self_brace(s3):
     b = _self_brace(s3)
+    op = s3.table.tolist()
     for g in range(6):
         rho = sb.stability_map(b, g)
         for x in range(6):
-            assert rho[x] == s3.op[s3.op[g][x]][s3.inv[g]]
+            assert rho[x] == op[op[g][x]][s3.inv[g]]
 
 
 def test_stability_maps_are_star_automorphisms(
@@ -173,7 +175,7 @@ def test_stability_maps_are_star_automorphisms(
         _self_brace(s3),
     ]
     for brace in suite:
-        sop = brace.star.op
+        sop = brace.star.table.tolist()
         n = brace.order
         for g in range(n):
             rho = sb.stability_map(brace, g)
@@ -218,6 +220,69 @@ def test_is_circ_stable_rejects_non_subgroup(z9z6_braces):
         sb.is_circ_stable(b, bad)
 
 
+def _plain_stable_masks(brace: sb.SkewBrace) -> dict[int, bool]:
+    """Stability of every star-subgroup from the images of all of its
+    elements under all stability maps, computed in plain Python; each
+    stability_map is checked against the same images on the way."""
+    sop, cop, sinv = brace.star.table.tolist(), brace.circ.table.tolist(), brace.star.inv
+    images = [[sop[cop[g][x]][sinv[g]] for x in range(brace.order)] for g in range(brace.order)]
+    assert [list(sb.stability_map(brace, g)) for g in range(brace.order)] == images
+    return {
+        H.mask: all(H.contains(rho[h]) for rho in images for h in H.elements())
+        for H in sb.enumerate_subgroups(brace.star)
+    }
+
+
+def _check_stability_against_images(brace: sb.SkewBrace) -> None:
+    stable = _plain_stable_masks(brace)
+    assert {H.mask for H in sb.enumerate_stable_subgroups(brace)} == {
+        m for m, ok in stable.items() if ok
+    }
+    for H in sb.enumerate_subgroups(brace.star):
+        assert sb.is_circ_stable(brace, H) == stable[H.mask]
+        # the answer does not depend on recorded generators
+        bare = sb.SubgroupSet(brace.order, H.mask, H.size)
+        assert sb.is_circ_stable(brace, bare) == stable[H.mask]
+
+
+@given(semidirect_params(max_m=10, max_n=4))
+def test_stability_matches_stability_map_images(params):
+    for brace in sb.semidirect_biskew(*params):
+        _check_stability_against_images(brace)
+
+
+def test_stability_matches_stability_map_images_on_a5(a5_brace):
+    _check_stability_against_images(a5_brace)
+
+
+@given(semidirect_params(max_m=10, max_n=4), st.data())
+def test_not_a_star_subgroup_witness_is_first_escaping_pair(params, data):
+    brace = sb.semidirect_biskew(*params)[0]
+    n, op = brace.order, brace.star.table.tolist()
+    extra = data.draw(st.sets(st.integers(1, n - 1), min_size=1, max_size=4))
+    elems = sorted({brace.star.identity} | extra)
+    mask = sum(1 << x for x in elems)
+    escapes = [(x, y) for x in elems for y in elems if op[x][y] not in elems]
+    H = sb.SubgroupSet(n, mask, len(elems))
+    if escapes:
+        x, y = escapes[0]
+        message = f"^set is not closed under star: {x} star {y} escapes$"
+        with pytest.raises(NotAStarSubgroup, match=message):
+            sb.is_circ_stable(brace, H)
+    else:  # a closed set holding the identity is a subgroup
+        sb.is_circ_stable(brace, H)
+
+
+@pytest.mark.parametrize(
+    "mask, size",
+    [(-1, 54), (1 | 1 << 54, 1), (1 | 1 << 60, 1), ((1 << 55) - 1, 54)],
+    ids=["negative", "bit-at-order", "bit-beyond-order", "full-plus-one"],
+)
+def test_mask_bits_outside_the_group_are_not_a_star_subgroup(z9z6_braces, mask, size):
+    with pytest.raises(NotAStarSubgroup, match="outside"):
+        sb.is_circ_stable(z9z6_braces[0], sb.SubgroupSet(54, mask, size))
+
+
 def test_stable_subgroup_counts_z9z6(z9z6_braces):
     add_galois, mult_galois = z9z6_braces
     assert len(sb.enumerate_stable_subgroups(mult_galois)) == 12
@@ -231,12 +296,13 @@ def test_stable_subgroups_a5(a5_brace):
 
 def test_stable_subgroups_closed_under_both_operations(z9z6_braces):
     for brace in z9z6_braces:
+        sop, cop = brace.star.table.tolist(), brace.circ.table.tolist()
         for H in sb.enumerate_stable_subgroups(brace):
             elems = H.elements()
             for x in elems:
                 for y in elems:
-                    assert H.contains(brace.star.op[x][y])
-                    assert H.contains(brace.circ.op[x][y])
+                    assert H.contains(sop[x][y])
+                    assert H.contains(cop[x][y])
 
 
 # ---------------------------------------------------------------------------
@@ -260,11 +326,12 @@ def test_a5_order10_stable_subgroup_is_not_ideal(a5_brace):
     assert not sb.is_ideal(a5_brace, ten)
     # independent check: conjugation inside the circ group escapes
     circ = a5_brace.circ
+    cop = circ.table.tolist()
     escaped = False
     for g in range(circ.order):
         gi = circ.inv[g]
         for h in ten.elements():
-            if not ten.contains(circ.op[circ.op[g][h]][gi]):
+            if not ten.contains(cop[cop[g][h]][gi]):
                 escaped = True
                 break
         if escaped:

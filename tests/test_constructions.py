@@ -2,10 +2,30 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
+from hypothesis import given
 
 import skewbrace as sb
 from skewbrace.errors import InvalidAction, NotComplementary, WrongParent
+
+from conftest import semidirect_params
+
+
+def _plain_normalized(f: sb.ExactFactorization, H: sb.SubgroupSet) -> bool:
+    """H is normalized by the left factor, by conjugating every element."""
+    G = f.parent
+    op = G.table.tolist()
+    return all(
+        H.contains(op[op[l][h]][G.inv[l]]) for l in f.left.elements() for h in H.elements()
+    )
+
+
+def _check_decomposition(f: sb.ExactFactorization) -> None:
+    op = f.parent.table.tolist()
+    for g, (l, r) in enumerate(f.decomp):
+        assert f.left.contains(l) and f.right.contains(r)
+        assert op[l][f.parent.inv[r]] == g
 
 
 # ---------------------------------------------------------------------------
@@ -18,7 +38,20 @@ def test_factorization_of_z6():
     assert f.left.size == 3 and f.right.size == 2
     for g in range(6):
         l, r = f.decomp[g]
-        assert G.op[l][G.inv[r]] == g
+        assert G.table[l, G.inv[r]] == g
+
+
+@given(semidirect_params(max_m=10, max_n=4))
+def test_semidirect_factorization_matches_plain_products(params):
+    m, n, _ = params
+    G = sb.semidirect_product_cyclic(*params)
+    # (1,0) has index n and (0,1) index 1
+    f = sb.exact_factorization(G, [n], [1] if n > 1 else [])
+    _check_decomposition(f)
+    brace = sb.zappa_szep_brace(f)
+    for H in sb.enumerate_subgroups(G):
+        stable, normalized = sb.stable_iff_normalized_check(f, H, brace=brace)
+        assert stable == normalized == _plain_normalized(f, H)
 
 
 def test_factorization_rejects_overlap():
@@ -38,7 +71,7 @@ def test_factorization_from_permutations_skips_identity_and_repeats():
     identity = (0, 1, 2, 3, 4)
     f = sb.factorization_from_permutations([identity, five, five], [three, identity, swaps])
     a5 = sb.a5_factorization()
-    assert f.parent.op == a5.parent.op
+    assert np.array_equal(f.parent.table, a5.parent.table)
     assert (f.left, f.right) == (a5.left, a5.right)
 
 
@@ -49,7 +82,7 @@ def test_factorization_from_permutations_skips_identity_and_repeats():
 def test_internal_direct_product_gives_trivial_brace():
     G = sb.cyclic_group(6)
     b = sb.zappa_szep_brace(sb.exact_factorization(G, [2], [3]))
-    assert b.circ.op == b.star.op
+    assert np.array_equal(b.circ.table, b.star.table)
 
 
 def test_a5_brace_ratio(a5_brace):
@@ -70,9 +103,10 @@ def test_stable_iff_normalized_agreement_on_all_a5_subgroups(a5_brace):
     f = sb.a5_factorization()
     subs = sb.enumerate_subgroups(f.parent)
     assert len(subs) == 59
+    _check_decomposition(f)
     for H in subs:
         stable, normalized = sb.stable_iff_normalized_check(f, H, brace=a5_brace)
-        assert stable == normalized
+        assert stable == normalized == _plain_normalized(f, H)
     five = next(H for H in subs if H.size == 5)
     assert sb.stable_iff_normalized_check(f, five, brace=a5_brace) == (True, True)
     two = next(H for H in subs if H.size == 2)
@@ -88,8 +122,8 @@ def test_stable_iff_normalized_agreement_on_all_a5_subgroups(a5_brace):
 def test_semidirect_biskew_directions(z9z6_braces):
     add_galois, mult_galois = z9z6_braces
     # first brace: star is the semidirect table, circ the componentwise sum
-    assert add_galois.star.op == sb.semidirect_product_cyclic(9, 6, 2).op
-    assert add_galois.circ.op == mult_galois.star.op
+    assert np.array_equal(add_galois.star.table, sb.semidirect_product_cyclic(9, 6, 2).table)
+    assert np.array_equal(add_galois.circ.table, mult_galois.star.table)
     r_add = sb.gc_ratio(add_galois)
     r_mult = sb.gc_ratio(mult_galois)
     assert (r_add.numerator, r_add.denominator) == (9, 20)
@@ -109,8 +143,8 @@ def test_semidirect_circ_structure_isomorphic_to_direct_product(z9z6_braces):
 
 def test_semidirect_trivial_action_gives_trivial_braces():
     b1, b2 = sb.semidirect_biskew(5, 4, 1)
-    assert b1.star.op == b1.circ.op
-    assert b2.star.op == b2.circ.op
+    assert np.array_equal(b1.star.table, b1.circ.table)
+    assert np.array_equal(b2.star.table, b2.circ.table)
 
 
 def test_semidirect_7_3_2_all_additive_subgroups_stable():

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -17,13 +20,16 @@ from skewbrace.errors import (
     OrderCapExceeded,
     ValidationFailure,
 )
+from skewbrace.groups import _element_orders
 
 from conftest import (
+    A5_GENS,
     associativity_violations,
     brute_force_automorphisms,
     brute_force_subgroups,
     generated_groups,
     reference_error,
+    semidirect_params,
 )
 
 
@@ -94,6 +100,24 @@ def test_malformed_table_or_labels_is_value_error(table, labels):
         sb.build_from_table(table, labels=labels)
 
 
+@pytest.mark.parametrize(
+    "table, where",
+    [
+        ([[0, 1.5], [1.9, 0]], "(0, 1)"),
+        ([[0, 1], [1.0, 0]], "(1, 0)"),
+        ([[0, 1], [1, True]], "(1, 1)"),
+        ([[0, "1"], [1, 0]], "(0, 1)"),
+        ([[0, 1], [None, 0]], "(1, 0)"),
+        (np.array([[True, False], [False, True]]), "(0, 0)"),
+        (np.array([[0.0, 1.0], [1.0, 0.0]]), "(0, 0)"),
+    ],
+    ids=["fraction", "float", "bool", "string", "none", "bool-array", "float-array"],
+)
+def test_non_integer_entry_is_value_error_naming_its_position(table, where):
+    with pytest.raises(ValueError, match=re.escape(f"table entry {where} is not an integer")):
+        sb.build_from_table(table)
+
+
 def test_one_sided_identity_is_no_identity():
     # 0 is a left identity (row 0 is the identity map) but x * 0 = 0
     with pytest.raises(NoIdentity):
@@ -119,7 +143,9 @@ def test_stored_table_is_read_only_and_matches_op():
     assert not G.table.flags.writeable
     with pytest.raises(ValueError):
         G.table[0, 0] = 1
-    assert G.table.tolist() == [list(row) for row in G.op]
+    # the operation of Z3 x Z4 on the indices 4a + b
+    op = [[(x // 4 + y // 4) % 3 * 4 + (x + y) % 4 for y in range(12)] for x in range(12)]
+    assert G.table.tolist() == op
 
 
 def test_groups_from_the_same_table_compare_equal():
@@ -128,6 +154,20 @@ def test_groups_from_the_same_table_compare_equal():
     assert G == sb.build_from_table(table)
     assert G == sb.build_from_table(np.array(table))
     assert hash(G) == hash(sb.build_from_table(table))
+    assert G != sb.build_from_table(table, labels="abcd")
+    assert sb.build_from_table(table, labels="abcd") == sb.build_from_table(table, labels="abcd")
+
+
+def test_order_2000_group_keeps_one_small_table():
+    Z40, Z50 = sb.cyclic_group(40), sb.cyclic_group(50)
+    tracemalloc.start()
+    try:
+        G = sb.direct_product(Z40, Z50)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert G.order == 2000
+    assert retained < 16 * 2**20
 
 
 def test_associativity_checked_beyond_the_first_generator():
@@ -143,7 +183,7 @@ def test_associativity_checked_beyond_the_first_generator():
 
 @given(generated_groups())
 def test_generated_group_tables_pass_validation(G):
-    assert sb.build_from_table(G.op, labels=G.labels) == G
+    assert sb.build_from_table(G.table.tolist(), labels=G.labels) == G
 
 
 @given(generated_groups(), st.data())
@@ -151,8 +191,8 @@ def test_single_entry_mutation_matches_reference_validator(G, data):
     n = G.order
     r = data.draw(st.integers(0, n - 1))
     c = data.draw(st.integers(0, n - 1))
-    value = data.draw(st.integers(-1, n).filter(lambda v: v != G.op[r][c]))
-    table = [list(row) for row in G.op]
+    table = G.table.tolist()
+    value = data.draw(st.integers(-1, n).filter(lambda v: v != table[r][c]))
     table[r][c] = value
     try:
         sb.build_from_table(table)
@@ -199,7 +239,7 @@ def test_cyclic_subgroup_count_is_divisor_count(k):
 def test_direct_product_with_trivial_is_same_table():
     H = sb.cyclic_group(5)
     P = sb.direct_product(sb.cyclic_group(1), H)
-    assert P.op == H.op
+    assert np.array_equal(P.table, H.table)
 
 
 def test_direct_product_c5_a4_has_20_subgroups():
@@ -217,13 +257,13 @@ def test_direct_product_z9_z6_has_20_subgroups():
 def test_semidirect_sample_product():
     G = sb.semidirect_product_cyclic(9, 6, 2)
     # (1,1).(1,0) = (1 + 2*1, 1) = (3,1)
-    assert G.op[1 * 6 + 1][1 * 6 + 0] == 3 * 6 + 1
+    assert G.table[1 * 6 + 1, 1 * 6 + 0] == 3 * 6 + 1
 
 
 def test_semidirect_trivial_action_is_direct_product():
     G = sb.semidirect_product_cyclic(9, 6, 1)
     D = sb.direct_product(sb.cyclic_group(9), sb.cyclic_group(6))
-    assert G.op == D.op
+    assert np.array_equal(G.table, D.table)
 
 
 @pytest.mark.parametrize(
@@ -306,6 +346,7 @@ def test_enumerate_subgroups_matches_brute_force_on_small_groups(s3):
 
 def test_enumerate_subgroups_invariants(s3):
     for G in (s3, sb.cyclic_group(12), sb.semidirect_product_cyclic(9, 6, 2)):
+        op = G.table.tolist()
         subs = sb.enumerate_subgroups(G)
         masks = [H.mask for H in subs]
         assert len(set(masks)) == len(masks)
@@ -316,7 +357,7 @@ def test_enumerate_subgroups_invariants(s3):
             assert H.contains(G.identity)
             elems = H.elements()
             assert len(elems) == H.size
-            assert all(H.contains(G.op[a][b]) for a in elems for b in elems)
+            assert all(H.contains(op[a][b]) for a in elems for b in elems)
         # canonical order: by size, then sorted element tuple
         keys = [(H.size, H.elements()) for H in subs]
         assert keys == sorted(keys)
@@ -356,8 +397,21 @@ def test_s3_order_two_subgroup_not_normal(s3):
     assert not sb.is_normal(s3, H)
     # independent conjugation scan
     h = [x for x in H.elements() if x != s3.identity][0]
-    conjugates = {s3.op[s3.op[g][h]][s3.inv[g]] for g in range(6)}
+    op = s3.table.tolist()
+    conjugates = {op[op[g][h]][s3.inv[g]] for g in range(6)}
     assert not conjugates.issubset(set(H.elements()))
+
+
+@given(generated_groups(), st.data())
+def test_is_normal_matches_conjugation_of_every_element(G, data):
+    op = G.table.tolist()
+    seed = data.draw(st.lists(st.integers(0, G.order - 1), max_size=2))
+    H = sb.generated_subgroup(G, seed)
+    conjugates = {op[op[g][h]][G.inv[g]] for g in range(G.order) for h in H.elements()}
+    normal = conjugates <= set(H.elements())
+    assert sb.is_normal(G, H) == normal
+    # without recorded generators the check runs on every element
+    assert sb.is_normal(G, sb.SubgroupSet(G.order, H.mask, H.size)) == normal
 
 
 def test_left_factor_normal_in_semidirect():
@@ -394,6 +448,21 @@ def test_aut_matches_brute_force_on_order_8():
         sb.semidirect_product_cyclic(4, 2, 3),
     ):
         assert set(sb.automorphism_group(G)) == brute_force_automorphisms(G)
+
+
+@given(semidirect_params(max_m=4, max_n=2))
+def test_aut_matches_brute_force_on_generated_groups(params):
+    G = sb.semidirect_product_cyclic(*params)
+    assert set(sb.automorphism_group(G)) == brute_force_automorphisms(G)
+
+
+def test_aut_a5_is_s5():
+    G = sb.closure_from_permutations(A5_GENS)
+    auts = sb.automorphism_group(G)
+    op = G.table.tolist()
+    assert len(set(auts)) == len(auts) == 120
+    for phi in auts:
+        assert all(phi[op[a][b]] == op[phi[a]][phi[b]] for a in range(60) for b in range(60))
 
 
 def test_aut_group_closed_under_composition_and_inverse(s3):
@@ -452,6 +521,18 @@ def test_s3_isomorphic_to_semidirect(s3):
     assert sb.is_isomorphic(s3, sb.semidirect_product_cyclic(3, 2, 2))
 
 
+@given(generated_groups(), st.data())
+def test_is_isomorphic_to_a_relabelling_fixing_the_identity(G, data):
+    n, e, op = G.order, G.identity, G.table.tolist()
+    others = [x for x in range(n) if x != e]
+    perm = {e: e, **dict(zip(others, data.draw(st.permutations(others))))}
+    moved = [[0] * n for _ in range(n)]
+    for x in range(n):
+        for y in range(n):
+            moved[perm[x]][perm[y]] = perm[op[x][y]]
+    assert sb.is_isomorphic(G, sb.build_from_table(moved))
+
+
 def test_subgroup_as_group(s3):
     H = next(H for H in sb.enumerate_subgroups(s3) if H.size == 3)
     K = sb.subgroup_as_group(s3, H)
@@ -464,3 +545,16 @@ def test_element_order_divides_group_order(k):
     G = sb.cyclic_group(k)
     for x in range(0, k, max(1, k // 5)):
         assert k % sb.element_order(G, x) == 0
+
+
+@given(generated_groups())
+def test_element_orders_match_the_definition(G):
+    op = G.table.tolist()
+    expected = []
+    for x in range(G.order):
+        k, y = 1, x
+        while y != G.identity:
+            k, y = k + 1, op[y][x]
+        expected.append(k)
+    assert _element_orders(G) == expected
+    assert [sb.element_order(G, x) for x in range(G.order)] == expected

@@ -31,7 +31,6 @@ from .groups import (
     FiniteGroup,
     SubgroupSet,
     _magma_generators,
-    _members,
     automorphism_group,
     build_from_table,
     enumerate_subgroups,
@@ -155,7 +154,7 @@ def _require_star_subgroup(b: SkewBrace, H: SubgroupSet) -> np.ndarray:
         raise NotAStarSubgroup(f"membership mask has bits outside 0..{b.order - 1}")
     if not H.contains(b.star.identity):
         raise NotAStarSubgroup("set does not contain the identity")
-    members = _members(H)
+    members = H.members
     if members.sum() != H.size:
         raise NotAStarSubgroup("recorded size does not match the membership mask")
     escape = _escape(b.star.table, members)
@@ -168,7 +167,10 @@ def _require_star_subgroup(b: SkewBrace, H: SubgroupSet) -> np.ndarray:
 
 def _stable(b: SkewBrace, gens, members: np.ndarray) -> bool:
     # The brace law makes every stability map a star-automorphism, so the
-    # image of a subgroup is the subgroup generated by the generator images.
+    # image of a subgroup is the subgroup generated by the images of any
+    # generating set ``gens``.  Enumerated subgroups pass their recorded
+    # generators; is_circ_stable passes every element, since the generators
+    # recorded on a caller-built H are not checked.
     gens = np.asarray(gens, dtype=np.intp)
     sinv = np.asarray(b.star.inv)
     return bool(members[b.star.table[b.circ.table[:, gens], sinv[:, None]]].all())
@@ -193,7 +195,7 @@ def enumerate_stable_subgroups(
     """
     out = []
     for H in enumerate_subgroups(b.star, cap):
-        members = _members(H)
+        members = H.members
         if _stable(b, H.gens, members):
             if _escape(b.circ.table, members) is not None:
                 raise RuntimeError("stable subgroup is not circ-closed; tables inconsistent")

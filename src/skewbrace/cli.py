@@ -188,7 +188,7 @@ def _parse_brace_json(data: dict, cap: int) -> list[list[list[int]]]:
         for i, row in enumerate(table):
             if len(_json_list(row, f"{key}[{i}]")) != len(table):
                 raise ParseError(f"{key}[{i}] has length {len(row)}, not {len(table)}")
-            if set(map(type, row)) != {int}:  # walk the row only to name the entry
+            if groups._first_non_integer(row) is not None:  # walk the row to name the entry
                 for j, v in enumerate(row):
                     _json_int(v, f"{key}[{i}][{j}]")
         tables.append(table)
@@ -427,7 +427,7 @@ def _z9z6_counts(cfg: RunConfig) -> list[dict]:
     subs_add = groups.enumerate_subgroups(mult_galois.star, cfg.order_cap)
     subs_mult = groups.enumerate_subgroups(add_galois.star, cfg.order_cap)
     G = add_galois.star
-    orders = [groups.element_order(G, x) for x in range(G.order)]
+    orders = groups._element_orders(G)
     # H is cyclic exactly when one of its elements has order |H|
     cyclic = sum(any(orders[x] == H.size for x in H.elements()) for H in subs_mult)
     got = (len(subs_add), len(subs_mult), cyclic, len(subs_mult) - cyclic)

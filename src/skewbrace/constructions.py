@@ -31,7 +31,6 @@ from .groups import (
     FiniteGroup,
     SubgroupSet,
     _conjugates_inside,
-    _members,
     build_from_table,
     closure_from_permutations,
     cyclic_group,
@@ -371,4 +370,4 @@ def all_additive_subgroups_stable(spec: FamilySpec, cap: int = DEFAULT_ORDER_CAP
         raise InvalidAction(f"b={spec.b} must have order {spec.n} modulo {spec.m}")
     _, mult_galois = semidirect_biskew(spec.m, spec.n, spec.b, cap)
     subs = enumerate_subgroups(mult_galois.star, cap)
-    return all(_stable(mult_galois, H.gens, _members(H)) for H in subs)
+    return all(_stable(mult_galois, H.gens, H.members) for H in subs)

@@ -79,8 +79,13 @@ class SubgroupSet:
         return tuple(i for i in range(self.parent_order) if self.mask >> i & 1)
 
     @property
-    def members(self) -> tuple[bool, ...]:
-        return tuple(bool(self.mask >> i & 1) for i in range(self.parent_order))
+    def members(self) -> np.ndarray:
+        """Membership array over 0..n-1; mask bits outside that range are
+        ignored."""
+        n = self.parent_order
+        mask = self.mask & ((1 << n) - 1)
+        bits = np.frombuffer(mask.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
+        return np.unpackbits(bits, count=n, bitorder="little").astype(bool)
 
 
 def _integral(t: type) -> bool:
@@ -137,15 +142,6 @@ def _right_closure(table: np.ndarray, start, gens) -> np.ndarray:
 
 def _mask(members: np.ndarray) -> int:
     return int.from_bytes(np.packbits(members, bitorder="little").tobytes(), "little")
-
-
-def _members(H: SubgroupSet) -> np.ndarray:
-    """Membership array of H over 0..n-1, the inverse of ``_mask``; bits of
-    the mask outside that range are ignored."""
-    n = H.parent_order
-    mask = H.mask & ((1 << n) - 1)
-    bits = np.frombuffer(mask.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
-    return np.unpackbits(bits, count=n, bitorder="little").astype(bool)
 
 
 def _magma_generators(arr: np.ndarray, identity: int) -> list[int]:
@@ -413,7 +409,7 @@ def _conjugates_inside(G: FiniteGroup, conjugators, H: SubgroupSet) -> bool:
     h = np.asarray(H.gens or H.elements(), dtype=np.intp)
     gi = np.asarray(G.inv)[g]
     T = G.table
-    return bool(_members(H)[T[T[np.ix_(g, h)], gi[:, None]]].all())
+    return bool(H.members[T[T[np.ix_(g, h)], gi[:, None]]].all())
 
 
 def is_normal(G: FiniteGroup, H: SubgroupSet) -> bool:
@@ -425,12 +421,7 @@ def element_order(G: FiniteGroup, x: int) -> int:
     """Least k >= 1 with x^k equal to the identity."""
     if not 0 <= x < G.order:
         raise ValueError(f"element {x} out of range")
-    k = 1
-    y = x
-    while y != G.identity:
-        y = G.table[y, x]
-        k += 1
-    return k
+    return _element_orders(G)[x]
 
 
 def is_automorphism(G: FiniteGroup, perm) -> bool:

@@ -447,14 +447,13 @@ def _z9z6_ratios(cfg: RunConfig) -> list[dict]:
 def _z9z6_shortcuts(cfg: RunConfig) -> list[dict]:
     add_galois, mult_galois = _z9z6(cfg)
     subs_add = groups.enumerate_subgroups(mult_galois.star, cfg.order_cap)
-    agree = 0
-    for H in subs_add:
-        try:
-            gen_add = braces.is_circ_stable(add_galois, H)
-        except ValidationFailure:  # H is not a subgroup of add_galois.star
-            gen_add = False
-        general = (braces.is_circ_stable(mult_galois, H), gen_add)
-        agree += constructions.stability_criterion_z9z6(H) == general
+    stable_mult = set(braces.enumerate_stable_subgroups(mult_galois, cfg.order_cap))
+    # a subgroup outside the semidirect star's lattice is not add-stable
+    stable_add = set(braces.enumerate_stable_subgroups(add_galois, cfg.order_cap))
+    agree = sum(
+        constructions.stability_criterion_z9z6(H) == (H in stable_mult, H in stable_add)
+        for H in subs_add
+    )
     detail = "shortcut agreement on {}/{} subgroups"
     return [_pinned("semidirect-9-6-2-shortcuts", detail, (agree, len(subs_add)), (20, 20))]
 
@@ -476,21 +475,17 @@ def _algebra_rows(p: int, cfg: RunConfig) -> list[dict]:
     got = (len(left), len(right))
     rows = [_pinned(f"algebra-p{p}-ideals", "left={} right={}", got, (n_left, n_right))]
     subspaces = algebras.enumerate_subspaces(A.p, A.dim)
-    subs_circle = groups.enumerate_subgroups(algebras.circle_group(A, cfg.order_cap), cfg.order_cap)
-    subs_add = groups.enumerate_subgroups(algebras.additive_group(A, cfg.order_cap), cfg.order_cap)
-    got = (len(subs_circle), len(subs_add), len(subspaces))
+    circ = braces.gc_ratio(algebras.brace_from_radical(A, cfg.order_cap), cfg.order_cap)
+    add = braces.gc_ratio(algebras.brace_from_radical_flipped(A, cfg.order_cap), cfg.order_cap)
+    got = (circ.denominator, add.denominator, len(subspaces))
     detail = "circle={} additive={} subspaces={}"
     rows.append(_pinned(f"algebra-p{p}-subgroup-counts", detail, got, (n_circle, n_add, n_add)))
-    brace = algebras.brace_from_radical(A, cfg.order_cap)
-    flipped = algebras.brace_from_radical_flipped(A, cfg.order_cap)
-    stable = [H for H in subs_add if braces.is_circ_stable(brace, H)]
-    stable_flip = [H for H in subs_circle if braces.is_circ_stable(flipped, H)]
-    got = (len(stable), len(subs_circle), len(stable_flip), len(subs_add))
+    got = (circ.numerator, circ.denominator, add.numerator, add.denominator)
     detail = "circ-galois {}/{}, add-galois {}/{}"
     rows.append(_pinned(f"algebra-p{p}-ratios", detail, got, (n_left, n_circle, n_right, n_add)))
     left_masks = {algebras.subspace_subgroup(A, S).mask for S in left}
     right_masks = {algebras.subspace_subgroup(A, S).mask for S in right}
-    ok = left_masks == {H.mask for H in stable} and right_masks == {H.mask for H in stable_flip}
+    ok = left_masks == {H.mask for H in circ.stable} and right_masks == {H.mask for H in add.stable}
     detail = "stable subgroup sets equal ideal sets elementwise"
     rows.append(_row(f"algebra-p{p}-ideal-correspondence", ok, detail))
 
@@ -529,7 +524,7 @@ def _pq_row(p: int, q: int, b: int, cfg: RunConfig) -> list[dict]:
     report = constructions.family_formula_report(spec, cfg.order_cap)
     if not report.verified:
         return [_row(row_id, False, "unverified: order cap exceeded")]
-    prop = constructions.all_additive_subgroups_stable(spec, cfg.order_cap)
+    prop = report.enumerated["all_add_subgroups_mult_stable"]
     detail = f"{_family_ratios(report)}, all_add_stable={prop}"
     return [_row(row_id, report.all_match and prop, detail)]
 
@@ -595,6 +590,13 @@ def _example_builders(
     ]
 
 
+def _parse_int(text: str, what: str, position: str | None = None) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(f"{what} must be an integer, got {text!r}", position=position) from None
+
+
 def _parse_grid(grid_args) -> tuple[list[int], list[tuple[int, int, int]]]:
     dihedral_ms: list[int] = []
     pq_specs: list[tuple[int, int, int]] = []
@@ -603,13 +605,15 @@ def _parse_grid(grid_args) -> tuple[list[int], list[tuple[int, int, int]]]:
             raise ParseError(f"bad --grid entry {item!r}; use name=values")
         name, values = item.split("=", 1)
         if name == "dihedral":
-            dihedral_ms.extend(int(v) for v in values.split(",") if v)
+            what = f"value in --grid entry {item!r}"
+            dihedral_ms.extend(_parse_int(v, what) for v in values.split(",") if v)
         elif name == "pq":
             for trip in values.split(","):
                 parts = trip.split(":")
                 if len(parts) != 3:
                     raise ParseError(f"bad pq grid entry {trip!r}; use p:q:b")
-                pq_specs.append((int(parts[0]), int(parts[1]), int(parts[2])))
+                what = f"value in pq grid entry {trip!r}"
+                pq_specs.append(tuple(_parse_int(v, what) for v in parts))
         else:
             raise ParseError(f"unknown grid family {name!r}")
     return dihedral_ms, pq_specs
@@ -702,12 +706,14 @@ def _cmd_family(args, cfg: RunConfig) -> tuple[dict, list[str], int]:
             if not line:
                 continue
             parts = line.split()
+            position = f"{args.batch}:{lineno}"
             if len(parts) != 4:
-                raise ParseError(
-                    "expected 'family m n b'", position=f"{args.batch}:{lineno}"
-                )
-            specs.append((parts[0], int(parts[1]), int(parts[2]), int(parts[3])))
+                raise ParseError("expected 'family m n b'", position=position)
+            values = (_parse_int(v, k, position) for k, v in zip("mnb", parts[1:]))
+            specs.append((parts[0], *values))
     elif args.family:
+        if args.m is None or args.n is None or args.b is None:
+            raise ParseError("--family requires --m, --n and --b")
         specs.append((args.family, args.m, args.n, args.b))
     source = {"specs": [list(s) for s in specs]}
     rows = [_family_row(s, cfg) for s in specs]
@@ -776,7 +782,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ratio.add_argument(
         "--direction", choices=["circ", "add", "mult", "both"], default="both"
     )
-    p_ratio.add_argument("--zappa-szep", help="'a5' or 'custom'")
+    p_ratio.add_argument("--zappa-szep", choices=["a5", "custom"])
     p_ratio.add_argument("--left-gens", help="cycle notation, comma-separated")
     p_ratio.add_argument("--right-gens", help="cycle notation, comma-separated")
 

@@ -1,8 +1,10 @@
 """Braces from exact factorizations and semidirect products.
 
 Also carries the squarefree-family bookkeeping: closed-form subgroup and
-stable-subgroup counts for the pq, product and generalized dihedral
-families, checked against brute-force enumeration.
+stable-subgroup counts for the product family (pq is its one-pair case) and
+the generalized dihedral family, checked against brute-force enumeration.
+Stable sets and ratios come from ``braces.gc_ratio`` and
+``braces.enumerate_stable_subgroups``; this module filters no lattice itself.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import numpy as np
 from .braces import (
     SkewBrace,
     _assemble_brace,
-    _stable,
+    enumerate_stable_subgroups,
     gc_ratio,
     is_circ_stable,
 )
@@ -158,15 +160,9 @@ def stability_criterion_z9z6(H: SubgroupSet) -> tuple[bool, bool]:
     """
     if H.parent_order != 54:
         raise WrongParent(54, H.parent_order)
-    mult_stable = True
-    add_stable = True
-    for x in H.elements():
-        r, s = divmod(x, 6)
-        if not H.mask >> (r * 6) & 1:
-            mult_stable = False
-        if not H.mask >> (((pow(2, s, 9) - 1) % 9) * 6) & 1:
-            add_stable = False
-    return mult_stable, add_stable
+    members = H.members
+    r, s = np.divmod(np.flatnonzero(members), 6)
+    return bool(members[r * 6].all()), bool(members[(2**s - 1) % 9 * 6].all())
 
 
 def sigma(m: int) -> int:
@@ -251,13 +247,10 @@ def family_spec(family: str, m: int, n: int, b: int) -> FamilySpec:
     b %= m
     if math.gcd(b, m) != 1 or pow(b, n, m) != 1:
         raise InvalidAction(f"b={b} must be a unit modulo {m} with b^{n} = 1 (mod {m})")
-    if family == "pq":
-        if len(mp) != 1 or len(np_) != 1:
-            raise ValueError("pq family needs m and n prime")
-        p, q = m, n
-        if (p - 1) % q != 0 or multiplicative_order(b, p) != q:
-            raise InvalidAction(f"b={b} must have order {q} modulo {p}")
-    elif family == "product_pq":
+    if family == "pq" and (len(mp) != 1 or len(np_) != 1):
+        raise ValueError("pq family needs m and n prime")
+    # pq is the product family with one prime pair
+    if family in ("pq", "product_pq"):
         if len(mp) != len(np_):
             raise ValueError("product family pairs one q with each p")
         orders = sorted(multiplicative_order(b, p) for p in mp)
@@ -291,44 +284,27 @@ class FormulaReport:
 
 def _predicted(spec: FamilySpec) -> dict:
     g, h = spec.g, spec.h
-    if spec.family == "pq":
-        p = spec.m
-        return {
-            "subgroups_add": 4,
-            "subgroups_mult": p + 3,
-            "stable_in_add": 4,
-            "stable_in_mult": 3,
-            "ratio_mult_galois": (4, p + 3),
-            "ratio_add_galois": (3, 4),
-            "all_add_subgroups_mult_stable": True,
-        }
-    if spec.family == "product_pq":
-        den = math.prod(p + 3 for p in spec.m_primes)
-        return {
-            "subgroups_add": 4**g,
-            "subgroups_mult": den,
-            "stable_in_add": 4**g,
-            "stable_in_mult": 3**g,
-            "ratio_mult_galois": (4**g, den),
-            "ratio_add_galois": (3**g, 4**g),
-            "all_add_subgroups_mult_stable": True,
-        }
-    if spec.family == "generalized_dihedral":
-        mult_count = 2**g + (2**h - 1) * sigma(spec.m)
-        return {
-            "subgroups_add": 2 ** (g + h),
-            "subgroups_mult": mult_count,
-            "stable_in_add": 2 ** (g + h),
-            "stable_in_mult": 2**h + 2**g - 1,
-            "ratio_mult_galois": (2 ** (g + h), mult_count),
-            "ratio_add_galois": (2**h + 2**g - 1, 2 ** (g + h)),
-            "all_add_subgroups_mult_stable": True,
-        }
-    # custom semidirect: no closed forms; the full-stability prediction only
-    # applies when b has full order modulo m
-    if multiplicative_order(spec.b, spec.m) == spec.n:
+    if spec.family in ("pq", "product_pq"):
+        add, mult, stable_in_mult = 4**g, math.prod(p + 3 for p in spec.m_primes), 3**g
+    elif spec.family == "generalized_dihedral":
+        add, mult = 2 ** (g + h), 2**g + (2**h - 1) * sigma(spec.m)
+        stable_in_mult = 2**h + 2**g - 1
+    elif multiplicative_order(spec.b, spec.m) == spec.n:
+        # custom semidirect: no closed forms; the full-stability prediction
+        # only applies when b has full order modulo m
         return {"all_add_subgroups_mult_stable": True}
-    return {}
+    else:
+        return {}
+    # in both closed-form families every additive subgroup is mult-stable
+    return {
+        "subgroups_add": add,
+        "subgroups_mult": mult,
+        "stable_in_add": add,
+        "stable_in_mult": stable_in_mult,
+        "ratio_mult_galois": (add, mult),
+        "ratio_add_galois": (stable_in_mult, add),
+        "all_add_subgroups_mult_stable": True,
+    }
 
 
 def family_formula_report(spec: FamilySpec, cap: int = DEFAULT_ORDER_CAP) -> FormulaReport:
@@ -369,5 +345,5 @@ def all_additive_subgroups_stable(spec: FamilySpec, cap: int = DEFAULT_ORDER_CAP
     if multiplicative_order(spec.b, spec.m) != spec.n:
         raise InvalidAction(f"b={spec.b} must have order {spec.n} modulo {spec.m}")
     _, mult_galois = semidirect_biskew(spec.m, spec.n, spec.b, cap)
-    subs = enumerate_subgroups(mult_galois.star, cap)
-    return all(_stable(mult_galois, H.gens, H.members) for H in subs)
+    stable = enumerate_stable_subgroups(mult_galois, cap)
+    return len(stable) == len(enumerate_subgroups(mult_galois.star, cap))

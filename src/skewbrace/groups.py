@@ -7,11 +7,14 @@ associativity by Light's test on a magma-generating set.  A group keeps its
 table as one read-only small-int array and nothing else.  Predicates such as
 normality and element orders run on that array; the two searches that walk
 it one entry at a time, subgroup-lattice enumeration and the isomorphism
-search, take one list view of it per call.
+search, take one list view of it per search.  ``enumerate_subgroups`` alone
+decides when a lattice is enumerated: it keeps the last two, so the two
+ratios of a bi-skew brace enumerate each of its groups once.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -281,22 +284,29 @@ def closure_from_permutations(gens, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup
     identity = tuple(range(d))
     index = {identity: 0}
     elems = [identity]
-    qi = 0
-    while qi < len(elems):
-        p = elems[qi]
-        qi += 1
-        for g in gens:
-            q = tuple(p[g[i]] for i in range(d))
+    # right lists the index of elems[x] * gens[k] row by row; element q > 0
+    # was first reached as elems[x] * gens[k] for (x, k) = source[q]
+    right: list[int] = []
+    source = [(0, 0)]
+    for x, p in enumerate(elems):  # elems grows while it is walked
+        for k, g in enumerate(gens):
+            q = tuple(p[i] for i in g)
             if q not in index:
                 if len(elems) >= cap:
                     raise ClosureCapExceeded(cap)
                 index[q] = len(elems)
                 elems.append(q)
-    rows = tuple(
-        tuple(index[tuple(x[y[k]] for k in range(d))] for y in elems) for x in elems
-    )
+                source.append((x, k))
+            right.append(index[q])
+    # column q of the table is y -> y * q; for q = x * g that is column x
+    # followed by right multiplication with g
+    right_mult = np.reshape(right, (len(elems), len(gens)))
+    columns = np.empty((len(elems), len(elems)), dtype=np.intp)
+    columns[0] = np.arange(len(elems))
+    for q, (x, k) in enumerate(source[1:], 1):
+        columns[q] = right_mult[columns[x], k]
     labels = tuple(_cycle_label(p) for p in elems)
-    return build_from_table(rows, labels=labels)
+    return build_from_table(columns.T, labels=labels)
 
 
 def generated_subgroup(G: FiniteGroup, seed) -> SubgroupSet:
@@ -343,10 +353,17 @@ def enumerate_subgroups(G: FiniteGroup, cap: int = DEFAULT_ORDER_CAP) -> list[Su
     with those cyclic seeds until nothing new appears.  Any subgroup is a
     join of cyclic subgroups, so the fixpoint is complete.  A join whose
     order bound forces the whole group is skipped once the whole group is
-    known.
+    known.  The cap is checked first, and every call gets a fresh list.
     """
     if G.order > cap:
         raise OrderCapExceeded(G.order, cap)
+    return list(_lattice(G))
+
+
+# keyed on table and labels; two, since a ratio asks for the two groups of a
+# brace and then for those of its mirror
+@functools.lru_cache(maxsize=2)
+def _lattice(G: FiniteGroup) -> tuple[SubgroupSet, ...]:
     n, op, e = G.order, G.table.tolist(), G.identity
 
     atoms: dict[int, tuple[list[int], int]] = {}
@@ -398,8 +415,7 @@ def enumerate_subgroups(G: FiniteGroup, cap: int = DEFAULT_ORDER_CAP) -> list[Su
     subs = [
         SubgroupSet(n, m, len(elems), gens=gens) for m, (elems, gens) in known.items()
     ]
-    subs.sort(key=lambda H: (H.size, H.elements()))
-    return subs
+    return tuple(sorted(subs, key=lambda H: (H.size, H.elements())))
 
 
 def _conjugates_inside(G: FiniteGroup, conjugators, H: SubgroupSet) -> bool:

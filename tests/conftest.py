@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 import sys
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import settings, strategies as st
 
 import skewbrace as sb
+from skewbrace import groups
 from skewbrace.errors import NoIdentity, NoInverse, NotAssociative, NotClosed
 
 settings.register_profile("suite", derandomize=True, max_examples=60)
@@ -75,6 +77,23 @@ def brace_law_violations(star: sb.FiniteGroup, circ: sb.FiniteGroup) -> list[tup
                 if lhs != rhs:
                     out.append((a, b, c))
     return out
+
+
+def permutation_closure(gens) -> tuple[list[tuple[int, ...]], list[list[int]]]:
+    """Elements and table of the group the permutations generate, by
+    breadth-first search from the identity and one tuple composition
+    (p*q)(i) = p[q[i]] per table entry."""
+    d = len(gens[0])
+    elems = [tuple(range(d))]
+    index = {elems[0]: 0}
+    for p in elems:
+        for g in gens:
+            q = tuple(p[g[i]] for i in range(d))
+            if q not in index:
+                index[q] = len(elems)
+                elems.append(q)
+    rows = [[index[tuple(x[y[i]] for i in range(d))] for y in elems] for x in elems]
+    return elems, rows
 
 
 def associativity_violations(table):
@@ -256,6 +275,27 @@ def tables_built(monkeypatch):
         binds = getattr(module, "build_from_table", None) is original
         if binds and name.split(".")[0] == "skewbrace":
             monkeypatch.setattr(module, "build_from_table", counting)
+    return calls
+
+
+@pytest.fixture
+def lattices_enumerated(monkeypatch):
+    """List of the group orders whose subgroup lattice was enumerated, one
+    per real enumeration.
+
+    The memo behind enumerate_subgroups is replaced by an empty one of the
+    same size around a counting copy of the enumeration, so a call answered
+    from the memo is not counted and no earlier test's lattices are kept.
+    """
+    calls = []
+    memoized = groups._lattice
+
+    def counting(G):
+        calls.append(G.order)
+        return memoized.__wrapped__(G)
+
+    fresh = functools.lru_cache(**memoized.cache_parameters())(counting)
+    monkeypatch.setattr(groups, "_lattice", fresh)
     return calls
 
 

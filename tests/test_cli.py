@@ -7,7 +7,19 @@ import json
 import pytest
 
 from skewbrace import algebras
-from skewbrace.cli import EXIT_CAP, EXIT_CONFIG, EXIT_INVALID, EXIT_OK, main, parse_permutations
+from skewbrace.cli import (
+    EXIT_CAP,
+    EXIT_CONFIG,
+    EXIT_INVALID,
+    EXIT_OK,
+    RunConfig,
+    _algebra_rows,
+    _build_parser,
+    _cmd_family,
+    main,
+    parse_permutations,
+)
+from skewbrace.errors import ParseError
 
 from conftest import EXAMPLES_DEFAULT_LINES
 
@@ -212,6 +224,31 @@ def test_ratio_zappa_custom(capsys):
     assert (payload["numerator"], payload["denominator"]) == (4, 20)
 
 
+def test_ratio_unknown_zappa_szep_source_is_config_error(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(
+            ["ratio", "--zappa-szep", "foo",
+             "--left-gens", "(1 2 3 4 5)", "--right-gens", "(1 2 3), (1 2)(3 4)"]
+        )
+    assert info.value.code == EXIT_CONFIG
+    assert "invalid choice: 'foo'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "source, order",
+    [
+        (["--family", "semidirect", "--m", "9", "--n", "6", "--b", "2"], 54),
+        (["--algebra", "degraaf", "--p", "3"], 81),
+    ],
+)
+def test_ratio_both_directions_enumerates_each_lattice_once(
+    capsys, lattices_enumerated, source, order
+):
+    code, _ = run(capsys, "ratio", *source, "--direction", "both")
+    assert code == EXIT_OK
+    assert lattices_enumerated == [order, order]
+
+
 def test_ratio_without_source_is_config_error(capsys):
     code, _ = run(capsys, "ratio")
     assert code == EXIT_CONFIG
@@ -322,6 +359,30 @@ def test_examples_prime_flag(capsys):
     assert "algebra-p3-power-formula" in out
 
 
+def test_examples_enumerate_at_most_ten_lattices(capsys, lattices_enumerated):
+    code, _ = run(capsys, "examples")
+    assert code == EXIT_OK
+    assert len(lattices_enumerated) <= 10
+
+
+def test_algebra_rows_take_both_ratios_from_the_two_braces(tables_built, lattices_enumerated):
+    rows = _algebra_rows(3, RunConfig())
+    assert all(row["ok"] for row in rows)
+    assert tables_built.count(81) == 4
+    assert lattices_enumerated == [81, 81]
+
+
+@pytest.mark.parametrize(
+    "entry, named",
+    [("dihedral=15,x", "'dihedral=15,x'"), ("pq=7:x:2", "'7:x:2'")],
+)
+def test_examples_grid_non_integer_names_the_entry(capsys, entry, named):
+    code = main(["examples", "--grid", entry])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert named in err and "must be an integer, got 'x'" in err
+
+
 def test_examples_row_errors_are_collected(capsys):
     # a tiny cap turns rows into recorded failures instead of aborting
     code, out = run(capsys, "examples", "--order-cap", "50")
@@ -367,6 +428,24 @@ def test_family_batch_file(tmp_path, capsys):
     assert rows[0]["predicted_match"] == "true"
     assert rows[1]["predicted_match"] == "true"
     assert rows[2]["predicted_match"].startswith("error:")
+
+
+def test_family_batch_non_integer_field_names_its_line(tmp_path, capsys):
+    batch = tmp_path / "specs.txt"
+    batch.write_text("pq 7 3 2\npq x 3 2\n")
+    args = _build_parser().parse_args(["family", "--batch", str(batch)])
+    with pytest.raises(ParseError) as info:
+        _cmd_family(args, RunConfig())
+    assert info.value.position == f"{batch}:2"
+    assert main(["family", "--batch", str(batch)]) == EXIT_CONFIG
+    assert f"{batch}:2: m must be an integer, got 'x'" in capsys.readouterr().err
+
+
+def test_family_without_parameters_is_config_error(capsys, tables_built):
+    code = main(["family", "--family", "pq"])
+    assert code == EXIT_CONFIG
+    assert "--family requires --m, --n and --b" in capsys.readouterr().err
+    assert tables_built == []
 
 
 def test_family_empty_batch(tmp_path, capsys):

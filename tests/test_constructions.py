@@ -262,10 +262,31 @@ def test_product_family_report():
 
 
 def test_product_family_with_one_factor_matches_pq():
-    pq = sb.family_formula_report(sb.family_spec("pq", 7, 3, 2))
-    prod = sb.family_formula_report(sb.family_spec("product_pq", 7, 3, 2))
-    assert pq.enumerated == prod.enumerated
-    assert pq.predicted == prod.predicted
+    for p, q, b in ((7, 3, 2), (7, 3, 4), (7, 2, 6), (13, 3, 3), (11, 5, 3), (31, 5, 2)):
+        pq = sb.family_formula_report(sb.family_spec("pq", p, q, b))
+        prod = sb.family_formula_report(sb.family_spec("product_pq", p, q, b))
+        assert pq.enumerated == prod.enumerated
+        assert pq.predicted == prod.predicted
+        assert pq.all_match
+    # a product spec with two prime pairs is still no pq spec
+    sb.family_spec("product_pq", 35, 6, 4)
+    with pytest.raises(ValueError, match="pq family needs m and n prime"):
+        sb.family_spec("pq", 35, 6, 4)
+
+
+@pytest.mark.parametrize(
+    "family, m, n, b",
+    [
+        ("pq", 7, 3, 2),
+        ("product_pq", 33, 10, 14),
+        ("generalized_dihedral", 15, 2, 14),
+        ("custom_semidirect", 21, 2, 20),
+    ],
+)
+def test_family_report_enumerates_each_lattice_once(lattices_enumerated, family, m, n, b):
+    report = sb.family_formula_report(sb.family_spec(family, m, n, b))
+    assert report.verified
+    assert lattices_enumerated == [m * n, m * n]
 
 
 def test_unverified_report_keeps_predictions():

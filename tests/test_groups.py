@@ -20,7 +20,7 @@ from skewbrace.errors import (
     OrderCapExceeded,
     ValidationFailure,
 )
-from skewbrace.groups import _element_orders
+from skewbrace.groups import _cycle_label, _element_orders
 
 from conftest import (
     A5_GENS,
@@ -28,6 +28,7 @@ from conftest import (
     brute_force_automorphisms,
     brute_force_subgroups,
     generated_groups,
+    permutation_closure,
     reference_error,
     semidirect_params,
 )
@@ -310,6 +311,23 @@ def test_closure_cap():
         sb.closure_from_permutations([(1, 2, 3, 4, 0), (1, 2, 0, 3, 4)], cap=10)
 
 
+S5_GENS = [(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)]
+
+
+@given(
+    st.sampled_from([A5_GENS, S5_GENS])
+    | st.integers(1, 5).flatmap(
+        lambda d: st.lists(st.permutations(range(d)), min_size=1, max_size=3)
+    )
+)
+def test_closure_matches_plain_composition(gens):
+    gens = [tuple(g) for g in gens]
+    elems, rows = permutation_closure(gens)
+    G = sb.closure_from_permutations(gens)
+    assert G.table.tolist() == rows
+    assert G.labels == tuple(_cycle_label(p) for p in elems)
+
+
 # ---------------------------------------------------------------------------
 # subgroups
 
@@ -558,3 +576,24 @@ def test_element_orders_match_the_definition(G):
         expected.append(k)
     assert _element_orders(G) == expected
     assert [sb.element_order(G, x) for x in range(G.order)] == expected
+
+
+def test_enumerate_subgroups_enumerates_each_group_once(lattices_enumerated):
+    first = sb.enumerate_subgroups(sb.semidirect_product_cyclic(9, 6, 2))
+    expected = list(first)
+    first.reverse()
+    first.pop()
+    # an equal group built anew is the same key; the caller's list is its own
+    assert sb.enumerate_subgroups(sb.semidirect_product_cyclic(9, 6, 2)) == expected
+    assert lattices_enumerated == [54]
+    # the labels are part of the key
+    Z6 = sb.cyclic_group(6)
+    sb.enumerate_subgroups(Z6)
+    sb.enumerate_subgroups(sb.build_from_table(Z6.table))
+    assert lattices_enumerated == [54, 6, 6]
+
+
+def test_enumerate_subgroups_checks_the_cap_before_enumerating(lattices_enumerated):
+    with pytest.raises(OrderCapExceeded):
+        sb.enumerate_subgroups(sb.cyclic_group(20), cap=10)
+    assert lattices_enumerated == []

@@ -32,7 +32,7 @@ import sys
 import time
 from collections.abc import Callable
 from dataclasses import asdict, dataclass
-from functools import partial
+from functools import cache, partial
 from itertools import product
 
 from . import algebras, braces, constructions, groups
@@ -418,12 +418,14 @@ def _pinned(row_id: str, detail: str, got: tuple, want: tuple) -> dict:
     return _row(row_id, got == want, detail.format(*got))
 
 
-def _z9z6(cfg: RunConfig) -> tuple[braces.SkewBrace, braces.SkewBrace]:
-    return constructions.semidirect_biskew(9, 6, 2, cfg.order_cap)
+# the order-54 pair of braces (add_galois, mult_galois) that six builders
+# share: a callable that builds it on first use and raises its build error on
+# every call until it succeeds
+Z9Z6 = Callable[[], tuple[braces.SkewBrace, braces.SkewBrace]]
 
 
-def _z9z6_counts(cfg: RunConfig) -> list[dict]:
-    add_galois, mult_galois = _z9z6(cfg)
+def _z9z6_counts(z9z6: Z9Z6, cfg: RunConfig) -> list[dict]:
+    add_galois, mult_galois = z9z6()
     subs_add = groups.enumerate_subgroups(mult_galois.star, cfg.order_cap)
     subs_mult = groups.enumerate_subgroups(add_galois.star, cfg.order_cap)
     G = add_galois.star
@@ -435,8 +437,8 @@ def _z9z6_counts(cfg: RunConfig) -> list[dict]:
     return [_pinned("semidirect-9-6-2-counts", detail, got, (20, 36, 26, 10))]
 
 
-def _z9z6_ratios(cfg: RunConfig) -> list[dict]:
-    add_galois, mult_galois = _z9z6(cfg)
+def _z9z6_ratios(z9z6: Z9Z6, cfg: RunConfig) -> list[dict]:
+    add_galois, mult_galois = z9z6()
     r_mult = braces.gc_ratio(mult_galois, cfg.order_cap)
     r_add = braces.gc_ratio(add_galois, cfg.order_cap)
     got = (r_mult.numerator, r_mult.denominator, r_add.numerator, r_add.denominator)
@@ -444,8 +446,8 @@ def _z9z6_ratios(cfg: RunConfig) -> list[dict]:
     return [_pinned("semidirect-9-6-2-ratios", detail, got, (12, 36, 9, 20))]
 
 
-def _z9z6_shortcuts(cfg: RunConfig) -> list[dict]:
-    add_galois, mult_galois = _z9z6(cfg)
+def _z9z6_shortcuts(z9z6: Z9Z6, cfg: RunConfig) -> list[dict]:
+    add_galois, mult_galois = z9z6()
     subs_add = groups.enumerate_subgroups(mult_galois.star, cfg.order_cap)
     stable_mult = set(braces.enumerate_stable_subgroups(mult_galois, cfg.order_cap))
     # a subgroup outside the semidirect star's lattice is not add-stable
@@ -529,10 +531,12 @@ def _pq_row(p: int, q: int, b: int, cfg: RunConfig) -> list[dict]:
     return [_row(row_id, report.all_match and prop, detail)]
 
 
-def _fuzz(cfg: RunConfig) -> list[dict]:
-    add_galois, _ = _z9z6(cfg)
+def _fuzz(z9z6: Z9Z6, cfg: RunConfig) -> list[dict]:
+    add_galois, _ = z9z6()
     rng = random.Random(cfg.seed)
-    star_table, circ_table = add_galois.star.table, add_galois.circ.table
+    # the star group is the validated one of the pair; only each mutated
+    # circ table is built anew
+    star, circ_table = add_galois.star, add_galois.circ.table
     n = add_galois.order
     rejected = 0
     trials = 100
@@ -545,25 +549,25 @@ def _fuzz(cfg: RunConfig) -> list[dict]:
         mutated = circ_table.copy()
         mutated[r, c] = new
         try:
-            braces.validate_skew_brace(star_table, mutated)
+            braces._assemble_brace(star, groups.build_from_table(mutated), "raw")
         except ValidationFailure:
             rejected += 1
     detail = f"{rejected}/{trials} single-entry circ mutations rejected (seed {cfg.seed})"
     return [_row("fuzz-semidirect-9-6-2", rejected == trials, detail)]
 
 
-def _stability_maps(cfg: RunConfig) -> list[dict]:
+def _stability_maps(z9z6: Z9Z6, cfg: RunConfig) -> list[dict]:
     ok = all(
         groups.is_automorphism(brace.star, braces.stability_map(brace, g))
-        for brace in _z9z6(cfg)
+        for brace in z9z6()
         for g in range(brace.order)
     )
     detail = "every stability map is a star-automorphism (exhaustive)"
     return [_row("stability-maps-9-6-2", ok, detail)]
 
 
-def _aut_counts(cfg: RunConfig) -> list[dict]:
-    add_galois, _ = _z9z6(cfg)
+def _aut_counts(z9z6: Z9Z6, cfg: RunConfig) -> list[dict]:
+    add_galois, _ = z9z6()
     got = (
         len(groups.automorphism_group(add_galois.circ, cfg.aut_cap)),
         braces.skew_brace_automorphism_count(add_galois, cfg.aut_cap),
@@ -574,19 +578,19 @@ def _aut_counts(cfg: RunConfig) -> list[dict]:
 
 
 def _example_builders(
-    p_list, dihedral_ms, pq_specs
+    p_list, dihedral_ms, pq_specs, z9z6: Z9Z6
 ) -> list[tuple[str, Callable[[RunConfig], list[dict]]]]:
     return [
-        ("semidirect-9-6-2-counts", _z9z6_counts),
-        ("semidirect-9-6-2-ratios", _z9z6_ratios),
-        ("semidirect-9-6-2-shortcuts", _z9z6_shortcuts),
+        ("semidirect-9-6-2-counts", partial(_z9z6_counts, z9z6)),
+        ("semidirect-9-6-2-ratios", partial(_z9z6_ratios, z9z6)),
+        ("semidirect-9-6-2-shortcuts", partial(_z9z6_shortcuts, z9z6)),
         ("zappa-a5", _zappa_a5),
         *((f"algebra-p{p}", partial(_algebra_rows, p)) for p in p_list),
         *((f"dihedral-{m}", partial(_dihedral_row, m)) for m in dihedral_ms),
         *((f"pq-{p}-{q}-{b}", partial(_pq_row, p, q, b)) for p, q, b in pq_specs),
-        ("fuzz", _fuzz),
-        ("stability-maps", _stability_maps),
-        ("aut-counts", _aut_counts),
+        ("fuzz", partial(_fuzz, z9z6)),
+        ("stability-maps", partial(_stability_maps, z9z6)),
+        ("aut-counts", partial(_aut_counts, z9z6)),
     ]
 
 
@@ -625,8 +629,10 @@ def _cmd_examples(args, cfg: RunConfig) -> tuple[dict, list[str], int]:
     if not dihedral_ms and not pq_specs and not args.grid:
         dihedral_ms = [15]
         pq_specs = [(7, 3, 2)]
+    # a failed build is not cached, so each builder reports the error itself
+    z9z6 = cache(partial(constructions.semidirect_biskew, 9, 6, 2, cfg.order_cap))
     rows: list[dict] = []
-    for builder_id, build in _example_builders(p_list, dihedral_ms, pq_specs):
+    for builder_id, build in _example_builders(p_list, dihedral_ms, pq_specs, z9z6):
         try:
             rows += build(cfg)
         except (CapExceeded, ValidationFailure, ValueError) as exc:

@@ -123,10 +123,10 @@ class ClosureCapExceeded(CapExceeded):
 
 
 class BudgetExceeded(CapExceeded):
-    def __init__(self, size: int, budget: int):
+    def __init__(self, size: int | str, budget: int, what: str = "point count"):
         self.size = size
         self.budget = budget
-        super().__init__(f"point count {size} exceeds the enumeration budget {budget}")
+        super().__init__(f"{what} {size} exceeds the enumeration budget {budget}")
 
 
 class ParseError(Exception):

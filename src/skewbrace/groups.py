@@ -5,11 +5,19 @@ from outside, goes through the one validation path of ``build_from_table``:
 closure, identity and inverses checked with vectorized operations, and
 associativity by Light's test on a magma-generating set.  A group keeps its
 table as one read-only small-int array and nothing else.  Predicates such as
-normality and element orders run on that array; the two searches that walk
-it one entry at a time, subgroup-lattice enumeration and the isomorphism
-search, take one list view of it per search.  ``enumerate_subgroups`` alone
-decides when a lattice is enumerated: it keeps the last two, so the two
-ratios of a bi-skew brace enumerate each of its groups once.
+normality and element orders run on that array, and so does the subgroup
+lattice; the isomorphism search, which walks the table one entry at a time,
+takes one list view of it per search.
+
+The lattice is built by cyclic extension (Neubüser 1960, the method of GAP's
+``LatticeByCyclicExtension``): starting from the trivial group and the
+perfect subgroups, each found subgroup S is extended to S<z> by every
+prime-power-order generator z that normalizes S and has z^p in S.  The
+perfect subgroups are found as 2-generated subgroups <x, y> of the perfect
+residuum, closed under conjugation; ``_perfect_subgroups`` states where
+that search is not proved complete.  ``enumerate_subgroups`` alone decides
+when a lattice is enumerated: it keeps the last two, so the two ratios of a
+bi-skew brace enumerate each of its groups once.
 """
 
 from __future__ import annotations
@@ -21,6 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    BudgetExceeded,
     ClosureCapExceeded,
     InvalidAction,
     NoIdentity,
@@ -32,6 +41,10 @@ from .errors import (
 
 DEFAULT_ORDER_CAP = 2000
 DEFAULT_AUT_CAP = 200
+# more subgroups than this stop an enumeration with BudgetExceeded: Z_2^7
+# (29,212 subgroups) still completes, in about 5 s on a 2-core machine, and
+# Z_3^6 (56,632) stops about 2 s in
+LATTICE_BUDGET = 30_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -320,40 +333,18 @@ def generated_subgroup(G: FiniteGroup, seed) -> SubgroupSet:
     return SubgroupSet(G.order, _mask(members), int(members.sum()), gens=gens)
 
 
-def _dimino_join(op, s_elems, s_mask: int, gens, identity: int):
-    """Member mask and elements of <S union gens>, S a subgroup given by
-    ``s_elems``/``s_mask``.
-
-    Grows the result coset by coset: cosets of S partition the join, so
-    every write of op[s][t] over a fresh representative t is a new element.
-    """
-    elems = list(s_elems)
-    mask = s_mask
-    reps = [identity]
-    ri = 0
-    while ri < len(reps):
-        r = reps[ri]
-        ri += 1
-        row = op[r]
-        for d in gens:
-            t = row[d]
-            if not mask >> t & 1:
-                for s in s_elems:
-                    u = op[s][t]
-                    mask |= 1 << u
-                    elems.append(u)
-                reps.append(t)
-    return mask, elems
-
-
 def enumerate_subgroups(G: FiniteGroup, cap: int = DEFAULT_ORDER_CAP) -> list[SubgroupSet]:
     """Every subgroup exactly once, ordered by size then sorted element tuple.
 
-    Seeds with all cyclic subgroups and joins members of the growing lattice
-    with those cyclic seeds until nothing new appears.  Any subgroup is a
-    join of cyclic subgroups, so the fixpoint is complete.  A join whose
-    order bound forces the whole group is skipped once the whole group is
-    known.  The cap is checked first, and every call gets a fresh list.
+    Cyclic extension (Neubüser 1960): seeded with the trivial group and the
+    perfect subgroups, a found subgroup S grows to S<z> = S u Sz u ... u
+    Sz^(p-1) for each zuppo z (a generator of a cyclic subgroup of
+    prime-power order p^k) with z outside S, z^p in S and z normalizing S.
+    Every subgroup H is reached: H^inf is a seed, and a subgroup below H of
+    prime index p, normal in H, is extended by the p-part of any element of
+    H outside it.  The recorded generators are the seed's plus one zuppo per
+    step.  The cap is checked first, more than LATTICE_BUDGET subgroups
+    raise BudgetExceeded, and every call gets a fresh list.
     """
     if G.order > cap:
         raise OrderCapExceeded(G.order, cap)
@@ -364,58 +355,143 @@ def enumerate_subgroups(G: FiniteGroup, cap: int = DEFAULT_ORDER_CAP) -> list[Su
 # brace and then for those of its mirror
 @functools.lru_cache(maxsize=2)
 def _lattice(G: FiniteGroup) -> tuple[SubgroupSet, ...]:
-    n, op, e = G.order, G.table.tolist(), G.identity
+    n, T, e = G.order, G.table, G.identity
+    inv = np.asarray(G.inv)
+    zuppos, zpowers, zp = _zuppos(G)
+    zinv = inv[zuppos][:, None]
 
-    atoms: dict[int, tuple[list[int], int]] = {}
-    for x in range(n):
-        y = x
-        mask = 1 << e
-        elems = [e]
-        while not mask >> y & 1:
-            mask |= 1 << y
-            elems.append(y)
-            y = op[y][x]
-        atoms.setdefault(mask, (elems, x))
+    def key(members: np.ndarray) -> bytes:
+        # the mask's little-endian bytes, compared without building the int
+        return np.packbits(members, bitorder="little").tobytes()
 
-    trivial = 1 << e
-    known: dict[int, tuple[list[int], tuple[int, ...]]] = {trivial: ([e], ())}
-    queue: list[int] = []
-    for mask in sorted(atoms):
-        elems, gen = atoms[mask]
-        if mask not in known:
-            known[mask] = (elems, (gen,))
-            queue.append(mask)
-
-    full = (1 << n) - 1
-    divisors = [d for d in range(1, n + 1) if n % d == 0]
-    atom_list = [(m, atoms[m][0], atoms[m][1]) for m in sorted(atoms) if m != trivial]
-
-    qi = 0
-    while qi < len(queue):
-        smask = queue[qi]
-        qi += 1
-        selems, sgens = known[smask]
-        ssize = len(selems)
-        for cmask, celems, cgen in atom_list:
-            if cmask & ~smask == 0 or smask & ~cmask == 0:
-                continue  # one side contains the other; join already known
-            lower = ssize * len(celems) // (smask & cmask).bit_count()
-            sizes = [
-                d
-                for d in divisors
-                if d >= lower and d % ssize == 0 and d % len(celems) == 0
-            ]
-            if sizes == [n] and full in known:
+    seeds = [SubgroupSet(n, 1 << e, 1), *_perfect_subgroups(G)]
+    queue = [(key(H.members), np.array(H.elements()), H.gens) for H in seeds]
+    known = {k for k, *_ in queue}
+    for _, elems, gens in queue:  # the queue grows while it is walked
+        members = np.zeros(n, dtype=bool)
+        members[elems] = True
+        fits = ~members[zuppos] & members[zp]
+        if gens:
+            conj = T[T[zuppos[:, None], np.asarray(gens)], zinv]
+            fits &= members[conj].all(axis=1)
+        # every zuppo inside an S<z> already formed gives the same S<z>
+        covered = members.copy()
+        column = elems[:, None]
+        for k in np.flatnonzero(fits).tolist():
+            z = int(zuppos[k])
+            if covered[z]:
                 continue
-            jmask, jelems = _dimino_join(op, selems, smask, sgens + (cgen,), e)
-            if jmask not in known:
-                known[jmask] = (jelems, sgens + (cgen,))
-                queue.append(jmask)
+            # S z^j for 0 < j < p
+            coset_elems = T[column, zpowers[k]].ravel()
+            joined = members.copy()
+            joined[coset_elems] = True
+            covered |= joined
+            joined_key = key(joined)
+            if joined_key not in known:
+                known.add(joined_key)
+                queue.append((joined_key, np.concatenate([elems, coset_elems]), gens + (z,)))
+                if len(known) > LATTICE_BUDGET:
+                    raise BudgetExceeded(len(known), LATTICE_BUDGET, "subgroup count of at least")
 
     subs = [
-        SubgroupSet(n, m, len(elems), gens=gens) for m, (elems, gens) in known.items()
+        (len(elems), tuple(np.sort(elems).tolist()), int.from_bytes(k, "little"), gens)
+        for k, elems, gens in queue
     ]
-    return tuple(sorted(subs, key=lambda H: (H.size, H.elements())))
+    return tuple(SubgroupSet(n, mask, size, gens) for size, _, mask, gens in sorted(subs))
+
+
+def _zuppos(G: FiniteGroup) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
+    """The zuppos of G, ascending: the least-index generator z of each
+    nontrivial cyclic subgroup of prime-power order p^k.  Also, for each,
+    the powers z, z^2, ..., z^(p-1) and the p-th power z^p."""
+    orders = _element_orders(G)
+    # the prime of each prime-power order above 1
+    prime_of = {}
+    for m in set(orders) - {1}:
+        q = next(q for q in range(2, m + 1) if m % q == 0)
+        if q ** round(math.log(m, q)) == m:
+            prime_of[m] = q
+    cands = np.array([x for x, m in enumerate(orders) if m in prime_of], dtype=np.intp)
+    o = np.array([orders[x] for x in cands], dtype=np.intp)
+    p = np.array([prime_of[m] for m in o.tolist()], dtype=np.intp)
+    # row k holds x^k for every candidate x
+    powers = np.empty((int(o.max(initial=1)), len(cands)), dtype=np.intp)
+    powers[0] = G.identity
+    for k in range(1, len(powers)):
+        powers[k] = G.table[powers[k - 1], cands]
+    ks = np.arange(len(powers))[:, None]
+    # <x> is generated exactly by the x^k with k prime to p
+    least = np.where((ks < o) & (ks % p != 0), powers, G.order).min(axis=0)
+    keep = np.flatnonzero(least == cands)
+    zpowers = [powers[1 : p[i], i] for i in keep.tolist()]
+    return cands[keep], zpowers, powers[p[keep] % o[keep], keep]
+
+
+def _derived(T: np.ndarray, identity: int, inv: np.ndarray, elems, gens):
+    """Elements of K' for K = <gens> with elements ``elems``, and the
+    commutators [a, g] = a g a^-1 g^-1 (a in K, g in gens) that generate it:
+    modulo them every generator is central."""
+    a = np.asarray(elems, dtype=np.intp)[:, None]
+    g = np.asarray(gens, dtype=np.intp)[None, :]
+    comms = np.unique(T[T[T[a, g], inv[a]], inv[g]])
+    return np.flatnonzero(_right_closure(T, [identity], comms)), comms
+
+
+def _perfect_residuum(G: FiniteGroup) -> np.ndarray:
+    """Elements of the last term G^inf of the derived series, ascending."""
+    T, e = G.table, G.identity
+    inv = np.asarray(G.inv)
+    elems, gens = np.arange(G.order), small_generating_set(G)
+    while True:
+        derived, comms = _derived(T, e, inv, elems, gens)
+        if len(derived) == len(elems):
+            return elems
+        elems, gens = derived, comms
+
+
+def _perfect_subgroups(G: FiniteGroup) -> list[SubgroupSet]:
+    """Every nontrivial perfect subgroup of G generated by two elements,
+    with those two as its recorded generators, in discovery order.
+
+    A perfect subgroup lies in R = G^inf.  Up to G-conjugation a 2-generated
+    one is <x, y> with x a representative of a G-class in R and y a
+    representative of a C_G(x)-orbit on R; the candidates found perfect are
+    then closed under G-conjugation.  Every finite simple group is
+    2-generated (Steinberg 1962 for the groups of Lie type, Aschbacher and
+    Guralnick 1984 for the rest), but this is not proved here for every
+    perfect group up to the order cap: a perfect subgroup that needs three
+    generators would be missed, and so would every subgroup above it whose
+    perfect residuum it is.
+    """
+    T, e = G.table, G.identity
+    inv = np.asarray(G.inv)
+    R = _perfect_residuum(G)
+    if len(R) == 1:
+        return []
+    # conj[g, i] = g R[i] g^-1; orbit representatives are the least indices
+    conj = T[T[:, R], inv[:, None]]
+    candidates: dict[int, tuple[np.ndarray, tuple[int, int]]] = {}
+    for x in R[(conj.min(axis=0) == R) & (R != e)].tolist():
+        centralizer = np.flatnonzero(T[:, x] == T[x, :])
+        ys = R[conj[centralizer].min(axis=0) == R]
+        for y in ys[T[x, ys] != T[ys, x]].tolist():
+            members = _right_closure(T, [e], [x, y])
+            mask = _mask(members)
+            if mask not in candidates:
+                candidates[mask] = (np.flatnonzero(members), (x, y))
+    found: dict[int, SubgroupSet] = {}
+    for elems, (x, y) in candidates.values():
+        if len(_derived(T, e, inv, elems, [x, y])[0]) < len(elems):
+            continue
+        images = np.sort(T[T[:, elems], inv[:, None]], axis=1)
+        _, first = np.unique(images, axis=0, return_index=True)
+        for g in sorted(first.tolist()):
+            members = np.zeros(G.order, dtype=bool)
+            members[images[g]] = True
+            gens = (int(T[T[g, x], inv[g]]), int(T[T[g, y], inv[g]]))
+            H = SubgroupSet(G.order, _mask(members), len(elems), gens)
+            found.setdefault(H.mask, H)
+    return list(found.values())
 
 
 def _conjugates_inside(G: FiniteGroup, conjugators, H: SubgroupSet) -> bool:

@@ -46,6 +46,47 @@ def brute_force_subgroups(G: sb.FiniteGroup) -> set[int]:
     return found
 
 
+def join_fixpoint_subgroups(G: sb.FiniteGroup) -> list[int]:
+    """Subgroup masks in canonical order (size, then sorted elements), by
+    joining every found subgroup with every cyclic subgroup until nothing
+    new appears.  Every subgroup is a join of cyclic subgroups, so the
+    fixpoint is complete.  A join grows coset by coset of S: every product
+    of S with a fresh representative is a new element.
+    """
+    n, op, e = G.order, G.table.tolist(), G.identity
+    cyclic = {}
+    for x in range(n):
+        elems, y = [e], x
+        while y != e:
+            elems.append(y)
+            y = op[y][x]
+        cyclic.setdefault(frozenset(elems), x)
+    columns = [list(col) for col in zip(*op)]  # columns[t][s] = s t
+    full = frozenset(range(n))
+    known = {frozenset([e]): ()}
+    queue = [frozenset([e])]
+    for S in queue:  # the queue grows while it is walked
+        for C, c in cyclic.items():
+            if C <= S:
+                continue
+            gens = known[S] + (c,)
+            joined, reps = set(S), [e]
+            for r in reps:
+                if len(joined) > n // 2:
+                    joined = full  # a proper subgroup has at most n/2 elements
+                    break
+                for g in gens:
+                    t = op[r][g]
+                    if t not in joined:
+                        joined.update(map(columns[t].__getitem__, S))
+                        reps.append(t)
+            joined = frozenset(joined)
+            if joined not in known:
+                known[joined] = gens
+                queue.append(joined)
+    return [sum(1 << x for x in H) for H in sorted(known, key=lambda H: (len(H), sorted(H)))]
+
+
 def brute_force_automorphisms(G: sb.FiniteGroup) -> set[tuple[int, ...]]:
     """All automorphisms by scanning every bijection fixing the identity."""
     from itertools import permutations

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from skewbrace import algebras
+from skewbrace import algebras, groups
 from skewbrace.cli import (
     EXIT_CAP,
     EXIT_CONFIG,
@@ -224,6 +224,32 @@ def test_ratio_zappa_custom(capsys):
     assert (payload["numerator"], payload["denominator"]) == (4, 20)
 
 
+def test_ratio_zappa_szep_s6(capsys):
+    code, out = run(
+        capsys,
+        "ratio",
+        "--zappa-szep", "custom",
+        "--left-gens", "(1 2 3 4 5 6)",
+        "--right-gens", "(1 2 3 4 5),(1 2)",
+    )
+    assert code == EXIT_OK
+    assert out.splitlines() == [
+        "[circ] ratio 28/1190 = 2/85 = 0.023529",
+        "[circ] stable subgroup sizes: 1 2 3 3 4 6 6 6 6 8 9 12 12 18 18 18 24 24 24 36 36 36"
+        " 48 60 72 120 360 720",
+    ]
+
+
+def test_ratio_stops_at_the_lattice_budget(tmp_path, capsys, monkeypatch):
+    # F_3^6 with zero products: the circ group Z_3^6 has 56,632 subgroups
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps({"p": 3, "dim": 6, "products": []}))
+    monkeypatch.setattr(groups, "LATTICE_BUDGET", 1000)
+    code = main(["ratio", "--algebra", str(path), "--direction", "circ"])
+    assert code == EXIT_CAP
+    assert "subgroup count of at least 1001 exceeds the enumeration budget 1000" in capsys.readouterr().err
+
+
 def test_ratio_unknown_zappa_szep_source_is_config_error(capsys):
     with pytest.raises(SystemExit) as info:
         main(
@@ -363,6 +389,14 @@ def test_examples_enumerate_at_most_ten_lattices(capsys, lattices_enumerated):
     code, _ = run(capsys, "examples")
     assert code == EXIT_OK
     assert len(lattices_enumerated) <= 10
+
+
+def test_examples_build_the_order_54_pair_once(capsys, tables_built):
+    code, out = run(capsys, "examples")
+    assert code == EXIT_OK
+    assert out.splitlines() == EXAMPLES_DEFAULT_LINES
+    # the pair's two tables, then one per fuzz trial
+    assert tables_built.count(54) <= 102
 
 
 def test_algebra_rows_take_both_ratios_from_the_two_braces(tables_built, lattices_enumerated):

@@ -7,10 +7,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 import skewbrace as sb
+from skewbrace import groups
 from skewbrace.errors import (
+    BudgetExceeded,
     ClosureCapExceeded,
     InvalidAction,
     NoIdentity,
@@ -20,7 +22,7 @@ from skewbrace.errors import (
     OrderCapExceeded,
     ValidationFailure,
 )
-from skewbrace.groups import _cycle_label, _element_orders
+from skewbrace.groups import _cycle_label, _element_orders, _perfect_subgroups
 
 from conftest import (
     A5_GENS,
@@ -28,6 +30,7 @@ from conftest import (
     brute_force_automorphisms,
     brute_force_subgroups,
     generated_groups,
+    join_fixpoint_subgroups,
     permutation_closure,
     reference_error,
     semidirect_params,
@@ -36,6 +39,28 @@ from conftest import (
 
 def klein_four():
     return sb.direct_product(sb.cyclic_group(2), sb.cyclic_group(2))
+
+
+def symmetric_group(d: int):
+    return sb.closure_from_permutations([(*range(1, d), 0), (1, 0, *range(2, d))])
+
+
+def affine_special_linear_2_4():
+    """ASL(2,4) = 2^4:A5 of order 960, perfect but not simple, as affine
+    maps of F_4^2.  F_4 = {0, 1, w, w^2} is coded 0..3, addition is xor."""
+    mul = [[0, 0, 0, 0], [0, 1, 2, 3], [0, 2, 3, 1], [0, 3, 1, 2]]
+    points = [(a, b) for a in range(4) for b in range(4)]
+
+    def affine(m, t):
+        return tuple(
+            points.index((mul[m[0]][a] ^ mul[m[1]][b] ^ t[0], mul[m[2]][a] ^ mul[m[3]][b] ^ t[1]))
+            for a, b in points
+        )
+
+    return sb.closure_from_permutations(
+        [affine((1, 1, 0, 1), (0, 0)), affine((0, 1, 1, 0), (0, 0)),
+         affine((2, 0, 0, 3), (0, 0)), affine((1, 0, 0, 1), (1, 0))]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -591,6 +616,108 @@ def test_enumerate_subgroups_enumerates_each_group_once(lattices_enumerated):
     sb.enumerate_subgroups(Z6)
     sb.enumerate_subgroups(sb.build_from_table(Z6.table))
     assert lattices_enumerated == [54, 6, 6]
+
+
+def assert_lattice_matches_the_join_fixpoint(G):
+    subs = sb.enumerate_subgroups(G)
+    assert [H.mask for H in subs] == join_fixpoint_subgroups(G)
+    for H in subs:
+        assert sb.generated_subgroup(G, H.gens).mask == H.mask
+
+
+@given(generated_groups())
+def test_enumerate_subgroups_matches_the_join_fixpoint(G):
+    # the fixpoint takes about 0.1 s on S5, too close to the Hypothesis
+    # deadline on a loaded machine; order 120 is checked below
+    assume(G.order < 120)
+    assert_lattice_matches_the_join_fixpoint(G)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: symmetric_group(5),
+        lambda: sb.direct_product(sb.closure_from_permutations(A5_GENS), sb.cyclic_group(2)),
+    ],
+)
+def test_enumerate_subgroups_matches_the_join_fixpoint_on_order_120(build):
+    assert_lattice_matches_the_join_fixpoint(build())
+
+
+# counts too slow for the join fixpoint: S6, the circle group Z6 x S5 of the
+# S6 Zappa-Szep brace, and ASL(2,4)
+@pytest.mark.parametrize(
+    "build, count",
+    [
+        (lambda: symmetric_group(6), 1455),
+        (lambda: sb.direct_product(sb.cyclic_group(6), symmetric_group(5)), 1190),
+        (affine_special_linear_2_4, 2331),
+    ],
+)
+def test_lattice_counts_of_nonsolvable_groups(build, count):
+    G = build()
+    subs = sb.enumerate_subgroups(G)
+    assert len(subs) == count
+    keys = [(H.size, H.elements()) for H in subs]
+    assert keys == sorted(keys) and len(set(keys)) == count
+    for H in subs:
+        assert sb.generated_subgroup(G, H.gens).mask == H.mask
+
+
+def conjugate_masks(G, H) -> set[int]:
+    """Masks of the conjugates g H g^-1 over every g."""
+    op, elems = G.table.tolist(), H.elements()
+    return {sum(1 << op[op[g][h]][G.inv[g]] for h in elems) for g in range(G.order)}
+
+
+@pytest.mark.parametrize(
+    "build, sizes",
+    [
+        (lambda: sb.semidirect_product_cyclic(9, 6, 2), []),
+        (lambda: symmetric_group(4), []),
+        (lambda: sb.closure_from_permutations(A5_GENS), [60]),
+        (lambda: symmetric_group(5), [60]),
+        (lambda: symmetric_group(6), [60] * 12 + [360]),
+    ],
+)
+def test_perfect_subgroups(build, sizes):
+    G = build()
+    perfect = _perfect_subgroups(G)
+    assert sorted(H.size for H in perfect) == sizes
+    op = G.table.tolist()
+    for H in perfect:
+        elems = H.elements()
+        commutators = {op[op[op[a][b]][G.inv[a]]][G.inv[b]] for a in elems for b in elems}
+        assert sb.generated_subgroup(G, commutators).mask == H.mask
+        assert sb.generated_subgroup(G, H.gens).mask == H.mask
+    # closed under conjugation
+    masks = {H.mask for H in perfect}
+    assert all(conjugate_masks(G, H) <= masks for H in perfect)
+
+
+def test_s6_perfect_subgroups_are_a6_and_two_classes_of_six_a5():
+    G = symmetric_group(6)
+    a5s = {H.mask: H for H in _perfect_subgroups(G) if H.size == 60}
+    classes = []
+    while a5s:
+        H = a5s.pop(next(iter(a5s)))
+        orbit = conjugate_masks(G, H)
+        classes.append(len(orbit))
+        for mask in orbit:
+            a5s.pop(mask, None)
+    assert classes == [6, 6]
+
+
+def test_lattice_budget_names_the_count(monkeypatch, lattices_enumerated):
+    monkeypatch.setattr(groups, "LATTICE_BUDGET", 100)
+    G = sb.direct_product(sb.direct_product(sb.cyclic_group(3), sb.cyclic_group(3)),
+                          sb.direct_product(sb.cyclic_group(3), sb.cyclic_group(3)))
+    with pytest.raises(BudgetExceeded, match="subgroup count of at least 101 exceeds the enumeration budget 100"):
+        sb.enumerate_subgroups(G)
+    # the failure is not memoized
+    monkeypatch.setattr(groups, "LATTICE_BUDGET", 212)
+    assert len(sb.enumerate_subgroups(G)) == 212
+    assert lattices_enumerated == [81, 81]
 
 
 def test_enumerate_subgroups_checks_the_cap_before_enumerating(lattices_enumerated):

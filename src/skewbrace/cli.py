@@ -5,8 +5,11 @@ ideal censuses, run the built-in example regression, and sweep semidirect
 families.  Reports go to stdout and are byte-stable for a fixed
 configuration; timing and diagnostics go to stderr.
 
-Exit codes: 0 success, 1 validation failure, 2 parse or configuration
-error, 3 cap exceeded.
+Each command builds one JSON report; ``--format json`` prints it, and the
+text and CSV formats are rendered from its ``result``.
+
+Exit codes: 0 success, 1 validation failure or a closed stdout, 2 parse or
+configuration error, 3 cap exceeded.
 
 Input file schemas (JSON):
 
@@ -34,6 +37,7 @@ from collections.abc import Callable
 from dataclasses import asdict, dataclass
 from functools import cache, partial
 from itertools import product
+from pathlib import Path
 
 from . import algebras, braces, constructions, groups
 from .errors import (
@@ -71,13 +75,7 @@ FAMILY_CSV_COLUMNS = [
 class RunConfig:
     order_cap: int = groups.DEFAULT_ORDER_CAP
     aut_cap: int = groups.DEFAULT_AUT_CAP
-    format: str = "text"
     seed: int = 0
-
-    def as_dict(self) -> dict:
-        # the output format is left out: it changes how a report is written,
-        # not what it says
-        return {k: v for k, v in asdict(self).items() if k != "format"}
 
 
 def _digest(payload) -> str:
@@ -93,47 +91,29 @@ def _report(command: str, source, digest: str, cfg: RunConfig, result) -> dict:
         "command": command,
         "source": source,
         "input_digest": digest,
-        "config": cfg.as_dict(),
+        "config": asdict(cfg),
         "flags": {},
         "result": result,
     }
 
 
-def _emit(report: dict, cfg: RunConfig, text_lines) -> None:
-    if cfg.format == "json":
-        sys.stdout.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
-    else:
-        for line in text_lines:
-            sys.stdout.write(line + "\n")
-
-
-def _ratio_payload(ratio: braces.GcRatio, star: groups.FiniteGroup, direction: str) -> dict:
+def _ratio_payload(brace: braces.SkewBrace, direction: str, cap: int) -> dict:
+    ratio = braces.gc_ratio(brace, cap)
     stable = []
     for H in ratio.stable:
         entry = {"size": H.size, "elements": list(H.elements())}
-        if star.labels is not None:
-            entry["labels"] = [star.label(x) for x in H.elements()]
+        if brace.star.labels is not None:
+            entry["labels"] = [brace.star.label(x) for x in H.elements()]
         stable.append(entry)
-    rn, rd = ratio.reduced
     return {
         "direction": direction,
         "provenance": ratio.provenance,
         "numerator": ratio.numerator,
         "denominator": ratio.denominator,
-        "reduced": [rn, rd],
+        "reduced": ratio.reduced,
         "value": ratio.value,
         "stable_subgroups": stable,
     }
-
-
-def _ratio_lines(payload: dict) -> list[str]:
-    rn, rd = payload["reduced"]
-    return [
-        f"[{payload['direction']}] ratio {payload['numerator']}/{payload['denominator']}"
-        f" = {rn}/{rd} = {payload['value']:.6f}",
-        f"[{payload['direction']}] stable subgroup sizes: "
-        + " ".join(str(s["size"]) for s in payload["stable_subgroups"]),
-    ]
 
 
 def _json_int(value, where: str) -> int:
@@ -197,7 +177,7 @@ def _parse_brace_json(data: dict, cap: int) -> list[list[list[int]]]:
 
 def _load_input_file(path: str) -> tuple[str, dict, bytes]:
     try:
-        blob = open(path, "rb").read()
+        blob = Path(path).read_bytes()
     except OSError as exc:
         raise ParseError(str(exc)) from exc
     try:
@@ -257,7 +237,7 @@ def parse_permutations(text: str, degree: int | None = None) -> list[tuple[int, 
 # verify
 
 
-def _cmd_verify(args, cfg: RunConfig) -> tuple[dict, list[str], int]:
+def _cmd_verify(args, cfg: RunConfig) -> tuple[dict, int]:
     kind, data, blob = _load_input_file(args.input)
     try:
         if kind == "algebra":
@@ -269,14 +249,9 @@ def _cmd_verify(args, cfg: RunConfig) -> tuple[dict, list[str], int]:
                 "dim": A.dim,
                 "nilpotency_index": A.nilpotency_index,
             }
-            lines = [
-                f"algebra: valid, p={A.p}, dim={A.dim}, "
-                f"nilpotency index {A.nilpotency_index}"
-            ]
             if A.p**A.dim <= cfg.order_cap:
                 brace = algebras.brace_from_radical(A, cfg.order_cap)
                 result["bi_skew"] = braces.is_bi_skew(brace)
-                lines.append(f"bi-skew: {result['bi_skew']}")
         else:
             brace = braces.validate_skew_brace(*_parse_brace_json(data, cfg.order_cap))
             result = {
@@ -285,10 +260,6 @@ def _cmd_verify(args, cfg: RunConfig) -> tuple[dict, list[str], int]:
                 "order": brace.order,
                 "bi_skew": braces.is_bi_skew(brace),
             }
-            lines = [
-                f"brace: valid, order {brace.order}",
-                f"bi-skew: {result['bi_skew']}",
-            ]
     except ValidationFailure as exc:
         witness = getattr(exc, "witness", None)
         result = {
@@ -298,11 +269,22 @@ def _cmd_verify(args, cfg: RunConfig) -> tuple[dict, list[str], int]:
             "message": str(exc),
             "witness": list(witness) if isinstance(witness, tuple) else witness,
         }
-        lines = [f"{kind}: INVALID ({type(exc).__name__}: {exc})"]
-        code = EXIT_INVALID
-    else:
-        code = EXIT_OK
-    return _report("verify", {"path": args.input}, _digest(blob), cfg, result), lines, code
+    code = EXIT_OK if result["valid"] else EXIT_INVALID
+    return _report("verify", {"path": args.input}, _digest(blob), cfg, result), code
+
+
+def _verify_lines(result: dict) -> list[str]:
+    if not result["valid"]:
+        return ["{kind}: INVALID ({error}: {message})".format(**result)]
+    head = {
+        "algebra": "algebra: valid, p={p}, dim={dim}, nilpotency index {nilpotency_index}",
+        "brace": "brace: valid, order {order}",
+    }
+    lines = [head[result["kind"]].format(**result)]
+    # an algebra over the order cap is reported without its brace
+    if "bi_skew" in result:
+        lines.append(f"bi-skew: {result['bi_skew']}")
+    return lines
 
 
 # ---------------------------------------------------------------------------
@@ -320,24 +302,24 @@ def _algebra_from_args(args) -> algebras.FpAlgebra:
     return _parse_algebra_json(data)
 
 
-def _cmd_ratio(args, cfg: RunConfig) -> tuple[dict, list[str], int]:
-    def payload(name: str, brace: braces.SkewBrace) -> dict:
-        return _ratio_payload(braces.gc_ratio(brace, cfg.order_cap), brace.star, name)
+def _family_args(args) -> tuple[str, int, int, int]:
+    if args.m is None or args.n is None or args.b is None:
+        raise ParseError("--family requires --m, --n and --b")
+    return args.family, args.m, args.n, args.b
 
+
+def _cmd_ratio(args, cfg: RunConfig) -> tuple[dict, int]:
     if args.family is not None:
-        if args.m is None or args.n is None or args.b is None:
-            raise ParseError("--family requires --m, --n and --b")
+        family, m, n, b = _family_args(args)
         if args.direction == "circ":
             raise ParseError("semidirect sources use --direction mult|add|both")
-        if args.family != "semidirect":
-            constructions.family_spec(args.family, args.m, args.n, args.b)
-        source = {"family": args.family, "m": args.m, "n": args.n, "b": args.b}
-        add_galois, mult_galois = constructions.semidirect_biskew(
-            args.m, args.n, args.b, cfg.order_cap
-        )
+        if family != "semidirect":
+            constructions.family_spec(family, m, n, b)
+        source = {"family": family, "m": m, "n": n, "b": b}
+        add_galois, mult_galois = constructions.semidirect_biskew(m, n, b, cfg.order_cap)
         directions = {"mult": mult_galois, "add": add_galois}
         wanted = ["mult", "add"] if args.direction == "both" else [args.direction]
-        payloads = [payload(name, directions[name]) for name in wanted]
+        chosen = {name: directions[name] for name in wanted}
     elif args.algebra is not None:
         if args.direction == "mult":
             raise ParseError("algebra sources use --direction circ|add|both")
@@ -348,7 +330,7 @@ def _cmd_ratio(args, cfg: RunConfig) -> tuple[dict, list[str], int]:
             "add": algebras.brace_from_radical_flipped,
         }
         wanted = ["circ", "add"] if args.direction == "both" else [args.direction]
-        payloads = [payload(name, makers[name](A, cfg.order_cap)) for name in wanted]
+        chosen = {name: makers[name](A, cfg.order_cap) for name in wanted}
     elif args.zappa_szep is not None:
         if args.zappa_szep == "a5":
             fact = constructions.a5_factorization(cfg.order_cap)
@@ -358,25 +340,37 @@ def _cmd_ratio(args, cfg: RunConfig) -> tuple[dict, list[str], int]:
                 raise ParseError("--zappa-szep custom requires --left-gens and --right-gens")
             left = parse_permutations(args.left_gens)
             right = parse_permutations(args.right_gens)
+            # points past a generator's largest are fixed: pad to the common degree
             degree = max(len(p) for p in left + right)
-            left = parse_permutations(args.left_gens, degree)
-            right = parse_permutations(args.right_gens, degree)
+            left, right = ([p + tuple(range(len(p), degree)) for p in g] for g in (left, right))
             fact = constructions.factorization_from_permutations(left, right, cfg.order_cap)
             source = {"zappa_szep": "custom", "left": args.left_gens, "right": args.right_gens}
-        payloads = [payload("circ", constructions.zappa_szep_brace(fact))]
+        chosen = {"circ": constructions.zappa_szep_brace(fact)}
     else:
         raise ParseError("ratio needs one of --family, --algebra, --zappa-szep")
-    result = {"ratios": payloads}
-    lines = [line for p in payloads for line in _ratio_lines(p)]
-    report = _report("ratio", source, _digest(source), cfg, result)
-    return report, lines, EXIT_OK
+    payloads = [_ratio_payload(brace, name, cfg.order_cap) for name, brace in chosen.items()]
+    report = _report("ratio", source, _digest(source), cfg, {"ratios": payloads})
+    return report, EXIT_OK
+
+
+def _ratio_lines(result: dict) -> list[str]:
+    lines = []
+    for payload in result["ratios"]:
+        rn, rd = payload["reduced"]
+        lines += [
+            f"[{payload['direction']}] ratio {payload['numerator']}/{payload['denominator']}"
+            f" = {rn}/{rd} = {payload['value']:.6f}",
+            f"[{payload['direction']}] stable subgroup sizes: "
+            + " ".join(str(s["size"]) for s in payload["stable_subgroups"]),
+        ]
+    return lines
 
 
 # ---------------------------------------------------------------------------
 # ideals
 
 
-def _cmd_ideals(args, cfg: RunConfig) -> tuple[dict, list[str], int]:
+def _cmd_ideals(args, cfg: RunConfig) -> tuple[dict, int]:
     A = _algebra_from_args(args)
     source = {"algebra": args.algebra, "p": A.p, "dim": A.dim, "side": args.side}
     if args.side == "left":
@@ -385,21 +379,20 @@ def _cmd_ideals(args, cfg: RunConfig) -> tuple[dict, list[str], int]:
         ideals = algebras.enumerate_right_ideals(A)
     by_pattern: dict[tuple[int, ...], list] = {}
     for S in ideals:
-        by_pattern.setdefault(S.pivot_columns(), []).append(
-            [list(row) for row in S.rows]
-        )
+        by_pattern.setdefault(S.pivot_columns(), []).append(S.rows)
     grouped = [
         {"pivot_cols": list(pat), "count": len(items), "bases": items}
         for pat, items in sorted(by_pattern.items())
     ]
     result = {"side": args.side, "count": len(ideals), "by_pivot_pattern": grouped}
-    lines = [f"{args.side} ideals: {len(ideals)}"]
-    for entry in grouped:
-        lines.append(
-            f"  pivots {entry['pivot_cols']}: {entry['count']}"
-        )
-    report = _report("ideals", source, _digest(source), cfg, result)
-    return report, lines, EXIT_OK
+    return _report("ideals", source, _digest(source), cfg, result), EXIT_OK
+
+
+def _ideals_lines(result: dict) -> list[str]:
+    return [f"{result['side']} ideals: {result['count']}"] + [
+        f"  pivots {entry['pivot_cols']}: {entry['count']}"
+        for entry in result["by_pivot_pattern"]
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -505,30 +498,24 @@ def _algebra_rows(p: int, cfg: RunConfig) -> list[dict]:
     return rows
 
 
-def _family_ratios(report: constructions.FormulaReport) -> str:
-    add_num, add_den = report.enumerated["ratio_add_galois"]
-    mult_num, mult_den = report.enumerated["ratio_mult_galois"]
-    return f"add-galois {add_num}/{add_den}, mult-galois {mult_num}/{mult_den}"
-
-
-def _dihedral_row(m: int, cfg: RunConfig) -> list[dict]:
-    spec = constructions.family_spec("generalized_dihedral", m, 2, m - 1)
-    report = constructions.family_formula_report(spec, cfg.order_cap)
-    if not report.verified:
-        return [_row(f"dihedral-{m}", False, "unverified: order cap exceeded")]
-    ok = report.all_match and bool(report.bound_ok)
-    return [_row(f"dihedral-{m}", ok, f"{_family_ratios(report)}, bound_ok={report.bound_ok}")]
-
-
-def _pq_row(p: int, q: int, b: int, cfg: RunConfig) -> list[dict]:
-    row_id = f"pq-{p}-{q}-{b}"
-    spec = constructions.family_spec("pq", p, q, b)
-    report = constructions.family_formula_report(spec, cfg.order_cap)
-    if not report.verified:
+def _family_example(row_id: str, spec_args: tuple, cfg: RunConfig) -> list[dict]:
+    """One family spec judged on the row that ``family`` prints for it: pq
+    rows on every additive subgroup being mult-stable, generalized dihedral
+    rows on the ratio bound.  A rejected spec raises, so that the example
+    loop records an error row under the builder id."""
+    constructions.family_spec(*spec_args)
+    row = _family_row(spec_args, cfg)
+    if row["predicted_match"] == "unverified":
         return [_row(row_id, False, "unverified: order cap exceeded")]
-    prop = report.enumerated["all_add_subgroups_mult_stable"]
-    detail = f"{_family_ratios(report)}, all_add_stable={prop}"
-    return [_row(row_id, report.all_match and prop, detail)]
+    if spec_args[0] == "pq":
+        name, ok = "all_add_stable", row["n_stable_dir1"] == row["n_sub_add"]
+    else:
+        name, ok = "bound_ok", row["bound_ok"]
+    detail = (
+        f"add-galois {row['ratio2_num']}/{row['ratio2_den']}, "
+        f"mult-galois {row['ratio1_num']}/{row['ratio1_den']}, {name}={ok}"
+    )
+    return [_row(row_id, row["predicted_match"] == "true" and ok, detail)]
 
 
 def _fuzz(z9z6: Z9Z6, cfg: RunConfig) -> list[dict]:
@@ -580,14 +567,17 @@ def _aut_counts(z9z6: Z9Z6, cfg: RunConfig) -> list[dict]:
 def _example_builders(
     p_list, dihedral_ms, pq_specs, z9z6: Z9Z6
 ) -> list[tuple[str, Callable[[RunConfig], list[dict]]]]:
+    family_specs = [
+        *((f"dihedral-{m}", ("generalized_dihedral", m, 2, m - 1)) for m in dihedral_ms),
+        *((f"pq-{p}-{q}-{b}", ("pq", p, q, b)) for p, q, b in pq_specs),
+    ]
     return [
         ("semidirect-9-6-2-counts", partial(_z9z6_counts, z9z6)),
         ("semidirect-9-6-2-ratios", partial(_z9z6_ratios, z9z6)),
         ("semidirect-9-6-2-shortcuts", partial(_z9z6_shortcuts, z9z6)),
         ("zappa-a5", _zappa_a5),
         *((f"algebra-p{p}", partial(_algebra_rows, p)) for p in p_list),
-        *((f"dihedral-{m}", partial(_dihedral_row, m)) for m in dihedral_ms),
-        *((f"pq-{p}-{q}-{b}", partial(_pq_row, p, q, b)) for p, q, b in pq_specs),
+        *((row_id, partial(_family_example, row_id, spec)) for row_id, spec in family_specs),
         ("fuzz", partial(_fuzz, z9z6)),
         ("stability-maps", partial(_stability_maps, z9z6)),
         ("aut-counts", partial(_aut_counts, z9z6)),
@@ -623,7 +613,7 @@ def _parse_grid(grid_args) -> tuple[list[int], list[tuple[int, int, int]]]:
     return dihedral_ms, pq_specs
 
 
-def _cmd_examples(args, cfg: RunConfig) -> tuple[dict, list[str], int]:
+def _cmd_examples(args, cfg: RunConfig) -> tuple[dict, int]:
     p_list = args.p or [3]
     dihedral_ms, pq_specs = _parse_grid(args.grid)
     if not dihedral_ms and not pq_specs and not args.grid:
@@ -638,19 +628,17 @@ def _cmd_examples(args, cfg: RunConfig) -> tuple[dict, list[str], int]:
         except (CapExceeded, ValidationFailure, ValueError) as exc:
             rows.append(_row(builder_id, False, f"error: {type(exc).__name__}: {exc}"))
     failed = [row for row in rows if not row["ok"]]
-    source = {
-        "p": list(p_list),
-        "dihedral": list(dihedral_ms),
-        "pq": [list(t) for t in pq_specs],
-    }
+    source = {"p": p_list, "dihedral": dihedral_ms, "pq": pq_specs}
     result = {"rows": rows, "passed": len(rows) - len(failed), "failed": len(failed)}
-    lines = [
-        ("PASS" if row["ok"] else "FAIL") + f"  {row['id']}: {row['detail']}"
-        for row in rows
-    ]
-    lines.append(f"{len(rows) - len(failed)}/{len(rows)} rows passed")
     report = _report("examples", source, _digest(source), cfg, result)
-    return report, lines, EXIT_OK if not failed else EXIT_INVALID
+    return report, EXIT_OK if not failed else EXIT_INVALID
+
+
+def _examples_lines(result: dict) -> list[str]:
+    return [
+        ("PASS" if row["ok"] else "FAIL") + f"  {row['id']}: {row['detail']}"
+        for row in result["rows"]
+    ] + [f"{result['passed']}/{len(result['rows'])} rows passed"]
 
 
 # ---------------------------------------------------------------------------
@@ -670,11 +658,7 @@ def _family_row(spec_args, cfg: RunConfig) -> dict:
     predicted = report.predicted
     # JSON output carries the full prediction detail; the CSV writer only
     # picks the fixed columns
-    row.update(
-        g=spec.g,
-        h=spec.h,
-        predicted={k: list(v) if isinstance(v, tuple) else v for k, v in predicted.items()},
-    )
+    row.update(g=spec.g, h=spec.h, predicted=predicted)
     if not report.verified:
         row.update(
             n_sub_add=predicted.get("subgroups_add", ""),
@@ -700,11 +684,11 @@ def _family_row(spec_args, cfg: RunConfig) -> dict:
     return row
 
 
-def _cmd_family(args, cfg: RunConfig) -> tuple[dict, list[str], int]:
+def _cmd_family(args, cfg: RunConfig) -> tuple[dict, int]:
     specs: list[tuple[str, int, int, int]] = []
     if args.batch:
         try:
-            text = open(args.batch, "r", encoding="utf-8").read()
+            text = Path(args.batch).read_text(encoding="utf-8")
         except OSError as exc:
             raise ParseError(str(exc)) from exc
         for lineno, line in enumerate(text.splitlines(), 1):
@@ -718,84 +702,77 @@ def _cmd_family(args, cfg: RunConfig) -> tuple[dict, list[str], int]:
             values = (_parse_int(v, k, position) for k, v in zip("mnb", parts[1:]))
             specs.append((parts[0], *values))
     elif args.family:
-        if args.m is None or args.n is None or args.b is None:
-            raise ParseError("--family requires --m, --n and --b")
-        specs.append((args.family, args.m, args.n, args.b))
-    source = {"specs": [list(s) for s in specs]}
-    rows = [_family_row(s, cfg) for s in specs]
-    result = {"columns": FAMILY_CSV_COLUMNS, "rows": rows}
-    if cfg.format == "csv":
-        lines = [",".join(FAMILY_CSV_COLUMNS)]
-        for row in rows:
-            lines.append(",".join(str(row[col]) for col in FAMILY_CSV_COLUMNS))
-    else:
-        lines = [
-            " ".join(f"{col}={row[col]}" for col in FAMILY_CSV_COLUMNS)
-            for row in rows
-        ] or ["no specs"]
-    report = _report("family", source, _digest(source), cfg, result)
-    return report, lines, EXIT_OK
+        specs.append(_family_args(args))
+    source = {"specs": specs}
+    result = {"columns": FAMILY_CSV_COLUMNS, "rows": [_family_row(s, cfg) for s in specs]}
+    return _report("family", source, _digest(source), cfg, result), EXIT_OK
+
+
+def _family_lines(result: dict) -> list[str]:
+    return [
+        " ".join(f"{col}={row[col]}" for col in result["columns"]) for row in result["rows"]
+    ] or ["no specs"]
+
+
+def _family_csv(result: dict) -> list[str]:
+    return [",".join(result["columns"])] + [
+        ",".join(str(row[col]) for col in result["columns"]) for row in result["rows"]
+    ]
 
 
 # ---------------------------------------------------------------------------
 # main
 
 
-def _add_common(parser: argparse.ArgumentParser, suppress: bool) -> None:
-    # the same options live on the main parser and on every subparser, so
-    # they may be given before or after the subcommand; the subparser copy
-    # suppresses defaults so it never clobbers a value parsed up front
-    kw = {"default": argparse.SUPPRESS} if suppress else {}
-    parser.add_argument(
-        "--format",
-        choices=["text", "json", "csv"],
-        **(kw or {"default": "text"}),
-    )
-    parser.add_argument("--order-cap", type=int, **(kw or {"default": None}))
-    parser.add_argument("--aut-cap", type=int, **(kw or {"default": None}))
-    parser.add_argument(
-        "--seed", type=int, help="seed for mutation fuzzing", **(kw or {"default": 0})
-    )
-
-
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    _add_common(common, suppress=True)
+    # the options of every command may come before or after the subcommand;
+    # none has a parser default, so the subcommand's copy never clobbers a
+    # value parsed up front, and the defaults live in RunConfig and main
+    common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    common.add_argument("--format", choices=["text", "json", "csv"])
+    common.add_argument("--order-cap", type=int)
+    common.add_argument("--aut-cap", type=int)
+    common.add_argument("--seed", type=int, help="seed for mutation fuzzing")
+    # the semidirect spec of ratio --family and family --family
+    spec = argparse.ArgumentParser(add_help=False)
+    for flag in ("--m", "--n", "--b"):
+        spec.add_argument(flag, type=int)
 
     parser = argparse.ArgumentParser(
         prog="skewbrace",
         description="finite skew braces: validation, stable subgroups, correspondence ratios",
+        parents=[common],
     )
-    _add_common(parser, suppress=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_verify = sub.add_parser(
         "verify", help="validate an algebra or brace file", parents=[common]
     )
     p_verify.add_argument("input")
+    p_verify.set_defaults(handler=_cmd_verify, renderers={"text": _verify_lines})
 
     p_ratio = sub.add_parser(
-        "ratio", help="correspondence ratio for one source", parents=[common]
+        "ratio", help="correspondence ratio for one source", parents=[common, spec]
     )
-    p_ratio.add_argument(
+    ratio_source = p_ratio.add_mutually_exclusive_group()
+    ratio_source.add_argument(
         "--family", choices=["semidirect", *constructions.FAMILIES]
     )
-    p_ratio.add_argument("--m", type=int)
-    p_ratio.add_argument("--n", type=int)
-    p_ratio.add_argument("--b", type=int)
-    p_ratio.add_argument("--algebra", help="'degraaf' or a path to an algebra file")
+    ratio_source.add_argument("--algebra", help="'degraaf' or a path to an algebra file")
+    ratio_source.add_argument("--zappa-szep", choices=["a5", "custom"])
     p_ratio.add_argument("--p", type=int)
     p_ratio.add_argument(
         "--direction", choices=["circ", "add", "mult", "both"], default="both"
     )
-    p_ratio.add_argument("--zappa-szep", choices=["a5", "custom"])
     p_ratio.add_argument("--left-gens", help="cycle notation, comma-separated")
     p_ratio.add_argument("--right-gens", help="cycle notation, comma-separated")
+    p_ratio.set_defaults(handler=_cmd_ratio, renderers={"text": _ratio_lines})
 
     p_ideals = sub.add_parser("ideals", help="left or right ideal census", parents=[common])
     p_ideals.add_argument("--algebra", required=True)
     p_ideals.add_argument("--p", type=int)
     p_ideals.add_argument("--side", choices=["left", "right"], required=True)
+    p_ideals.set_defaults(handler=_cmd_ideals, renderers={"text": _ideals_lines})
 
     p_examples = sub.add_parser(
         "examples", help="run the built-in example regression", parents=[common]
@@ -806,42 +783,36 @@ def _build_parser() -> argparse.ArgumentParser:
         action="append",
         help="extra family rows, e.g. dihedral=15,105 or pq=7:3:2",
     )
+    p_examples.set_defaults(handler=_cmd_examples, renderers={"text": _examples_lines})
 
-    p_family = sub.add_parser("family", help="closed-form family sweep", parents=[common])
-    p_family.add_argument("--family", choices=list(constructions.FAMILIES))
-    p_family.add_argument("--m", type=int)
-    p_family.add_argument("--n", type=int)
-    p_family.add_argument("--b", type=int)
-    p_family.add_argument("--batch", help="file with one 'family m n b' per line")
+    p_family = sub.add_parser(
+        "family", help="closed-form family sweep", parents=[common, spec]
+    )
+    family_source = p_family.add_mutually_exclusive_group()
+    family_source.add_argument("--family", choices=list(constructions.FAMILIES))
+    family_source.add_argument("--batch", help="file with one 'family m n b' per line")
+    p_family.set_defaults(
+        handler=_cmd_family, renderers={"text": _family_lines, "csv": _family_csv}
+    )
     return parser
 
 
 def _config_from_args(args) -> RunConfig:
     cfg = RunConfig()
+    given = vars(args)
     # a flag overrides the environment, which overrides the default
     for field, env in (("order_cap", "BRACE_ORDER_CAP"), ("aut_cap", "BRACE_AUT_CAP")):
         try:
             setattr(cfg, field, int(os.environ.get(env, getattr(cfg, field))))
         except ValueError as exc:
             raise ParseError(f"bad cap in environment: {exc}") from exc
-        if getattr(args, field) is not None:
-            setattr(cfg, field, getattr(args, field))
+        setattr(cfg, field, given.get(field, getattr(cfg, field)))
     if cfg.order_cap < 1 or cfg.aut_cap < 1:
         raise ParseError("caps must be positive")
-    cfg.format = args.format
-    cfg.seed = args.seed
-    if cfg.format == "csv" and args.command != "family":
+    cfg.seed = given.get("seed", cfg.seed)
+    if given.get("format") == "csv" and "csv" not in args.renderers:
         raise ParseError("csv format is only defined for the family command")
     return cfg
-
-
-_HANDLERS = {
-    "verify": _cmd_verify,
-    "ratio": _cmd_ratio,
-    "ideals": _cmd_ideals,
-    "examples": _cmd_examples,
-    "family": _cmd_family,
-}
 
 
 def main(argv=None) -> int:
@@ -850,14 +821,26 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     try:
         cfg = _config_from_args(args)
-        report, lines, code = _HANDLERS[args.command](args, cfg)
+        report, code = args.handler(args, cfg)
     except ValidationFailure as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except (ParseError, CapExceeded, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP if isinstance(exc, CapExceeded) else EXIT_CONFIG
-    _emit(report, cfg, lines)
+    output_format = vars(args).get("format", "text")
+    if output_format == "json":
+        lines = [json.dumps(report, sort_keys=True, indent=2)]
+    else:
+        lines = args.renderers[output_format](report["result"])
+    try:
+        sys.stdout.writelines(line + "\n" for line in lines)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone (``| head``); as the Python docs advise for
+        # SIGPIPE, point stdout at devnull so the flush at exit cannot fail too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     print(f"elapsed {time.perf_counter() - start:.3f}s", file=sys.stderr)
     return code
 

@@ -37,6 +37,7 @@ from .errors import (
     NotAssociative,
     NotClosed,
     OrderCapExceeded,
+    WrongParent,
 )
 
 DEFAULT_ORDER_CAP = 2000
@@ -497,6 +498,8 @@ def _perfect_subgroups(G: FiniteGroup) -> list[SubgroupSet]:
 def _conjugates_inside(G: FiniteGroup, conjugators, H: SubgroupSet) -> bool:
     """True iff g h g^-1 is in H for every conjugator g and every h among
     the generators of H (its elements when none are recorded)."""
+    if H.parent_order != G.order:
+        raise WrongParent(G.order, H.parent_order)
     g = np.asarray(conjugators, dtype=np.intp)
     h = np.asarray(H.gens or H.elements(), dtype=np.intp)
     gi = np.asarray(G.inv)[g]
@@ -634,6 +637,8 @@ def is_isomorphic(G: FiniteGroup, H: FiniteGroup, cap: int = DEFAULT_AUT_CAP) ->
 
 def subgroup_as_group(G: FiniteGroup, H: SubgroupSet) -> FiniteGroup:
     """The subgroup H as a standalone group, elements reindexed ascending."""
+    if H.parent_order != G.order:
+        raise WrongParent(G.order, H.parent_order)
     elems = np.array(H.elements())
     labels = tuple(G.label(x) for x in elems) if G.labels is not None else None
     # elems is ascending, so an element's new index is its rank in elems

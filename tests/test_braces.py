@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import skewbrace as sb
 from skewbrace.errors import (
@@ -367,6 +368,32 @@ def test_trivial_abelian_brace_has_ratio_one():
     b = _self_brace(z12)
     r = sb.gc_ratio(b)
     assert r.numerator == r.denominator == len(sb.enumerate_subgroups(z12))
+
+
+@given(semidirect_params(), st.integers(0, 2**32))
+@example((9, 6, 2), 0)
+@example((7, 3, 2), 0)
+@example((15, 2, 14), 0)
+@example((5, 4, 2), 0)
+def test_gc_ratio_commutes_with_relabelling(params, seed):
+    # metamorphic: relabelling both tables by one permutation that fixes the
+    # identity 0 keeps the ratio and carries each stable subgroup onto a
+    # stable subgroup of the relabelled brace, which catches index-order bugs
+    # that fixed examples cannot
+    for brace in sb.semidirect_biskew(*params):
+        rest = list(range(1, brace.order))
+        random.Random(seed).shuffle(rest)
+        perm = np.array([0, *rest])
+        tables = []
+        for table in (brace.star.table, brace.circ.table):
+            moved = np.empty_like(table)
+            moved[np.ix_(perm, perm)] = perm[table]
+            tables.append(moved)
+        before, after = sb.gc_ratio(brace), sb.gc_ratio(sb.validate_skew_brace(*tables))
+        assert (after.numerator, after.denominator) == (before.numerator, before.denominator)
+        assert {frozenset(perm[list(H.elements())].tolist()) for H in before.stable} == {
+            frozenset(H.elements()) for H in after.stable
+        }
 
 
 # ---------------------------------------------------------------------------

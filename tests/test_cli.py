@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import skewbrace
 from skewbrace import algebras, groups
 from skewbrace.cli import (
     EXIT_CAP,
@@ -16,6 +21,12 @@ from skewbrace.cli import (
     _algebra_rows,
     _build_parser,
     _cmd_family,
+    _examples_lines,
+    _family_csv,
+    _family_lines,
+    _ideals_lines,
+    _ratio_lines,
+    _verify_lines,
     main,
     parse_permutations,
 )
@@ -497,6 +508,78 @@ def test_csv_format_rejected_outside_family(capsys):
 
 # ---------------------------------------------------------------------------
 # reports and parsing
+
+
+@pytest.mark.parametrize(
+    "argv, fmt, render",
+    [
+        (["verify", "alg.json"], "text", _verify_lines),
+        (["verify", "brace.json"], "text", _verify_lines),
+        (["verify", "bad.json"], "text", _verify_lines),
+        (["ratio", "--family", "pq", "--m", "7", "--n", "3", "--b", "2"], "text", _ratio_lines),
+        (["ratio", "--algebra", "alg.json"], "text", _ratio_lines),
+        (["ratio", "--zappa-szep", "a5"], "text", _ratio_lines),
+        (["ideals", "--algebra", "alg.json", "--side", "right"], "text", _ideals_lines),
+        (["examples"], "text", _examples_lines),
+        (["examples", "--order-cap", "50", "--grid", "pq=9:3:2"], "text", _examples_lines),
+        (["family", "--batch", "specs.txt"], "text", _family_lines),
+        (["family", "--batch", "specs.txt"], "csv", _family_csv),
+        (["family", "--batch", "empty.txt"], "text", _family_lines),
+    ],
+    ids=[
+        "verify-algebra", "verify-brace", "verify-invalid", "ratio-family",
+        "ratio-algebra", "ratio-zappa-szep", "ideals", "examples", "examples-failing",
+        "family-text", "family-csv", "family-empty",
+    ],
+)
+def test_text_and_csv_are_rendered_from_the_json_result(
+    tmp_path, monkeypatch, capsys, argv, fmt, render
+):
+    z4 = [[(i + j) % 4 for j in range(4)] for i in range(4)]
+    bad = [row[:] for row in z4]
+    bad[1][2] = 0
+    (tmp_path / "alg.json").write_text(json.dumps(DEGRAAF3))
+    (tmp_path / "brace.json").write_text(json.dumps({"star": z4, "circ": z4}))
+    (tmp_path / "bad.json").write_text(json.dumps({"star": z4, "circ": bad}))
+    # a verified row, a rejected spec and one over the order cap
+    (tmp_path / "specs.txt").write_text("pq 7 3 2\npq 9 3 2\npq 1009 2 1008\n")
+    (tmp_path / "empty.txt").write_text("")
+    monkeypatch.chdir(tmp_path)
+    code, out = run(capsys, "--format", fmt, *argv)
+    json_code, report = run_json(capsys, *argv)
+    assert code == json_code
+    assert out == "".join(line + "\n" for line in render(report["result"]))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ratio", "--family", "semidirect", "--m", "9", "--n", "6", "--b", "2",
+         "--zappa-szep", "a5", "--direction", "mult"],
+        ["family", "--batch", "specs.txt", "--family", "pq", "--m", "7", "--n", "3", "--b", "2"],
+    ],
+    ids=["ratio", "family"],
+)
+def test_conflicting_sources_are_config_errors(capsys, tables_built, argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == EXIT_CONFIG
+    assert "not allowed with argument" in capsys.readouterr().err
+    assert tables_built == []
+
+
+def test_closed_stdout_exits_without_a_traceback():
+    env = {**os.environ, "PYTHONPATH": str(Path(skewbrace.__file__).resolve().parents[1])}
+    argv = [sys.executable, "-m", "skewbrace", "ideals", "--algebra", "degraaf", "--p", "3",
+            "--side", "left"]
+    with subprocess.Popen(
+        argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+    ) as proc:
+        # the reader goes away long before the child, still importing, writes
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+    assert proc.returncode == 1
+    assert "Traceback" not in err and "BrokenPipeError" not in err
 
 
 def test_json_report_round_trip(capsys):

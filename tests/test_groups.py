@@ -21,6 +21,7 @@ from skewbrace.errors import (
     NotClosed,
     OrderCapExceeded,
     ValidationFailure,
+    WrongParent,
 )
 from skewbrace.groups import _cycle_label, _element_orders, _perfect_subgroups
 
@@ -455,6 +456,20 @@ def test_is_normal_matches_conjugation_of_every_element(G, data):
     assert sb.is_normal(G, H) == normal
     # without recorded generators the check runs on every element
     assert sb.is_normal(G, sb.SubgroupSet(G.order, H.mask, H.size)) == normal
+
+
+@pytest.mark.parametrize(
+    "check, H",
+    [
+        (sb.is_normal, sb.SubgroupSet(2, 0b11, 2)),
+        (sb.subgroup_as_group, sb.SubgroupSet(8, 1, 1)),
+    ],
+    ids=["is_normal", "subgroup_as_group"],
+)
+def test_subgroup_of_another_order_is_wrong_parent(check, H):
+    with pytest.raises(WrongParent) as info:
+        check(sb.cyclic_group(4), H)
+    assert info.value.witness == (4, H.parent_order)
 
 
 def test_left_factor_normal_in_semidirect():

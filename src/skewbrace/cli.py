@@ -194,7 +194,7 @@ def _load_input_file(path: str) -> tuple[str, dict, bytes]:
     raise ParseError("expected a brace file (star/circ) or an algebra file (p/dim)", position=path)
 
 
-def parse_permutations(text: str, degree: int | None = None) -> list[tuple[int, ...]]:
+def parse_permutations(text: str) -> list[tuple[int, ...]]:
     """Parse comma-separated permutations in 1-indexed cycle notation.
 
     Example: "(1 2 3 4 5)" or "(1 2 3), (1 2)(3 4)".  Points are converted
@@ -204,7 +204,7 @@ def parse_permutations(text: str, degree: int | None = None) -> list[tuple[int, 
     if not perms_raw:
         raise ParseError("no permutations given")
     cycles_per_perm = []
-    maxpoint = degree or 0
+    degree = 1
     for chunk in perms_raw:
         if chunk == "()":
             cycles_per_perm.append([])
@@ -220,12 +220,11 @@ def parse_permutations(text: str, degree: int | None = None) -> list[tuple[int, 
             if not pts or min(pts) < 1 or len(set(pts)) != len(pts):
                 raise ParseError(f"bad cycle: ({part})")
             cycles.append(pts)
-            maxpoint = max(maxpoint, max(pts))
+            degree = max(degree, max(pts))
         cycles_per_perm.append(cycles)
-    d = max(maxpoint, 1)
     out = []
     for cycles in cycles_per_perm:
-        perm = list(range(d))
+        perm = list(range(degree))
         for pts in cycles:
             for a, bnext in zip(pts, pts[1:] + pts[:1]):
                 perm[a - 1] = bnext - 1
@@ -291,53 +290,72 @@ def _verify_lines(result: dict) -> list[str]:
 # ratio
 
 
-def _algebra_from_args(args) -> algebras.FpAlgebra:
+# the directions and the options each source takes and needs; any other is a
+# configuration error, raised before any table is built
+SOURCES = {
+    "--family": (("mult", "add"), ("m", "n", "b")),
+    "--algebra degraaf": (("circ", "add"), ("p",)),
+    "--algebra FILE": (("circ", "add"), ()),
+    "--zappa-szep a5": (("circ",), ()),
+    "--zappa-szep custom": (("circ",), ("left_gens", "right_gens")),
+    "--batch": ((), ()),
+}
+SOURCE_OPTIONS = ("m", "n", "b", "p", "left_gens", "right_gens")
+
+
+def _source_directions(args, source: str) -> tuple[str, ...]:
+    """The directions of ``source``, a key of SOURCES, that ``args`` asks
+    for: all of them for ``--direction both`` or a command without one."""
+    directions, options = SOURCES[source]
+    given = vars(args)
+    for option in SOURCE_OPTIONS:
+        if option not in options and given.get(option) is not None:
+            raise ParseError(f"{source} does not take --{option.replace('_', '-')}")
+    if any(given.get(option) is None for option in options):
+        *rest, last = (f"--{option.replace('_', '-')}" for option in options)
+        raise ParseError(f"{source} requires {', '.join(rest)}{' and ' if rest else ''}{last}")
+    direction = given.get("direction", "both")
+    if direction != "both" and direction not in directions:
+        raise ParseError(f"{source} takes --direction {'|'.join(directions)}|both, not {direction}")
+    return directions if direction == "both" else (direction,)
+
+
+def _algebra_from_args(args) -> tuple[algebras.FpAlgebra, tuple[str, ...]]:
+    """The algebra of ``--algebra`` and the directions asked of it."""
+    source = "--algebra degraaf" if args.algebra == "degraaf" else "--algebra FILE"
+    wanted = _source_directions(args, source)
     if args.algebra == "degraaf":
-        if args.p is None:
-            raise ParseError("--algebra degraaf requires --p")
-        return algebras.degraaf_algebra(args.p)
+        return algebras.degraaf_algebra(args.p), wanted
     kind, data, _ = _load_input_file(args.algebra)
     if kind != "algebra":
         raise ParseError(f"{args.algebra} is not an algebra file")
-    return _parse_algebra_json(data)
-
-
-def _family_args(args) -> tuple[str, int, int, int]:
-    if args.m is None or args.n is None or args.b is None:
-        raise ParseError("--family requires --m, --n and --b")
-    return args.family, args.m, args.n, args.b
+    return _parse_algebra_json(data), wanted
 
 
 def _cmd_ratio(args, cfg: RunConfig) -> tuple[dict, int]:
     if args.family is not None:
-        family, m, n, b = _family_args(args)
-        if args.direction == "circ":
-            raise ParseError("semidirect sources use --direction mult|add|both")
+        wanted = _source_directions(args, "--family")
+        family, m, n, b = args.family, args.m, args.n, args.b
         if family != "semidirect":
             constructions.family_spec(family, m, n, b)
         source = {"family": family, "m": m, "n": n, "b": b}
         add_galois, mult_galois = constructions.semidirect_biskew(m, n, b, cfg.order_cap)
         directions = {"mult": mult_galois, "add": add_galois}
-        wanted = ["mult", "add"] if args.direction == "both" else [args.direction]
         chosen = {name: directions[name] for name in wanted}
     elif args.algebra is not None:
-        if args.direction == "mult":
-            raise ParseError("algebra sources use --direction circ|add|both")
-        A = _algebra_from_args(args)
+        A, wanted = _algebra_from_args(args)
         source = {"algebra": args.algebra, "p": A.p, "dim": A.dim}
         makers = {
             "circ": algebras.brace_from_radical,
             "add": algebras.brace_from_radical_flipped,
         }
-        wanted = ["circ", "add"] if args.direction == "both" else [args.direction]
         chosen = {name: makers[name](A, cfg.order_cap) for name in wanted}
     elif args.zappa_szep is not None:
+        _source_directions(args, f"--zappa-szep {args.zappa_szep}")
         if args.zappa_szep == "a5":
             fact = constructions.a5_factorization(cfg.order_cap)
             source = {"zappa_szep": "a5"}
         else:
-            if not args.left_gens or not args.right_gens:
-                raise ParseError("--zappa-szep custom requires --left-gens and --right-gens")
             left = parse_permutations(args.left_gens)
             right = parse_permutations(args.right_gens)
             # points past a generator's largest are fixed: pad to the common degree
@@ -371,7 +389,7 @@ def _ratio_lines(result: dict) -> list[str]:
 
 
 def _cmd_ideals(args, cfg: RunConfig) -> tuple[dict, int]:
-    A = _algebra_from_args(args)
+    A, _ = _algebra_from_args(args)
     source = {"algebra": args.algebra, "p": A.p, "dim": A.dim, "side": args.side}
     if args.side == "left":
         ideals = algebras.enumerate_left_ideals(A)
@@ -687,6 +705,7 @@ def _family_row(spec_args, cfg: RunConfig) -> dict:
 def _cmd_family(args, cfg: RunConfig) -> tuple[dict, int]:
     specs: list[tuple[str, int, int, int]] = []
     if args.batch:
+        _source_directions(args, "--batch")
         try:
             text = Path(args.batch).read_text(encoding="utf-8")
         except OSError as exc:
@@ -702,7 +721,8 @@ def _cmd_family(args, cfg: RunConfig) -> tuple[dict, int]:
             values = (_parse_int(v, k, position) for k, v in zip("mnb", parts[1:]))
             specs.append((parts[0], *values))
     elif args.family:
-        specs.append(_family_args(args))
+        _source_directions(args, "--family")
+        specs.append((args.family, args.m, args.n, args.b))
     source = {"specs": specs}
     result = {"columns": FAMILY_CSV_COLUMNS, "rows": [_family_row(s, cfg) for s in specs]}
     return _report("family", source, _digest(source), cfg, result), EXIT_OK

@@ -120,6 +120,16 @@ def brace_law_violations(star: sb.FiniteGroup, circ: sb.FiniteGroup) -> list[tup
     return out
 
 
+def scalar_multiply(A: sb.FpAlgebra, x, y) -> tuple[int, ...]:
+    """The product sum x_i y_j e_i e_j, one structure constant at a time."""
+    sc, out = A.sc.tolist(), [0] * A.dim
+    for i in range(A.dim):
+        for j in range(A.dim):
+            for l in range(A.dim):
+                out[l] += x[i] * y[j] * sc[i][j][l]
+    return tuple(v % A.p for v in out)
+
+
 def permutation_closure(gens) -> tuple[list[tuple[int, ...]], list[list[int]]]:
     """Elements and table of the group the permutations generate, by
     breadth-first search from the identity and one tuple composition

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+from collections import Counter
 from itertools import product
 
 import numpy as np
@@ -20,7 +21,7 @@ from skewbrace.errors import (
     OrderCapExceeded,
 )
 
-from conftest import heisenberg_algebra, transported_algebra, truncated_poly_algebra
+from conftest import heisenberg_algebra, scalar_multiply, transported_algebra, truncated_poly_algebra
 
 
 def zero_algebra(p, dim):
@@ -111,6 +112,16 @@ def test_point_budget_checked_before_primality_and_before_p_to_the_dim(monkeypat
 
 def test_largest_algebra_within_point_budget_is_accepted():
     assert zero_algebra(3, 10).dim == 10  # 3^10 = 59049 points
+
+
+def test_structure_constants_are_one_read_only_array(degraaf3):
+    assert degraaf3.sc.dtype == np.int64 and degraaf3.sc.shape == (4, 4, 4)
+    with pytest.raises(ValueError):
+        degraaf3.sc[0, 0, 0] = 1
+    again = sb.degraaf_algebra(3)
+    assert again == degraaf3 and hash(again) == hash(degraaf3)
+    assert transported_algebra(degraaf3, 1) != degraaf3
+    assert sb.make_algebra(3, 4, degraaf3.sc) != degraaf3  # no labels
 
 
 # ---------------------------------------------------------------------------
@@ -286,6 +297,31 @@ def test_subspace_count_closed_form_dim4(p):
     assert len(sb.enumerate_subspaces(p, 4)) == p**4 + 3 * p**3 + 4 * p**2 + 3 * p + 5
 
 
+@pytest.mark.parametrize(
+    "p, dim, count", [(2, 10, 229_755_605), (2, 8, 417_199)], ids=["F2^10", "F2^8"]
+)
+def test_subspace_count_over_the_budget_is_named_before_any_subspace(monkeypatch, p, dim, count):
+    def no_listing(*args):
+        raise AssertionError("a subspace was generated")
+
+    monkeypatch.setattr(algebras, "_echelon_bases", no_listing)
+    A = zero_algebra(p, dim)
+    message = f"subspace count {count} exceeds the enumeration budget 100000"
+    for enumerate_ in (sb.enumerate_left_ideals, sb.enumerate_right_ideals):
+        with pytest.raises(BudgetExceeded, match=message):
+            enumerate_(A)
+    with pytest.raises(BudgetExceeded, match=message):
+        sb.enumerate_subspaces(p, dim)
+
+
+def test_subspace_budget_admits_a_count_equal_to_it(monkeypatch, degraaf3):
+    monkeypatch.setattr(algebras, "DEFAULT_POINT_BUDGET", 212)  # F_3^4 has 212
+    assert len(sb.enumerate_subspaces(3, 4)) == 212
+    monkeypatch.setattr(algebras, "DEFAULT_POINT_BUDGET", 211)
+    with pytest.raises(BudgetExceeded, match="subspace count 212 exceeds the enumeration budget 211"):
+        sb.enumerate_left_ideals(degraaf3)
+
+
 def test_subspaces_are_unique_representatives():
     seen = set()
     for S in sb.enumerate_subspaces(3, 3):
@@ -375,3 +411,68 @@ def test_transported_algebras_keep_their_structure():
 def test_vector_index_round_trip(degraaf3):
     for vec in product(range(3), repeat=4):
         assert sb.index_vector(degraaf3, sb.vector_index(degraaf3, vec)) == vec
+
+
+# ---------------------------------------------------------------------------
+# the array path against plain oracles, on known algebras written in random
+# bases
+
+BASE_ALGEBRAS = {
+    "heisenberg-3": heisenberg_algebra(3),
+    "truncated-3-4": truncated_poly_algebra(3, 4),
+    "degraaf-3": sb.degraaf_algebra(3),
+}
+
+
+@st.composite
+def transports(draw):
+    """(base, transported): a known algebra and the same one in a random basis."""
+    base = BASE_ALGEBRAS[draw(st.sampled_from(sorted(BASE_ALGEBRAS)))]
+    return base, transported_algebra(base, draw(st.integers(0, 2**32)))
+
+
+@given(transports(), st.data())
+def test_multiply_matches_the_scalar_oracle(pair, data):
+    _, A = pair
+    vectors = st.tuples(*[st.integers(0, A.p - 1)] * A.dim)
+    x, y = data.draw(vectors), data.draw(vectors)
+    assert sb.multiply(A, x, y) == scalar_multiply(A, x, y)
+
+
+@given(transports())
+def test_ideal_censuses_match_the_definition(pair):
+    # S is a left ideal when e_i v lies in S for every basis vector e_i and
+    # every v in S, a right ideal when v e_i does
+    _, A = pair
+    units = [tuple(int(i == k) for k in range(A.dim)) for i in range(A.dim)]
+    points = list(product(range(A.p), repeat=A.dim))
+    left = {v: [scalar_multiply(A, u, v) for u in units] for v in points}
+    right = {v: [scalar_multiply(A, v, u) for u in units] for v in points}
+    subspaces = sb.enumerate_subspaces(A.p, A.dim)
+    for census, products in ((sb.enumerate_left_ideals, left), (sb.enumerate_right_ideals, right)):
+        ideals = []
+        for S in subspaces:
+            span = set(S.span())
+            if all(w in span for v in span for w in products[v]):
+                ideals.append(S)
+        assert census(A) == ideals
+
+
+@given(transports())
+def test_nilpotency_index_matches_the_power_chain(pair):
+    # every e-fold product is a sum of e-fold products of basis vectors, and
+    # by associativity each of those is an (e-1)-fold one times a basis vector
+    _, A = pair
+    units = [tuple(int(i == k) for k in range(A.dim)) for i in range(A.dim)]
+    words, e = set(units), 1
+    while words:
+        words = {w for w in (scalar_multiply(A, x, u) for x in words for u in units) if any(w)}
+        e += 1
+    assert A.nilpotency_index == e
+
+
+@given(transports())
+def test_basis_change_keeps_the_ideal_counts_of_each_rank(pair):
+    base, A = pair
+    for census in (sb.enumerate_left_ideals, sb.enumerate_right_ideals):
+        assert Counter(S.rank for S in census(A)) == Counter(S.rank for S in census(base))

@@ -17,7 +17,13 @@ from skewbrace.errors import (
     ValidationFailure,
 )
 
-from conftest import brace_law_violations, semidirect_params, truncated_poly_algebra
+from conftest import (
+    brace_law_violations,
+    heisenberg_algebra,
+    semidirect_params,
+    transported_algebra,
+    truncated_poly_algebra,
+)
 
 
 def _self_brace(G: sb.FiniteGroup) -> sb.SkewBrace:
@@ -370,17 +376,38 @@ def test_trivial_abelian_brace_has_ratio_one():
     assert r.numerator == r.denominator == len(sb.enumerate_subgroups(z12))
 
 
+def _radical_braces(A: sb.FpAlgebra) -> tuple[sb.SkewBrace, ...]:
+    flipped = (sb.brace_from_radical_flipped(A),) if A.nilpotency_index <= 3 else ()
+    return (sb.brace_from_radical(A), *flipped)
+
+
+# braces of the other two constructions, named by the explicit examples below:
+# radical braces of algebras written in a random basis, and the A5 brace
+OTHER_BRACES = {
+    "heisenberg-3": lambda: _radical_braces(transported_algebra(heisenberg_algebra(3), 1)),
+    "truncated-3-4": lambda: _radical_braces(transported_algebra(truncated_poly_algebra(3, 4), 2)),
+    "degraaf-3": lambda: _radical_braces(transported_algebra(sb.degraaf_algebra(3), 3)),
+    "zappa-szep-a5": lambda: (sb.zappa_szep_brace(sb.a5_factorization()),),
+}
+
+
 @given(semidirect_params(), st.integers(0, 2**32))
 @example((9, 6, 2), 0)
 @example((7, 3, 2), 0)
 @example((15, 2, 14), 0)
 @example((5, 4, 2), 0)
+@example("heisenberg-3", 4)
+@example("truncated-3-4", 5)
+@example("degraaf-3", 6)
+@example("zappa-szep-a5", 7)
 def test_gc_ratio_commutes_with_relabelling(params, seed):
     # metamorphic: relabelling both tables by one permutation that fixes the
     # identity 0 keeps the ratio and carries each stable subgroup onto a
     # stable subgroup of the relabelled brace, which catches index-order bugs
-    # that fixed examples cannot
-    for brace in sb.semidirect_biskew(*params):
+    # that fixed examples cannot; ``params`` is a semidirect (m, n, b) or a
+    # key of OTHER_BRACES
+    under_test = OTHER_BRACES[params]() if isinstance(params, str) else sb.semidirect_biskew(*params)
+    for brace in under_test:
         rest = list(range(1, brace.order))
         random.Random(seed).shuffle(rest)
         perm = np.array([0, *rest])

@@ -335,6 +335,42 @@ def test_ratio_wrong_direction_rejected_before_building(capsys, tables_built, so
     assert tables_built == []
 
 
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["ratio", "--zappa-szep", "a5", "--direction", "add"], "takes --direction circ|both, not add"),
+        (["ratio", "--zappa-szep", "a5", "--direction", "mult"], "takes --direction circ|both, not mult"),
+        (["ratio", "--zappa-szep", "a5", "--left-gens", "(1 2)"], "--zappa-szep a5 does not take --left-gens"),
+        (
+            ["ratio", "--algebra", "degraaf", "--p", "3", "--direction", "circ",
+             "--m", "9", "--left-gens", "(1 2)"],
+            "--algebra degraaf does not take --m",
+        ),
+        (["ratio", "--algebra", "alg.json", "--p", "7"], "--algebra FILE does not take --p"),
+        (["ideals", "--algebra", "alg.json", "--p", "7", "--side", "left"], "--algebra FILE does not take --p"),
+        (
+            ["ratio", "--family", "semidirect", "--m", "9", "--n", "6", "--b", "2", "--p", "3"],
+            "--family does not take --p",
+        ),
+        (["family", "--batch", "specs.txt", "--m", "11", "--n", "5", "--b", "3"], "--batch does not take --m"),
+        (["ratio", "--zappa-szep", "custom", "--left-gens", "(1 2 3 4 5)"], "requires --left-gens and --right-gens"),
+    ],
+    ids=[
+        "zappa-szep-add", "zappa-szep-mult", "a5-gens", "degraaf-spec-and-gens", "file-p",
+        "ideals-file-p", "family-p", "batch-spec", "custom-without-right-gens",
+    ],
+)
+def test_direction_or_option_of_another_source_is_config_error_before_building(
+    tmp_path, monkeypatch, capsys, tables_built, argv, named
+):
+    monkeypatch.chdir(tmp_path)
+    Path("alg.json").write_text(json.dumps(DEGRAAF3))
+    Path("specs.txt").write_text("pq 7 3 2\n")
+    assert main(argv) == EXIT_CONFIG
+    assert named in capsys.readouterr().err
+    assert tables_built == []
+
+
 # ---------------------------------------------------------------------------
 # ideals
 
@@ -350,6 +386,15 @@ def test_ideals_left_and_right(capsys):
     )
     assert code == EXIT_OK
     assert report["result"]["count"] == 32
+
+
+def test_ideals_over_the_subspace_budget_is_cap_error(tmp_path, capsys):
+    # F_2^10 has 1,024 points, inside every cap, but 229,755,605 subspaces
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps({"p": 2, "dim": 10, "products": []}))
+    code = main(["ideals", "--algebra", str(path), "--side", "left"])
+    assert code == EXIT_CAP
+    assert "subspace count 229755605 exceeds the enumeration budget 100000" in capsys.readouterr().err
 
 
 def test_ideals_zero_algebra_file(tmp_path, capsys):
@@ -595,8 +640,8 @@ def test_json_report_round_trip(capsys):
 def test_parse_permutations():
     perms = parse_permutations("(1 2 3 4 5)")
     assert perms == [(1, 2, 3, 4, 0)]
-    perms = parse_permutations("(1 2 3), (1 2)(3 4)", degree=5)
-    assert perms == [(1, 2, 0, 3, 4), (1, 0, 3, 2, 4)]
+    perms = parse_permutations("(1 2 3), (1 2)(3 4)")
+    assert perms == [(1, 2, 0, 3), (1, 0, 3, 2)]
 
 
 def test_parse_permutations_rejects_garbage():

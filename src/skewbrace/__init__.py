@@ -73,7 +73,6 @@ from .groups import (
     is_isomorphic,
     is_normal,
     semidirect_product_cyclic,
-    small_generating_set,
     subgroup_as_group,
 )
 

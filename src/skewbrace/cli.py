@@ -130,9 +130,7 @@ def _json_list(value, where: str) -> list:
 
 
 def _parse_algebra_json(data: dict) -> algebras.FpAlgebra:
-    for key in ("p", "dim"):
-        if key not in data:
-            raise ParseError(f"algebra file is missing the key {key!r}")
+    # _load_input_file calls a file an algebra only when it has p and dim
     p = _json_int(data["p"], "p")
     dim = _json_int(data["dim"], "dim")
     algebras.check_point_budget(p, dim)
@@ -211,7 +209,7 @@ def parse_permutations(text: str) -> list[tuple[int, ...]]:
             continue
         if not chunk.startswith("(") or not chunk.endswith(")"):
             raise ParseError(f"bad cycle notation: {chunk!r}")
-        cycles = []
+        cycles, used = [], set()
         for part in chunk[1:-1].split(")("):
             try:
                 pts = [int(tok) for tok in part.split()]
@@ -219,6 +217,10 @@ def parse_permutations(text: str) -> list[tuple[int, ...]]:
                 raise ParseError(f"bad cycle notation: {chunk!r}") from exc
             if not pts or min(pts) < 1 or len(set(pts)) != len(pts):
                 raise ParseError(f"bad cycle: ({part})")
+            twice = used.intersection(pts)
+            if twice:
+                raise ParseError(f"point {min(twice)} is in two cycles of {chunk!r}")
+            used.update(pts)
             cycles.append(pts)
             degree = max(degree, max(pts))
         cycles_per_perm.append(cycles)
@@ -723,6 +725,10 @@ def _cmd_family(args, cfg: RunConfig) -> tuple[dict, int]:
     elif args.family:
         _source_directions(args, "--family")
         specs.append((args.family, args.m, args.n, args.b))
+    else:
+        for option in ("m", "n", "b"):
+            if getattr(args, option) is not None:
+                raise ParseError(f"--{option} needs --family")
     source = {"specs": specs}
     result = {"columns": FAMILY_CSV_COLUMNS, "rows": [_family_row(s, cfg) for s in specs]}
     return _report("family", source, _digest(source), cfg, result), EXIT_OK

@@ -35,8 +35,6 @@ from .groups import (
     _conjugates_inside,
     build_from_table,
     closure_from_permutations,
-    cyclic_group,
-    direct_product,
     enumerate_subgroups,
     generated_subgroup,
     semidirect_product_cyclic,
@@ -142,10 +140,11 @@ def semidirect_biskew(
 
     First brace: star is the semidirect table, circ is componentwise
     addition on the same pair indexing.  Second brace: roles swapped.
-    Both validate, which is exactly the bi-skew property.
+    Both validate, which is exactly the bi-skew property.  Z_m x Z_n is
+    the semidirect product with the trivial action.
     """
     mult = semidirect_product_cyclic(m, n, b, cap)
-    addg = direct_product(cyclic_group(m, cap), cyclic_group(n, cap), cap)
+    addg = semidirect_product_cyclic(m, n, 1, cap)
     first = _assemble_brace(mult, addg, "semidirect")
     second = _assemble_brace(addg, mult, "semidirect")
     return first, second

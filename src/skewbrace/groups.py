@@ -3,11 +3,12 @@
 Groups live on element indices 0..n-1.  Every table, from a constructor or
 from outside, goes through the one validation path of ``build_from_table``:
 closure, identity and inverses checked with vectorized operations, and
-associativity by Light's test on a magma-generating set.  A group keeps its
-table as one read-only small-int array and nothing else.  Predicates such as
-normality and element orders run on that array, and so does the subgroup
-lattice; the isomorphism search, which walks the table one entry at a time,
-takes one list view of it per search.
+associativity by Light's test on a magma-generating set, which the group
+keeps as ``gens`` for every later check on generators.  Its table is one
+read-only small-int array.  Predicates such as normality and element orders
+run on that array, and so does the subgroup lattice; the isomorphism search,
+which walks the table one entry at a time, takes one list view of it per
+search.
 
 The lattice is built by cyclic extension (Neubüser 1960, the method of GAP's
 ``LatticeByCyclicExtension``): starting from the trivial group and the
@@ -46,20 +47,27 @@ DEFAULT_AUT_CAP = 200
 # (29,212 subgroups) still completes, in about 5 s on a 2-core machine, and
 # Z_3^6 (56,632) stops about 2 s in
 LATTICE_BUDGET = 30_000
+# more search nodes (_extend_hom calls) than this stop an isomorphism search
+# with BudgetExceeded: Z_3^3 (11,232 automorphisms, 16,927 nodes) completes,
+# and on a 2-core machine Z_2^5 stops after 0.5 s and the order-200
+# Z_5^2 x Z_2^3 after 4.6 s
+AUT_SEARCH_BUDGET = 20_000
 
 
 @dataclass(frozen=True, eq=False)
 class FiniteGroup:
     """A finite group given by its full n-by-n operation table.
 
-    ``table`` is the read-only array of the table.  Two groups are equal
-    when their tables and labels are.
+    ``table`` is the read-only array of the table and ``gens`` the
+    generators that validation found.  Two groups are equal when their
+    tables and labels are.
     """
 
     order: int
     table: np.ndarray = field(repr=False)
     identity: int
     inv: tuple[int, ...]
+    gens: tuple[int, ...]
     labels: tuple[str, ...] | None = None
 
     def __eq__(self, other) -> bool:
@@ -79,9 +87,9 @@ class FiniteGroup:
 class SubgroupSet:
     """A subgroup stored as a membership bitmask over the parent's elements.
 
-    ``gens`` is a known generating set when the subgroup came out of an
-    enumeration or closure; the empty tuple is only meaningful for the
-    trivial subgroup.
+    ``gens`` is a generating set recorded by an enumeration or closure; it
+    is read only by the enumeration that recorded it, since a caller may
+    record any tuple on an H of its own.
     """
 
     parent_order: int
@@ -161,24 +169,25 @@ def _mask(members: np.ndarray) -> int:
     return int.from_bytes(np.packbits(members, bitorder="little").tobytes(), "little")
 
 
-def _magma_generators(arr: np.ndarray, identity: int) -> list[int]:
+def _magma_generators(arr: np.ndarray, identity: int) -> tuple[int, ...]:
     """Greedy generators of the table as a magma, the identity given: each
     pick is the least element not yet reached by right multiplication."""
     gens: list[int] = []
     seen = _right_closure(arr, [identity], gens)
     while not seen.all():
         gens.append(int(np.argmin(seen)))
-        seen = _right_closure(arr, [identity, *gens], gens)
-    return gens
+        # the closure goes on from what the earlier generators reached
+        seen = _right_closure(arr, np.append(np.flatnonzero(seen), gens[-1]), gens)
+    return tuple(gens)
 
 
-def _assoc_witness(arr: np.ndarray, identity: int) -> tuple[int, int, int] | None:
+def _assoc_witness(arr: np.ndarray, gens) -> tuple[int, int, int] | None:
     """First (x,g,y) with (x g) y != x (g y), g running over magma generators.
 
     Light's test: the middle elements g that associate with every x and y
     form a submagma, so checking generators covers the whole table.
     """
-    for g in _magma_generators(arr, identity):
+    for g in gens:
         lhs = arr[arr[:, g]]  # lhs[x, y] = op[op[x][g]][y]
         rhs = arr[:, arr[g]]  # rhs[x, y] = op[x][op[g][y]]
         if not np.array_equal(lhs, rhs):
@@ -205,7 +214,8 @@ def build_from_table(op_table, labels=None) -> FiniteGroup:
     has_inverse = two_sided.any(axis=1)
     if not has_inverse.all():
         raise NoInverse(int(np.argmin(has_inverse)))
-    witness = _assoc_witness(arr, identity)
+    gens = _magma_generators(arr, identity)
+    witness = _assoc_witness(arr, gens)
     if witness is not None:
         raise NotAssociative(witness)
     if labels is not None:
@@ -213,7 +223,7 @@ def build_from_table(op_table, labels=None) -> FiniteGroup:
         if len(labels) != n:
             raise ValueError(f"got {len(labels)} labels for {n} elements")
     inv = tuple(np.argmax(two_sided, axis=1).tolist())
-    return FiniteGroup(n, arr, identity, inv, labels)
+    return FiniteGroup(n, arr, identity, inv, gens, labels)
 
 
 def cyclic_group(k: int, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
@@ -248,7 +258,8 @@ def semidirect_product_cyclic(
     if m < 1 or n < 1:
         raise ValueError("factors must have positive order")
     b %= m
-    if math.gcd(b, m) != 1 or pow(b, n, m) != 1:
+    # 1 % m, not 1: modulo m = 1 every residue is 0
+    if math.gcd(b, m) != 1 or pow(b, n, m) != 1 % m:
         raise InvalidAction(f"b={b} must be a unit modulo {m} with b^{n} = 1 (mod {m})")
     if m * n > cap:
         raise OrderCapExceeded(m * n, cap)
@@ -442,7 +453,7 @@ def _perfect_residuum(G: FiniteGroup) -> np.ndarray:
     """Elements of the last term G^inf of the derived series, ascending."""
     T, e = G.table, G.identity
     inv = np.asarray(G.inv)
-    elems, gens = np.arange(G.order), small_generating_set(G)
+    elems, gens = np.arange(G.order), G.gens
     while True:
         derived, comms = _derived(T, e, inv, elems, gens)
         if len(derived) == len(elems):
@@ -496,20 +507,21 @@ def _perfect_subgroups(G: FiniteGroup) -> list[SubgroupSet]:
 
 
 def _conjugates_inside(G: FiniteGroup, conjugators, H: SubgroupSet) -> bool:
-    """True iff g h g^-1 is in H for every conjugator g and every h among
-    the generators of H (its elements when none are recorded)."""
+    """True iff g h g^-1 is in H for every conjugator g and every h in H
+    (its membership: recorded generators are read by their enumeration only)."""
     if H.parent_order != G.order:
         raise WrongParent(G.order, H.parent_order)
     g = np.asarray(conjugators, dtype=np.intp)
-    h = np.asarray(H.gens or H.elements(), dtype=np.intp)
+    h = np.asarray(H.elements(), dtype=np.intp)
     gi = np.asarray(G.inv)[g]
     T = G.table
     return bool(H.members[T[T[np.ix_(g, h)], gi[:, None]]].all())
 
 
 def is_normal(G: FiniteGroup, H: SubgroupSet) -> bool:
-    """True iff gHg^-1 = H for every g (conjugation checked on generators)."""
-    return _conjugates_inside(G, range(G.order), H)
+    """True iff gHg^-1 = H for every g.  Conjugation is checked for g in
+    G.gens: the g with gHg^-1 inside H are closed under products."""
+    return _conjugates_inside(G, G.gens, H)
 
 
 def element_order(G: FiniteGroup, x: int) -> int:
@@ -521,12 +533,13 @@ def element_order(G: FiniteGroup, x: int) -> int:
 
 def is_automorphism(G: FiniteGroup, perm) -> bool:
     """True iff ``perm`` (the images of 0..n-1) is a bijection that respects
-    the operation table of G."""
+    the operation table of G: phi(x g) = phi(x) phi(g) for every x and every
+    g in G.gens, since the g for which that holds are closed under products."""
     if sorted(perm) != list(range(G.order)):
         return False
     phi = np.asarray(perm, dtype=np.int64)
-    op = G.table
-    return bool(np.array_equal(phi[op], op[phi[:, None], phi[None, :]]))
+    op, gens = G.table, list(G.gens)
+    return bool(np.array_equal(phi[op[:, gens]], op[phi[:, None], phi[gens]]))
 
 
 def _element_orders(G: FiniteGroup) -> list[int]:
@@ -540,17 +553,6 @@ def _element_orders(G: FiniteGroup) -> list[int]:
         orders += pending
         pending &= power != G.identity
     return orders.tolist()
-
-
-def small_generating_set(G: FiniteGroup, orders=None) -> tuple[int, ...]:
-    """Short generating sequence, greedily picking highest-order elements."""
-    orders = orders if orders is not None else _element_orders(G)
-    gens: list[int] = []
-    members = _right_closure(G.table, [G.identity], gens)
-    while not members.all():
-        gens.append(max(np.flatnonzero(~members).tolist(), key=lambda x: (orders[x], -x)))
-        members = _right_closure(G.table, [G.identity], gens)
-    return tuple(gens)
 
 
 def _extend_hom(Gop, Hop, ge: int, he: int, gens, imgs):
@@ -589,20 +591,25 @@ def _extend_hom(Gop, Hop, ge: int, he: int, gens, imgs):
 def _isomorphisms(G: FiniteGroup, H: FiniteGroup, orders_g, orders_h):
     """Every isomorphism from G onto H of equal order, as a list of images.
 
-    Backtracks over images of a small generating sequence of G; a generator
-    may only map to an element of equal order, and partial assignments are
-    pruned through _extend_hom.
+    Backtracks over images of G.gens; a generator may only map to an element
+    of equal order, and partial assignments are pruned through _extend_hom.
+    More than AUT_SEARCH_BUDGET calls of _extend_hom raise BudgetExceeded.
     """
-    gens = small_generating_set(G, orders_g)
-    candidates = [[x for x in range(H.order) if orders_h[x] == orders_g[g]] for g in gens]
+    candidates = [[x for x in range(H.order) if orders_h[x] == orders_g[g]] for g in G.gens]
     Gop, Hop = G.table.tolist(), H.table.tolist()
+    nodes = 0
 
     def extend(chosen: list[int]):
+        nonlocal nodes
+        nodes += 1
+        if nodes > AUT_SEARCH_BUDGET:
+            what = "automorphism search node count of at least"
+            raise BudgetExceeded(nodes, AUT_SEARCH_BUDGET, what)
         k = len(chosen)
-        img = _extend_hom(Gop, Hop, G.identity, H.identity, gens[:k], chosen)
+        img = _extend_hom(Gop, Hop, G.identity, H.identity, G.gens[:k], chosen)
         if img is None:
             return
-        if k == len(gens):
+        if k == len(G.gens):
             yield img
             return
         for c in candidates[k]:
@@ -612,7 +619,8 @@ def _isomorphisms(G: FiniteGroup, H: FiniteGroup, orders_g, orders_h):
 
 
 def automorphism_group(G: FiniteGroup, cap: int = DEFAULT_AUT_CAP) -> list[tuple[int, ...]]:
-    """All automorphisms as element permutations, sorted lexicographically."""
+    """All automorphisms as element permutations, sorted lexicographically.
+    A search of more than AUT_SEARCH_BUDGET nodes raises BudgetExceeded."""
     if G.order > cap:
         raise OrderCapExceeded(G.order, cap)
     orders = _element_orders(G)
@@ -622,7 +630,8 @@ def automorphism_group(G: FiniteGroup, cap: int = DEFAULT_AUT_CAP) -> list[tuple
 def is_isomorphic(G: FiniteGroup, H: FiniteGroup, cap: int = DEFAULT_AUT_CAP) -> bool:
     """Generator-image backtracking search for an isomorphism.
 
-    Order histograms act as a fast negative filter before any search.
+    Order histograms act as a fast negative filter before any search; a
+    search of more than AUT_SEARCH_BUDGET nodes raises BudgetExceeded.
     """
     if max(G.order, H.order) > cap:
         raise OrderCapExceeded(max(G.order, H.order), cap)

@@ -106,6 +106,28 @@ def brute_force_automorphisms(G: sb.FiniteGroup) -> set[tuple[int, ...]]:
     return out
 
 
+def respects_table(G: sb.FiniteGroup, perm) -> bool:
+    """True iff ``perm`` is a bijection with perm[a b] = perm[a] perm[b] for
+    all n^2 pairs (a, b)."""
+    n, op = G.order, G.table.tolist()
+    if sorted(perm) != list(range(n)):
+        return False
+    return all(perm[op[a][b]] == op[perm[a]][perm[b]] for a in range(n) for b in range(n))
+
+
+def right_closure(G: sb.FiniteGroup, gens) -> set[int]:
+    """Everything reached from the identity by right multiplication with
+    ``gens``, one table entry at a time."""
+    op = G.table.tolist()
+    reached, frontier = {G.identity}, [G.identity]
+    for x in frontier:  # the frontier grows while it is walked
+        for g in gens:
+            if op[x][g] not in reached:
+                reached.add(op[x][g])
+                frontier.append(op[x][g])
+    return reached
+
+
 def brace_law_violations(star: sb.FiniteGroup, circ: sb.FiniteGroup) -> list[tuple]:
     """Plain-python triple scan of the left brace law."""
     n, sop, cop = star.order, star.table.tolist(), circ.table.tolist()

@@ -251,6 +251,26 @@ def test_ratio_zappa_szep_s6(capsys):
     ]
 
 
+def test_ratio_semidirect_with_trivial_first_factor(capsys):
+    code, out = run(capsys, "ratio", "--family", "semidirect", "--m", "1", "--n", "3", "--b", "0")
+    assert code == EXIT_OK
+    assert out.splitlines() == [
+        "[mult] ratio 2/2 = 1/1 = 1.000000",
+        "[mult] stable subgroup sizes: 1 3",
+        "[add] ratio 2/2 = 1/1 = 1.000000",
+        "[add] stable subgroup sizes: 1 3",
+    ]
+
+
+def test_ratio_point_in_two_cycles_is_config_error_before_building(capsys, tables_built):
+    code = main(
+        ["ratio", "--zappa-szep", "custom", "--left-gens", "(1 2 3)", "--right-gens", "(1 2)(2 3)"]
+    )
+    assert code == EXIT_CONFIG
+    assert "point 2 is in two cycles of '(1 2)(2 3)'" in capsys.readouterr().err
+    assert tables_built == []
+
+
 def test_ratio_stops_at_the_lattice_budget(tmp_path, capsys, monkeypatch):
     # F_3^6 with zero products: the circ group Z_3^6 has 56,632 subgroups
     path = tmp_path / "alg.json"
@@ -538,6 +558,24 @@ def test_family_without_parameters_is_config_error(capsys, tables_built):
     assert tables_built == []
 
 
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["family", "--m", "3", "--n", "2"], "--m needs --family"),
+        (["family", "--n", "2", "--b", "1"], "--n needs --family"),
+        (["family", "--b", "2"], "--b needs --family"),
+    ],
+    ids=["m-n", "n-b", "b"],
+)
+def test_family_spec_options_without_a_family_are_config_errors(capsys, tables_built, argv, named):
+    assert main(argv) == EXIT_CONFIG
+    assert named in capsys.readouterr().err
+    assert tables_built == []
+    # without options there is nothing to sweep
+    code, out = run(capsys, "family")
+    assert (code, out) == (EXIT_OK, "no specs\n")
+
+
 def test_family_empty_batch(tmp_path, capsys):
     batch = tmp_path / "empty.txt"
     batch.write_text("\n# nothing\n")
@@ -642,6 +680,89 @@ def test_parse_permutations():
     assert perms == [(1, 2, 3, 4, 0)]
     perms = parse_permutations("(1 2 3), (1 2)(3 4)")
     assert perms == [(1, 2, 0, 3), (1, 0, 3, 2)]
+
+
+def test_parse_permutations_rejects_a_point_in_two_cycles():
+    with pytest.raises(ParseError, match=r"point 2 is in two cycles of '\(1 2\)\(2 3\)'"):
+        parse_permutations("(1 2)(2 3)")
+    with pytest.raises(ParseError, match=r"point 3 is in two cycles of '\(3 1\)\(2 4\)\(5 3\)'"):
+        parse_permutations("(1 2), (3 1)(2 4)(5 3)")
+    # disjoint cycles, and one point in two permutations, still parse
+    assert parse_permutations("(1 2)(3 4), (1 3)") == [(1, 0, 3, 2), (2, 1, 0, 3)]
+
+
+# an input that the CLI rejects, or the example row it fails -> exit code, and
+# the text that names the rejected entry; the files live in the working
+# directory, and every config error is raised before any table is built
+REJECTED = {
+    "products-entry-keys": (["verify", "keys.json"], {}, EXIT_CONFIG, "products[0] must have keys i, j, value"),
+    "products-entry-not-object": (["verify", "entry.json"], {}, EXIT_CONFIG, "products[0] must have keys i, j, value"),
+    "product-out-of-range": (["verify", "range.json"], {}, EXIT_CONFIG, "products[0] is out of range for dimension 2"),
+    "unreadable-file": (["verify", "missing.json"], {}, EXIT_CONFIG, "No such file or directory: 'missing.json'"),
+    "top-level-list": (["verify", "list.json"], {}, EXIT_CONFIG, "list.json: top-level JSON value must be an object"),
+    "algebra-without-dim": (
+        ["verify", "half.json"], {}, EXIT_CONFIG,
+        "half.json: expected a brace file (star/circ) or an algebra file (p/dim)",
+    ),
+    "neither-brace-nor-algebra": (
+        ["verify", "star.json"], {}, EXIT_CONFIG,
+        "star.json: expected a brace file (star/circ) or an algebra file (p/dim)",
+    ),
+    "algebra-is-a-brace-file": (["ratio", "--algebra", "brace.json"], {}, EXIT_CONFIG, "brace.json is not an algebra file"),
+    "no-permutations": (
+        ["ratio", "--zappa-szep", "custom", "--left-gens", " , ", "--right-gens", "(1 2)"], {},
+        EXIT_CONFIG, "no permutations given",
+    ),
+    "identity-chunk": (
+        ["ratio", "--zappa-szep", "custom", "--left-gens", "(), (1 2)", "--right-gens", "(1 2)"], {},
+        EXIT_INVALID, "NotComplementary: |L|=2, |R|=2, |G|=2, |L n R|=2",
+    ),
+    "non-integer-point": (
+        ["ratio", "--zappa-szep", "custom", "--left-gens", "(1 a)", "--right-gens", "(1 2)"], {},
+        EXIT_CONFIG, "bad cycle notation: '(1 a)'",
+    ),
+    "grid-entry": (["examples", "--grid", "dihedral"], {}, EXIT_CONFIG, "bad --grid entry 'dihedral'; use name=values"),
+    "grid-pq-triple": (["examples", "--grid", "pq=7:3"], {}, EXIT_CONFIG, "bad pq grid entry '7:3'; use p:q:b"),
+    "grid-family": (["examples", "--grid", "cube=3"], {}, EXIT_CONFIG, "unknown grid family 'cube'"),
+    "grid-over-cap": (
+        ["examples", "--order-cap", "20", "--grid", "pq=7:3:2"], {},
+        EXIT_INVALID, "FAIL  pq-7-3-2: unverified: order cap exceeded",
+    ),
+    "batch-unreadable": (["family", "--batch", "missing.txt"], {}, EXIT_CONFIG, "No such file or directory: 'missing.txt'"),
+    "batch-field-count": (["family", "--batch", "short.txt"], {}, EXIT_CONFIG, "short.txt:2: expected 'family m n b'"),
+    "environment-cap": (
+        ["ratio", "--zappa-szep", "a5"], {"BRACE_AUT_CAP": "lots"}, EXIT_CONFIG,
+        "bad cap in environment: invalid literal for int() with base 10: 'lots'",
+    ),
+    "non-positive-cap": (["--order-cap", "0", "ratio", "--zappa-szep", "a5"], {}, EXIT_CONFIG, "caps must be positive"),
+}
+
+
+@pytest.mark.parametrize("argv, env, code, named", list(REJECTED.values()), ids=list(REJECTED))
+def test_rejected_input_exits_with_its_code_and_names_the_entry(
+    tmp_path, monkeypatch, capsys, tables_built, argv, env, code, named
+):
+    monkeypatch.chdir(tmp_path)
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    files = {
+        "keys.json": {"p": 3, "dim": 2, "products": [{"i": 0, "j": 0}]},
+        "entry.json": {"p": 3, "dim": 2, "products": [5]},
+        "range.json": _algebra_with_product(i=2),
+        "list.json": [1, 2],
+        "half.json": {"p": 3},
+        "star.json": {"star": Z2},
+        "brace.json": {"star": Z2, "circ": Z2},
+    }
+    for name, payload in files.items():
+        Path(name).write_text(json.dumps(payload))
+    Path("short.txt").write_text("pq 7 3 2\npq 7 3\n")
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    # a failed example row is part of the report on stdout
+    assert named in (captured.out if argv[0] == "examples" and code == EXIT_INVALID else captured.err)
+    if code == EXIT_CONFIG:
+        assert tables_built == []
 
 
 def test_parse_permutations_rejects_garbage():

@@ -147,6 +147,19 @@ def test_semidirect_trivial_action_gives_trivial_braces():
     assert np.array_equal(b2.star.table, b2.circ.table)
 
 
+def test_semidirect_biskew_builds_two_tables(tables_built):
+    add_galois, mult_galois = sb.semidirect_biskew(9, 6, 2)
+    assert tables_built == [54, 54]
+    assert mult_galois.star == sb.direct_product(sb.cyclic_group(9), sb.cyclic_group(6))
+    assert add_galois.circ is mult_galois.star
+
+
+def test_semidirect_biskew_with_trivial_first_factor():
+    for brace in sb.semidirect_biskew(1, 3, 0):
+        ratio = sb.gc_ratio(brace)
+        assert (ratio.numerator, ratio.denominator) == (2, 2)
+
+
 def test_semidirect_7_3_2_all_additive_subgroups_stable():
     _, mult_galois = sb.semidirect_biskew(7, 3, 2)
     subs = sb.enumerate_subgroups(mult_galois.star)

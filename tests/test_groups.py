@@ -34,6 +34,8 @@ from conftest import (
     join_fixpoint_subgroups,
     permutation_closure,
     reference_error,
+    respects_table,
+    right_closure,
     semidirect_params,
 )
 
@@ -310,11 +312,45 @@ def test_order_cap_checked_before_any_table_is_built(tables_built, build):
     assert tables_built == []
 
 
+@pytest.mark.parametrize("m, n", [(9, 6), (7, 3), (165, 2)])
+def test_semidirect_trivial_action_equals_the_direct_product_of_cyclic_groups(m, n):
+    G = sb.semidirect_product_cyclic(m, n, 1)
+    D = sb.direct_product(sb.cyclic_group(m), sb.cyclic_group(n))
+    assert G == D and G.labels == D.labels and G.table.dtype == D.table.dtype
+
+
+def test_semidirect_with_trivial_first_factor_is_cyclic():
+    # modulo 1 every b is 0 and b^n = 0 = 1
+    G = sb.semidirect_product_cyclic(1, 3, 0)
+    assert G.order == 3 and G.labels == ("(0,0)", "(0,1)", "(0,2)")
+    assert sb.is_isomorphic(G, sb.cyclic_group(3))
+    assert sb.semidirect_product_cyclic(1, 1, 5).order == 1
+
+
 def test_semidirect_rejects_bad_action():
     with pytest.raises(InvalidAction):
         sb.semidirect_product_cyclic(7, 3, 3)  # 3^3 = 27 = 6 (mod 7)
     with pytest.raises(InvalidAction):
         sb.semidirect_product_cyclic(9, 6, 3)  # not a unit
+
+
+@given(generated_groups())
+def test_recorded_generators_are_the_greedy_ones_light_test_used(G):
+    used = []
+    original = groups._assoc_witness
+
+    def recording(arr, gens):
+        used.append(gens)
+        return original(arr, gens)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(groups, "_assoc_witness", recording)
+        rebuilt = sb.build_from_table(G.table)
+    assert used == [G.gens] and rebuilt.gens == G.gens
+    # each generator is the least element the earlier ones do not generate
+    for k, g in enumerate(G.gens):
+        assert g == min(set(range(G.order)) - right_closure(G, G.gens[:k]))
+    assert len(right_closure(G, G.gens)) == G.order
 
 
 def test_closure_identity_only():
@@ -472,6 +508,14 @@ def test_subgroup_of_another_order_is_wrong_parent(check, H):
     assert info.value.witness == (4, H.parent_order)
 
 
+def test_is_normal_reads_membership_not_recorded_generators(s3):
+    # a caller-built H whose recorded generators are the identity alone
+    for H in (H for H in sb.enumerate_subgroups(s3) if H.size == 2):
+        bogus = sb.SubgroupSet(s3.order, H.mask, H.size, gens=(s3.identity,))
+        assert bogus == H
+        assert not sb.is_normal(s3, bogus)
+
+
 def test_left_factor_normal_in_semidirect():
     G = sb.semidirect_product_cyclic(9, 6, 2)
     H = sb.generated_subgroup(G, [1 * 6 + 0])
@@ -544,6 +588,60 @@ def test_is_automorphism_matches_brute_force(s3):
     for perm in permutations(range(s3.order)):
         assert sb.is_automorphism(s3, perm) == (perm in auts)
     assert not sb.is_automorphism(s3, (0, 0, 1, 2, 3, 4))  # not a bijection
+
+
+@given(generated_groups(), st.data())
+def test_is_automorphism_matches_the_full_table_check(G, data):
+    others = [x for x in range(G.order) if x != G.identity]
+    moved = data.draw(st.permutations(others))
+    perm = list(range(G.order))
+    for x, y in zip(others, moved):
+        perm[x] = y
+    assert sb.is_automorphism(G, perm) == respects_table(G, perm)
+    phi = list(data.draw(st.sampled_from(sb.automorphism_group(G))))
+    assert sb.is_automorphism(G, phi) and respects_table(G, phi)
+    # the automorphism with the images of two elements swapped
+    if len(others) >= 2:
+        x, y = data.draw(st.lists(st.sampled_from(others), min_size=2, max_size=2, unique=True))
+        phi[x], phi[y] = phi[y], phi[x]
+        assert sb.is_automorphism(G, phi) == respects_table(G, phi)
+
+
+def elementary_abelian(p: int, k: int):
+    G = sb.cyclic_group(p)
+    for _ in range(k - 1):
+        G = sb.direct_product(G, sb.cyclic_group(p))
+    return G
+
+
+def test_automorphism_search_budget_names_the_count(monkeypatch):
+    G = elementary_abelian(2, 3)
+    nodes = []
+    original = groups._extend_hom
+
+    def counting(*args):
+        nodes.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(groups, "_extend_hom", counting)
+    assert len(sb.automorphism_group(G)) == 168  # |GL(3,2)|
+    count = len(nodes)
+    # a budget equal to the node count admits the search, one less stops it
+    monkeypatch.setattr(groups, "AUT_SEARCH_BUDGET", count)
+    assert len(sb.automorphism_group(G)) == 168
+    monkeypatch.setattr(groups, "AUT_SEARCH_BUDGET", count - 1)
+    message = f"automorphism search node count of at least {count} exceeds the enumeration budget"
+    with pytest.raises(BudgetExceeded, match=message):
+        sb.automorphism_group(G)
+    # the brace automorphism counts search Aut(star) under the same budget
+    with pytest.raises(BudgetExceeded):
+        sb.skew_brace_automorphism_count(sb.validate_skew_brace(G.table, G.table))
+
+
+def test_automorphism_search_of_z2_to_the_fifth_stops_at_the_budget():
+    # inside the aut cap of 200, but |GL(5,2)| = 9,999,360 automorphisms
+    with pytest.raises(BudgetExceeded, match=f"at least {groups.AUT_SEARCH_BUDGET + 1} "):
+        sb.automorphism_group(elementary_abelian(2, 5))
 
 
 def test_aut_cap():

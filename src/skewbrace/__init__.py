@@ -5,6 +5,11 @@ exact factorizations, and semidirect products), subgroup-lattice and
 stable-subgroup enumeration, and Galois correspondence ratios.
 """
 
+import os
+
+# no BLAS call is made (all arithmetic is on integers), so an idle OpenBLAS pool would only spin
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .algebras import (
     FpAlgebra,
     SubspaceBasis,

@@ -39,6 +39,8 @@ from functools import cache, partial
 from itertools import product
 from pathlib import Path
 
+import numpy as np
+
 from . import algebras, braces, constructions, groups
 from .errors import (
     CapExceeded,
@@ -153,12 +155,12 @@ def _parse_algebra_json(data: dict) -> algebras.FpAlgebra:
     return algebras.make_algebra(p, dim, sc, labels=labels)
 
 
-def _parse_brace_json(data: dict, cap: int) -> list[list[list[int]]]:
-    """The star and circ tables of a brace file, checked against the order
-    cap and for one square shape before anything is built from them."""
+def _parse_brace_json(data: dict, cap: int) -> list[np.ndarray]:
+    """Pop the star and circ tables from ``data`` (freeing the JSON lists) as
+    exact integer arrays, checked for the order cap, shape and integer entries."""
     tables = []
     for key in ("star", "circ"):
-        table = _json_list(data[key], key)
+        table = _json_list(data.pop(key), key)
         if len(table) > cap:
             raise OrderCapExceeded(len(table), cap)
         if tables and len(table) != len(tables[0]):
@@ -166,10 +168,12 @@ def _parse_brace_json(data: dict, cap: int) -> list[list[list[int]]]:
         for i, row in enumerate(table):
             if len(_json_list(row, f"{key}[{i}]")) != len(table):
                 raise ParseError(f"{key}[{i}] has length {len(row)}, not {len(table)}")
-            if groups._first_non_integer(row) is not None:  # walk the row to name the entry
-                for j, v in enumerate(row):
-                    _json_int(v, f"{key}[{i}][{j}]")
-        tables.append(table)
+            if (j := groups._first_non_integer(row)) is not None:
+                _json_int(row[j], f"{key}[{i}][{j}]")  # raises, naming the entry
+        try:
+            tables.append(np.array(table, dtype=np.int64))
+        except OverflowError:  # an entry beyond int64 stays exact in an object array
+            tables.append(np.array(table, dtype=object))
     return tables
 
 

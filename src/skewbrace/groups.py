@@ -159,9 +159,10 @@ def _right_closure(table: np.ndarray, start, gens) -> np.ndarray:
     seen[start] = True
     frontier = np.flatnonzero(seen)
     while frontier.size:
-        reached = np.unique(table[np.ix_(frontier, gens)])
-        frontier = reached[~seen[reached]]
-        seen[frontier] = True
+        reached = np.zeros_like(seen)
+        reached[table[np.ix_(frontier, gens)]] = True
+        frontier = np.flatnonzero(reached & ~seen)
+        seen |= reached
     return seen
 
 
@@ -445,7 +446,7 @@ def _derived(T: np.ndarray, identity: int, inv: np.ndarray, elems, gens):
     modulo them every generator is central."""
     a = np.asarray(elems, dtype=np.intp)[:, None]
     g = np.asarray(gens, dtype=np.intp)[None, :]
-    comms = np.unique(T[T[T[a, g], inv[a]], inv[g]])
+    comms = np.flatnonzero(np.bincount(T[T[T[a, g], inv[a]], inv[g]].ravel(), minlength=len(T)))
     return np.flatnonzero(_right_closure(T, [identity], comms)), comms
 
 

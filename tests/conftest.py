@@ -128,6 +128,18 @@ def right_closure(G: sb.FiniteGroup, gens) -> set[int]:
     return reached
 
 
+def perfect_residuum(G: sb.FiniteGroup) -> set[int]:
+    """Last term of the derived series, each term closed from all
+    commutators of the one before."""
+    op, inv = G.table.tolist(), G.inv
+    term = set(range(G.order))
+    while True:
+        derived = right_closure(G, {op[op[op[a][b]][inv[a]]][inv[b]] for a in term for b in term})
+        if len(derived) == len(term):
+            return term
+        term = derived
+
+
 def brace_law_violations(star: sb.FiniteGroup, circ: sb.FiniteGroup) -> list[tuple]:
     """Plain-python triple scan of the left brace law."""
     n, sop, cop = star.order, star.table.tolist(), circ.table.tolist()

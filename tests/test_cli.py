@@ -123,6 +123,7 @@ MALFORMED = {
     "string-entry": ({"star": [[0, "1"], [1, 0]], "circ": Z2}, "star[0][1]"),
     "nested-entry": ({"star": [[0, [1]], [1, 0]], "circ": Z2}, "star[0][1]"),
     "fractional-entry": ({"star": Z2, "circ": [[0, 1], [1.5, 0]]}, "circ[1][0]"),
+    "bool-entry": ({"star": [[0, 1], [1, True]], "circ": Z2}, "star[1][1]"),
     "row-not-list": ({"star": Z2, "circ": [5, [1, 0]]}, "circ[0] must be a list"),
     "table-not-list": ({"star": 5, "circ": Z2}, "star must be a list"),
     "p-list": ({"p": [3], "dim": 2}, "p must be an integer"),
@@ -146,6 +147,17 @@ def test_verify_malformed_file_is_parse_error(tmp_path, capsys, tables_built, pa
     assert code == EXIT_CONFIG
     assert where in err
     assert tables_built == []
+
+
+# beyond int64; 2**64 - 1 also lies beyond the float64 mantissa
+@pytest.mark.parametrize("value", [2**70, 2**64 - 1])
+def test_verify_entry_beyond_int64_is_the_exact_witness(tmp_path, capsys, value):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"star": Z2, "circ": [[0, 1], [value, 0]]}))
+    code, report = run_json(capsys, "verify", str(path))
+    assert code == EXIT_INVALID
+    assert report["result"]["error"] == "NotClosed"
+    assert report["result"]["witness"] == [1, 0, value]
 
 
 HUGE_PRIME = 1000000000000000003
@@ -651,8 +663,13 @@ def test_conflicting_sources_are_config_errors(capsys, tables_built, argv):
     assert tables_built == []
 
 
+def _child_env(base=os.environ) -> dict:
+    """``base`` with PYTHONPATH set to the tested checkout of skewbrace."""
+    return {**base, "PYTHONPATH": str(Path(skewbrace.__file__).resolve().parents[1])}
+
+
 def test_closed_stdout_exits_without_a_traceback():
-    env = {**os.environ, "PYTHONPATH": str(Path(skewbrace.__file__).resolve().parents[1])}
+    env = _child_env()
     argv = [sys.executable, "-m", "skewbrace", "ideals", "--algebra", "degraaf", "--p", "3",
             "--side", "left"]
     with subprocess.Popen(
@@ -663,6 +680,31 @@ def test_closed_stdout_exits_without_a_traceback():
         err = proc.stderr.read().decode()
     assert proc.returncode == 1
     assert "Traceback" not in err and "BrokenPipeError" not in err
+
+
+def _python(*argv: str, env=os.environ) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=_child_env(env))
+
+
+def test_import_limits_openblas_to_one_thread_unless_set():
+    show = ["-c", "import os, skewbrace; print(os.environ['OPENBLAS_NUM_THREADS'])"]
+    unset = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    assert _python(*show, env=unset).stdout == "1\n"
+    assert _python(*show, env={**unset, "OPENBLAS_NUM_THREADS": "3"}).stdout == "3\n"
+
+
+def _loads_numpy_ma(*argv: str) -> bool:
+    imports = _python("-X", "importtime", *argv).stderr.splitlines()
+    return any(line.rsplit("|", 1)[-1].strip() == "numpy.ma" for line in imports)
+
+
+@pytest.mark.parametrize("command", [["verify", "brace.json"], ["ratio", "--zappa-szep", "a5"]])
+def test_commands_load_numpy_ma_only_if_numpy_does(tmp_path, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    z4 = [[(i + j) % 4 for j in range(4)] for i in range(4)]
+    Path("brace.json").write_text(json.dumps({"star": z4, "circ": z4}))
+    # numpy 1.x loads numpy.ma at import, 2.x only on first use
+    assert _loads_numpy_ma("-m", "skewbrace", *command) <= _loads_numpy_ma("-c", "import numpy")
 
 
 def test_json_report_round_trip(capsys):

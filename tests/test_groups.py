@@ -23,7 +23,13 @@ from skewbrace.errors import (
     ValidationFailure,
     WrongParent,
 )
-from skewbrace.groups import _cycle_label, _element_orders, _perfect_subgroups
+from skewbrace.groups import (
+    _cycle_label,
+    _element_orders,
+    _perfect_residuum,
+    _perfect_subgroups,
+    _right_closure,
+)
 
 from conftest import (
     A5_GENS,
@@ -32,6 +38,7 @@ from conftest import (
     brute_force_subgroups,
     generated_groups,
     join_fixpoint_subgroups,
+    perfect_residuum,
     permutation_closure,
     reference_error,
     respects_table,
@@ -351,6 +358,26 @@ def test_recorded_generators_are_the_greedy_ones_light_test_used(G):
     for k, g in enumerate(G.gens):
         assert g == min(set(range(G.order)) - right_closure(G, G.gens[:k]))
     assert len(right_closure(G, G.gens)) == G.order
+
+
+@given(generated_groups(), st.data())
+def test_right_closure_matches_the_entrywise_walk(G, data):
+    gens = data.draw(st.lists(st.integers(0, G.order - 1), max_size=3))
+    members = _right_closure(G.table, [G.identity], gens)
+    assert set(np.flatnonzero(members).tolist()) == right_closure(G, gens)
+
+
+@given(generated_groups())
+def test_perfect_residuum_matches_the_derived_series_on_generated_groups(G):
+    assert _perfect_residuum(G).tolist() == sorted(perfect_residuum(G))
+
+
+@pytest.mark.parametrize("d, size", [(4, 1), (5, 60), (6, 360)])
+def test_perfect_residuum_of_symmetric_groups(d, size):
+    G = symmetric_group(d)
+    residuum = _perfect_residuum(G).tolist()
+    assert len(residuum) == size
+    assert residuum == sorted(perfect_residuum(G))
 
 
 def test_closure_identity_only():

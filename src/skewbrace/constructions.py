@@ -67,7 +67,7 @@ def exact_factorization(G: FiniteGroup, left_seed, right_seed) -> ExactFactoriza
         )
     elems_l, elems_r = np.array(left.elements()), np.array(right.elements())
     # products[k] = l * r^-1 for the k-th pair (l, r) in row-major order
-    products = G.table[np.ix_(elems_l, np.asarray(G.inv)[elems_r])].ravel()
+    products = G.table[np.ix_(elems_l, G.inv[elems_r])].ravel()
     repeated = np.ones(G.order, dtype=bool)
     repeated[np.unique(products, return_index=True)[1]] = False
     if repeated.any():
@@ -85,7 +85,7 @@ def zappa_szep_brace(f: ExactFactorization) -> SkewBrace:
     """
     G = f.parent
     left, right = np.array(f.decomp).T
-    ri = np.asarray(G.inv)[right]
+    ri = G.inv[right]
     # entry [x, y] is l * y * r^-1 for x = l * r^-1
     circ = build_from_table(G.table[G.table[left], ri[:, None]], labels=G.labels)
     return _assemble_brace(G, circ, "zappa_szep")

@@ -58,15 +58,15 @@ AUT_SEARCH_BUDGET = 20_000
 class FiniteGroup:
     """A finite group given by its full n-by-n operation table.
 
-    ``table`` is the read-only array of the table and ``gens`` the
-    generators that validation found.  Two groups are equal when their
-    tables and labels are.
+    ``table`` is the read-only array of the table, ``inv`` the read-only
+    array of inverses and ``gens`` the generators that validation found.
+    Two groups are equal when their tables and labels are.
     """
 
     order: int
     table: np.ndarray = field(repr=False)
     identity: int
-    inv: tuple[int, ...]
+    inv: np.ndarray = field(repr=False)
     gens: tuple[int, ...]
     labels: tuple[str, ...] | None = None
 
@@ -110,7 +110,7 @@ class SubgroupSet:
         n = self.parent_order
         mask = self.mask & ((1 << n) - 1)
         bits = np.frombuffer(mask.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
-        return np.unpackbits(bits, count=n, bitorder="little").astype(bool)
+        return np.unpackbits(bits, count=n, bitorder="little").view(bool)
 
 
 def _integral(t: type) -> bool:
@@ -140,8 +140,10 @@ def _table_array(op_table) -> np.ndarray:
         j = None if typed else _first_non_integer(row)
         if j is not None:
             raise ValueError(f"table entry ({i}, {j}) is not an integer: {row[j]!r}")
-    # entries beyond int64 give an object array, still compared exactly
-    raw = np.asarray(op_table)
+    try:  # not np.asarray, which rounds entries beyond int64 through float64
+        raw = op_table if typed else np.array(op_table, dtype=np.int64)
+    except OverflowError:  # such an entry stays exact in an object array
+        raw = np.array(op_table, dtype=object)
     outside = (raw < 0) | (raw >= n)
     if outside.any():
         i, j = np.argwhere(outside)[0]
@@ -223,7 +225,8 @@ def build_from_table(op_table, labels=None) -> FiniteGroup:
         labels = tuple(str(s) for s in labels)
         if len(labels) != n:
             raise ValueError(f"got {len(labels)} labels for {n} elements")
-    inv = tuple(np.argmax(two_sided, axis=1).tolist())
+    inv = np.argmax(two_sided, axis=1)
+    inv.flags.writeable = False
     return FiniteGroup(n, arr, identity, inv, gens, labels)
 
 
@@ -364,12 +367,11 @@ def enumerate_subgroups(G: FiniteGroup, cap: int = DEFAULT_ORDER_CAP) -> list[Su
     return list(_lattice(G))
 
 
-# keyed on table and labels; two, since a ratio asks for the two groups of a
-# brace and then for those of its mirror
+# keyed on table and labels; two, since a ratio asks for the circ group of
+# its brace alone, and a family row or a bi-skew pair asks for both groups
 @functools.lru_cache(maxsize=2)
 def _lattice(G: FiniteGroup) -> tuple[SubgroupSet, ...]:
-    n, T, e = G.order, G.table, G.identity
-    inv = np.asarray(G.inv)
+    n, T, e, inv = G.order, G.table, G.identity, G.inv
     zuppos, zpowers, zp = _zuppos(G)
     zinv = inv[zuppos][:, None]
 
@@ -452,8 +454,7 @@ def _derived(T: np.ndarray, identity: int, inv: np.ndarray, elems, gens):
 
 def _perfect_residuum(G: FiniteGroup) -> np.ndarray:
     """Elements of the last term G^inf of the derived series, ascending."""
-    T, e = G.table, G.identity
-    inv = np.asarray(G.inv)
+    T, e, inv = G.table, G.identity, G.inv
     elems, gens = np.arange(G.order), G.gens
     while True:
         derived, comms = _derived(T, e, inv, elems, gens)
@@ -476,8 +477,7 @@ def _perfect_subgroups(G: FiniteGroup) -> list[SubgroupSet]:
     generators would be missed, and so would every subgroup above it whose
     perfect residuum it is.
     """
-    T, e = G.table, G.identity
-    inv = np.asarray(G.inv)
+    T, e, inv = G.table, G.identity, G.inv
     R = _perfect_residuum(G)
     if len(R) == 1:
         return []
@@ -514,9 +514,8 @@ def _conjugates_inside(G: FiniteGroup, conjugators, H: SubgroupSet) -> bool:
         raise WrongParent(G.order, H.parent_order)
     g = np.asarray(conjugators, dtype=np.intp)
     h = np.asarray(H.elements(), dtype=np.intp)
-    gi = np.asarray(G.inv)[g]
     T = G.table
-    return bool(H.members[T[T[np.ix_(g, h)], gi[:, None]]].all())
+    return bool(H.members[T[T[np.ix_(g, h)], G.inv[g][:, None]]].all())
 
 
 def is_normal(G: FiniteGroup, H: SubgroupSet) -> bool:

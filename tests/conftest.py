@@ -87,6 +87,22 @@ def join_fixpoint_subgroups(G: sb.FiniteGroup) -> list[int]:
     return [sum(1 << x for x in H) for H in sorted(known, key=lambda H: (len(H), sorted(H)))]
 
 
+def stable_by_definition(b: sb.SkewBrace) -> list[int]:
+    """Masks of the circ-stable star-subgroups in canonical order: every
+    star-subgroup H with (g circ h) star g^-1 in H for every g in the brace
+    and every h in H, no generators used.  The star-subgroups come from the
+    join fixpoint: a subset scan (``brute_force_subgroups``) takes 2^(n-1)
+    closure checks, out of reach beyond order 20."""
+    sop, cop, sinv = b.star.table.tolist(), b.circ.table.tolist(), b.star.inv.tolist()
+    images = [[sop[cop[g][x]][sinv[g]] for x in range(b.order)] for g in range(b.order)]
+    out = []
+    for mask in join_fixpoint_subgroups(b.star):
+        elems = [x for x in range(b.order) if mask >> x & 1]
+        if all(mask >> row[h] & 1 for row in images for h in elems):
+            out.append(mask)
+    return out
+
+
 def brute_force_automorphisms(G: sb.FiniteGroup) -> set[tuple[int, ...]]:
     """All automorphisms by scanning every bijection fixing the identity."""
     from itertools import permutations

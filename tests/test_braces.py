@@ -6,7 +6,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import skewbrace as sb
 from skewbrace.errors import (
@@ -20,7 +20,9 @@ from skewbrace.errors import (
 from conftest import (
     brace_law_violations,
     heisenberg_algebra,
+    join_fixpoint_subgroups,
     semidirect_params,
+    stable_by_definition,
     transported_algebra,
     truncated_poly_algebra,
 )
@@ -301,6 +303,55 @@ def test_stable_subgroups_a5(a5_brace):
     assert sorted(H.size for H in stable) == [1, 5, 10, 60]
 
 
+def _check_stable_by_definition(brace: sb.SkewBrace) -> None:
+    expected = stable_by_definition(brace)
+    assert [H.mask for H in sb.enumerate_stable_subgroups(brace)] == expected
+    # every star-subgroup, stable or not, bare of recorded generators
+    for mask in join_fixpoint_subgroups(brace.star):
+        H = sb.SubgroupSet(brace.order, mask, mask.bit_count())
+        assert sb.is_circ_stable(brace, H) == (mask in expected)
+
+
+# an example runs the plain-Python join fixpoint twice per brace, too close
+# to the 200 ms default deadline on a loaded machine
+@settings(deadline=None)
+@given(semidirect_params())
+def test_stable_subgroups_match_the_definition(params):
+    for brace in sb.semidirect_biskew(*params):
+        _check_stable_by_definition(brace)
+
+
+ALGEBRAS_P3 = {
+    "heisenberg": lambda: heisenberg_algebra(3),
+    "truncated": lambda: truncated_poly_algebra(3, 4),
+    "degraaf": lambda: sb.degraaf_algebra(3),
+}
+
+
+@settings(deadline=None, max_examples=12)
+@given(st.sampled_from(sorted(ALGEBRAS_P3)), st.integers(0, 2**32))
+@example("heisenberg", 1)
+@example("truncated", 2)
+@example("degraaf", 3)
+def test_stable_subgroups_match_the_definition_on_radical_braces(name, seed):
+    for brace in _radical_braces(transported_algebra(ALGEBRAS_P3[name](), seed)):
+        _check_stable_by_definition(brace)
+
+
+@pytest.mark.parametrize(
+    "left, right, count",
+    [
+        # A5 = <5-cycle> * A4 and S5 = <5-cycle> * S4, both nonsolvable
+        ([(1, 2, 3, 4, 0)], [(1, 2, 0, 3, 4), (1, 0, 3, 2, 4)], 4),
+        ([(1, 2, 3, 4, 0)], [(1, 2, 3, 0, 4), (1, 0, 2, 3, 4)], 6),
+    ],
+)
+def test_stable_subgroups_match_the_definition_on_zappa_szep(left, right, count):
+    brace = sb.zappa_szep_brace(sb.factorization_from_permutations(left, right))
+    _check_stable_by_definition(brace)
+    assert len(sb.enumerate_stable_subgroups(brace)) == count
+
+
 def test_stable_subgroups_closed_under_both_operations(z9z6_braces):
     for brace in z9z6_braces:
         sop, cop = brace.star.table.tolist(), brace.circ.table.tolist()
@@ -367,6 +418,19 @@ def test_gc_ratio_values(z9z6_braces, a5_brace):
     r = sb.gc_ratio(add_galois)
     assert (r.numerator, r.denominator) == (9, 20)
     assert r.value == pytest.approx(0.45)
+
+
+def test_ratio_reads_no_star_lattice(lattices_enumerated):
+    # the radical brace of F_3[x]/(x^7): its star group Z_3^6 has 56,632
+    # subgroups, past LATTICE_BUDGET, but the ratio reads the circ lattice alone
+    A = truncated_poly_algebra(3, 7)
+    r = sb.gc_ratio(sb.brace_from_radical(A))
+    assert (r.numerator, r.denominator) == (7, 1066)
+    assert lattices_enumerated == [729]
+    # the stable subgroups are the ideals x^(t+1) A: with x^(i+1) the basis
+    # vector of weight 3^i, their members are the multiples of 3^t
+    ideals = [sum(1 << x for x in range(0, 729, 3**t)) for t in range(6, -1, -1)]
+    assert [H.mask for H in r.stable] == ideals
 
 
 def test_trivial_abelian_brace_has_ratio_one():

@@ -318,6 +318,20 @@ def test_ratio_both_directions_enumerates_each_lattice_once(
     assert lattices_enumerated == [order, order]
 
 
+@pytest.mark.parametrize(
+    "source, order",
+    [
+        (["--algebra", "degraaf", "--p", "3", "--direction", "circ"], 81),
+        (["--zappa-szep", "a5"], 60),
+    ],
+)
+def test_ratio_enumerates_the_circ_lattice_alone(capsys, lattices_enumerated, source, order):
+    # numerator and denominator both come from the circ lattice
+    code, _ = run(capsys, "ratio", *source)
+    assert code == EXIT_OK
+    assert lattices_enumerated == [order]
+
+
 def test_ratio_without_source_is_config_error(capsys):
     code, _ = run(capsys, "ratio")
     assert code == EXIT_CONFIG
@@ -476,7 +490,9 @@ def test_examples_prime_flag(capsys):
 def test_examples_enumerate_at_most_ten_lattices(capsys, lattices_enumerated):
     code, _ = run(capsys, "examples")
     assert code == EXIT_OK
-    assert len(lattices_enumerated) <= 10
+    # nine: each ratio reads its numerator off the circ lattice, so the A5
+    # row enumerates one lattice
+    assert len(lattices_enumerated) <= 9
 
 
 def test_examples_build_the_order_54_pair_once(capsys, tables_built):

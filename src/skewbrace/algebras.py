@@ -28,7 +28,7 @@ from .errors import (
     NotNilpotent,
     OrderCapExceeded,
 )
-from .groups import DEFAULT_ORDER_CAP, FiniteGroup, SubgroupSet, _first_non_integer, _mask, build_from_table
+from .groups import DEFAULT_ORDER_CAP, FiniteGroup, SubgroupSet, _element, _first_non_integer, _mask, build_from_table
 
 DEFAULT_POINT_BUDGET = 100_000
 
@@ -215,6 +215,9 @@ def vector_index(A: FpAlgebra, vec) -> int:
 
 
 def index_vector(A: FpAlgebra, k: int) -> tuple[int, ...]:
+    """Inverse of vector_index; ``k`` must be a point, an integer in
+    0..p^dim-1 (ValueError otherwise)."""
+    k = _element(A.p**A.dim, k, "point")
     return tuple((k // A.p ** np.arange(A.dim) % A.p).tolist())
 
 
@@ -363,8 +366,7 @@ def subspace_subgroup(A: FpAlgebra, S: SubspaceBasis) -> SubgroupSet:
     weights = A.p ** np.arange(A.dim)
     members = np.zeros(A.p**A.dim, dtype=bool)
     members[np.array(S.span()) @ weights] = True
-    gens = tuple((S.basis() @ weights).tolist())
-    return SubgroupSet(A.p**A.dim, _mask(members), S.size, gens=gens)
+    return SubgroupSet(A.p**A.dim, _mask(members))
 
 
 def brace_from_radical(A: FpAlgebra, cap: int = DEFAULT_ORDER_CAP) -> SkewBrace:

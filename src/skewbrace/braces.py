@@ -42,6 +42,7 @@ from .groups import (
     DEFAULT_ORDER_CAP,
     FiniteGroup,
     SubgroupSet,
+    _element,
     automorphism_group,
     build_from_table,
     enumerate_subgroups,
@@ -135,8 +136,9 @@ def is_bi_skew(b: SkewBrace) -> bool:
 
 def stability_map(b: SkewBrace, g: int) -> tuple[int, ...]:
     """gamma_g: x -> (g circ x) star g^-1, an automorphism of the star group
-    for a validated brace; the module docstring says how these decide stability."""
-    return tuple(_stability_rows(b, [g])[0].tolist())
+    for a validated brace; the module docstring says how these decide stability.
+    ``g`` must be an element, an integer in 0..n-1 (ValueError otherwise)."""
+    return tuple(_stability_rows(b, [_element(b.order, g)])[0].tolist())
 
 
 def _stability_rows(b: SkewBrace, gens) -> np.ndarray:
@@ -167,8 +169,6 @@ def _require_star_subgroup(b: SkewBrace, H: SubgroupSet) -> np.ndarray:
     if not H.contains(b.star.identity):
         raise NotAStarSubgroup("set does not contain the identity")
     members = H.members
-    if members.sum() != H.size:
-        raise NotAStarSubgroup("recorded size does not match the membership mask")
     escape = _escape(b.star.table, members)
     if escape is not None:
         raise NotAStarSubgroup(
@@ -181,9 +181,8 @@ def is_circ_stable(b: SkewBrace, H: SubgroupSet) -> bool:
     """True iff every stability map sends H into itself.
 
     H must be a subgroup of the star group (NotAStarSubgroup otherwise).
-    By fact 3 of the module docstring the maps of circ.gens decide it; each
-    is applied to every element of H, since the generators recorded on a
-    caller-built H are not checked.
+    By fact 3 of the module docstring the maps of circ.gens decide it, each
+    applied to every element of H.
     """
     members = _require_star_subgroup(b, H)
     return bool(members[_stability_rows(b, b.circ.gens)[:, np.flatnonzero(members)]].all())
@@ -195,9 +194,8 @@ def enumerate_stable_subgroups(
     """All circ-stable subgroups of the star group, canonical order.
 
     They are the subgroups of the circ lattice that the stability maps of
-    circ.gens send into themselves (facts 1-3 of the module docstring), so
-    each carries circ-generators as its recorded ``gens``.  The test costs
-    len(circ.gens) * |H| cells per subgroup.
+    circ.gens send into themselves (facts 1-3 of the module docstring).  The
+    test costs len(circ.gens) * |H| cells per subgroup.
     """
     gamma = _stability_rows(b, b.circ.gens)
     subgroups = enumerate_subgroups(b.circ, cap)

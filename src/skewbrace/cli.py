@@ -170,10 +170,7 @@ def _parse_brace_json(data: dict, cap: int) -> list[np.ndarray]:
                 raise ParseError(f"{key}[{i}] has length {len(row)}, not {len(table)}")
             if (j := groups._first_non_integer(row)) is not None:
                 _json_int(row[j], f"{key}[{i}][{j}]")  # raises, naming the entry
-        try:
-            tables.append(np.array(table, dtype=np.int64))
-        except OverflowError:  # an entry beyond int64 stays exact in an object array
-            tables.append(np.array(table, dtype=object))
+        tables.append(groups._exact_int_array(table))
     return tables
 
 
@@ -830,16 +827,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def _config_from_args(args) -> RunConfig:
     cfg = RunConfig()
     given = vars(args)
-    # a flag overrides the environment, which overrides the default
-    for field, env in (("order_cap", "BRACE_ORDER_CAP"), ("aut_cap", "BRACE_AUT_CAP")):
-        try:
-            setattr(cfg, field, int(os.environ.get(env, getattr(cfg, field))))
-        except ValueError as exc:
-            raise ParseError(f"bad cap in environment: {exc}") from exc
+    for field in ("order_cap", "aut_cap", "seed"):
         setattr(cfg, field, given.get(field, getattr(cfg, field)))
     if cfg.order_cap < 1 or cfg.aut_cap < 1:
         raise ParseError("caps must be positive")
-    cfg.seed = given.get("seed", cfg.seed)
     if given.get("format") == "csv" and "csv" not in args.renderers:
         raise ParseError("csv format is only defined for the family command")
     return cfg

@@ -85,28 +85,26 @@ class FiniteGroup:
 
 @dataclass(frozen=True)
 class SubgroupSet:
-    """A subgroup stored as a membership bitmask over the parent's elements.
-
-    ``gens`` is a generating set recorded by an enumeration or closure; it
-    is read only by the enumeration that recorded it, since a caller may
-    record any tuple on an H of its own.
-    """
+    """A subgroup as its membership: element i of the parent is in it when
+    bit i of ``mask`` is set.  Every view below reads bits 0..n-1 alone, so
+    a mask with bits outside that range holds no more elements."""
 
     parent_order: int
     mask: int
-    size: int
-    gens: tuple[int, ...] = field(default=(), compare=False, repr=False)
+
+    @property
+    def size(self) -> int:
+        return (self.mask & ((1 << self.parent_order) - 1)).bit_count()
 
     def contains(self, x: int) -> bool:
-        return bool(self.mask >> x & 1)
+        return 0 <= x < self.parent_order and bool(self.mask >> x & 1)
 
     def elements(self) -> tuple[int, ...]:
-        return tuple(i for i in range(self.parent_order) if self.mask >> i & 1)
+        return tuple(np.flatnonzero(self.members).tolist())
 
     @property
     def members(self) -> np.ndarray:
-        """Membership array over 0..n-1; mask bits outside that range are
-        ignored."""
+        """Membership array over 0..n-1."""
         n = self.parent_order
         mask = self.mask & ((1 << n) - 1)
         bits = np.frombuffer(mask.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
@@ -125,6 +123,24 @@ def _first_non_integer(values) -> int | None:
     return next(k for k, v in enumerate(values) if not _integral(type(v)))
 
 
+def _element(n: int, x, what: str = "element") -> int:
+    """``x`` as an int once it is an integer in 0..n-1; ValueError otherwise."""
+    if _first_non_integer([x]) is not None:
+        raise ValueError(f"{what} {x!r} is not an integer")
+    if not 0 <= x < n:
+        raise ValueError(f"{what} {x} out of range")
+    return int(x)
+
+
+def _exact_int_array(rows) -> np.ndarray:
+    """Integer rows as an int64 array, or as an object array when an entry
+    is beyond int64: np.asarray would round it through float64."""
+    try:
+        return np.array(rows, dtype=np.int64)
+    except OverflowError:
+        return np.array(rows, dtype=object)
+
+
 def _table_array(op_table) -> np.ndarray:
     """The square table as a read-only array of the smallest signed dtype
     that holds its indices.  A row of the wrong length or an entry that is
@@ -140,10 +156,7 @@ def _table_array(op_table) -> np.ndarray:
         j = None if typed else _first_non_integer(row)
         if j is not None:
             raise ValueError(f"table entry ({i}, {j}) is not an integer: {row[j]!r}")
-    try:  # not np.asarray, which rounds entries beyond int64 through float64
-        raw = op_table if typed else np.array(op_table, dtype=np.int64)
-    except OverflowError:  # such an entry stays exact in an object array
-        raw = np.array(op_table, dtype=object)
+    raw = op_table if typed else _exact_int_array(op_table)
     outside = (raw < 0) | (raw >= n)
     if outside.any():
         i, j = np.argwhere(outside)[0]
@@ -339,14 +352,10 @@ def closure_from_permutations(gens, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup
 
 
 def generated_subgroup(G: FiniteGroup, seed) -> SubgroupSet:
-    """Smallest subgroup of G containing the seed elements."""
-    seed = [int(s) for s in seed]
-    for s in seed:
-        if not 0 <= s < G.order:
-            raise ValueError(f"seed element {s} out of range")
-    members = _right_closure(G.table, [G.identity], seed)
-    gens = tuple(dict.fromkeys(s for s in seed if s != G.identity))
-    return SubgroupSet(G.order, _mask(members), int(members.sum()), gens=gens)
+    """Smallest subgroup of G containing the seed elements, each of which
+    must be an integer in 0..n-1 (ValueError naming it otherwise)."""
+    seed = [_element(G.order, s, "seed element") for s in seed]
+    return SubgroupSet(G.order, _mask(_right_closure(G.table, [G.identity], seed)))
 
 
 def enumerate_subgroups(G: FiniteGroup, cap: int = DEFAULT_ORDER_CAP) -> list[SubgroupSet]:
@@ -358,9 +367,8 @@ def enumerate_subgroups(G: FiniteGroup, cap: int = DEFAULT_ORDER_CAP) -> list[Su
     prime-power order p^k) with z outside S, z^p in S and z normalizing S.
     Every subgroup H is reached: H^inf is a seed, and a subgroup below H of
     prime index p, normal in H, is extended by the p-part of any element of
-    H outside it.  The recorded generators are the seed's plus one zuppo per
-    step.  The cap is checked first, more than LATTICE_BUDGET subgroups
-    raise BudgetExceeded, and every call gets a fresh list.
+    H outside it.  The cap is checked first, more than LATTICE_BUDGET
+    subgroups raise BudgetExceeded, and every call gets a fresh list.
     """
     if G.order > cap:
         raise OrderCapExceeded(G.order, cap)
@@ -379,8 +387,10 @@ def _lattice(G: FiniteGroup) -> tuple[SubgroupSet, ...]:
         # the mask's little-endian bytes, compared without building the int
         return np.packbits(members, bitorder="little").tobytes()
 
-    seeds = [SubgroupSet(n, 1 << e, 1), *_perfect_subgroups(G)]
-    queue = [(key(H.members), np.array(H.elements()), H.gens) for H in seeds]
+    # each entry keeps a generating set of its subgroup: the seed's, plus
+    # one zuppo per extension; normalizing S means normalizing these
+    seeds = [(SubgroupSet(n, 1 << e), ()), *_perfect_subgroups(G)]
+    queue = [(key(H.members), np.flatnonzero(H.members), gens) for H, gens in seeds]
     known = {k for k, *_ in queue}
     for _, elems, gens in queue:  # the queue grows while it is walked
         members = np.zeros(n, dtype=bool)
@@ -408,11 +418,8 @@ def _lattice(G: FiniteGroup) -> tuple[SubgroupSet, ...]:
                 if len(known) > LATTICE_BUDGET:
                     raise BudgetExceeded(len(known), LATTICE_BUDGET, "subgroup count of at least")
 
-    subs = [
-        (len(elems), tuple(np.sort(elems).tolist()), int.from_bytes(k, "little"), gens)
-        for k, elems, gens in queue
-    ]
-    return tuple(SubgroupSet(n, mask, size, gens) for size, _, mask, gens in sorted(subs))
+    subs = [(len(elems), tuple(np.sort(elems).tolist()), k) for k, elems, _ in queue]
+    return tuple(SubgroupSet(n, int.from_bytes(k, "little")) for *_, k in sorted(subs))
 
 
 def _zuppos(G: FiniteGroup) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
@@ -463,9 +470,9 @@ def _perfect_residuum(G: FiniteGroup) -> np.ndarray:
         elems, gens = derived, comms
 
 
-def _perfect_subgroups(G: FiniteGroup) -> list[SubgroupSet]:
+def _perfect_subgroups(G: FiniteGroup) -> list[tuple[SubgroupSet, tuple[int, int]]]:
     """Every nontrivial perfect subgroup of G generated by two elements,
-    with those two as its recorded generators, in discovery order.
+    paired with two elements (x, y) that generate it, in discovery order.
 
     A perfect subgroup lies in R = G^inf.  Up to G-conjugation a 2-generated
     one is <x, y> with x a representative of a G-class in R and y a
@@ -492,7 +499,7 @@ def _perfect_subgroups(G: FiniteGroup) -> list[SubgroupSet]:
             mask = _mask(members)
             if mask not in candidates:
                 candidates[mask] = (np.flatnonzero(members), (x, y))
-    found: dict[int, SubgroupSet] = {}
+    found: dict[int, tuple[int, int]] = {}
     for elems, (x, y) in candidates.values():
         if len(_derived(T, e, inv, elems, [x, y])[0]) < len(elems):
             continue
@@ -502,20 +509,18 @@ def _perfect_subgroups(G: FiniteGroup) -> list[SubgroupSet]:
             members = np.zeros(G.order, dtype=bool)
             members[images[g]] = True
             gens = (int(T[T[g, x], inv[g]]), int(T[T[g, y], inv[g]]))
-            H = SubgroupSet(G.order, _mask(members), len(elems), gens)
-            found.setdefault(H.mask, H)
-    return list(found.values())
+            found.setdefault(_mask(members), gens)
+    return [(SubgroupSet(G.order, mask), gens) for mask, gens in found.items()]
 
 
 def _conjugates_inside(G: FiniteGroup, conjugators, H: SubgroupSet) -> bool:
-    """True iff g h g^-1 is in H for every conjugator g and every h in H
-    (its membership: recorded generators are read by their enumeration only)."""
+    """True iff g h g^-1 is in H for every conjugator g and every h in H."""
     if H.parent_order != G.order:
         raise WrongParent(G.order, H.parent_order)
     g = np.asarray(conjugators, dtype=np.intp)
-    h = np.asarray(H.elements(), dtype=np.intp)
+    members = H.members
     T = G.table
-    return bool(H.members[T[T[np.ix_(g, h)], G.inv[g][:, None]]].all())
+    return bool(members[T[T[np.ix_(g, np.flatnonzero(members))], G.inv[g][:, None]]].all())
 
 
 def is_normal(G: FiniteGroup, H: SubgroupSet) -> bool:
@@ -526,8 +531,7 @@ def is_normal(G: FiniteGroup, H: SubgroupSet) -> bool:
 
 def element_order(G: FiniteGroup, x: int) -> int:
     """Least k >= 1 with x^k equal to the identity."""
-    if not 0 <= x < G.order:
-        raise ValueError(f"element {x} out of range")
+    x = _element(G.order, x)
     return _element_orders(G)[x]
 
 
@@ -648,7 +652,7 @@ def subgroup_as_group(G: FiniteGroup, H: SubgroupSet) -> FiniteGroup:
     """The subgroup H as a standalone group, elements reindexed ascending."""
     if H.parent_order != G.order:
         raise WrongParent(G.order, H.parent_order)
-    elems = np.array(H.elements())
+    elems = np.flatnonzero(H.members)
     labels = tuple(G.label(x) for x in elems) if G.labels is not None else None
     # elems is ascending, so an element's new index is its rank in elems
     return build_from_table(np.searchsorted(elems, G.table[np.ix_(elems, elems)]), labels=labels)

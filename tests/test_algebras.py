@@ -413,6 +413,17 @@ def test_vector_index_round_trip(degraaf3):
         assert sb.index_vector(degraaf3, sb.vector_index(degraaf3, vec)) == vec
 
 
+@pytest.mark.parametrize(
+    "k, named",
+    [(81, "point 81 out of range"), (-1, "point -1 out of range"), (1.5, "point 1.5 is not an integer")],
+    ids=["at-order", "negative", "fractional"],
+)
+def test_index_vector_rejects_a_non_point(degraaf3, k, named):
+    # the base-p digits of 81 and -1 would read as (0, 0, 0, 0) and (2, 2, 2, 2)
+    with pytest.raises(ValueError, match=re.escape(named)):
+        sb.index_vector(degraaf3, k)
+
+
 # ---------------------------------------------------------------------------
 # the array path against plain oracles, on known algebras written in random
 # bases

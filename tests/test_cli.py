@@ -346,14 +346,6 @@ def test_ratio_cap_exceeded(capsys):
     assert code == EXIT_CAP
 
 
-def test_ratio_cap_from_environment(capsys, monkeypatch):
-    monkeypatch.setenv("BRACE_ORDER_CAP", "10")
-    code, _ = run(
-        capsys, "ratio", "--family", "semidirect", "--m", "9", "--n", "6", "--b", "2"
-    )
-    assert code == EXIT_CAP
-
-
 def test_ratio_invalid_action_is_validation_error(capsys):
     code, _ = run(
         capsys, "ratio", "--family", "semidirect", "--m", "9", "--n", "6", "--b", "3"
@@ -753,56 +745,50 @@ def test_parse_permutations_rejects_a_point_in_two_cycles():
 # the text that names the rejected entry; the files live in the working
 # directory, and every config error is raised before any table is built
 REJECTED = {
-    "products-entry-keys": (["verify", "keys.json"], {}, EXIT_CONFIG, "products[0] must have keys i, j, value"),
-    "products-entry-not-object": (["verify", "entry.json"], {}, EXIT_CONFIG, "products[0] must have keys i, j, value"),
-    "product-out-of-range": (["verify", "range.json"], {}, EXIT_CONFIG, "products[0] is out of range for dimension 2"),
-    "unreadable-file": (["verify", "missing.json"], {}, EXIT_CONFIG, "No such file or directory: 'missing.json'"),
-    "top-level-list": (["verify", "list.json"], {}, EXIT_CONFIG, "list.json: top-level JSON value must be an object"),
+    "products-entry-keys": (["verify", "keys.json"], EXIT_CONFIG, "products[0] must have keys i, j, value"),
+    "products-entry-not-object": (["verify", "entry.json"], EXIT_CONFIG, "products[0] must have keys i, j, value"),
+    "product-out-of-range": (["verify", "range.json"], EXIT_CONFIG, "products[0] is out of range for dimension 2"),
+    "unreadable-file": (["verify", "missing.json"], EXIT_CONFIG, "No such file or directory: 'missing.json'"),
+    "top-level-list": (["verify", "list.json"], EXIT_CONFIG, "list.json: top-level JSON value must be an object"),
     "algebra-without-dim": (
-        ["verify", "half.json"], {}, EXIT_CONFIG,
+        ["verify", "half.json"], EXIT_CONFIG,
         "half.json: expected a brace file (star/circ) or an algebra file (p/dim)",
     ),
     "neither-brace-nor-algebra": (
-        ["verify", "star.json"], {}, EXIT_CONFIG,
+        ["verify", "star.json"], EXIT_CONFIG,
         "star.json: expected a brace file (star/circ) or an algebra file (p/dim)",
     ),
-    "algebra-is-a-brace-file": (["ratio", "--algebra", "brace.json"], {}, EXIT_CONFIG, "brace.json is not an algebra file"),
+    "algebra-is-a-brace-file": (["ratio", "--algebra", "brace.json"], EXIT_CONFIG, "brace.json is not an algebra file"),
     "no-permutations": (
-        ["ratio", "--zappa-szep", "custom", "--left-gens", " , ", "--right-gens", "(1 2)"], {},
+        ["ratio", "--zappa-szep", "custom", "--left-gens", " , ", "--right-gens", "(1 2)"],
         EXIT_CONFIG, "no permutations given",
     ),
     "identity-chunk": (
-        ["ratio", "--zappa-szep", "custom", "--left-gens", "(), (1 2)", "--right-gens", "(1 2)"], {},
+        ["ratio", "--zappa-szep", "custom", "--left-gens", "(), (1 2)", "--right-gens", "(1 2)"],
         EXIT_INVALID, "NotComplementary: |L|=2, |R|=2, |G|=2, |L n R|=2",
     ),
     "non-integer-point": (
-        ["ratio", "--zappa-szep", "custom", "--left-gens", "(1 a)", "--right-gens", "(1 2)"], {},
+        ["ratio", "--zappa-szep", "custom", "--left-gens", "(1 a)", "--right-gens", "(1 2)"],
         EXIT_CONFIG, "bad cycle notation: '(1 a)'",
     ),
-    "grid-entry": (["examples", "--grid", "dihedral"], {}, EXIT_CONFIG, "bad --grid entry 'dihedral'; use name=values"),
-    "grid-pq-triple": (["examples", "--grid", "pq=7:3"], {}, EXIT_CONFIG, "bad pq grid entry '7:3'; use p:q:b"),
-    "grid-family": (["examples", "--grid", "cube=3"], {}, EXIT_CONFIG, "unknown grid family 'cube'"),
+    "grid-entry": (["examples", "--grid", "dihedral"], EXIT_CONFIG, "bad --grid entry 'dihedral'; use name=values"),
+    "grid-pq-triple": (["examples", "--grid", "pq=7:3"], EXIT_CONFIG, "bad pq grid entry '7:3'; use p:q:b"),
+    "grid-family": (["examples", "--grid", "cube=3"], EXIT_CONFIG, "unknown grid family 'cube'"),
     "grid-over-cap": (
-        ["examples", "--order-cap", "20", "--grid", "pq=7:3:2"], {},
+        ["examples", "--order-cap", "20", "--grid", "pq=7:3:2"],
         EXIT_INVALID, "FAIL  pq-7-3-2: unverified: order cap exceeded",
     ),
-    "batch-unreadable": (["family", "--batch", "missing.txt"], {}, EXIT_CONFIG, "No such file or directory: 'missing.txt'"),
-    "batch-field-count": (["family", "--batch", "short.txt"], {}, EXIT_CONFIG, "short.txt:2: expected 'family m n b'"),
-    "environment-cap": (
-        ["ratio", "--zappa-szep", "a5"], {"BRACE_AUT_CAP": "lots"}, EXIT_CONFIG,
-        "bad cap in environment: invalid literal for int() with base 10: 'lots'",
-    ),
-    "non-positive-cap": (["--order-cap", "0", "ratio", "--zappa-szep", "a5"], {}, EXIT_CONFIG, "caps must be positive"),
+    "batch-unreadable": (["family", "--batch", "missing.txt"], EXIT_CONFIG, "No such file or directory: 'missing.txt'"),
+    "batch-field-count": (["family", "--batch", "short.txt"], EXIT_CONFIG, "short.txt:2: expected 'family m n b'"),
+    "non-positive-cap": (["--order-cap", "0", "ratio", "--zappa-szep", "a5"], EXIT_CONFIG, "caps must be positive"),
 }
 
 
-@pytest.mark.parametrize("argv, env, code, named", list(REJECTED.values()), ids=list(REJECTED))
+@pytest.mark.parametrize("argv, code, named", list(REJECTED.values()), ids=list(REJECTED))
 def test_rejected_input_exits_with_its_code_and_names_the_entry(
-    tmp_path, monkeypatch, capsys, tables_built, argv, env, code, named
+    tmp_path, monkeypatch, capsys, tables_built, argv, code, named
 ):
     monkeypatch.chdir(tmp_path)
-    for key, value in env.items():
-        monkeypatch.setenv(key, value)
     files = {
         "keys.json": {"p": 3, "dim": 2, "products": [{"i": 0, "j": 0}]},
         "entry.json": {"p": 3, "dim": 2, "products": [5]},

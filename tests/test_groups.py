@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import re
 import tracemalloc
 
@@ -501,6 +502,48 @@ def test_elementary_abelian_81_has_212_subgroups():
 
 
 # ---------------------------------------------------------------------------
+# a subgroup is the value of its membership mask
+
+
+@pytest.mark.parametrize(
+    "seed, named",
+    [([1.5], "seed element 1.5 is not an integer"), ([2, True], "seed element True is not an integer"),
+     ([6], "seed element 6 out of range"), ([-1], "seed element -1 out of range")],
+    ids=["fractional", "bool", "at-order", "negative"],
+)
+def test_generated_subgroup_rejects_a_seed_that_is_not_an_element(seed, named):
+    # int() would read 1.5 and True as 1, a generator of all of Z6
+    with pytest.raises(ValueError, match=re.escape(named)):
+        sb.generated_subgroup(sb.cyclic_group(6), seed)
+
+
+def assert_views_read_the_mask(H):
+    n = H.parent_order
+    plain = [i for i in range(n) if H.mask >> i & 1]
+    assert H.size == len(plain)
+    assert H.elements() == tuple(plain)
+    assert np.flatnonzero(H.members).tolist() == plain and len(H.members) == n
+    assert [x for x in range(-2, n + 2) if H.contains(x)] == plain
+
+
+@given(st.integers(1, 80), st.data())
+def test_subgroup_views_read_bits_0_to_n_minus_1_of_any_mask(n, data):
+    low = data.draw(st.integers(0, (1 << n) - 1))
+    # a negative high part sets bits from n up without end, a positive one a few
+    high = data.draw(st.integers(-3, 3))
+    assert_views_read_the_mask(sb.SubgroupSet(n, low + (high << n)))
+
+
+@given(generated_groups())
+def test_a_subgroup_is_one_value_whichever_way_it_is_built(G):
+    assert [f.name for f in dataclasses.fields(sb.SubgroupSet)] == ["parent_order", "mask"]
+    for H in sb.enumerate_subgroups(G):
+        assert_views_read_the_mask(H)
+        for other in (sb.generated_subgroup(G, H.elements()), sb.SubgroupSet(G.order, H.mask)):
+            assert other == H and hash(other) == hash(H)
+
+
+# ---------------------------------------------------------------------------
 # normality
 
 
@@ -527,15 +570,15 @@ def test_is_normal_matches_conjugation_of_every_element(G, data):
     conjugates = {op[op[g][h]][G.inv[g]] for g in range(G.order) for h in H.elements()}
     normal = conjugates <= set(H.elements())
     assert sb.is_normal(G, H) == normal
-    # without recorded generators the check runs on every element
-    assert sb.is_normal(G, sb.SubgroupSet(G.order, H.mask, H.size)) == normal
+    # a caller-built subgroup is judged on its membership alone
+    assert sb.is_normal(G, sb.SubgroupSet(G.order, H.mask)) == normal
 
 
 @pytest.mark.parametrize(
     "check, H",
     [
-        (sb.is_normal, sb.SubgroupSet(2, 0b11, 2)),
-        (sb.subgroup_as_group, sb.SubgroupSet(8, 1, 1)),
+        (sb.is_normal, sb.SubgroupSet(2, 0b11)),
+        (sb.subgroup_as_group, sb.SubgroupSet(8, 1)),
     ],
     ids=["is_normal", "subgroup_as_group"],
 )
@@ -546,11 +589,14 @@ def test_subgroup_of_another_order_is_wrong_parent(check, H):
 
 
 def test_is_normal_reads_membership_not_recorded_generators(s3):
-    # a caller-built H whose recorded generators are the identity alone
+    # a caller-built H carries its mask alone; the three subgroups of order
+    # two in S3 are each conjugate to the other two, so none is normal
     for H in (H for H in sb.enumerate_subgroups(s3) if H.size == 2):
-        bogus = sb.SubgroupSet(s3.order, H.mask, H.size, gens=(s3.identity,))
-        assert bogus == H
-        assert not sb.is_normal(s3, bogus)
+        built = sb.SubgroupSet(s3.order, H.mask)
+        assert built == H
+        assert not sb.is_normal(s3, built)
+        # bits above the parent order hold no elements and change nothing
+        assert not sb.is_normal(s3, sb.SubgroupSet(s3.order, H.mask | (1 << s3.order)))
 
 
 def test_left_factor_normal_in_semidirect():
@@ -771,8 +817,6 @@ def test_enumerate_subgroups_enumerates_each_group_once(lattices_enumerated):
 def assert_lattice_matches_the_join_fixpoint(G):
     subs = sb.enumerate_subgroups(G)
     assert [H.mask for H in subs] == join_fixpoint_subgroups(G)
-    for H in subs:
-        assert sb.generated_subgroup(G, H.gens).mask == H.mask
 
 
 @given(generated_groups())
@@ -810,8 +854,9 @@ def test_lattice_counts_of_nonsolvable_groups(build, count):
     assert len(subs) == count
     keys = [(H.size, H.elements()) for H in subs]
     assert keys == sorted(keys) and len(set(keys)) == count
+    # each is closed: its elements generate nothing more
     for H in subs:
-        assert sb.generated_subgroup(G, H.gens).mask == H.mask
+        assert sb.generated_subgroup(G, H.elements()).mask == H.mask
 
 
 def conjugate_masks(G, H) -> set[int]:
@@ -833,21 +878,21 @@ def conjugate_masks(G, H) -> set[int]:
 def test_perfect_subgroups(build, sizes):
     G = build()
     perfect = _perfect_subgroups(G)
-    assert sorted(H.size for H in perfect) == sizes
+    assert sorted(H.size for H, _ in perfect) == sizes
     op = G.table.tolist()
-    for H in perfect:
+    for H, (x, y) in perfect:
         elems = H.elements()
         commutators = {op[op[op[a][b]][G.inv[a]]][G.inv[b]] for a in elems for b in elems}
         assert sb.generated_subgroup(G, commutators).mask == H.mask
-        assert sb.generated_subgroup(G, H.gens).mask == H.mask
+        assert sb.generated_subgroup(G, [x, y]).mask == H.mask
     # closed under conjugation
-    masks = {H.mask for H in perfect}
-    assert all(conjugate_masks(G, H) <= masks for H in perfect)
+    masks = {H.mask for H, _ in perfect}
+    assert all(conjugate_masks(G, H) <= masks for H, _ in perfect)
 
 
 def test_s6_perfect_subgroups_are_a6_and_two_classes_of_six_a5():
     G = symmetric_group(6)
-    a5s = {H.mask: H for H in _perfect_subgroups(G) if H.size == 60}
+    a5s = {H.mask: H for H, _ in _perfect_subgroups(G) if H.size == 60}
     classes = []
     while a5s:
         H = a5s.pop(next(iter(a5s)))

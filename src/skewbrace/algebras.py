@@ -97,6 +97,10 @@ def _rref(rows: np.ndarray, p: int) -> np.ndarray:
 
 
 def _check_vector(A: FpAlgebra, x) -> None:
+    """ValueError for a coordinate that is not an integer (a float, a bool);
+    DimensionMismatch for a vector that is not in F_p^dim coordinates."""
+    if (l := _first_non_integer(x)) is not None:
+        raise ValueError(f"coordinate {l} of vector {tuple(x)} is not an integer: {x[l]!r}")
     if len(x) != A.dim or any(not 0 <= v < A.p for v in x):
         raise DimensionMismatch(
             f"vector {tuple(x)} is not in F_{A.p}^{A.dim} coordinates"

@@ -538,8 +538,9 @@ def element_order(G: FiniteGroup, x: int) -> int:
 def is_automorphism(G: FiniteGroup, perm) -> bool:
     """True iff ``perm`` (the images of 0..n-1) is a bijection that respects
     the operation table of G: phi(x g) = phi(x) phi(g) for every x and every
-    g in G.gens, since the g for which that holds are closed under products."""
-    if sorted(perm) != list(range(G.order)):
+    g in G.gens, since the g for which that holds are closed under products.
+    An image that is not an integer (a float, a bool) makes it False."""
+    if _first_non_integer(perm) is not None or sorted(perm) != list(range(G.order)):
         return False
     phi = np.asarray(perm, dtype=np.int64)
     op, gens = G.table, list(G.gens)

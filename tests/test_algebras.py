@@ -424,6 +424,28 @@ def test_index_vector_rejects_a_non_point(degraaf3, k, named):
         sb.index_vector(degraaf3, k)
 
 
+@pytest.mark.parametrize(
+    "vec, named",
+    [((1.5, 0, 0, 0), "coordinate 0 of vector (1.5, 0, 0, 0) is not an integer: 1.5"),
+     ((0, True, 0, 0), "coordinate 1 of vector (0, True, 0, 0) is not an integer: True"),
+     ((0, 0, 1.0, 0), "coordinate 2 of vector (0, 0, 1.0, 0) is not an integer: 1.0")],
+    ids=["fractional", "bool", "integral-float"],
+)
+def test_vector_arguments_reject_a_non_integer_coordinate(degraaf3, vec, named):
+    # (1.5, 0, 0, 0) and (True, 0, 0, 0) would index as point 1, and a float
+    # coordinate would carry into the product as (0.0, 0.0, 0.5, 0.0)
+    unit = (1, 0, 0, 0)
+    for call in (
+        lambda: sb.vector_index(degraaf3, vec),
+        lambda: sb.multiply(degraaf3, vec, unit),
+        lambda: sb.multiply(degraaf3, unit, vec),
+        lambda: sb.circle(degraaf3, vec, unit),
+    ):
+        with pytest.raises(ValueError, match=re.escape(named)):
+            call()
+    assert sb.vector_index(degraaf3, np.array([1, 0, 0, 0])) == 1
+
+
 # ---------------------------------------------------------------------------
 # the array path against plain oracles, on known algebras written in random
 # bases

@@ -690,6 +690,32 @@ def test_closed_stdout_exits_without_a_traceback():
     assert "Traceback" not in err and "BrokenPipeError" not in err
 
 
+def test_python_m_skewbrace_prints_and_exits_as_main_returns(tmp_path, monkeypatch, capsys):
+    # the process ends with os._exit, so nothing may be left unflushed
+    monkeypatch.chdir(tmp_path)
+    z6 = [[(i + j) % 6 for j in range(6)] for i in range(6)]
+    bad = [row[:] for row in z6]
+    bad[1][2] = 0
+    Path("z6.json").write_text(json.dumps({"star": z6, "circ": z6}))
+    Path("bad.json").write_text(json.dumps({"star": z6, "circ": bad}))
+    Path("empty.json").write_text("")
+    commands = {
+        EXIT_OK: ["--format", "json", "ratio", "--algebra", "degraaf", "--p", "5", "--direction", "circ"],
+        EXIT_INVALID: ["--format", "json", "verify", "bad.json"],
+        EXIT_CONFIG: ["verify", "empty.json"],
+        EXIT_CAP: ["--order-cap", "5", "verify", "z6.json"],
+    }
+    reports = {}
+    for code, argv in commands.items():
+        assert main(argv) == code
+        reports[code] = capsys.readouterr().out.encode()
+        child = subprocess.run([sys.executable, "-m", "skewbrace", *argv], capture_output=True, env=_child_env())
+        assert (child.returncode, child.stdout) == (code, reports[code])
+        assert b"Traceback" not in child.stderr
+    # the ratio report fills the pipe more than once before the reader drains it
+    assert len(reports[EXIT_OK]) >= 64 * 1024
+
+
 def _python(*argv: str, env=os.environ) -> subprocess.CompletedProcess:
     return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=_child_env(env))
 

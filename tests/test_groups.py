@@ -673,6 +673,19 @@ def test_is_automorphism_matches_brute_force(s3):
     assert not sb.is_automorphism(s3, (0, 0, 1, 2, 3, 4))  # not a bijection
 
 
+@pytest.mark.parametrize(
+    "k, image", [(1, 5.0), (5, True), (1, "5"), (1, None)], ids=["float", "bool", "string", "none"]
+)
+def test_is_automorphism_is_false_for_an_image_that_is_not_an_integer(k, image):
+    G = sb.cyclic_group(6)
+    inversion = [0, 5, 4, 3, 2, 1]
+    assert sb.is_automorphism(G, inversion) and sb.is_automorphism(G, np.array(inversion))
+    perm = list(inversion)
+    perm[k] = image
+    # 5.0 == 5 and True == 1, so sorting alone took the first two for permutations
+    assert not sb.is_automorphism(G, perm)
+
+
 @given(generated_groups(), st.data())
 def test_is_automorphism_matches_the_full_table_check(G, data):
     others = [x for x in range(G.order) if x != G.identity]

@@ -178,15 +178,13 @@ def _parse_brace_json(data: dict, cap: int) -> list[np.ndarray]:
 
 _JSON_SPACE = b" \t\n\r"
 _KEY_ORDERS = ((b'"star"', b'"circ"'), (b'"circ"', b'"star"'))
+# every byte but a digit or a comma to a space
+_NUMBERS_ONLY = bytes(c if c in b"0123456789," else ord(" ") for c in range(256))
 
 
-def _digit_runs(text: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each byte of ``text`` less ord("0"), so that only digits are below 10,
-    and where runs of digits start and end: at k, a run starts at k + 1 if
-    the first mask is set and ends before k + 1 if the second is."""
-    digits = np.frombuffer(text, dtype=np.uint8) - np.uint8(ord("0"))
-    is_digit = digits < 10
-    return digits, is_digit[1:] > is_digit[:-1], is_digit[1:] < is_digit[:-1]
+def _digits(text: bytes) -> np.ndarray:
+    """Each byte of ``text`` less ord("0"): only digits are below 10."""
+    return np.frombuffer(text, dtype=np.uint8) - np.uint8(ord("0"))
 
 
 def _plain_brace_tables(blob: bytes, cap: int) -> list[np.ndarray] | None:
@@ -214,33 +212,31 @@ def _plain_brace_tables(blob: bytes, cap: int) -> list[np.ndarray] | None:
     # the skeleton has lost any whitespace or digit inside a key
     if b'"star"' not in blob or b'"circ"' not in blob:
         return None
-    # the skeleton leaves 2n^2 slots; one run of digits each, none of them
-    # split by whitespace, is one integer each
-    digits, starts, ends = _digit_runs(compact)
-    entries = np.count_nonzero(starts)
-    if entries != 2 * n * n:
+    # widths[k] digits lie between skeleton bytes k - 1 and k (before the
+    # first, after the last).  Each slot, from "[" or "," to "," or "]",
+    # must hold one number of no more digits than n - 1, so that none
+    # overflows int64, and no other place may hold a digit
+    digits = _digits(compact)
+    marks = np.flatnonzero(digits >= 10)
+    widths = np.diff(marks, prepend=-1, append=len(compact)) - 1
+    punct = np.frombuffer(skeleton, dtype=np.uint8)
+    slots = np.zeros(len(widths), dtype=bool)
+    slots[1:-1] = ((punct[:-1] == ord("[")) | (punct[:-1] == ord(","))) & (
+        (punct[1:] == ord(",")) | (punct[1:] == ord("]"))
+    )
+    if ((widths > 0) != slots).any() or widths.max() > len(str(n - 1)):
         return None
-    if len(compact) < len(blob) and np.count_nonzero(_digit_runs(blob)[1]) != entries:
-        return None
-    if (starts[:-1] & (digits[1:-1] == 0) & (digits[2:] < 10)).any():
+    if ((digits[marks[slots[1:]] + 1] == 0) & (widths[slots] > 1)).any():
         return None  # a leading zero
-    del compact, skeleton, starts  # freed before the entries are read
+    # whitespace inside a number joins two runs of digits into one
+    if len(compact) < len(blob):
+        in_blob = _digits(blob) < 10
+        if np.count_nonzero(in_blob[1:] > in_blob[:-1]) + in_blob[0] != 2 * n * n:
+            return None
     if n > cap:
         raise OrderCapExceeded(n, cap)
-    # digit j from the right of each entry, read while the entry has one;
-    # an entry below n has at most as many digits as n - 1.  Positions take
-    # the smallest dtype that holds them, which with the del above keeps the
-    # peak memory near the JSON path's (order 625: 62 MiB, JSON 59 MiB)
-    width = len(str(n - 1))
-    pos = np.flatnonzero(ends).astype(np.min_scalar_type(-len(digits)))
-    values = digits[pos].astype(np.int64)
-    within = np.ones(len(pos), dtype=bool)
-    for j in range(1, width):
-        pos -= 1
-        digit = digits[pos]
-        within &= digit < 10
-        values += np.where(within, digit, 0) * np.int64(10**j)
-    if (within & (digits[pos - 1] < 10)).any() or values.max() >= n:
+    values = np.fromstring(compact.translate(_NUMBERS_ONLY), dtype=np.int64, sep=",")
+    if values.max() >= n:
         return None
     first, second = values.reshape(2, n, n)
     return [first, second] if keys == _KEY_ORDERS[0] else [second, first]

@@ -11,6 +11,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -43,16 +44,38 @@ WHOLE = {
     "space-in-key": lambda d: _compact(d).replace('"star"', '"st ar"'),
     "digit-in-key": lambda d: _compact(d).replace('"circ"', '"ci1rc"'),
     "bom": lambda d: "\ufeff" + _compact(d),
+    "digit-before-object": lambda d: "0" + _compact(d),
+    "digit-after-object": lambda d: _compact(d) + "0",
+    # one slot fewer and one stray number more keep the count of numbers
+    "empty-entry-and-digit-after-star": lambda d: _last_star_entry_empty(d, '0,"circ":'),
+    "empty-entry-and-digit-before-circ": lambda d: _last_star_entry_empty(d, ',0"circ":'),
+    "empty-entry-and-digit-after-object": lambda d: _last_star_entry_empty(d, ',"circ":') + "0",
 }
+
+
+def _last_star_entry_empty(payload, between: str) -> str:
+    """The compact file with star's last entry left out, and ``between``
+    in place of the text from star to the circ table."""
+    star = re.sub(r"\d+\]\]$", "]]", _compact(payload["star"]))
+    return '{"star":' + star + between + _compact(payload["circ"]) + "}"
+
+def _split_below_n(entry: str, n: int) -> str:
+    """The digits of n - 1 split by a newline, which joined make an entry
+    below n; for n <= 10 no such entry exists, and ``entry`` twice is split."""
+    digits = str(n - 1) if n > 10 else entry * 2
+    return digits[0] + "\n" + digits[1:]
+
 
 # styles that change one row at entry j: (row of entry texts, j, n) -> row
 ROW = {
     "leading-zero": lambda r, j, n: r[:j] + ["0" + r[j]] + r[j + 1:],
     "digits-split-by-space": lambda r, j, n: r[:j] + [r[j] + " " + r[j]] + r[j + 1:],
+    "split-below-n": lambda r, j, n: r[:j] + [_split_below_n(r[j], n)] + r[j + 1:],
     "float": lambda r, j, n: r[:j] + [r[j] + ".0"] + r[j + 1:],
     "true": lambda r, j, n: r[:j] + ["true"] + r[j + 1:],
     "minus-one": lambda r, j, n: r[:j] + ["-1"] + r[j + 1:],
     "beyond-int64": lambda r, j, n: r[:j] + [str(10**20)] + r[j + 1:],
+    "2**64-more": lambda r, j, n: r[:j] + [str(2**64 + int(r[j]))] + r[j + 1:],
     "entry-at-least-n": lambda r, j, n: r[:j] + [str(n + int(r[j]))] + r[j + 1:],
     "empty-entry": lambda r, j, n: r[:j] + [""] + r[j + 1:],
     "trailing-comma": lambda r, j, n: r + [""],

@@ -26,7 +26,7 @@ So a ratio enumerates one lattice, the circ group's.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -67,12 +67,20 @@ class SkewBrace:
 
 @dataclass(frozen=True)
 class GcRatio:
-    """Unreduced stable-subgroup count over circ-subgroup count."""
+    """Unreduced stable-subgroup count over circ-subgroup count, with the
+    circ lattice it counted (``subgroups``) and its stable members."""
 
-    numerator: int
-    denominator: int
+    subgroups: tuple[SubgroupSet, ...] = field(repr=False)
     stable: tuple[SubgroupSet, ...]
     provenance: str = "raw"
+
+    @property
+    def numerator(self) -> int:
+        return len(self.stable)
+
+    @property
+    def denominator(self) -> int:
+        return len(self.subgroups)
 
     @property
     def reduced(self) -> tuple[int, int]:
@@ -117,7 +125,7 @@ def _assemble_brace(star: FiniteGroup, circ: FiniteGroup, provenance: str) -> Sk
     return SkewBrace(star.order, star, circ, provenance)
 
 
-def validate_skew_brace(star_table, circ_table, provenance: str = "raw") -> SkewBrace:
+def validate_skew_brace(star_table, circ_table) -> SkewBrace:
     """Validate two raw tables as a skew brace.
 
     Both tables go through full group validation first; then the brace law
@@ -125,7 +133,7 @@ def validate_skew_brace(star_table, circ_table, provenance: str = "raw") -> Skew
     """
     star = build_from_table(star_table)
     circ = build_from_table(circ_table)
-    return _assemble_brace(star, circ, provenance)
+    return _assemble_brace(star, circ, "raw")
 
 
 def is_bi_skew(b: SkewBrace) -> bool:
@@ -191,15 +199,9 @@ def is_circ_stable(b: SkewBrace, H: SubgroupSet) -> bool:
 def enumerate_stable_subgroups(
     b: SkewBrace, cap: int = DEFAULT_ORDER_CAP
 ) -> list[SubgroupSet]:
-    """All circ-stable subgroups of the star group, canonical order.
-
-    They are the subgroups of the circ lattice that the stability maps of
-    circ.gens send into themselves (facts 1-3 of the module docstring).  The
-    test costs len(circ.gens) * |H| cells per subgroup.
-    """
-    gamma = _stability_rows(b, b.circ.gens)
-    subgroups = enumerate_subgroups(b.circ, cap)
-    return [H for H in subgroups if (m := H.members)[gamma[:, np.flatnonzero(m)]].all()]
+    """All circ-stable subgroups of the star group, canonical order: the
+    ``stable`` of ``gc_ratio``, as a fresh list."""
+    return list(gc_ratio(b, cap).stable)
 
 
 def is_ideal(b: SkewBrace, H: SubgroupSet) -> bool:
@@ -213,11 +215,15 @@ def gc_ratio(b: SkewBrace, cap: int = DEFAULT_ORDER_CAP) -> GcRatio:
     """Galois correspondence ratio of the brace, reported unreduced.
 
     Numerator: circ-stable subgroups of the star group.  Denominator:
-    subgroups of the circ group.  Both come from the one circ lattice.
+    subgroups of the circ group.  Both come from the one circ lattice: its
+    stable members are those that the stability maps of circ.gens send into
+    themselves (facts 1-3 of the module docstring), at len(circ.gens) * |H|
+    cells per subgroup.
     """
-    stable = enumerate_stable_subgroups(b, cap)
-    denominator = len(enumerate_subgroups(b.circ, cap))
-    return GcRatio(len(stable), denominator, tuple(stable), b.provenance)
+    subgroups = tuple(enumerate_subgroups(b.circ, cap))
+    gamma = _stability_rows(b, b.circ.gens)
+    stable = tuple(H for H in subgroups if (m := H.members)[gamma[:, np.flatnonzero(m)]].all())
+    return GcRatio(subgroups, stable, b.provenance)
 
 
 def skew_brace_automorphism_count(b: SkewBrace, cap: int = DEFAULT_AUT_CAP) -> int:

@@ -509,45 +509,41 @@ def _pinned(row_id: str, detail: str, got: tuple, want: tuple) -> dict:
 
 
 # the order-54 pair of braces (add_galois, mult_galois) that six builders
-# share: a callable that builds it on first use and raises its build error on
-# every call until it succeeds
+# share, and the pair of their ratios (mult-galois, add-galois): callables
+# that build on first use and raise their build error on every call until
+# they succeed
 Z9Z6 = Callable[[], tuple[braces.SkewBrace, braces.SkewBrace]]
+Z9Z6Ratios = Callable[[], tuple[braces.GcRatio, braces.GcRatio]]
 
 
-def _z9z6_counts(z9z6: Z9Z6, cfg: RunConfig) -> list[dict]:
-    add_galois, mult_galois = z9z6()
-    subs_add = groups.enumerate_subgroups(mult_galois.star, cfg.order_cap)
-    subs_mult = groups.enumerate_subgroups(add_galois.star, cfg.order_cap)
-    G = add_galois.star
-    orders = groups._element_orders(G)
-    # H is cyclic exactly when one of its elements has order |H|
-    cyclic = sum(any(orders[x] == H.size for x in H.elements()) for H in subs_mult)
-    got = (len(subs_add), len(subs_mult), cyclic, len(subs_mult) - cyclic)
+def _z9z6_counts(z9z6: Z9Z6, ratios: Z9Z6Ratios, cfg: RunConfig) -> list[dict]:
+    r_mult, r_add = ratios()
+    # the mult-galois circ group is the add-galois star group
+    G = z9z6()[0].star
+    cyclic = len({groups.generated_subgroup(G, [x]) for x in range(G.order)})
+    got = (r_add.denominator, r_mult.denominator, cyclic, r_mult.denominator - cyclic)
     detail = "subgroups: add={} mult={} (mult split: cyclic={} noncyclic={})"
     return [_pinned("semidirect-9-6-2-counts", detail, got, (20, 36, 26, 10))]
 
 
-def _z9z6_ratios(z9z6: Z9Z6, cfg: RunConfig) -> list[dict]:
-    add_galois, mult_galois = z9z6()
-    r_mult = braces.gc_ratio(mult_galois, cfg.order_cap)
-    r_add = braces.gc_ratio(add_galois, cfg.order_cap)
+def _z9z6_ratios(ratios: Z9Z6Ratios, cfg: RunConfig) -> list[dict]:
+    r_mult, r_add = ratios()
     got = (r_mult.numerator, r_mult.denominator, r_add.numerator, r_add.denominator)
     detail = "mult-galois {}/{}, add-galois {}/{}"
     return [_pinned("semidirect-9-6-2-ratios", detail, got, (12, 36, 9, 20))]
 
 
-def _z9z6_shortcuts(z9z6: Z9Z6, cfg: RunConfig) -> list[dict]:
-    add_galois, mult_galois = z9z6()
-    subs_add = groups.enumerate_subgroups(mult_galois.star, cfg.order_cap)
-    stable_mult = set(braces.enumerate_stable_subgroups(mult_galois, cfg.order_cap))
-    # a subgroup outside the semidirect star's lattice is not add-stable
-    stable_add = set(braces.enumerate_stable_subgroups(add_galois, cfg.order_cap))
+def _z9z6_shortcuts(ratios: Z9Z6Ratios, cfg: RunConfig) -> list[dict]:
+    r_mult, r_add = ratios()
+    # r_add's lattice is the semidirect star's; a subgroup outside it is not
+    # add-stable
+    stable_mult, stable_add = set(r_mult.stable), set(r_add.stable)
     agree = sum(
         constructions.stability_criterion_z9z6(H) == (H in stable_mult, H in stable_add)
-        for H in subs_add
+        for H in r_add.subgroups
     )
     detail = "shortcut agreement on {}/{} subgroups"
-    return [_pinned("semidirect-9-6-2-shortcuts", detail, (agree, len(subs_add)), (20, 20))]
+    return [_pinned("semidirect-9-6-2-shortcuts", detail, (agree, r_add.denominator), (20, 20))]
 
 
 def _zappa_a5(cfg: RunConfig) -> list[dict]:
@@ -662,16 +658,16 @@ def _aut_counts(z9z6: Z9Z6, cfg: RunConfig) -> list[dict]:
 
 
 def _example_builders(
-    p_list, dihedral_ms, pq_specs, z9z6: Z9Z6
+    p_list, dihedral_ms, pq_specs, z9z6: Z9Z6, ratios: Z9Z6Ratios
 ) -> list[tuple[str, Callable[[RunConfig], list[dict]]]]:
     family_specs = [
         *((f"dihedral-{m}", ("generalized_dihedral", m, 2, m - 1)) for m in dihedral_ms),
         *((f"pq-{p}-{q}-{b}", ("pq", p, q, b)) for p, q, b in pq_specs),
     ]
     return [
-        ("semidirect-9-6-2-counts", partial(_z9z6_counts, z9z6)),
-        ("semidirect-9-6-2-ratios", partial(_z9z6_ratios, z9z6)),
-        ("semidirect-9-6-2-shortcuts", partial(_z9z6_shortcuts, z9z6)),
+        ("semidirect-9-6-2-counts", partial(_z9z6_counts, z9z6, ratios)),
+        ("semidirect-9-6-2-ratios", partial(_z9z6_ratios, ratios)),
+        ("semidirect-9-6-2-shortcuts", partial(_z9z6_shortcuts, ratios)),
         ("zappa-a5", _zappa_a5),
         *((f"algebra-p{p}", partial(_algebra_rows, p)) for p in p_list),
         *((row_id, partial(_family_example, row_id, spec)) for row_id, spec in family_specs),
@@ -718,8 +714,9 @@ def _cmd_examples(args, cfg: RunConfig) -> tuple[dict, int]:
         pq_specs = [(7, 3, 2)]
     # a failed build is not cached, so each builder reports the error itself
     z9z6 = cache(partial(constructions.semidirect_biskew, 9, 6, 2, cfg.order_cap))
+    ratios = cache(lambda: tuple(braces.gc_ratio(b, cfg.order_cap) for b in z9z6()[::-1]))
     rows: list[dict] = []
-    for builder_id, build in _example_builders(p_list, dihedral_ms, pq_specs, z9z6):
+    for builder_id, build in _example_builders(p_list, dihedral_ms, pq_specs, z9z6, ratios):
         try:
             rows += build(cfg)
         except (CapExceeded, ValidationFailure, ValueError) as exc:

@@ -16,14 +16,11 @@ perfect subgroups, each found subgroup S is extended to S<z> by every
 prime-power-order generator z that normalizes S and has z^p in S.  The
 perfect subgroups are found as 2-generated subgroups <x, y> of the perfect
 residuum, closed under conjugation; ``_perfect_subgroups`` states where
-that search is not proved complete.  ``enumerate_subgroups`` alone decides
-when a lattice is enumerated: it keeps the last two, so the two ratios of a
-bi-skew brace enumerate each of its groups once.
+that search is not proved complete.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -368,17 +365,14 @@ def enumerate_subgroups(G: FiniteGroup, cap: int = DEFAULT_ORDER_CAP) -> list[Su
     Every subgroup H is reached: H^inf is a seed, and a subgroup below H of
     prime index p, normal in H, is extended by the p-part of any element of
     H outside it.  The cap is checked first, more than LATTICE_BUDGET
-    subgroups raise BudgetExceeded, and every call gets a fresh list.
+    subgroups raise BudgetExceeded, and every call enumerates anew.
     """
     if G.order > cap:
         raise OrderCapExceeded(G.order, cap)
-    return list(_lattice(G))
+    return _lattice(G)
 
 
-# keyed on table and labels; two, since a ratio asks for the circ group of
-# its brace alone, and a family row or a bi-skew pair asks for both groups
-@functools.lru_cache(maxsize=2)
-def _lattice(G: FiniteGroup) -> tuple[SubgroupSet, ...]:
+def _lattice(G: FiniteGroup) -> list[SubgroupSet]:
     n, T, e, inv = G.order, G.table, G.identity, G.inv
     zuppos, zpowers, zp = _zuppos(G)
     zinv = inv[zuppos][:, None]
@@ -419,7 +413,7 @@ def _lattice(G: FiniteGroup) -> tuple[SubgroupSet, ...]:
                     raise BudgetExceeded(len(known), LATTICE_BUDGET, "subgroup count of at least")
 
     subs = [(len(elems), tuple(np.sort(elems).tolist()), k) for k, elems, _ in queue]
-    return tuple(SubgroupSet(n, int.from_bytes(k, "little")) for *_, k in sorted(subs))
+    return [SubgroupSet(n, int.from_bytes(k, "little")) for *_, k in sorted(subs)]
 
 
 def _zuppos(G: FiniteGroup) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:

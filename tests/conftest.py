@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import functools
 import math
 import random
 import sys
@@ -382,21 +381,15 @@ def tables_built(monkeypatch):
 @pytest.fixture
 def lattices_enumerated(monkeypatch):
     """List of the group orders whose subgroup lattice was enumerated, one
-    per real enumeration.
-
-    The memo behind enumerate_subgroups is replaced by an empty one of the
-    same size around a counting copy of the enumeration, so a call answered
-    from the memo is not counted and no earlier test's lattices are kept.
-    """
+    per enumeration."""
     calls = []
-    memoized = groups._lattice
+    original = groups._lattice
 
     def counting(G):
         calls.append(G.order)
-        return memoized.__wrapped__(G)
+        return original(G)
 
-    fresh = functools.lru_cache(**memoized.cache_parameters())(counting)
-    monkeypatch.setattr(groups, "_lattice", fresh)
+    monkeypatch.setattr(groups, "_lattice", counting)
     return calls
 
 

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from skewbrace import cli
-from skewbrace.cli import EXIT_CAP, main
+from skewbrace.cli import EXIT_CAP, EXIT_CONFIG, main
 
 from conftest import generated_groups
 
@@ -151,6 +151,29 @@ def test_verify_reads_each_style_as_the_json_path_does(style, data):
         # at the default cap, and with the cap below the order where one is
         for options in [()] if n == 1 else [(), ("--order-cap", str(n - 1))]:
             assert _verify(path, *options) == _verify_declined(path, *options)
+
+
+# punctuation of a square file's length, with the first "]" and the keys
+# where a square file has them and a number in every slot, but in another
+# shape: invalid JSON that only the reader's shape comparison declines
+MISSHAPEN = {
+    "star-closed-after-row-0": '{"star":[[0,1]],[1,0],"circ":[[0,1],[1,0]]}',
+    "star-closed-after-row-1": '{"star":[[0,1,2],[1,2,0]],[2,0,1],"circ":[[0,1,2],[1,2,0],[2,0,1]]}',
+    "circ-closed-after-row-0": '{"star":[[0,1,2],[1,2,0],[2,0,1]],"circ":[[0,1,2]],[1,2,0],[2,0,1]}',
+    "keys-swapped-circ-closed-after-row-0": '{"circ":[[0,1]],[1,0],"star":[[0,1],[1,0]]}',
+    "indented-star-closed-after-row-0": '{\n "star": [[0, 1]],\n [1, 0],\n "circ": [[0, 1], [1, 0]]\n}',
+    "order-1-both-entries-in-star": '{"star":[0,0]],"circ":]]]]}',
+}
+
+
+@pytest.mark.parametrize("text", MISSHAPEN.values(), ids=MISSHAPEN)
+def test_verify_reads_a_misshapen_square_file_as_the_json_path_does(tmp_path, text):
+    path = tmp_path / "brace.json"
+    path.write_text(text)
+    assert cli._plain_brace_tables(path.read_bytes(), cli.RunConfig.order_cap) is None
+    code, out, err = _verify(path)
+    assert (code, out, err) == _verify_declined(path)
+    assert code == EXIT_CONFIG and "not valid JSON" in err[0]
 
 
 def _zero_tables(n: int) -> str:

@@ -543,6 +543,17 @@ def test_family_csv_columns(capsys):
     assert row["predicted_match"] == "true"
 
 
+def test_family_row_without_a_prediction(capsys):
+    # b = 29 has order 2 < n = 6 modulo 35, so no closed form applies
+    code, out = run(capsys, "family", "--family", "custom_semidirect", "--m", "35", "--n", "6", "--b", "29")
+    assert code == EXIT_OK
+    assert out.splitlines() == [
+        "family=custom_semidirect m=35 n=6 b=29 g=2 h=2 n_sub_add=16 n_sub_mult=32 "
+        "n_stable_dir1=16 n_stable_dir2=12 ratio1_num=16 ratio1_den=32 ratio2_num=12 "
+        "ratio2_den=16 predicted_match=no-prediction"
+    ]
+
+
 def test_family_batch_file(tmp_path, capsys):
     batch = tmp_path / "specs.txt"
     batch.write_text(

@@ -1,0 +1,98 @@
+"""Library calls that reject their arguments: each names its exception
+type and its message."""
+
+from __future__ import annotations
+
+import re
+
+import pytest
+
+import skewbrace as sb
+from skewbrace.errors import DimensionMismatch, InvalidAction, NotAStarSubgroup, OrderCapExceeded
+
+
+def _z2_brace():
+    z2 = sb.cyclic_group(2)
+    return sb.validate_skew_brace(z2.table, z2.table)
+
+
+REJECTIONS = {
+    "brace-tables-of-orders-2-and-3": (
+        lambda: sb.validate_skew_brace(sb.cyclic_group(2).table, sb.cyclic_group(3).table),
+        ValueError, "star and circ tables have different orders",
+    ),
+    "circ-stable-wrong-parent": (
+        lambda: sb.is_circ_stable(_z2_brace(), sb.generated_subgroup(sb.cyclic_group(3), [1])),
+        NotAStarSubgroup, "subgroup parent order 3 does not match brace order 2",
+    ),
+    "algebra-dim-0": (
+        lambda: sb.make_algebra(3, 0, []),
+        ValueError, "dimension must be at least 1",
+    ),
+    "algebra-bad-shape": (
+        lambda: sb.make_algebra(3, 2, [[[0, 0], [0, 0]], [[0, 0]]]),
+        ValueError, "structure constant table must be dim x dim x dim",
+    ),
+    "algebra-label-count": (
+        lambda: sb.make_algebra(3, 1, [[[0]]], labels=["a", "b"]),
+        ValueError, "got 2 labels for dimension 1",
+    ),
+    "circle-power-0": (
+        lambda: sb.circle_power(sb.degraaf_algebra(3), (1, 0, 0, 0), 0),
+        ValueError, "exponent must be at least 1",
+    ),
+    "subspace-of-another-space": (
+        lambda: sb.subspace_subgroup(sb.degraaf_algebra(3), sb.enumerate_left_ideals(sb.degraaf_algebra(5))[0]),
+        DimensionMismatch, "subspace of F_5^4 is not in F_3^4",
+    ),
+    "isomorphism-over-the-aut-cap": (
+        lambda: sb.is_isomorphic(sb.cyclic_group(201), sb.cyclic_group(201)),
+        OrderCapExceeded, "group order 201 exceeds the configured cap 200",
+    ),
+    "closure-of-no-generators": (
+        lambda: sb.closure_from_permutations([]),
+        ValueError, "at least one generator is required",
+    ),
+    "closure-of-a-non-bijection": (
+        lambda: sb.closure_from_permutations([(0, 0, 1)]),
+        ValueError, "generator 0 is not a bijection on 0..2",
+    ),
+    "semidirect-of-order-0": (
+        lambda: sb.semidirect_product_cyclic(0, 2, 1),
+        ValueError, "factors must have positive order",
+    ),
+    "sigma-0": (lambda: sb.sigma(0), ValueError, "m must be positive"),
+    "divisor-count-0": (lambda: sb.divisor_count(0), ValueError, "m must be positive"),
+    "order-of-a-non-unit": (
+        lambda: sb.multiplicative_order(2, 4),
+        ValueError, "2 is not a unit modulo 4",
+    ),
+    "unknown-family": (
+        lambda: sb.family_spec("dicyclic", 15, 2, 4),
+        ValueError, "unknown family 'dicyclic'; choose one of "
+        "('pq', 'product_pq', 'generalized_dihedral', 'custom_semidirect')",
+    ),
+    "family-m-below-2": (
+        lambda: sb.family_spec("custom_semidirect", 1, 2, 1),
+        ValueError, "m and n must be at least 2",
+    ),
+    "product-pq-with-one-q-for-two-p": (
+        lambda: sb.family_spec("product_pq", 15, 2, 4),
+        ValueError, "product family pairs one q with each p",
+    ),
+    "product-pq-with-b-of-orders-1-1": (
+        lambda: sb.family_spec("product_pq", 35, 6, 1),
+        InvalidAction, "orders of b modulo the primes of m are [1, 1], expected the primes of n",
+    ),
+    "generalized-dihedral-order-modulo-3": (
+        lambda: sb.family_spec("generalized_dihedral", 15, 2, 4),
+        InvalidAction, "b=4 must have order 2 modulo 3",
+    ),
+}
+
+
+@pytest.mark.parametrize("call, error, message", REJECTIONS.values(), ids=REJECTIONS)
+def test_a_rejected_call_names_its_error(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$") as info:
+        call()
+    assert type(info.value) is error

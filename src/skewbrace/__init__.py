@@ -18,7 +18,6 @@ from .algebras import (
     brace_from_radical_flipped,
     circle,
     circle_group,
-    circle_inverse,
     circle_power,
     degraaf_algebra,
     enumerate_left_ideals,
@@ -33,7 +32,6 @@ from .algebras import (
 from .braces import (
     GcRatio,
     SkewBrace,
-    enumerate_stable_subgroups,
     gc_ratio,
     hgs_count,
     is_bi_skew,
@@ -48,17 +46,14 @@ from .constructions import (
     FamilySpec,
     FormulaReport,
     a5_factorization,
-    divisor_count,
     exact_factorization,
     factorization_from_permutations,
     family_formula_report,
     family_spec,
     multiplicative_order,
-    all_additive_subgroups_stable,
     semidirect_biskew,
     sigma,
     stability_criterion_z9z6,
-    stable_iff_normalized_check,
     zappa_szep_brace,
 )
 from .groups import (
@@ -71,7 +66,6 @@ from .groups import (
     closure_from_permutations,
     cyclic_group,
     direct_product,
-    element_order,
     enumerate_subgroups,
     generated_subgroup,
     is_automorphism,

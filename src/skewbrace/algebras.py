@@ -182,19 +182,6 @@ def circle(A: FpAlgebra, x, y) -> tuple[int, ...]:
     return tuple(((multiply(A, x, y) + np.add(x, y)) % A.p).tolist())
 
 
-def circle_inverse(A: FpAlgebra, x) -> tuple[int, ...]:
-    """Inverse of x under circle: -x + x^2 - x^3 + ..., a finite sum."""
-    _check_vector(A, x)
-    out = -np.asarray(x, dtype=np.int64)
-    power = x
-    sign = 1
-    for _ in range(2, A.nilpotency_index):
-        power = multiply(A, power, x)
-        out += sign * np.asarray(power)
-        sign = -sign
-    return tuple((out % A.p).tolist())
-
-
 def circle_power(A: FpAlgebra, x, m: int) -> tuple[int, ...]:
     """m-fold circle product of x with itself, m >= 1."""
     if m < 1:

@@ -196,14 +196,6 @@ def is_circ_stable(b: SkewBrace, H: SubgroupSet) -> bool:
     return bool(members[_stability_rows(b, b.circ.gens)[:, np.flatnonzero(members)]].all())
 
 
-def enumerate_stable_subgroups(
-    b: SkewBrace, cap: int = DEFAULT_ORDER_CAP
-) -> list[SubgroupSet]:
-    """All circ-stable subgroups of the star group, canonical order: the
-    ``stable`` of ``gc_ratio``, as a fresh list."""
-    return list(gc_ratio(b, cap).stable)
-
-
 def is_ideal(b: SkewBrace, H: SubgroupSet) -> bool:
     """A circ-stable subgroup is an ideal iff it is normal in the circ group."""
     if not is_circ_stable(b, H):

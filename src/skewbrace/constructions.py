@@ -3,8 +3,8 @@
 Also carries the squarefree-family bookkeeping: closed-form subgroup and
 stable-subgroup counts for the product family (pq is its one-pair case) and
 the generalized dihedral family, checked against brute-force enumeration.
-Stable sets and ratios come from ``braces.gc_ratio`` and
-``braces.enumerate_stable_subgroups``; this module filters no lattice itself.
+Stable sets and ratios come from ``braces.gc_ratio``; this module filters
+no lattice itself.
 """
 
 from __future__ import annotations
@@ -14,13 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .braces import (
-    SkewBrace,
-    _assemble_brace,
-    enumerate_stable_subgroups,
-    gc_ratio,
-    is_circ_stable,
-)
+from .braces import SkewBrace, _assemble_brace, gc_ratio
 from .errors import (
     InvalidAction,
     NotComplementary,
@@ -32,10 +26,8 @@ from .groups import (
     DEFAULT_ORDER_CAP,
     FiniteGroup,
     SubgroupSet,
-    _conjugates_inside,
     build_from_table,
     closure_from_permutations,
-    enumerate_subgroups,
     generated_subgroup,
     semidirect_product_cyclic,
 )
@@ -89,20 +81,6 @@ def zappa_szep_brace(f: ExactFactorization) -> SkewBrace:
     # entry [x, y] is l * y * r^-1 for x = l * r^-1
     circ = build_from_table(G.table[G.table[left], ri[:, None]], labels=G.labels)
     return _assemble_brace(G, circ, "zappa_szep")
-
-
-def stable_iff_normalized_check(
-    f: ExactFactorization, H: SubgroupSet, brace: SkewBrace | None = None
-) -> tuple[bool, bool]:
-    """(circ-stable, normalized by the left factor); the two must agree.
-
-    Exposed as a cross-check: stability of a subgroup of the parent is
-    equivalent to being normalized by the left factor.
-    """
-    b = brace if brace is not None else zappa_szep_brace(f)
-    stable = is_circ_stable(b, H)
-    normalized = _conjugates_inside(f.parent, f.left.elements(), H)
-    return stable, normalized
 
 
 def factorization_from_permutations(
@@ -171,13 +149,6 @@ def sigma(m: int) -> int:
     return sum(d for d in range(1, m + 1) if m % d == 0)
 
 
-def divisor_count(m: int) -> int:
-    """Number of divisors of m."""
-    if m < 1:
-        raise ValueError("m must be positive")
-    return sum(1 for d in range(1, m + 1) if m % d == 0)
-
-
 def _prime_factors(m: int) -> tuple[int, ...]:
     out = []
     d = 2
@@ -192,6 +163,8 @@ def _prime_factors(m: int) -> tuple[int, ...]:
 
 
 def multiplicative_order(b: int, m: int) -> int:
+    if m < 1:
+        raise ValueError("m must be positive")
     if m == 1:
         return 1
     if math.gcd(b, m) != 1:
@@ -273,8 +246,11 @@ class FormulaReport:
     predicted: dict
     enumerated: dict | None
     match: dict | None
-    verified: bool
     bound_ok: bool | None
+
+    @property
+    def verified(self) -> bool:
+        return self.enumerated is not None
 
     @property
     def all_match(self) -> bool:
@@ -318,7 +294,7 @@ def family_formula_report(spec: FamilySpec, cap: int = DEFAULT_ORDER_CAP) -> For
         r_mult = gc_ratio(mult_galois, cap)
         r_add = gc_ratio(add_galois, cap)
     except OrderCapExceeded:
-        return FormulaReport(spec, predicted, None, None, False, None)
+        return FormulaReport(spec, predicted, None, None, None)
     enumerated = {
         "subgroups_add": r_add.denominator,
         "subgroups_mult": r_mult.denominator,
@@ -333,16 +309,5 @@ def family_formula_report(spec: FamilySpec, cap: int = DEFAULT_ORDER_CAP) -> For
     if spec.family == "generalized_dihedral":
         num, den = enumerated["ratio_mult_galois"]
         bound_ok = num * 3**spec.g <= 2 * 2**spec.g * den
-    return FormulaReport(spec, predicted, enumerated, match, True, bound_ok)
+    return FormulaReport(spec, predicted, enumerated, match, bound_ok)
 
-
-def all_additive_subgroups_stable(spec: FamilySpec, cap: int = DEFAULT_ORDER_CAP) -> bool:
-    """True iff every subgroup of the additive structure is mult-stable.
-
-    Requires b to have full order n modulo m.
-    """
-    if multiplicative_order(spec.b, spec.m) != spec.n:
-        raise InvalidAction(f"b={spec.b} must have order {spec.n} modulo {spec.m}")
-    _, mult_galois = semidirect_biskew(spec.m, spec.n, spec.b, cap)
-    stable = enumerate_stable_subgroups(mult_galois, cap)
-    return len(stable) == len(enumerate_subgroups(mult_galois.star, cap))

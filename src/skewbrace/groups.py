@@ -507,26 +507,15 @@ def _perfect_subgroups(G: FiniteGroup) -> list[tuple[SubgroupSet, tuple[int, int
     return [(SubgroupSet(G.order, mask), gens) for mask, gens in found.items()]
 
 
-def _conjugates_inside(G: FiniteGroup, conjugators, H: SubgroupSet) -> bool:
-    """True iff g h g^-1 is in H for every conjugator g and every h in H."""
-    if H.parent_order != G.order:
-        raise WrongParent(G.order, H.parent_order)
-    g = np.asarray(conjugators, dtype=np.intp)
-    members = H.members
-    T = G.table
-    return bool(members[T[T[np.ix_(g, np.flatnonzero(members))], G.inv[g][:, None]]].all())
-
-
 def is_normal(G: FiniteGroup, H: SubgroupSet) -> bool:
     """True iff gHg^-1 = H for every g.  Conjugation is checked for g in
     G.gens: the g with gHg^-1 inside H are closed under products."""
-    return _conjugates_inside(G, G.gens, H)
-
-
-def element_order(G: FiniteGroup, x: int) -> int:
-    """Least k >= 1 with x^k equal to the identity."""
-    x = _element(G.order, x)
-    return _element_orders(G)[x]
+    if H.parent_order != G.order:
+        raise WrongParent(G.order, H.parent_order)
+    g = np.asarray(G.gens, dtype=np.intp)
+    members = H.members
+    T = G.table
+    return bool(members[T[T[np.ix_(g, np.flatnonzero(members))], G.inv[g][:, None]]].all())
 
 
 def is_automorphism(G: FiniteGroup, perm) -> bool:

@@ -155,6 +155,11 @@ def perfect_residuum(G: sb.FiniteGroup) -> set[int]:
         term = derived
 
 
+def divisor_count(m: int) -> int:
+    """Number of divisors of m >= 1, by trial of every candidate."""
+    return sum(1 for d in range(1, m + 1) if m % d == 0)
+
+
 def brace_law_violations(star: sb.FiniteGroup, circ: sb.FiniteGroup) -> list[tuple]:
     """Plain-python triple scan of the left brace law."""
     n, sop, cop = star.order, star.table.tolist(), circ.table.tolist()

@@ -221,7 +221,8 @@ def test_criterion_7_every_additive_subgroup_stable():
     specs = [("pq", 7, 3, 2), ("generalized_dihedral", 15, 2, 14), ("pq", 31, 5, 2)]
     results = {}
     for fam, m, n, b in specs:
-        results[(m, n, b)] = sb.all_additive_subgroups_stable(sb.family_spec(fam, m, n, b))
+        report = sb.family_formula_report(sb.family_spec(fam, m, n, b))
+        results[(m, n, b)] = report.enumerated["all_add_subgroups_mult_stable"]
     ok = all(results.values())
     _report(ok, f"criterion 7: all additive subgroups mult-stable for {results}")
 

@@ -9,7 +9,7 @@ from hypothesis import given
 import skewbrace as sb
 from skewbrace.errors import InvalidAction, NotComplementary, WrongParent
 
-from conftest import semidirect_params
+from conftest import divisor_count, semidirect_params
 
 
 def _plain_normalized(f: sb.ExactFactorization, H: sb.SubgroupSet) -> bool:
@@ -50,8 +50,7 @@ def test_semidirect_factorization_matches_plain_products(params):
     _check_decomposition(f)
     brace = sb.zappa_szep_brace(f)
     for H in sb.enumerate_subgroups(G):
-        stable, normalized = sb.stable_iff_normalized_check(f, H, brace=brace)
-        assert stable == normalized == _plain_normalized(f, H)
+        assert sb.is_circ_stable(brace, H) == _plain_normalized(f, H)
 
 
 def test_factorization_rejects_overlap():
@@ -105,14 +104,25 @@ def test_stable_iff_normalized_agreement_on_all_a5_subgroups(a5_brace):
     assert len(subs) == 59
     _check_decomposition(f)
     for H in subs:
-        stable, normalized = sb.stable_iff_normalized_check(f, H, brace=a5_brace)
-        assert stable == normalized == _plain_normalized(f, H)
+        assert sb.is_circ_stable(a5_brace, H) == _plain_normalized(f, H)
     five = next(H for H in subs if H.size == 5)
-    assert sb.stable_iff_normalized_check(f, five, brace=a5_brace) == (True, True)
+    assert (sb.is_circ_stable(a5_brace, five), _plain_normalized(f, five)) == (True, True)
     two = next(H for H in subs if H.size == 2)
-    assert sb.stable_iff_normalized_check(f, two, brace=a5_brace) == (False, False)
+    assert (sb.is_circ_stable(a5_brace, two), _plain_normalized(f, two)) == (False, False)
     full = subs[-1]
-    assert sb.stable_iff_normalized_check(f, full, brace=a5_brace) == (True, True)
+    assert (sb.is_circ_stable(a5_brace, full), _plain_normalized(f, full)) == (True, True)
+
+
+def test_stable_iff_normalized_on_s5():
+    # S5 = <(1 2 3 4 5)> * <(1 2 3 4), (1 2)>, nonsolvable: its stable
+    # subgroups, read off the circ lattice (Z5 x S4), are the subgroups of
+    # S5 that the 5-cycle normalizes
+    f = sb.factorization_from_permutations([(1, 2, 3, 4, 0)], [(1, 2, 3, 0, 4), (1, 0, 2, 3, 4)])
+    r = sb.gc_ratio(sb.zappa_szep_brace(f))
+    subs = sb.enumerate_subgroups(f.parent)
+    normalized = {H.mask for H in subs if _plain_normalized(f, H)}
+    assert (len(normalized), len(subs), r.denominator) == (6, 156, 60)
+    assert {H.mask for H in r.stable} == normalized
 
 
 # ---------------------------------------------------------------------------
@@ -211,9 +221,9 @@ def test_shortcut_rejects_wrong_parent():
 
 def test_sigma_and_divisor_count():
     assert sb.sigma(15) == 24
-    assert sb.divisor_count(15) == 4
+    assert divisor_count(15) == 4
     assert sb.sigma(7) == 8
-    assert sb.divisor_count(1) == 1
+    assert divisor_count(1) == 1
     assert sb.sigma(105) == 192
 
 
@@ -316,4 +326,5 @@ def test_all_additive_subgroups_stable_instances():
         ("generalized_dihedral", 15, 2, 14),
         ("pq", 31, 5, 2),
     ):
-        assert sb.all_additive_subgroups_stable(sb.family_spec(fam, m, n, b))
+        report = sb.family_formula_report(sb.family_spec(fam, m, n, b))
+        assert report.enumerated["all_add_subgroups_mult_stable"]

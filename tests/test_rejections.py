@@ -62,7 +62,11 @@ REJECTIONS = {
         ValueError, "factors must have positive order",
     ),
     "sigma-0": (lambda: sb.sigma(0), ValueError, "m must be positive"),
-    "divisor-count-0": (lambda: sb.divisor_count(0), ValueError, "m must be positive"),
+    "order-modulo-0": (lambda: sb.multiplicative_order(1, 0), ValueError, "m must be positive"),
+    "order-modulo-minus-5": (
+        lambda: sb.multiplicative_order(2, -5),
+        ValueError, "m must be positive",
+    ),
     "order-of-a-non-unit": (
         lambda: sb.multiplicative_order(2, 4),
         ValueError, "2 is not a unit modulo 4",

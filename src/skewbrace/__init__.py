@@ -50,9 +50,7 @@ from .constructions import (
     factorization_from_permutations,
     family_formula_report,
     family_spec,
-    multiplicative_order,
     semidirect_biskew,
-    sigma,
     stability_criterion_z9z6,
     zappa_szep_brace,
 )

@@ -13,7 +13,6 @@ point budget.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -28,7 +27,8 @@ from .errors import (
     NotNilpotent,
     OrderCapExceeded,
 )
-from .groups import DEFAULT_ORDER_CAP, FiniteGroup, SubgroupSet, _element, _first_non_integer, _mask, build_from_table
+from .groups import DEFAULT_ORDER_CAP, FiniteGroup, SubgroupSet, build_from_table
+from .groups import _element, _first_non_integer, _integral, _mask, _prime_factors
 
 DEFAULT_POINT_BUDGET = 100_000
 
@@ -41,10 +41,6 @@ def check_point_budget(p: int, dim: int) -> None:
     """
     if p > 1 and (dim >= DEFAULT_POINT_BUDGET.bit_length() or p**dim > DEFAULT_POINT_BUDGET):
         raise BudgetExceeded(f"{p}^{dim}", DEFAULT_POINT_BUDGET)
-
-
-def _is_prime(p: int) -> bool:
-    return p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,13 +110,13 @@ def make_algebra(p: int, dim: int, sc, labels=None) -> FpAlgebra:
     Associativity is checked on basis triples (bilinearity covers the rest)
     and nilpotency by iterating the power chain A, A^2, A^3, ... which must
     strictly shrink to zero.  F_p^dim may have at most DEFAULT_POINT_BUDGET
-    points.
+    points, checked first, and dim is checked before p is factored.
     """
     check_point_budget(p, dim)
-    if not _is_prime(p):
-        raise ValueError(f"{p} is not prime")
     if dim < 1:
         raise ValueError("dimension must be at least 1")
+    if not _integral(type(p)) or _prime_factors(p) != (p,):
+        raise ValueError(f"{p} is not prime")
     raw = [list(row) for row in sc]
     if len(raw) != dim or any(len(row) != dim or any(len(e) != dim for e in row) for row in raw):
         raise ValueError("structure constant table must be dim x dim x dim")
@@ -156,13 +152,10 @@ def make_algebra(p: int, dim: int, sc, labels=None) -> FpAlgebra:
 def degraaf_algebra(p: int) -> FpAlgebra:
     """Four-dimensional algebra with a*a = c, a*b = d, other basis products zero.
 
-    Defined for odd primes only.
+    Defined for odd primes only; ``make_algebra`` checks the budget and primality.
     """
-    check_point_budget(p, 4)
     if p <= 2:
         raise ValueError("p must be an odd prime")
-    if not _is_prime(p):
-        raise ValueError(f"{p} is not prime")
     zero = (0, 0, 0, 0)
     sc = [[zero] * 4 for _ in range(4)]
     sc[0][0] = (0, 0, 1, 0)

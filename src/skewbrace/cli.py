@@ -745,7 +745,7 @@ def _family_row(spec_args, cfg: RunConfig) -> dict:
     row.update(family=family, m=m, n=n, b=b)
     try:
         spec = constructions.family_spec(family, m, n, b)
-    except (ValueError, ValidationFailure) as exc:
+    except (ValueError, ValidationFailure, CapExceeded) as exc:
         row["predicted_match"] = f"error:{type(exc).__name__}"
         return row
     report = constructions.family_formula_report(spec, cfg.order_cap)

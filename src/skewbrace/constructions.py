@@ -3,6 +3,7 @@
 Also carries the squarefree-family bookkeeping: closed-form subgroup and
 stable-subgroup counts for the product family (pq is its one-pair case) and
 the generalized dihedral family, checked against brute-force enumeration.
+The closed forms and the orders asked of b are read off the primes of m and n.
 Stable sets and ratios come from ``braces.gc_ratio``; this module filters
 no lattice itself.
 """
@@ -14,8 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .algebras import DEFAULT_POINT_BUDGET
 from .braces import SkewBrace, _assemble_brace, gc_ratio
 from .errors import (
+    BudgetExceeded,
     InvalidAction,
     NotComplementary,
     NotExhaustive,
@@ -31,6 +34,7 @@ from .groups import (
     generated_subgroup,
     semidirect_product_cyclic,
 )
+from .groups import _prime_factors, _unit_action
 
 
 @dataclass(frozen=True)
@@ -142,39 +146,10 @@ def stability_criterion_z9z6(H: SubgroupSet) -> tuple[bool, bool]:
     return bool(members[r * 6].all()), bool(members[(2**s - 1) % 9 * 6].all())
 
 
-def sigma(m: int) -> int:
-    """Sum of the divisors of m."""
-    if m < 1:
-        raise ValueError("m must be positive")
-    return sum(d for d in range(1, m + 1) if m % d == 0)
-
-
-def _prime_factors(m: int) -> tuple[int, ...]:
-    out = []
-    d = 2
-    while d * d <= m:
-        while m % d == 0:
-            out.append(d)
-            m //= d
-        d += 1
-    if m > 1:
-        out.append(m)
-    return tuple(out)
-
-
-def multiplicative_order(b: int, m: int) -> int:
-    if m < 1:
-        raise ValueError("m must be positive")
-    if m == 1:
-        return 1
-    if math.gcd(b, m) != 1:
-        raise ValueError(f"{b} is not a unit modulo {m}")
-    k = 1
-    y = b % m
-    while y != 1:
-        y = y * b % m
-        k += 1
-    return k
+def _order(b: int, d: int, n: int, n_primes) -> int:
+    """Order of b modulo d, given b^n = 1 (mod d) with n squarefree: it
+    divides n and has the prime q exactly when b^(n/q) is not 1 (mod d)."""
+    return math.prod(q for q in n_primes if pow(b, n // q, d) != 1)
 
 
 FAMILIES = ("pq", "product_pq", "generalized_dihedral", "custom_semidirect")
@@ -203,29 +178,29 @@ class FamilySpec:
 def family_spec(family: str, m: int, n: int, b: int) -> FamilySpec:
     """Validate and normalize a family spec.
 
-    m and n must be coprime and squarefree; b must act with the
-    multiplicative orders each family requires.
+    m and n must be coprime, squarefree and at most DEFAULT_POINT_BUDGET ** 2,
+    which keeps trial division fast (BudgetExceeded otherwise); b must act
+    with the multiplicative orders each family requires.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; choose one of {FAMILIES}")
     if m < 2 or n < 2:
         raise ValueError("m and n must be at least 2")
-    mp = _prime_factors(m)
-    np_ = _prime_factors(n)
+    if max(m, n) > DEFAULT_POINT_BUDGET**2:
+        raise BudgetExceeded(max(m, n), DEFAULT_POINT_BUDGET**2, "family parameter")
+    mp, np_ = _prime_factors(m), _prime_factors(n)
     if len(set(mp)) != len(mp) or len(set(np_)) != len(np_):
         raise ValueError(f"m={m} and n={n} must be squarefree")
     if math.gcd(m, n) != 1:
         raise ValueError(f"m={m} and n={n} must be coprime")
-    b %= m
-    if math.gcd(b, m) != 1 or pow(b, n, m) != 1:
-        raise InvalidAction(f"b={b} must be a unit modulo {m} with b^{n} = 1 (mod {m})")
+    b = _unit_action(m, n, b)
     if family == "pq" and (len(mp) != 1 or len(np_) != 1):
         raise ValueError("pq family needs m and n prime")
     # pq is the product family with one prime pair
     if family in ("pq", "product_pq"):
         if len(mp) != len(np_):
             raise ValueError("product family pairs one q with each p")
-        orders = sorted(multiplicative_order(b, p) for p in mp)
+        orders = sorted(_order(b, p, n, np_) for p in mp)
         if orders != sorted(np_):
             raise InvalidAction(
                 f"orders of b modulo the primes of m are {orders}, "
@@ -233,7 +208,7 @@ def family_spec(family: str, m: int, n: int, b: int) -> FamilySpec:
             )
     elif family == "generalized_dihedral":
         for p in mp:
-            if multiplicative_order(b, p) != n:
+            if _order(b, p, n, np_) != n:
                 raise InvalidAction(f"b={b} must have order {n} modulo {p}")
     return FamilySpec(family, m, n, b, mp, np_)
 
@@ -262,9 +237,10 @@ def _predicted(spec: FamilySpec) -> dict:
     if spec.family in ("pq", "product_pq"):
         add, mult, stable_in_mult = 4**g, math.prod(p + 3 for p in spec.m_primes), 3**g
     elif spec.family == "generalized_dihedral":
-        add, mult = 2 ** (g + h), 2**g + (2**h - 1) * sigma(spec.m)
+        sigma = math.prod(p + 1 for p in spec.m_primes)  # divisor sum of the squarefree m
+        add, mult = 2 ** (g + h), 2**g + (2**h - 1) * sigma
         stable_in_mult = 2**h + 2**g - 1
-    elif multiplicative_order(spec.b, spec.m) == spec.n:
+    elif _order(spec.b, spec.m, spec.n, spec.n_primes) == spec.n:
         # custom semidirect: no closed forms; the full-stability prediction
         # only applies when b has full order modulo m
         return {"all_add_subgroups_mult_stable": True}

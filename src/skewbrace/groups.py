@@ -21,7 +21,6 @@ that search is not proved complete.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -138,17 +137,25 @@ def _exact_int_array(rows) -> np.ndarray:
         return np.array(rows, dtype=object)
 
 
+def _length(x, what: str) -> int:
+    """len(x), or a ValueError that names ``what`` when x has no length."""
+    try:
+        return len(x)
+    except TypeError:
+        raise ValueError(f"{what} is not a sequence: {x!r}") from None
+
+
 def _table_array(op_table) -> np.ndarray:
     """The square table as a read-only array of the smallest signed dtype
     that holds its indices.  A row of the wrong length or an entry that is
     not an integer raises ValueError; the first entry outside 0..n-1 in
     row-major order raises NotClosed."""
-    n = len(op_table)
+    n = _length(op_table, "operation table")
     if n == 0:
         raise ValueError("operation table is empty")
     typed = isinstance(op_table, np.ndarray) and op_table.dtype.kind in "iu"
     for i, row in enumerate(op_table):
-        if len(row) != n:
+        if _length(row, f"table row {i}") != n:
             raise ValueError(f"table is not square: row {i} has length {len(row)}")
         j = None if typed else _first_non_integer(row)
         if j is not None:
@@ -265,16 +272,35 @@ def direct_product(
     return build_from_table(table.reshape(n, n), labels=labels)
 
 
+def _prime_factors(m: int) -> tuple[int, ...]:
+    """The primes of m with multiplicity, ascending, by trial division."""
+    out, d = [], 2
+    while d * d <= m:
+        if m % d:
+            d += 1
+        else:
+            out.append(d)
+            m //= d
+    return (*out, m) if m > 1 else tuple(out)
+
+
+def _unit_action(m: int, n: int, b: int) -> int:
+    """b modulo m, once b^n = 1 (mod m) for an n >= 1, which makes b a unit;
+    InvalidAction otherwise."""
+    b %= m
+    # 1 % m, not 1: modulo m = 1 every residue is 0
+    if pow(b, n, m) != 1 % m:
+        raise InvalidAction(f"b={b} must be a unit modulo {m} with b^{n} = 1 (mod {m})")
+    return b
+
+
 def semidirect_product_cyclic(
     m: int, n: int, b: int, cap: int = DEFAULT_ORDER_CAP
 ) -> FiniteGroup:
     """Group on pairs (r,s) with (r,s)(r',s') = (r + b^s r' mod m, s+s' mod n)."""
     if m < 1 or n < 1:
         raise ValueError("factors must have positive order")
-    b %= m
-    # 1 % m, not 1: modulo m = 1 every residue is 0
-    if math.gcd(b, m) != 1 or pow(b, n, m) != 1 % m:
-        raise InvalidAction(f"b={b} must be a unit modulo {m} with b^{n} = 1 (mod {m})")
+    b = _unit_action(m, n, b)
     if m * n > cap:
         raise OrderCapExceeded(m * n, cap)
     r = np.arange(m)[:, None, None, None]
@@ -422,11 +448,8 @@ def _zuppos(G: FiniteGroup) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
     the powers z, z^2, ..., z^(p-1) and the p-th power z^p."""
     orders = _element_orders(G)
     # the prime of each prime-power order above 1
-    prime_of = {}
-    for m in set(orders) - {1}:
-        q = next(q for q in range(2, m + 1) if m % q == 0)
-        if q ** round(math.log(m, q)) == m:
-            prime_of[m] = q
+    factors = {m: _prime_factors(m) for m in set(orders) - {1}}
+    prime_of = {m: f[0] for m, f in factors.items() if f[0] == f[-1]}
     cands = np.array([x for x, m in enumerate(orders) if m in prime_of], dtype=np.intp)
     o = np.array([orders[x] for x in cands], dtype=np.intp)
     p = np.array([prime_of[m] for m in o.tolist()], dtype=np.intp)

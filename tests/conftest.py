@@ -160,6 +160,20 @@ def divisor_count(m: int) -> int:
     return sum(1 for d in range(1, m + 1) if m % d == 0)
 
 
+def sigma(m: int) -> int:
+    """Sum of the divisors of m >= 1, by trial of every candidate."""
+    return sum(d for d in range(1, m + 1) if m % d == 0)
+
+
+def multiplicative_order(b: int, m: int) -> int:
+    """Least k >= 1 with b^k = 1 modulo m, for a unit b modulo m >= 2, by
+    stepping through the powers of b."""
+    k, y = 1, b % m
+    while y != 1:
+        y, k = y * b % m, k + 1
+    return k
+
+
 def brace_law_violations(star: sb.FiniteGroup, circ: sb.FiniteGroup) -> list[tuple]:
     """Plain-python triple scan of the left brace law."""
     n, sop, cop = star.order, star.table.tolist(), circ.table.tolist()

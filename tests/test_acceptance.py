@@ -17,6 +17,7 @@ from skewbrace.cli import main
 from conftest import (
     EXAMPLES_DEFAULT_LINES,
     heisenberg_algebra,
+    sigma,
     transported_algebra,
     truncated_poly_algebra,
 )
@@ -253,7 +254,7 @@ def test_criterion_9_generalized_dihedral():
     ok = (
         e15["stable_in_mult"] == 2**1 + 2**2 - 1 == 5
         and e15["subgroups_add"] == 2**3 == 8
-        and e15["subgroups_mult"] == 2**2 + (2**1 - 1) * sb.sigma(15) == 28
+        and e15["subgroups_mult"] == 2**2 + (2**1 - 1) * sigma(15) == 28
         and e15["ratio_add_galois"] == (5, 8)
         and e15["ratio_mult_galois"] == (8, 28)
         and r15.bound_ok  # 8/28 <= 2*(2/3)^2

@@ -102,9 +102,11 @@ def test_point_budget_checked_before_primality_and_before_p_to_the_dim(monkeypat
     def no_primality_test(p):
         raise AssertionError("primality tested before the point budget")
 
-    monkeypatch.setattr(algebras, "_is_prime", no_primality_test)
+    monkeypatch.setattr(algebras, "_prime_factors", no_primality_test)
     with pytest.raises(BudgetExceeded):
         sb.degraaf_algebra(1000000000000000003)
+    with pytest.raises(ValueError, match="^dimension must be at least 1$"):
+        sb.make_algebra(1000000000000000003, 0, [])
     with pytest.raises(BudgetExceeded):
         sb.make_algebra(3, 11, [])  # 3^11 = 177147 points
     with pytest.raises(BudgetExceeded):

@@ -179,7 +179,7 @@ def test_algebra_over_point_budget_is_cap_error_before_any_work(
     def no_primality_test(p):
         raise AssertionError("primality tested before the point budget")
 
-    monkeypatch.setattr(algebras, "_is_prime", no_primality_test)
+    monkeypatch.setattr(algebras, "_prime_factors", no_primality_test)
     if payload is not None:
         path = tmp_path / "alg.json"
         path.write_text(json.dumps(payload))
@@ -187,6 +187,13 @@ def test_algebra_over_point_budget_is_cap_error_before_any_work(
     code = main(argv)
     assert code == EXIT_CAP
     assert "exceeds the enumeration budget" in capsys.readouterr().err
+
+
+def test_verify_algebra_of_dimension_0_over_a_huge_p_is_config_error(tmp_path, capsys):
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps({"p": HUGE_PRIME, "dim": 0}))
+    assert main(["verify", str(path)]) == EXIT_CONFIG
+    assert "dimension must be at least 1" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -569,6 +576,26 @@ def test_family_batch_file(tmp_path, capsys):
     assert rows[0]["predicted_match"] == "true"
     assert rows[1]["predicted_match"] == "true"
     assert rows[2]["predicted_match"].startswith("error:")
+
+
+def test_family_spec_over_the_bound_is_an_error_row_and_a_ratio_cap_error(capsys, tables_built):
+    spec = ["--family", "pq", "--m", str(HUGE_PRIME), "--n", "2", "--b", "5"]
+    code, report = run_json(capsys, "family", *spec)
+    assert code == EXIT_OK
+    assert report["result"]["rows"][0]["predicted_match"] == "error:BudgetExceeded"
+    assert main(["ratio", *spec]) == EXIT_CAP
+    err = capsys.readouterr().err
+    assert f"family parameter {HUGE_PRIME} exceeds the enumeration budget 10000000000" in err
+    assert tables_built == []
+
+
+def test_family_row_past_the_order_cap_reads_sigma_off_the_primes(capsys):
+    code, out = run(
+        capsys, "family", "--family", "generalized_dihedral", "--m", "1000000007", "--n", "2", "--b", "1000000006"
+    )
+    assert code == EXIT_OK
+    # 2^1 + (2^1 - 1) sigma(1000000007); the group of order 2000000014 is past the cap
+    assert " n_sub_mult=1000000010 " in out and out.endswith(" predicted_match=unverified\n")
 
 
 def test_family_batch_non_integer_field_names_its_line(tmp_path, capsys):

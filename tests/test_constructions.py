@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
 
 import skewbrace as sb
+from skewbrace.constructions import _order, _predicted
 from skewbrace.errors import InvalidAction, NotComplementary, WrongParent
+from skewbrace.groups import _prime_factors
 
-from conftest import divisor_count, semidirect_params
+from conftest import divisor_count, multiplicative_order, semidirect_params, sigma
 
 
 def _plain_normalized(f: sb.ExactFactorization, H: sb.SubgroupSet) -> bool:
@@ -220,16 +224,37 @@ def test_shortcut_rejects_wrong_parent():
 
 
 def test_sigma_and_divisor_count():
-    assert sb.sigma(15) == 24
+    assert sigma(15) == 24
     assert divisor_count(15) == 4
-    assert sb.sigma(7) == 8
+    assert sigma(7) == 8
     assert divisor_count(1) == 1
-    assert sb.sigma(105) == 192
+    assert sigma(105) == 192
 
 
 def test_multiplicative_order():
-    assert sb.multiplicative_order(2, 9) == 6
-    assert sb.multiplicative_order(2, 7) == 3
+    assert multiplicative_order(2, 9) == 6
+    assert multiplicative_order(2, 7) == 3
+
+
+def test_prime_factors_multiply_back_to_m_in_ascending_primes():
+    for m in range(1, 500):
+        factors = _prime_factors(m)
+        assert math.prod(factors) == m and list(factors) == sorted(factors)
+        assert all(_prime_factors(q) == (q,) and divisor_count(q) == 2 for q in factors)
+    assert _prime_factors(1) == _prime_factors(0) == ()
+
+
+def test_order_from_the_primes_of_n_is_the_stepped_order():
+    for d in range(2, 60):
+        for n in (2, 3, 5, 6, 10, 15, 30):
+            for b in (b for b in range(d) if pow(b, n, d) == 1):
+                assert _order(b, d, n, _prime_factors(n)) == multiplicative_order(b, d)
+
+
+def test_dihedral_subgroup_count_is_read_off_sigma():
+    for m in (3, 15, 21, 105, 1001):
+        spec = sb.family_spec("generalized_dihedral", m, 2, m - 1)
+        assert _predicted(spec)["subgroups_mult"] == 2**spec.g + sigma(m)
 
 
 # ---------------------------------------------------------------------------

@@ -140,12 +140,28 @@ def test_out_of_range_witness_beyond_int64_is_exact(value):
 
 @pytest.mark.parametrize(
     "table, labels",
-    [([], None), ([[0, 1, 2], [1, 2], [2, 0, 1]], None), (Z3, ["0", "1"])],
-    ids=["empty", "ragged", "label-count"],
+    [
+        ([], None),
+        ([[0, 1, 2], [1, 2], [2, 0, 1]], None),
+        (Z3, ["0", "1"]),
+        (5, None),
+        (None, None),
+        ([5, [1, 0]], None),
+    ],
+    ids=["empty", "ragged", "label-count", "int", "none", "row-without-length"],
 )
 def test_malformed_table_or_labels_is_value_error(table, labels):
     with pytest.raises(ValueError):
         sb.build_from_table(table, labels=labels)
+
+
+@pytest.mark.parametrize(
+    "table, named",
+    [(5, "operation table is not a sequence: 5"), ([[0, 1], 1], "table row 1 is not a sequence: 1")],
+)
+def test_table_or_row_without_a_length_is_named(table, named):
+    with pytest.raises(ValueError, match=f"^{re.escape(named)}$"):
+        sb.build_from_table(table)
 
 
 @pytest.mark.parametrize(

@@ -8,7 +8,13 @@ import re
 import pytest
 
 import skewbrace as sb
-from skewbrace.errors import DimensionMismatch, InvalidAction, NotAStarSubgroup, OrderCapExceeded
+from skewbrace.errors import (
+    BudgetExceeded,
+    DimensionMismatch,
+    InvalidAction,
+    NotAStarSubgroup,
+    OrderCapExceeded,
+)
 
 
 def _z2_brace():
@@ -28,6 +34,14 @@ REJECTIONS = {
     "algebra-dim-0": (
         lambda: sb.make_algebra(3, 0, []),
         ValueError, "dimension must be at least 1",
+    ),
+    "algebra-dim-0-over-a-huge-p": (
+        lambda: sb.make_algebra(1000000000000000003, 0, []),
+        ValueError, "dimension must be at least 1",
+    ),
+    "algebra-over-a-float-p": (
+        lambda: sb.make_algebra(3.0, 1, [[[0]]]),
+        ValueError, "3.0 is not prime",
     ),
     "algebra-bad-shape": (
         lambda: sb.make_algebra(3, 2, [[[0, 0], [0, 0]], [[0, 0]]]),
@@ -61,16 +75,6 @@ REJECTIONS = {
         lambda: sb.semidirect_product_cyclic(0, 2, 1),
         ValueError, "factors must have positive order",
     ),
-    "sigma-0": (lambda: sb.sigma(0), ValueError, "m must be positive"),
-    "order-modulo-0": (lambda: sb.multiplicative_order(1, 0), ValueError, "m must be positive"),
-    "order-modulo-minus-5": (
-        lambda: sb.multiplicative_order(2, -5),
-        ValueError, "m must be positive",
-    ),
-    "order-of-a-non-unit": (
-        lambda: sb.multiplicative_order(2, 4),
-        ValueError, "2 is not a unit modulo 4",
-    ),
     "unknown-family": (
         lambda: sb.family_spec("dicyclic", 15, 2, 4),
         ValueError, "unknown family 'dicyclic'; choose one of "
@@ -79,6 +83,10 @@ REJECTIONS = {
     "family-m-below-2": (
         lambda: sb.family_spec("custom_semidirect", 1, 2, 1),
         ValueError, "m and n must be at least 2",
+    ),
+    "family-m-over-the-spec-bound": (
+        lambda: sb.family_spec("pq", 1000000000000000003, 2, 5),
+        BudgetExceeded, "family parameter 1000000000000000003 exceeds the enumeration budget 10000000000",
     ),
     "product-pq-with-one-q-for-two-p": (
         lambda: sb.family_spec("product_pq", 15, 2, 4),

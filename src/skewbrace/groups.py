@@ -541,16 +541,21 @@ def is_normal(G: FiniteGroup, H: SubgroupSet) -> bool:
     return bool(members[T[T[np.ix_(g, np.flatnonzero(members))], G.inv[g][:, None]]].all())
 
 
+def _respects(G: FiniteGroup, maps: np.ndarray) -> np.ndarray:
+    """Whether each row phi of ``maps`` (images of 0..n-1 in G) respects G's
+    table on G.gens: phi(x g) = phi(x) phi(g) for every x, which covers every
+    g, as the g for which it holds are closed under products."""
+    T, ok = G.table, np.ones(len(maps), dtype=bool)
+    for g in G.gens:
+        ok &= (maps[:, T[:, g]] == T[maps, maps[:, g, None]]).all(axis=1)
+    return ok
+
+
 def is_automorphism(G: FiniteGroup, perm) -> bool:
-    """True iff ``perm`` (the images of 0..n-1) is a bijection that respects
-    the operation table of G: phi(x g) = phi(x) phi(g) for every x and every
-    g in G.gens, since the g for which that holds are closed under products.
-    An image that is not an integer (a float, a bool) makes it False."""
-    if _first_non_integer(perm) is not None or sorted(perm) != list(range(G.order)):
-        return False
-    phi = np.asarray(perm, dtype=np.int64)
-    op, gens = G.table, list(G.gens)
-    return bool(np.array_equal(phi[op[:, gens]], op[phi[:, None], phi[gens]]))
+    """True iff ``perm``, the images of 0..n-1, is a bijection that respects
+    the table of G; an image that is not an integer (a float, a bool) is not."""
+    ok = _first_non_integer(perm) is None and sorted(perm) == list(range(G.order))
+    return ok and bool(_respects(G, np.asarray(perm, dtype=np.int64)[None])[0])
 
 
 def _element_orders(G: FiniteGroup) -> list[int]:

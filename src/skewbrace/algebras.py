@@ -34,13 +34,16 @@ DEFAULT_POINT_BUDGET = 100_000
 
 
 def check_point_budget(p: int, dim: int) -> None:
-    """Raise BudgetExceeded when F_p^dim has more than DEFAULT_POINT_BUDGET points.
-
-    Runs before any work that grows with p or dim.  Since p**dim >= 2**dim,
-    a dim of the budget's bit length or more is rejected without forming p**dim.
-    """
-    if p > 1 and (dim >= DEFAULT_POINT_BUDGET.bit_length() or p**dim > DEFAULT_POINT_BUDGET):
+    """Raise BudgetExceeded when F_p^dim has more than DEFAULT_POINT_BUDGET
+    points, before any work that grows with p or dim; a dim of the budget's
+    bit length or more, over it for every prime, is rejected for any p."""
+    if dim >= DEFAULT_POINT_BUDGET.bit_length() or (p > 1 and p**dim > DEFAULT_POINT_BUDGET):
         raise BudgetExceeded(f"{p}^{dim}", DEFAULT_POINT_BUDGET)
+
+
+def _check_prime(p: int) -> None:
+    if not _integral(type(p)) or _prime_factors(p) != (p,):
+        raise ValueError(f"{p} is not prime")
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,8 +118,7 @@ def make_algebra(p: int, dim: int, sc, labels=None) -> FpAlgebra:
     check_point_budget(p, dim)
     if dim < 1:
         raise ValueError("dimension must be at least 1")
-    if not _integral(type(p)) or _prime_factors(p) != (p,):
-        raise ValueError(f"{p} is not prime")
+    _check_prime(p)
     raw = [list(row) for row in sc]
     if len(raw) != dim or any(len(row) != dim or any(len(e) != dim for e in row) for row in raw):
         raise ValueError("structure constant table must be dim x dim x dim")
@@ -290,9 +292,10 @@ def _echelon_bases(p: int, dim: int, pivots: tuple[int, ...]) -> np.ndarray:
 def _pivot_patterns(p: int, dim: int):
     """Yield (pivots, bases) for every pivot pattern of F_p^dim, by rank and
     then lexicographically.  Raises BudgetExceeded before anything is listed
-    when F_p^dim has more than DEFAULT_POINT_BUDGET points or subspaces; the
-    subspace count is the exact sum of the Gaussian binomials [dim, k]_p."""
+    when F_p^dim has more than DEFAULT_POINT_BUDGET points or subspaces (the
+    sum of the Gaussian binomials [dim, k]_p), then ValueError for a p not prime."""
     check_point_budget(p, dim)
+    _check_prime(p)
     count, binomial = 0, 1
     for k in range(dim + 1):
         count += binomial

@@ -782,10 +782,7 @@ def _cmd_family(args, cfg: RunConfig) -> tuple[dict, int]:
     specs: list[tuple[str, int, int, int]] = []
     if args.batch:
         _source_directions(args, "--batch")
-        try:
-            text = Path(args.batch).read_text(encoding="utf-8")
-        except OSError as exc:
-            raise ParseError(str(exc)) from exc
+        text = _read_input_file(args.batch).decode("utf-8")
         for lineno, line in enumerate(text.splitlines(), 1):
             line = line.split("#", 1)[0].strip()
             if not line:

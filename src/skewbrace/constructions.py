@@ -34,7 +34,7 @@ from .groups import (
     generated_subgroup,
     semidirect_product_cyclic,
 )
-from .groups import _prime_factors, _unit_action
+from .groups import _integer, _prime_factors, _unit_action
 
 
 @dataclass(frozen=True)
@@ -184,6 +184,7 @@ def family_spec(family: str, m: int, n: int, b: int) -> FamilySpec:
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; choose one of {FAMILIES}")
+    m, n, b = _integer(m, "m"), _integer(n, "n"), _integer(b, "b")
     if m < 2 or n < 2:
         raise ValueError("m and n must be at least 2")
     if max(m, n) > DEFAULT_POINT_BUDGET**2:

@@ -119,13 +119,19 @@ def _first_non_integer(values) -> int | None:
     return next(k for k, v in enumerate(values) if not _integral(type(v)))
 
 
+def _integer(x, what: str) -> int:
+    """``x`` as an int, or a ValueError naming ``what`` if it is not an integer."""
+    if not _integral(type(x)):
+        raise ValueError(f"{what} {x!r} is not an integer")
+    return int(x)
+
+
 def _element(n: int, x, what: str = "element") -> int:
     """``x`` as an int once it is an integer in 0..n-1; ValueError otherwise."""
-    if _first_non_integer([x]) is not None:
-        raise ValueError(f"{what} {x!r} is not an integer")
+    x = _integer(x, what)
     if not 0 <= x < n:
         raise ValueError(f"{what} {x} out of range")
-    return int(x)
+    return x
 
 
 def _exact_int_array(rows) -> np.ndarray:
@@ -249,6 +255,7 @@ def build_from_table(op_table, labels=None) -> FiniteGroup:
 
 def cyclic_group(k: int, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     """Additive group of integers modulo k."""
+    k = _integer(k, "k")
     if k < 1:
         raise ValueError("cyclic group order must be at least 1")
     if k > cap:
@@ -298,6 +305,7 @@ def semidirect_product_cyclic(
     m: int, n: int, b: int, cap: int = DEFAULT_ORDER_CAP
 ) -> FiniteGroup:
     """Group on pairs (r,s) with (r,s)(r',s') = (r + b^s r' mod m, s+s' mod n)."""
+    m, n, b = _integer(m, "m"), _integer(n, "n"), _integer(b, "b")
     if m < 1 or n < 1:
         raise ValueError("factors must have positive order")
     b = _unit_action(m, n, b)
@@ -339,7 +347,7 @@ def closure_from_permutations(gens, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup
     breadth-first discovery order (distinct non-identity generators get
     indices 1, 2, ...).  Composition is (p*q)(i) = p[q[i]].
     """
-    gens = [tuple(int(v) for v in g) for g in gens]
+    gens = [tuple(_integer(v, f"generator {i} entry") for v in g) for i, g in enumerate(gens)]
     if not gens:
         raise ValueError("at least one generator is required")
     d = len(gens[0])

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 import skewbrace as sb
 from skewbrace.errors import (
     BraceLawViolation,
+    BudgetExceeded,
     IdentityMismatch,
     NotAStarSubgroup,
     NotStable,
@@ -21,6 +22,7 @@ from conftest import (
     brace_law_violations,
     heisenberg_algebra,
     join_fixpoint_subgroups,
+    respects_table,
     semidirect_params,
     stable_by_definition,
     transported_algebra,
@@ -538,3 +540,33 @@ def test_hgs_counts(s3, z9z6_braces):
     assert sb.hgs_count(_self_brace(s3)) == 1
     add_galois, _ = z9z6_braces
     assert sb.hgs_count(add_galois) == 108 // 6 == 18
+
+
+@pytest.mark.parametrize(
+    "algebra, circ_count, both, quotient",
+    [(lambda: truncated_poly_algebra(2, 5), 16, 8, 2), (lambda: heisenberg_algebra(3), 432, 36, 12)],
+    ids=["truncated-2-5", "heisenberg-3"],
+)
+def test_hgs_count_of_a_radical_brace_never_lists_the_additive_group(
+    algebra, circ_count, both, quotient
+):
+    # Aut(star) is GL(d, p) here, over the search budget from F_2^4 upward
+    brace = sb.brace_from_radical(algebra())
+    auts = sb.automorphism_group(brace.circ)
+    assert len(auts) == circ_count
+    assert sum(respects_table(brace.star, phi) for phi in auts) == both
+    assert sb.hgs_count(brace) == quotient == circ_count // both
+
+
+def test_hgs_count_of_the_degraaf_3_braces_exceeds_the_search_budget(degraaf3_braces):
+    for brace in degraaf3_braces:
+        with pytest.raises(BudgetExceeded, match="automorphism search node count"):
+            sb.hgs_count(brace)
+
+
+@given(semidirect_params(max_m=10, max_n=4))
+@settings(max_examples=60, deadline=None)
+def test_hgs_count_read_off_circ_agrees_with_the_count_read_off_star(params):
+    for brace in sb.semidirect_biskew(*params):
+        total = len(sb.automorphism_group(brace.circ))
+        assert sb.hgs_count(brace) * sb.skew_brace_automorphism_count(brace) == total

@@ -189,6 +189,22 @@ def test_algebra_over_point_budget_is_cap_error_before_any_work(
     assert "exceeds the enumeration budget" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["verify"], ["ideals", "--side", "left", "--algebra"], ["ratio", "--algebra"]],
+    ids=["verify", "ideals", "ratio"],
+)
+def test_algebra_file_of_p_1_and_a_huge_dim_is_cap_error(tmp_path, capsys, argv):
+    # p**dim stays 1, but the file would still ask for a dim x dim table
+    path = tmp_path / "alg.json"
+    path.write_text('{"p": 1, "dim": 100000}')
+    assert main([*argv, str(path)]) == EXIT_CAP
+    assert "point count 1^100000 exceeds the enumeration budget 100000" in capsys.readouterr().err
+    path.write_text('{"p": 1, "dim": 3}')
+    assert main([*argv, str(path)]) == EXIT_CONFIG
+    assert "1 is not prime" in capsys.readouterr().err
+
+
 def test_verify_algebra_of_dimension_0_over_a_huge_p_is_config_error(tmp_path, capsys):
     path = tmp_path / "alg.json"
     path.write_text(json.dumps({"p": HUGE_PRIME, "dim": 0}))
@@ -607,6 +623,16 @@ def test_family_batch_non_integer_field_names_its_line(tmp_path, capsys):
     assert info.value.position == f"{batch}:2"
     assert main(["family", "--batch", str(batch)]) == EXIT_CONFIG
     assert f"{batch}:2: m must be an integer, got 'x'" in capsys.readouterr().err
+
+
+def test_family_batch_file_that_cannot_be_read_is_config_error(tmp_path, capsys):
+    missing = tmp_path / "absent.txt"
+    assert main(["family", "--batch", str(missing)]) == EXIT_CONFIG
+    assert str(missing) in capsys.readouterr().err
+    undecodable = tmp_path / "latin1.txt"
+    undecodable.write_bytes(b"pq 7 3 2 # \xe9\n")
+    assert main(["family", "--batch", str(undecodable)]) == EXIT_CONFIG
+    assert "can't decode byte 0xe9" in capsys.readouterr().err
 
 
 def test_family_without_parameters_is_config_error(capsys, tables_built):

@@ -8,6 +8,7 @@ import re
 import pytest
 
 import skewbrace as sb
+from skewbrace.algebras import check_point_budget
 from skewbrace.errors import (
     BudgetExceeded,
     DimensionMismatch,
@@ -43,6 +44,22 @@ REJECTIONS = {
         lambda: sb.make_algebra(3.0, 1, [[[0]]]),
         ValueError, "3.0 is not prime",
     ),
+    "point-budget-at-p-1": (
+        lambda: check_point_budget(1, 100000),
+        BudgetExceeded, "point count 1^100000 exceeds the enumeration budget 100000",
+    ),
+    "subspaces-over-p-1": (
+        lambda: sb.enumerate_subspaces(1, 2),
+        ValueError, "1 is not prime",
+    ),
+    "subspaces-over-p-0": (
+        lambda: sb.enumerate_subspaces(0, 2),
+        ValueError, "0 is not prime",
+    ),
+    "subspaces-over-p-4": (
+        lambda: sb.enumerate_subspaces(4, 2),
+        ValueError, "4 is not prime",
+    ),
     "algebra-bad-shape": (
         lambda: sb.make_algebra(3, 2, [[[0, 0], [0, 0]], [[0, 0]]]),
         ValueError, "structure constant table must be dim x dim x dim",
@@ -71,6 +88,22 @@ REJECTIONS = {
         lambda: sb.closure_from_permutations([(0, 0, 1)]),
         ValueError, "generator 0 is not a bijection on 0..2",
     ),
+    "closure-of-a-float-entry": (
+        lambda: sb.closure_from_permutations([(1.5, 0)]),
+        ValueError, "generator 0 entry 1.5 is not an integer",
+    ),
+    "closure-of-a-bool-entry": (
+        lambda: sb.closure_from_permutations([(True, False)]),
+        ValueError, "generator 0 entry True is not an integer",
+    ),
+    "cyclic-of-a-float-order": (
+        lambda: sb.cyclic_group(3.0),
+        ValueError, "k 3.0 is not an integer",
+    ),
+    "semidirect-of-a-float-n": (
+        lambda: sb.semidirect_product_cyclic(7, 3.0, 2),
+        ValueError, "n 3.0 is not an integer",
+    ),
     "semidirect-of-order-0": (
         lambda: sb.semidirect_product_cyclic(0, 2, 1),
         ValueError, "factors must have positive order",
@@ -79,6 +112,10 @@ REJECTIONS = {
         lambda: sb.family_spec("dicyclic", 15, 2, 4),
         ValueError, "unknown family 'dicyclic'; choose one of "
         "('pq', 'product_pq', 'generalized_dihedral', 'custom_semidirect')",
+    ),
+    "family-of-a-float-m": (
+        lambda: sb.family_spec("pq", 7.0, 3, 2),
+        ValueError, "m 7.0 is not an integer",
     ),
     "family-m-below-2": (
         lambda: sb.family_spec("custom_semidirect", 1, 2, 1),

@@ -311,13 +311,14 @@ def semidirect_product_cyclic(
     b = _unit_action(m, n, b)
     if m * n > cap:
         raise OrderCapExceeded(m * n, cap)
-    r = np.arange(m)[:, None, None, None]
-    s = np.arange(n)[None, :, None, None]
+    dt = np.min_scalar_type(-2 * m * n)  # every sum below stays under 2mn
+    r = np.arange(m, dtype=dt)[:, None, None, None]
+    s = np.arange(n, dtype=dt)[None, :, None, None]
     r2 = np.arange(m)[None, None, :, None]
-    s2 = np.arange(n)[None, None, None, :]
+    s2 = np.arange(n, dtype=dt)[None, None, None, :]
     powers = np.array([pow(b, k, m) for k in range(n)])[s]
-    # entry [r, s, r', s'] is the index of (r + b^s r', s + s')
-    table = (r + powers * r2) % m * n + (s + s2) % n
+    # entry [r, s, r', s'] is the index of (r + b^s r', s + s'), b^s r' reduced mod m first
+    table = (r + (powers * r2 % m).astype(dt)) % m * n + (s + s2) % n
     labels = tuple(f"({r},{s})" for r in range(m) for s in range(n))
     return build_from_table(table.reshape(m * n, m * n), labels=labels)
 

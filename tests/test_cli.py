@@ -170,8 +170,15 @@ HUGE_PRIME = 1000000000000000003
         (["ideals", "--algebra", "degraaf", "--p", str(HUGE_PRIME), "--side", "left"], None),
         (["verify"], {"p": HUGE_PRIME, "dim": 1}),
         (["verify"], {"p": 3, "dim": 40}),
+        # p**dim stays 1, but the file would still ask for a dim x dim table
+        (["verify"], {"p": 1, "dim": 100000}),
+        (["ideals", "--side", "left", "--algebra"], {"p": 1, "dim": 100000}),
+        (["ratio", "--algebra"], {"p": 1, "dim": 100000}),
     ],
-    ids=["ratio-degraaf", "ideals-degraaf", "verify-huge-p", "verify-huge-dim"],
+    ids=[
+        "ratio-degraaf", "ideals-degraaf", "verify-huge-p", "verify-huge-dim",
+        "verify-p-1", "ideals-file-p-1", "ratio-file-p-1",
+    ],
 )
 def test_algebra_over_point_budget_is_cap_error_before_any_work(
     tmp_path, capsys, monkeypatch, argv, payload
@@ -189,19 +196,10 @@ def test_algebra_over_point_budget_is_cap_error_before_any_work(
     assert "exceeds the enumeration budget" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [["verify"], ["ideals", "--side", "left", "--algebra"], ["ratio", "--algebra"]],
-    ids=["verify", "ideals", "ratio"],
-)
-def test_algebra_file_of_p_1_and_a_huge_dim_is_cap_error(tmp_path, capsys, argv):
-    # p**dim stays 1, but the file would still ask for a dim x dim table
+def test_verify_algebra_of_p_1_and_a_small_dim_is_config_error(tmp_path, capsys):
     path = tmp_path / "alg.json"
-    path.write_text('{"p": 1, "dim": 100000}')
-    assert main([*argv, str(path)]) == EXIT_CAP
-    assert "point count 1^100000 exceeds the enumeration budget 100000" in capsys.readouterr().err
     path.write_text('{"p": 1, "dim": 3}')
-    assert main([*argv, str(path)]) == EXIT_CONFIG
+    assert main(["verify", str(path)]) == EXIT_CONFIG
     assert "1 is not prime" in capsys.readouterr().err
 
 

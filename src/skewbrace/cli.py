@@ -265,46 +265,40 @@ def _load_input_file(path: str, blob: bytes) -> tuple[str, dict]:
     raise ParseError("expected a brace file (star/circ) or an algebra file (p/dim)", position=path)
 
 
-def parse_permutations(text: str) -> list[tuple[int, ...]]:
+def parse_permutations(text: str, cap: int = groups.DEFAULT_ORDER_CAP) -> list[tuple[int, ...]]:
     """Parse comma-separated permutations in 1-indexed cycle notation.
 
-    Example: "(1 2 3 4 5)" or "(1 2 3), (1 2)(3 4)".  Points are converted
-    to 0-indexed internally.
+    Example: "(1 2 3 4 5)" or "(1 2 3), (1 2)(3 4)".  A point is a run of
+    ASCII digits, converted to 0-indexed internally; a point above ``cap``
+    raises OrderCapExceeded before any permutation is built.
     """
     perms_raw = [chunk.strip() for chunk in text.split(",") if chunk.strip()]
     if not perms_raw:
         raise ParseError("no permutations given")
-    cycles_per_perm = []
+    # each permutation as {point: image}, 1-indexed, moved points only
+    moves_per_perm = []
     degree = 1
     for chunk in perms_raw:
-        if chunk == "()":
-            cycles_per_perm.append([])
-            continue
         if not chunk.startswith("(") or not chunk.endswith(")"):
             raise ParseError(f"bad cycle notation: {chunk!r}")
-        cycles, used = [], set()
-        for part in chunk[1:-1].split(")("):
-            try:
-                pts = [int(tok) for tok in part.split()]
-            except ValueError as exc:
-                raise ParseError(f"bad cycle notation: {chunk!r}") from exc
+        moves: dict[int, int] = {}
+        for part in [] if chunk == "()" else chunk[1:-1].split(")("):
+            tokens = part.split()
+            # int() would also read "1_0", "+1" and non-ASCII digits
+            if not all(tok.isascii() and tok.isdigit() for tok in tokens):
+                raise ParseError(f"bad cycle notation: {chunk!r}")
+            pts = [int(tok) for tok in tokens]
             if not pts or min(pts) < 1 or len(set(pts)) != len(pts):
                 raise ParseError(f"bad cycle: ({part})")
-            twice = used.intersection(pts)
+            twice = moves.keys() & pts
             if twice:
                 raise ParseError(f"point {min(twice)} is in two cycles of {chunk!r}")
-            used.update(pts)
-            cycles.append(pts)
+            moves.update(zip(pts, pts[1:] + pts[:1]))
             degree = max(degree, max(pts))
-        cycles_per_perm.append(cycles)
-    out = []
-    for cycles in cycles_per_perm:
-        perm = list(range(degree))
-        for pts in cycles:
-            for a, bnext in zip(pts, pts[1:] + pts[:1]):
-                perm[a - 1] = bnext - 1
-        out.append(tuple(perm))
-    return out
+        moves_per_perm.append(moves)
+    if degree > cap:
+        raise OrderCapExceeded(degree, cap, "permutation degree")
+    return [tuple(m.get(i, i) - 1 for i in range(1, degree + 1)) for m in moves_per_perm]
 
 
 # ---------------------------------------------------------------------------
@@ -435,11 +429,8 @@ def _cmd_ratio(args, cfg: RunConfig) -> tuple[dict, int]:
             fact = constructions.a5_factorization(cfg.order_cap)
             source = {"zappa_szep": "a5"}
         else:
-            left = parse_permutations(args.left_gens)
-            right = parse_permutations(args.right_gens)
-            # points past a generator's largest are fixed: pad to the common degree
-            degree = max(len(p) for p in left + right)
-            left, right = ([p + tuple(range(len(p), degree)) for p in g] for g in (left, right))
+            left = parse_permutations(args.left_gens, cfg.order_cap)
+            right = parse_permutations(args.right_gens, cfg.order_cap)
             fact = constructions.factorization_from_permutations(left, right, cfg.order_cap)
             source = {"zappa_szep": "custom", "left": args.left_gens, "right": args.right_gens}
         chosen = {"circ": constructions.zappa_szep_brace(fact)}
@@ -695,7 +686,7 @@ def _parse_grid(grid_args) -> tuple[list[int], list[tuple[int, int, int]]]:
             what = f"value in --grid entry {item!r}"
             dihedral_ms.extend(_parse_int(v, what) for v in values.split(",") if v)
         elif name == "pq":
-            for trip in values.split(","):
+            for trip in filter(None, values.split(",")):
                 parts = trip.split(":")
                 if len(parts) != 3:
                     raise ParseError(f"bad pq grid entry {trip!r}; use p:q:b")

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebras import DEFAULT_POINT_BUDGET
 from .braces import SkewBrace, _assemble_brace, gc_ratio
 from .errors import (
     BudgetExceeded,
@@ -27,6 +26,7 @@ from .errors import (
 )
 from .groups import (
     DEFAULT_ORDER_CAP,
+    FACTOR_BOUND,
     FiniteGroup,
     SubgroupSet,
     build_from_table,
@@ -34,7 +34,7 @@ from .groups import (
     generated_subgroup,
     semidirect_product_cyclic,
 )
-from .groups import _integer, _prime_factors, _unit_action
+from .groups import _cycle_label, _integer, _prime_factors, _unit_action
 
 
 @dataclass(frozen=True)
@@ -92,18 +92,13 @@ def factorization_from_permutations(
 ) -> ExactFactorization:
     """Exact factorization of <left, right> into <left> * <right>.
 
-    ``left`` and ``right`` are lists of permutations of one degree.
+    ``left`` and ``right`` are lists of permutations, which
+    ``closure_from_permutations`` extends to one degree; each generator is
+    found in the closure by its cycle-notation label.
     """
-    left = [tuple(g) for g in left]
-    right = [tuple(g) for g in right]
-    G = closure_from_permutations(left + right, cap=cap)
-    # distinct non-identity generators occupy indices 1, 2, ... in closure order
-    index: dict[tuple[int, ...], int] = {}
-    for g in left + right:
-        if g not in index and g != tuple(range(len(g))):
-            index[g] = len(index) + 1
-    lseed = [index[g] for g in left if g in index]
-    rseed = [index[g] for g in right if g in index]
+    G = closure_from_permutations([*left, *right], cap=cap)
+    index = {label: k for k, label in enumerate(G.labels)}
+    lseed, rseed = ([index[_cycle_label(g)] for g in gens] for gens in (left, right))
     return exact_factorization(G, lseed, rseed)
 
 
@@ -178,7 +173,7 @@ class FamilySpec:
 def family_spec(family: str, m: int, n: int, b: int) -> FamilySpec:
     """Validate and normalize a family spec.
 
-    m and n must be coprime, squarefree and at most DEFAULT_POINT_BUDGET ** 2,
+    m and n must be coprime, squarefree and at most groups.FACTOR_BOUND,
     which keeps trial division fast (BudgetExceeded otherwise); b must act
     with the multiplicative orders each family requires.
     """
@@ -187,8 +182,8 @@ def family_spec(family: str, m: int, n: int, b: int) -> FamilySpec:
     m, n, b = _integer(m, "m"), _integer(n, "n"), _integer(b, "b")
     if m < 2 or n < 2:
         raise ValueError("m and n must be at least 2")
-    if max(m, n) > DEFAULT_POINT_BUDGET**2:
-        raise BudgetExceeded(max(m, n), DEFAULT_POINT_BUDGET**2, "family parameter")
+    if max(m, n) > FACTOR_BOUND:
+        raise BudgetExceeded(max(m, n), FACTOR_BOUND, "family parameter")
     mp, np_ = _prime_factors(m), _prime_factors(n)
     if len(set(mp)) != len(mp) or len(set(np_)) != len(np_):
         raise ValueError(f"m={m} and n={n} must be squarefree")

@@ -110,10 +110,10 @@ class CapExceeded(Exception):
 
 
 class OrderCapExceeded(CapExceeded):
-    def __init__(self, order: int, cap: int):
+    def __init__(self, order: int, cap: int, what: str = "group order"):
         self.order = order
         self.cap = cap
-        super().__init__(f"group order {order} exceeds the configured cap {cap}")
+        super().__init__(f"{what} {order} exceeds the configured cap {cap}")
 
 
 class ClosureCapExceeded(CapExceeded):

@@ -279,6 +279,11 @@ def direct_product(
     return build_from_table(table.reshape(n, n), labels=labels)
 
 
+# family_spec factors no integer above this: trial division to its square
+# root tries 10^5 divisors, about 0.01 s
+FACTOR_BOUND = 10**10
+
+
 def _prime_factors(m: int) -> tuple[int, ...]:
     """The primes of m with multiplicity, ascending, by trial division."""
     out, d = [], 2
@@ -342,20 +347,26 @@ def _cycle_label(perm: tuple[int, ...]) -> str:
 
 
 def closure_from_permutations(gens, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
-    """Group generated by permutations of {0..d-1}, as a table.
+    """Group generated by permutations, as a table.
 
-    Element 0 is the identity; the generators themselves come first in the
-    breadth-first discovery order (distinct non-identity generators get
-    indices 1, 2, ...).  Composition is (p*q)(i) = p[q[i]].
+    A generator of length k permutes 0..k-1 and fixes every later point, so
+    all act on the degree d of the longest one; a d above ``cap`` raises
+    OrderCapExceeded before any entry is read.  Element 0 is the identity,
+    and each element is labelled by its cycle notation (``_cycle_label``).
+    Composition is (p*q)(i) = p[q[i]].
     """
-    gens = [tuple(_integer(v, f"generator {i} entry") for v in g) for i, g in enumerate(gens)]
+    gens = list(gens)
     if not gens:
         raise ValueError("at least one generator is required")
-    d = len(gens[0])
+    d = max(map(len, gens))
+    if d > cap:
+        raise OrderCapExceeded(d, cap, "permutation degree")
+    gens = [tuple(_integer(v, f"generator {i} entry") for v in g) for i, g in enumerate(gens)]
     for i, g in enumerate(gens):
-        if len(g) != d or sorted(g) != list(range(d)):
-            raise ValueError(f"generator {i} is not a bijection on 0..{d - 1}")
+        if sorted(g) != list(range(len(g))):
+            raise ValueError(f"generator {i} is not a bijection on 0..{len(g) - 1}")
     identity = tuple(range(d))
+    gens = [g + identity[len(g):] for g in gens]
     index = {identity: 0}
     elems = [identity]
     # right lists the index of elems[x] * gens[k] row by row; element q > 0

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -30,7 +31,7 @@ from skewbrace.cli import (
     main,
     parse_permutations,
 )
-from skewbrace.errors import ParseError
+from skewbrace.errors import OrderCapExceeded, ParseError
 
 from conftest import EXAMPLES_DEFAULT_LINES
 
@@ -493,6 +494,13 @@ def test_examples_grid_row(capsys):
     assert "pq-31-5-2" in out
 
 
+def test_examples_grid_skips_empty_pq_entries(capsys):
+    assert run(capsys, "examples", "--grid", "pq=") == run(capsys, "examples", "--grid", "dihedral=")
+    code, out = run(capsys, "examples", "--grid", "pq=7:3:2,")
+    assert code == EXIT_OK
+    assert (code, out) == run(capsys, "examples", "--grid", "pq=7:3:2")
+
+
 def test_examples_prime_flag(capsys):
     code, out = run(capsys, "examples", "--p", "3")
     assert code == EXIT_OK
@@ -859,6 +867,10 @@ REJECTED = {
         ["ratio", "--zappa-szep", "custom", "--left-gens", "(1 a)", "--right-gens", "(1 2)"],
         EXIT_CONFIG, "bad cycle notation: '(1 a)'",
     ),
+    "zappa-szep-degree-over-the-cap": (
+        ["--order-cap", "4", "ratio", "--zappa-szep", "custom", "--left-gens", "(1 2 3 4 5)", "--right-gens", "(1 2)"],
+        EXIT_CAP, "permutation degree 5 exceeds the configured cap 4",
+    ),
     "grid-entry": (["examples", "--grid", "dihedral"], EXIT_CONFIG, "bad --grid entry 'dihedral'; use name=values"),
     "grid-pq-triple": (["examples", "--grid", "pq=7:3"], EXIT_CONFIG, "bad pq grid entry '7:3'; use p:q:b"),
     "grid-family": (["examples", "--grid", "cube=3"], EXIT_CONFIG, "unknown grid family 'cube'"),
@@ -904,3 +916,20 @@ def test_parse_permutations_rejects_garbage():
         parse_permutations("1 2 3")
     with pytest.raises(ParseError):
         parse_permutations("(1 2 2)")
+    # a point is a run of ASCII digits, though int() reads each of these
+    for text in ("(1 1_0)", "(+1 2)", "(\u0661 2)"):
+        with pytest.raises(ParseError, match=re.escape(f"bad cycle notation: {text!r}")):
+            parse_permutations(text)
+
+
+def test_parse_permutations_rejects_a_point_above_the_cap():
+    with pytest.raises(OrderCapExceeded, match="^permutation degree 2001 exceeds the configured cap 2000$"):
+        parse_permutations("(1 2001)")
+    assert parse_permutations("(1 5)", cap=5) == [(4, 1, 2, 3, 0)]
+
+
+def test_zappa_szep_points_far_past_the_cap_exit_before_any_table(capsys, tables_built):
+    argv = ["ratio", "--zappa-szep", "custom", "--left-gens", "(1 2000000)", "--right-gens", "(1 2)"]
+    assert main(argv) == EXIT_CAP
+    assert "permutation degree 2000000 exceeds the configured cap 2000" in capsys.readouterr().err
+    assert tables_built == []

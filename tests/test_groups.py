@@ -428,6 +428,12 @@ def test_closure_cap():
         sb.closure_from_permutations([(1, 2, 3, 4, 0), (1, 2, 0, 3, 4)], cap=10)
 
 
+def test_closure_fixes_the_points_past_a_generator():
+    # equal groups have equal tables and labels
+    padded = sb.closure_from_permutations([(1, 0, 2), (0, 2, 1)])
+    assert sb.closure_from_permutations([(1, 0), (0, 2, 1)]) == padded
+
+
 S5_GENS = [(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)]
 
 
@@ -927,6 +933,44 @@ def test_s6_perfect_subgroups_are_a6_and_two_classes_of_six_a5():
         for mask in orbit:
             a5s.pop(mask, None)
     assert classes == [6, 6]
+
+
+def projective_special_linear_2(q: int):
+    """PSL(2, q), q prime, on the q + 1 points of the projective line
+    (infinity is point q), generated by x -> x + 1 and x -> -1/x."""
+    translate = tuple((x + 1) % q for x in range(q)) + (q,)
+    invert = (q, *((-pow(x, -1, q)) % q for x in range(1, q)), 0)
+    return sb.closure_from_permutations([translate, invert])
+
+
+# the nontrivial perfect subgroups are the whole group and, in PSL(2, 11),
+# two conjugacy classes of 11 copies of A5
+@pytest.mark.parametrize(
+    "q, order, count, a5_classes", [(7, 168, 179, []), (11, 660, 620, [11, 11]), (13, 1092, 942, [])]
+)
+def test_lattice_and_perfect_subgroups_of_projective_special_linear_groups(q, order, count, a5_classes):
+    G = projective_special_linear_2(q)
+    assert G.order == order
+    subs = sb.enumerate_subgroups(G)
+    assert len(subs) == count
+    if q == 7:  # the join fixpoint takes 10 s on PSL(2, 11) and a minute on PSL(2, 13)
+        assert [H.mask for H in subs] == join_fixpoint_subgroups(G)
+    perfect = [
+        H.mask for H in subs
+        if H.size > 1 and len(perfect_residuum(sb.subgroup_as_group(G, H))) == H.size
+    ]
+    found = {H.mask: H for H, _ in _perfect_subgroups(G)}
+    assert sorted(found) == sorted(perfect)
+    assert found.pop((1 << G.order) - 1).size == G.order
+    classes = []
+    while found:
+        H = found.pop(next(iter(found)))
+        assert H.size == 60
+        orbit = conjugate_masks(G, H)
+        classes.append(len(orbit))
+        for mask in orbit:
+            found.pop(mask, None)
+    assert classes == a5_classes
 
 
 def test_lattice_budget_names_the_count(monkeypatch, lattices_enumerated):

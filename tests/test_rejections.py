@@ -92,6 +92,11 @@ REJECTIONS = {
         lambda: sb.closure_from_permutations([(1.5, 0)]),
         ValueError, "generator 0 entry 1.5 is not an integer",
     ),
+    # the degree is checked before any entry is read, so the float goes unseen
+    "closure-over-the-degree-cap": (
+        lambda: sb.closure_from_permutations([(1.5, *range(1, 2001))]),
+        OrderCapExceeded, "permutation degree 2001 exceeds the configured cap 2000",
+    ),
     "closure-of-a-bool-entry": (
         lambda: sb.closure_from_permutations([(True, False)]),
         ValueError, "generator 0 entry True is not an integer",

@@ -18,7 +18,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .braces import SkewBrace, _assemble_brace
+from .braces import SkewBrace
 from .errors import (
     BudgetExceeded,
     DimensionMismatch,
@@ -360,7 +360,7 @@ def brace_from_radical(A: FpAlgebra, cap: int = DEFAULT_ORDER_CAP) -> SkewBrace:
     """Brace with star the additive group and circ the circle group."""
     star = additive_group(A, cap)
     circ = circle_group(A, cap)
-    return _assemble_brace(star, circ, "radical")
+    return SkewBrace(star, circ)
 
 
 def brace_from_radical_flipped(A: FpAlgebra, cap: int = DEFAULT_ORDER_CAP) -> SkewBrace:
@@ -369,4 +369,4 @@ def brace_from_radical_flipped(A: FpAlgebra, cap: int = DEFAULT_ORDER_CAP) -> Sk
         raise NilpotencyTooDeep(A.nilpotency_index)
     star = circle_group(A, cap)
     circ = additive_group(A, cap)
-    return _assemble_brace(star, circ, "radical")
+    return SkewBrace(star, circ)

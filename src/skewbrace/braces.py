@@ -5,11 +5,13 @@ tables, star and circ, tied together by the left brace law
 
     a circ (b star c) = (a circ b) star a^-1 star (a circ c)
 
-with a^-1 the star-inverse.  Validation checks the law as "every
-lambda_a: x -> a^-1 star (a circ x) is a star-endomorphism" on star.gens,
-the generators that star's validation found, n^2 cells per generator
-instead of n^3 triples, and reports the same lexicographically first
-violating triple as a full scan.  ``hgs_count`` lists Aut(circ) alone.
+with a^-1 the star-inverse.  A brace is made only by SkewBrace(star, circ),
+which checks it.  Which construction a brace came from is a field of the
+ratio report, which the CLI writes for each source.  The check tests the
+law as "every lambda_a: x -> a^-1 star (a circ x) is a star-endomorphism"
+on star.gens, the generators that star's validation found, n^2 cells per
+generator instead of n^3 triples, and reports the same lexicographically
+first violating triple as a full scan.  ``hgs_count`` lists Aut(circ) alone.
 
 A star-subgroup H is circ-stable when every stability map gamma_g: x ->
 (g circ x) star g^-1 (Childs, J. Algebra 511, 2018) sends H into itself.
@@ -53,16 +55,25 @@ from .groups import (
 
 @dataclass(frozen=True)
 class SkewBrace:
-    """One element set with a star table and a circ table.
+    """One element set with a star table and a circ table, checked on
+    construction: equal orders (ValueError), equal identities
+    (IdentityMismatch), then the left brace law (BraceLawViolation)."""
 
-    ``provenance`` records which constructor produced the brace
-    (radical, zappa_szep, semidirect, or raw).
-    """
-
-    order: int
     star: FiniteGroup
     circ: FiniteGroup
-    provenance: str = "raw"
+
+    def __post_init__(self) -> None:
+        if self.star.order != self.circ.order:
+            raise ValueError("star and circ tables have different orders")
+        if self.star.identity != self.circ.identity:
+            raise IdentityMismatch(self.star.identity, self.circ.identity)
+        witness = _brace_law_witness(self.star, self.circ)
+        if witness is not None:
+            raise BraceLawViolation(witness)
+
+    @property
+    def order(self) -> int:
+        return self.star.order
 
 
 @dataclass(frozen=True)
@@ -72,7 +83,6 @@ class GcRatio:
 
     subgroups: tuple[SubgroupSet, ...] = field(repr=False)
     stable: tuple[SubgroupSet, ...]
-    provenance: str = "raw"
 
     @property
     def numerator(self) -> int:
@@ -110,17 +120,6 @@ def _brace_law_witness(star: FiniteGroup, circ: FiniteGroup):
     return a, int(b), int(c)
 
 
-def _assemble_brace(star: FiniteGroup, circ: FiniteGroup, provenance: str) -> SkewBrace:
-    if star.order != circ.order:
-        raise ValueError("star and circ tables have different orders")
-    if star.identity != circ.identity:
-        raise IdentityMismatch(star.identity, circ.identity)
-    witness = _brace_law_witness(star, circ)
-    if witness is not None:
-        raise BraceLawViolation(witness)
-    return SkewBrace(star.order, star, circ, provenance)
-
-
 def validate_skew_brace(star_table, circ_table) -> SkewBrace:
     """Validate two raw tables as a skew brace.
 
@@ -129,7 +128,7 @@ def validate_skew_brace(star_table, circ_table) -> SkewBrace:
     """
     star = build_from_table(star_table)
     circ = build_from_table(circ_table)
-    return _assemble_brace(star, circ, "raw")
+    return SkewBrace(star, circ)
 
 
 def is_bi_skew(b: SkewBrace) -> bool:
@@ -211,7 +210,7 @@ def gc_ratio(b: SkewBrace, cap: int = DEFAULT_ORDER_CAP) -> GcRatio:
     subgroups = tuple(enumerate_subgroups(b.circ, cap))
     gamma = _stability_rows(b, b.circ.gens)
     stable = tuple(H for H in subgroups if (m := H.members)[gamma[:, np.flatnonzero(m)]].all())
-    return GcRatio(subgroups, stable, b.provenance)
+    return GcRatio(subgroups, stable)
 
 
 def skew_brace_automorphism_count(b: SkewBrace, cap: int = DEFAULT_AUT_CAP) -> int:

@@ -101,7 +101,7 @@ def _report(command: str, source, digest: str, cfg: RunConfig, result) -> dict:
     }
 
 
-def _ratio_payload(brace: braces.SkewBrace, direction: str, cap: int) -> dict:
+def _ratio_payload(brace: braces.SkewBrace, direction: str, provenance: str, cap: int) -> dict:
     ratio = braces.gc_ratio(brace, cap)
     stable = []
     for H in ratio.stable:
@@ -111,7 +111,7 @@ def _ratio_payload(brace: braces.SkewBrace, direction: str, cap: int) -> dict:
         stable.append(entry)
     return {
         "direction": direction,
-        "provenance": ratio.provenance,
+        "provenance": provenance,
         "numerator": ratio.numerator,
         "denominator": ratio.denominator,
         "reduced": ratio.reduced,
@@ -253,8 +253,8 @@ def _load_input_file(path: str, blob: bytes) -> tuple[str, dict]:
     """The kind of a file's JSON, "brace" or "algebra", and its object."""
     try:
         data = json.loads(blob.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        pos = f"{path}:{getattr(exc, 'lineno', '?')}" if hasattr(exc, "lineno") else path
+    except ValueError as exc:  # the decode errors, and int()'s digit limit
+        pos = f"{path}:{exc.lineno}" if hasattr(exc, "lineno") else path
         raise ParseError(f"not valid JSON ({exc})", position=pos) from exc
     if not isinstance(data, dict):
         raise ParseError("top-level JSON value must be an object", position=path)
@@ -270,7 +270,8 @@ def parse_permutations(text: str, cap: int = groups.DEFAULT_ORDER_CAP) -> list[t
 
     Example: "(1 2 3 4 5)" or "(1 2 3), (1 2)(3 4)".  A point is a run of
     ASCII digits, converted to 0-indexed internally; a point above ``cap``
-    raises OrderCapExceeded before any permutation is built.
+    raises OrderCapExceeded before any permutation is built, and one of more
+    digits than both ``cap`` and 20 before it is read, named by its length.
     """
     perms_raw = [chunk.strip() for chunk in text.split(",") if chunk.strip()]
     if not perms_raw:
@@ -287,6 +288,9 @@ def parse_permutations(text: str, cap: int = groups.DEFAULT_ORDER_CAP) -> list[t
             # int() would also read "1_0", "+1" and non-ASCII digits
             if not all(tok.isascii() and tok.isdigit() for tok in tokens):
                 raise ParseError(f"bad cycle notation: {chunk!r}")
+            tokens = [tok.lstrip("0") or "0" for tok in tokens]
+            if (digits := max(map(len, tokens), default=0)) > max(len(str(cap)), 20):
+                raise OrderCapExceeded(f"of {digits} digits", cap, "permutation point")
             pts = [int(tok) for tok in tokens]
             if not pts or min(pts) < 1 or len(set(pts)) != len(pts):
                 raise ParseError(f"bad cycle: ({part})")
@@ -415,6 +419,7 @@ def _cmd_ratio(args, cfg: RunConfig) -> tuple[dict, int]:
         add_galois, mult_galois = constructions.semidirect_biskew(m, n, b, cfg.order_cap)
         directions = {"mult": mult_galois, "add": add_galois}
         chosen = {name: directions[name] for name in wanted}
+        provenance = "semidirect"
     elif args.algebra is not None:
         A, wanted = _algebra_from_args(args)
         source = {"algebra": args.algebra, "p": A.p, "dim": A.dim}
@@ -423,6 +428,7 @@ def _cmd_ratio(args, cfg: RunConfig) -> tuple[dict, int]:
             "add": algebras.brace_from_radical_flipped,
         }
         chosen = {name: makers[name](A, cfg.order_cap) for name in wanted}
+        provenance = "radical"
     elif args.zappa_szep is not None:
         _source_directions(args, f"--zappa-szep {args.zappa_szep}")
         if args.zappa_szep == "a5":
@@ -434,9 +440,10 @@ def _cmd_ratio(args, cfg: RunConfig) -> tuple[dict, int]:
             fact = constructions.factorization_from_permutations(left, right, cfg.order_cap)
             source = {"zappa_szep": "custom", "left": args.left_gens, "right": args.right_gens}
         chosen = {"circ": constructions.zappa_szep_brace(fact)}
+        provenance = "zappa_szep"
     else:
         raise ParseError("ratio needs one of --family, --algebra, --zappa-szep")
-    payloads = [_ratio_payload(brace, name, cfg.order_cap) for name, brace in chosen.items()]
+    payloads = [_ratio_payload(b, name, provenance, cfg.order_cap) for name, b in chosen.items()]
     report = _report("ratio", source, _digest(source), cfg, {"ratios": payloads})
     return report, EXIT_OK
 
@@ -620,7 +627,7 @@ def _fuzz(z9z6: Z9Z6, cfg: RunConfig) -> list[dict]:
         mutated = circ_table.copy()
         mutated[r, c] = new
         try:
-            braces._assemble_brace(star, groups.build_from_table(mutated), "raw")
+            braces.SkewBrace(star, groups.build_from_table(mutated))
         except ValidationFailure:
             rejected += 1
     detail = f"{rejected}/{trials} single-entry circ mutations rejected (seed {cfg.seed})"
@@ -668,10 +675,18 @@ def _example_builders(
     ]
 
 
-def _parse_int(text: str, what: str, position: str | None = None) -> int:
+def _parse_int(text: str, what: str, position: str | None = None, brief: str = "") -> int:
+    """``text`` as an integer.  A ParseError names ``what``, or ``brief`` if
+    given when the text has too many digits, so as not to echo them."""
     try:
         return int(text)
     except ValueError:
+        numeral = text.strip()
+        digits = numeral[1:] if numeral[:1] in ("+", "-") else numeral
+        # int() refuses a decimal numeral only for its length
+        if digits.isdecimal():
+            message = f"{brief or what} has too many digits ({len(digits)})"
+            raise ParseError(message, position=position) from None
         raise ParseError(f"{what} must be an integer, got {text!r}", position=position) from None
 
 
@@ -683,15 +698,15 @@ def _parse_grid(grid_args) -> tuple[list[int], list[tuple[int, int, int]]]:
             raise ParseError(f"bad --grid entry {item!r}; use name=values")
         name, values = item.split("=", 1)
         if name == "dihedral":
-            what = f"value in --grid entry {item!r}"
-            dihedral_ms.extend(_parse_int(v, what) for v in values.split(",") if v)
+            what, brief = f"value in --grid entry {item!r}", "value in --grid dihedral"
+            dihedral_ms.extend(_parse_int(v, what, brief=brief) for v in values.split(",") if v)
         elif name == "pq":
             for trip in filter(None, values.split(",")):
                 parts = trip.split(":")
                 if len(parts) != 3:
                     raise ParseError(f"bad pq grid entry {trip!r}; use p:q:b")
-                what = f"value in pq grid entry {trip!r}"
-                pq_specs.append(tuple(_parse_int(v, what) for v in parts))
+                what, brief = f"value in pq grid entry {trip!r}", "value in --grid pq"
+                pq_specs.append(tuple(_parse_int(v, what, brief=brief) for v in parts))
         else:
             raise ParseError(f"unknown grid family {name!r}")
     return dihedral_ms, pq_specs

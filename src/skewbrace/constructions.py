@@ -15,12 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .braces import SkewBrace, _assemble_brace, gc_ratio
+from .braces import SkewBrace, gc_ratio
 from .errors import (
     BudgetExceeded,
     InvalidAction,
     NotComplementary,
-    NotExhaustive,
     OrderCapExceeded,
     WrongParent,
 )
@@ -39,20 +38,20 @@ from .groups import _cycle_label, _integer, _prime_factors, _unit_action
 
 @dataclass(frozen=True)
 class ExactFactorization:
-    """G = L * R with trivial intersection; decomp[g] = (l, r) with g = l * r^-1."""
+    """G = L * R with |L| |R| = |G| and trivial intersection, so that each g
+    is l * r^-1 for exactly one pair (l, r) in L x R."""
 
     parent: FiniteGroup
     left: SubgroupSet
     right: SubgroupSet
-    decomp: tuple[tuple[int, int], ...]
 
 
 def exact_factorization(G: FiniteGroup, left_seed, right_seed) -> ExactFactorization:
     """Verify that the generated subgroups factor G exactly.
 
-    The decomposition table is built from all products l * r^-1;
-    complementarity forces that map to be bijective, which is asserted
-    anyway (a repeated product raises NotExhaustive).
+    |L| |R| = |G| and L n R = 1 (NotComplementary otherwise) make the map
+    (l, r) -> l * r^-1 injective, as l * r^-1 = l' * r'^-1 puts l'^-1 * l =
+    r'^-1 * r in L n R, and so a bijection from L x R onto G.
     """
     left = generated_subgroup(G, left_seed)
     right = generated_subgroup(G, right_seed)
@@ -61,17 +60,7 @@ def exact_factorization(G: FiniteGroup, left_seed, right_seed) -> ExactFactoriza
         raise NotComplementary(
             f"|L|={left.size}, |R|={right.size}, |G|={G.order}, |L n R|={inter}"
         )
-    elems_l, elems_r = np.array(left.elements()), np.array(right.elements())
-    # products[k] = l * r^-1 for the k-th pair (l, r) in row-major order
-    products = G.table[np.ix_(elems_l, G.inv[elems_r])].ravel()
-    repeated = np.ones(G.order, dtype=bool)
-    repeated[np.unique(products, return_index=True)[1]] = False
-    if repeated.any():
-        raise NotExhaustive(f"element {products[np.argmax(repeated)]} decomposes twice")
-    # |L| |R| = |G| distinct products cover G
-    decomp = np.empty((G.order, 2), dtype=np.intp)
-    decomp[products] = np.stack(np.meshgrid(elems_l, elems_r, indexing="ij"), -1).reshape(-1, 2)
-    return ExactFactorization(G, left, right, tuple(map(tuple, decomp.tolist())))
+    return ExactFactorization(G, left, right)
 
 
 def zappa_szep_brace(f: ExactFactorization) -> SkewBrace:
@@ -80,11 +69,11 @@ def zappa_szep_brace(f: ExactFactorization) -> SkewBrace:
     For g = l * r^-1 the circ operation acts by g circ y = l * y * r^-1.
     """
     G = f.parent
-    left, right = np.array(f.decomp).T
-    ri = G.inv[right]
-    # entry [x, y] is l * y * r^-1 for x = l * r^-1
-    circ = build_from_table(G.table[G.table[left], ri[:, None]], labels=G.labels)
-    return _assemble_brace(G, circ, "zappa_szep")
+    elems_l, ri = np.array(f.left.elements()), G.inv[np.array(f.right.elements())]
+    # row l * r^-1 is y -> l * y * r^-1; a row left at -1 fails validation
+    circ = np.full_like(G.table, -1)
+    circ[G.table[np.ix_(elems_l, ri)]] = G.table[G.table[elems_l][:, None], ri[:, None]]
+    return SkewBrace(G, build_from_table(circ, labels=G.labels))
 
 
 def factorization_from_permutations(
@@ -122,9 +111,7 @@ def semidirect_biskew(
     """
     mult = semidirect_product_cyclic(m, n, b, cap)
     addg = semidirect_product_cyclic(m, n, 1, cap)
-    first = _assemble_brace(mult, addg, "semidirect")
-    second = _assemble_brace(addg, mult, "semidirect")
-    return first, second
+    return SkewBrace(mult, addg), SkewBrace(addg, mult)
 
 
 def stability_criterion_z9z6(H: SubgroupSet) -> tuple[bool, bool]:

@@ -65,10 +65,6 @@ class NotComplementary(ValidationFailure):
     """Two subgroups do not form an exact factorization of the parent group."""
 
 
-class NotExhaustive(ValidationFailure):
-    """The product map of a factorization failed to be bijective."""
-
-
 class NotNilpotent(ValidationFailure):
     def __init__(self, power: int, dimension: int):
         self.witness = (power, dimension)
@@ -110,7 +106,7 @@ class CapExceeded(Exception):
 
 
 class OrderCapExceeded(CapExceeded):
-    def __init__(self, order: int, cap: int, what: str = "group order"):
+    def __init__(self, order: int | str, cap: int, what: str = "group order"):
         self.order = order
         self.cap = cap
         super().__init__(f"{what} {order} exceeds the configured cap {cap}")

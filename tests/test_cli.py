@@ -269,6 +269,31 @@ def test_ratio_zappa_custom(capsys):
     assert (payload["numerator"], payload["denominator"]) == (4, 20)
 
 
+FAMILY_SPEC = ["--family", "semidirect", "--m", "9", "--n", "6", "--b", "2"]
+
+
+@pytest.mark.parametrize(
+    "argv, provenance",
+    [
+        ([*FAMILY_SPEC, "--direction", "mult"], "semidirect"),
+        ([*FAMILY_SPEC, "--direction", "add"], "semidirect"),
+        (["--algebra", "degraaf", "--p", "3", "--direction", "circ"], "radical"),
+        (["--algebra", "degraaf", "--p", "3", "--direction", "add"], "radical"),
+        (["--algebra", "alg.json"], "radical"),
+        (["--zappa-szep", "a5"], "zappa_szep"),
+        (["--zappa-szep", "custom", "--left-gens", "(1 2 3 4 5)", "--right-gens", "(1 2 3), (1 2)(3 4)"],
+         "zappa_szep"),
+    ],
+    ids=["family-mult", "family-add", "degraaf-circ", "degraaf-add", "algebra-file", "a5", "custom"],
+)
+def test_ratio_reports_the_provenance_of_its_source(tmp_path, monkeypatch, capsys, argv, provenance):
+    monkeypatch.chdir(tmp_path)
+    Path("alg.json").write_text(json.dumps(DEGRAAF3))
+    code, report = run_json(capsys, "ratio", *argv)
+    assert code == EXIT_OK
+    assert {payload["provenance"] for payload in report["result"]["ratios"]} == {provenance}
+
+
 def test_ratio_zappa_szep_s6(capsys):
     code, out = run(
         capsys,
@@ -880,6 +905,18 @@ REJECTED = {
     ),
     "batch-unreadable": (["family", "--batch", "missing.txt"], EXIT_CONFIG, "No such file or directory: 'missing.txt'"),
     "batch-field-count": (["family", "--batch", "short.txt"], EXIT_CONFIG, "short.txt:2: expected 'family m n b'"),
+    # an integer past int()'s digit limit is named by its digit count, not echoed
+    "batch-field-of-5000-digits": (
+        ["family", "--batch", "long.txt"], EXIT_CONFIG, "long.txt:1: m has too many digits (5000)",
+    ),
+    "grid-value-of-5000-digits": (
+        ["examples", "--grid", f"dihedral={'9' * 5000}"], EXIT_CONFIG,
+        "value in --grid dihedral has too many digits (5000)",
+    ),
+    "brace-file-number-of-5000-digits": (["verify", "long.json"], EXIT_CONFIG, "long.json: not valid JSON ("),
+    "algebra-file-number-of-5000-digits": (
+        ["ratio", "--algebra", "longp.json"], EXIT_CONFIG, "longp.json: not valid JSON (",
+    ),
     "non-positive-cap": (["--order-cap", "0", "ratio", "--zappa-szep", "a5"], EXIT_CONFIG, "caps must be positive"),
 }
 
@@ -901,6 +938,9 @@ def test_rejected_input_exits_with_its_code_and_names_the_entry(
     for name, payload in files.items():
         Path(name).write_text(json.dumps(payload))
     Path("short.txt").write_text("pq 7 3 2\npq 7 3\n")
+    Path("long.txt").write_text(f"pq {'9' * 5000} 2 5\n")
+    Path("long.json").write_text(f'{{"star": {Z2}, "circ": [[0, 1], [1, {"9" * 5000}]]}}')
+    Path("longp.json").write_text(f'{{"p": {"9" * 5000}, "dim": 2}}')
     assert main(argv) == code
     captured = capsys.readouterr()
     # a failed example row is part of the report on stdout
@@ -926,6 +966,13 @@ def test_parse_permutations_rejects_a_point_above_the_cap():
     with pytest.raises(OrderCapExceeded, match="^permutation degree 2001 exceeds the configured cap 2000$"):
         parse_permutations("(1 2001)")
     assert parse_permutations("(1 5)", cap=5) == [(4, 1, 2, 3, 0)]
+    # a point of more digits than the cap and 20 is refused by its length, unread
+    for digits in (5000, 4000):
+        message = f"^permutation point of {digits} digits exceeds the configured cap 2000$"
+        with pytest.raises(OrderCapExceeded, match=message):
+            parse_permutations(f"(1 {'9' * digits})")
+    # leading zeros do not count
+    assert parse_permutations(f"(1 {'0' * 5000}2 3)") == parse_permutations("(1 2 3)")
 
 
 def test_zappa_szep_points_far_past_the_cap_exit_before_any_table(capsys, tables_built):

@@ -10,7 +10,7 @@ from hypothesis import given
 
 import skewbrace as sb
 from skewbrace.constructions import _order, _predicted
-from skewbrace.errors import InvalidAction, NotComplementary, WrongParent
+from skewbrace.errors import InvalidAction, NotClosed, NotComplementary, WrongParent
 from skewbrace.groups import _prime_factors
 
 from conftest import divisor_count, multiplicative_order, semidirect_params, sigma
@@ -25,11 +25,14 @@ def _plain_normalized(f: sb.ExactFactorization, H: sb.SubgroupSet) -> bool:
     )
 
 
-def _check_decomposition(f: sb.ExactFactorization) -> None:
-    op = f.parent.table.tolist()
-    for g, (l, r) in enumerate(f.decomp):
-        assert f.left.contains(l) and f.right.contains(r)
-        assert op[l][f.parent.inv[r]] == g
+def _check_zappa_szep_rows(f: sb.ExactFactorization, brace: sb.SkewBrace) -> None:
+    """Each g is l * r^-1 for exactly one (l, r) in L x R, found by brute
+    force, and row g of circ is y -> l * y * r^-1."""
+    op, inv, circ = f.parent.table.tolist(), f.parent.inv, brace.circ.table.tolist()
+    pairs = [(l, r) for l in f.left.elements() for r in f.right.elements()]
+    for g in range(f.parent.order):
+        ((l, r),) = [(l, r) for l, r in pairs if op[l][inv[r]] == g]
+        assert circ[g] == [op[op[l][y]][inv[r]] for y in range(f.parent.order)]
 
 
 # ---------------------------------------------------------------------------
@@ -40,9 +43,7 @@ def test_factorization_of_z6():
     G = sb.cyclic_group(6)
     f = sb.exact_factorization(G, [2], [3])
     assert f.left.size == 3 and f.right.size == 2
-    for g in range(6):
-        l, r = f.decomp[g]
-        assert G.table[l, G.inv[r]] == g
+    _check_zappa_szep_rows(f, sb.zappa_szep_brace(f))
 
 
 @given(semidirect_params(max_m=10, max_n=4))
@@ -51,8 +52,8 @@ def test_semidirect_factorization_matches_plain_products(params):
     G = sb.semidirect_product_cyclic(*params)
     # (1,0) has index n and (0,1) index 1
     f = sb.exact_factorization(G, [n], [1] if n > 1 else [])
-    _check_decomposition(f)
     brace = sb.zappa_szep_brace(f)
+    _check_zappa_szep_rows(f, brace)
     for H in sb.enumerate_subgroups(G):
         assert sb.is_circ_stable(brace, H) == _plain_normalized(f, H)
 
@@ -61,6 +62,15 @@ def test_factorization_rejects_overlap():
     G = sb.cyclic_group(4)
     with pytest.raises(NotComplementary):
         sb.exact_factorization(G, [2], [2])
+
+
+def test_zappa_szep_brace_of_an_unchecked_overlap_leaves_a_row_unfilled():
+    # built without exact_factorization: l * r^-1 reaches only {0, 2}
+    G = sb.cyclic_group(4)
+    H = sb.generated_subgroup(G, [2])
+    with pytest.raises(NotClosed) as info:
+        sb.zappa_szep_brace(sb.ExactFactorization(G, H, H))
+    assert info.value.witness == (1, 0, -1)
 
 
 def test_a5_factorization():
@@ -106,7 +116,7 @@ def test_stable_iff_normalized_agreement_on_all_a5_subgroups(a5_brace):
     f = sb.a5_factorization()
     subs = sb.enumerate_subgroups(f.parent)
     assert len(subs) == 59
-    _check_decomposition(f)
+    _check_zappa_szep_rows(f, a5_brace)
     for H in subs:
         assert sb.is_circ_stable(a5_brace, H) == _plain_normalized(f, H)
     five = next(H for H in subs if H.size == 5)

@@ -10,11 +10,14 @@ import pytest
 import skewbrace as sb
 from skewbrace.algebras import check_point_budget
 from skewbrace.errors import (
+    BraceLawViolation,
     BudgetExceeded,
     DimensionMismatch,
+    IdentityMismatch,
     InvalidAction,
     NotAStarSubgroup,
     OrderCapExceeded,
+    ValidationFailure,
 )
 
 
@@ -23,10 +26,40 @@ def _z2_brace():
     return sb.validate_skew_brace(z2.table, z2.table)
 
 
+# (star, circ) tables of valid groups that are no brace: of orders 2 and 3;
+# Z3 and Z3 with 0 and 1 swapped, whose identity is 1; Z4 and Z4 with 2 and 3
+# swapped, which break the brace law at (1, 1, 1)
+BRACE_FAULTS = {
+    "orders": ([[0, 1], [1, 0]], [[0, 1, 2], [1, 2, 0], [2, 0, 1]]),
+    "identities": ([[0, 1, 2], [1, 2, 0], [2, 0, 1]], [[2, 0, 1], [0, 1, 2], [1, 2, 0]]),
+    "brace-law": (
+        [[0, 1, 2, 3], [1, 2, 3, 0], [2, 3, 0, 1], [3, 0, 1, 2]],
+        [[0, 1, 2, 3], [1, 3, 0, 2], [2, 0, 3, 1], [3, 2, 1, 0]],
+    ),
+}
+
+
+def _skew_brace(fault: str) -> sb.SkewBrace:
+    """SkewBrace built directly on the groups of one of BRACE_FAULTS."""
+    return sb.SkewBrace(*map(sb.build_from_table, BRACE_FAULTS[fault]))
+
+
 REJECTIONS = {
     "brace-tables-of-orders-2-and-3": (
         lambda: sb.validate_skew_brace(sb.cyclic_group(2).table, sb.cyclic_group(3).table),
         ValueError, "star and circ tables have different orders",
+    ),
+    "skew-brace-of-orders-2-and-3": (
+        lambda: _skew_brace("orders"),
+        ValueError, "star and circ tables have different orders",
+    ),
+    "skew-brace-of-identities-0-and-1": (
+        lambda: _skew_brace("identities"),
+        IdentityMismatch, "the two group tables have different identities (0 vs 1)",
+    ),
+    "skew-brace-breaking-the-brace-law": (
+        lambda: _skew_brace("brace-law"),
+        BraceLawViolation, "left brace law fails at (1,1,1)",
     ),
     "circ-stable-wrong-parent": (
         lambda: sb.is_circ_stable(_z2_brace(), sb.generated_subgroup(sb.cyclic_group(3), [1])),
@@ -150,3 +183,13 @@ def test_a_rejected_call_names_its_error(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$") as info:
         call()
     assert type(info.value) is error
+
+
+@pytest.mark.parametrize("fault", BRACE_FAULTS)
+def test_a_skew_brace_built_directly_fails_as_validation_does(fault):
+    raised = []
+    for build in (lambda: _skew_brace(fault), lambda: sb.validate_skew_brace(*BRACE_FAULTS[fault])):
+        with pytest.raises((ValueError, ValidationFailure)) as info:
+            build()
+        raised.append((type(info.value), str(info.value), getattr(info.value, "witness", None)))
+    assert raised[0] == raised[1]

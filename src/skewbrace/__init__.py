@@ -16,18 +16,13 @@ from .algebras import (
     additive_group,
     brace_from_radical,
     brace_from_radical_flipped,
-    circle,
     circle_group,
-    circle_power,
     degraaf_algebra,
     enumerate_left_ideals,
     enumerate_right_ideals,
     enumerate_subspaces,
-    index_vector,
     make_algebra,
-    multiply,
     subspace_subgroup,
-    vector_index,
 )
 from .braces import (
     GcRatio,
@@ -36,7 +31,6 @@ from .braces import (
     hgs_count,
     is_bi_skew,
     is_circ_stable,
-    is_ideal,
     skew_brace_automorphism_count,
     stability_map,
     validate_skew_brace,

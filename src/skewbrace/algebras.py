@@ -1,14 +1,14 @@
 """Nilpotent algebras over prime fields by structure constants.
 
-The constants are one read-only int64 array, read by the product, the
-nilpotency chain and the circle group.  Vectors are coordinate tuples
-modulo p.  The circle operation x circ y = x + y + x*y turns a nilpotent
-algebra into a group, and the two group structures (addition and circle)
-on the same point set give braces.  Group elements are indexed by the
-base-p encoding sum(x_i * p^i).  Subspaces are listed one pivot pattern at
-a time, as a (count, rank, dim) array of echelon bases that each ideal
-census tests at once, after their exact number is checked against the
-point budget.
+The constants are one read-only int64 array, read by the nilpotency chain
+and the circle group; point arithmetic is read off the additive and circle
+tables.  Vectors are coordinate tuples modulo p.  The circle operation
+x circ y = x + y + x*y turns a nilpotent algebra into a group, and the two
+group structures (addition and circle) on the same point set give braces.
+Group elements are indexed by the base-p encoding sum(x_i * p^i).
+Subspaces are listed one pivot pattern at a time, as a (count, rank, dim)
+array of echelon bases that each ideal census tests at once, after their
+exact number is checked against the point budget.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .errors import (
     OrderCapExceeded,
 )
 from .groups import DEFAULT_ORDER_CAP, FiniteGroup, SubgroupSet, build_from_table
-from .groups import _element, _first_non_integer, _integral, _mask, _prime_factors
+from .groups import _first_non_integer, _integral, _mask, _prime_factors
 
 DEFAULT_POINT_BUDGET = 100_000
 
@@ -52,8 +52,10 @@ class FpAlgebra:
 
     ``sc`` is the read-only int64 array whose entry sc[i, j] is the
     coordinate vector of the basis product e_i * e_j.  ``nilpotency_index``
-    is the least e with every e-fold product zero.  Two algebras are equal
-    when their p, constants and labels are.
+    is the least e with every e-fold product zero.  The nilpotency chain and
+    the circle group read ``sc``; point arithmetic is read off the additive
+    and circle tables.  Two algebras are equal when their p, constants and
+    labels are.
     """
 
     p: int
@@ -71,9 +73,6 @@ class FpAlgebra:
     def __hash__(self) -> int:
         # the array holds dim**3 entries, so equal bytes mean equal dims
         return hash((self.p, self.sc.tobytes(), self.basis_labels))
-
-    def zero(self) -> tuple[int, ...]:
-        return (0,) * self.dim
 
 
 def _rref(rows: np.ndarray, p: int) -> np.ndarray:
@@ -93,17 +92,6 @@ def _rref(rows: np.ndarray, p: int) -> np.ndarray:
         M = (M - factors[:, None] * M[rank]) % p
         rank += 1
     return M[:rank]
-
-
-def _check_vector(A: FpAlgebra, x) -> None:
-    """ValueError for a coordinate that is not an integer (a float, a bool);
-    DimensionMismatch for a vector that is not in F_p^dim coordinates."""
-    if (l := _first_non_integer(x)) is not None:
-        raise ValueError(f"coordinate {l} of vector {tuple(x)} is not an integer: {x[l]!r}")
-    if len(x) != A.dim or any(not 0 <= v < A.p for v in x):
-        raise DimensionMismatch(
-            f"vector {tuple(x)} is not in F_{A.p}^{A.dim} coordinates"
-        )
 
 
 def make_algebra(p: int, dim: int, sc, labels=None) -> FpAlgebra:
@@ -165,46 +153,10 @@ def degraaf_algebra(p: int) -> FpAlgebra:
     return make_algebra(p, 4, sc, labels=("a", "b", "c", "d"))
 
 
-def multiply(A: FpAlgebra, x, y) -> tuple[int, ...]:
-    """Bilinear product sum x_i y_j e_i e_j."""
-    _check_vector(A, x)
-    _check_vector(A, y)
-    return tuple((np.einsum("i,j,ijl->l", x, y, A.sc) % A.p).tolist())
-
-
-def circle(A: FpAlgebra, x, y) -> tuple[int, ...]:
-    """x + y + x*y, the group operation of the adjoint structure."""
-    return tuple(((multiply(A, x, y) + np.add(x, y)) % A.p).tolist())
-
-
-def circle_power(A: FpAlgebra, x, m: int) -> tuple[int, ...]:
-    """m-fold circle product of x with itself, m >= 1."""
-    if m < 1:
-        raise ValueError("exponent must be at least 1")
-    _check_vector(A, x)
-    out = tuple(x)
-    for _ in range(m - 1):
-        out = circle(A, out, x)
-    return out
-
-
 def _digits(n: int, p: int, width: int) -> np.ndarray:
     """Row k, for k < n, holds the ``width`` base-p digits of k, least
     significant first."""
     return np.arange(n)[:, None] // p ** np.arange(width) % p
-
-
-def vector_index(A: FpAlgebra, vec) -> int:
-    """Base-p encoding sum(vec[i] * p^i) shared by all groups on A."""
-    _check_vector(A, vec)
-    return int(np.dot(vec, A.p ** np.arange(A.dim)))
-
-
-def index_vector(A: FpAlgebra, k: int) -> tuple[int, ...]:
-    """Inverse of vector_index; ``k`` must be a point, an integer in
-    0..p^dim-1 (ValueError otherwise)."""
-    k = _element(A.p**A.dim, k, "point")
-    return tuple((k // A.p ** np.arange(A.dim) % A.p).tolist())
 
 
 def format_vector(A: FpAlgebra, vec) -> str:
@@ -262,11 +214,6 @@ class SubspaceBasis:
     def basis(self) -> np.ndarray:
         """The rows as a (rank, dim) array."""
         return np.array(self.rows, dtype=np.int64).reshape(self.rank, self.dim)
-
-    def contains(self, vec) -> bool:
-        # in echelon form a vector's pivot coordinates are its coefficients
-        v = np.asarray(vec, dtype=np.int64)
-        return not ((v - v[list(self.pivot_columns())] @ self.basis()) % self.p).any()
 
     def span(self) -> list[tuple[int, ...]]:
         """Every vector of the subspace, coefficients in itertools.product

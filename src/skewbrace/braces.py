@@ -37,7 +37,6 @@ from .errors import (
     IdentityMismatch,
     NonIntegralQuotient,
     NotAStarSubgroup,
-    NotStable,
 )
 from .groups import (
     DEFAULT_AUT_CAP,
@@ -49,7 +48,6 @@ from .groups import (
     automorphism_group,
     build_from_table,
     enumerate_subgroups,
-    is_normal,
 )
 
 
@@ -189,13 +187,6 @@ def is_circ_stable(b: SkewBrace, H: SubgroupSet) -> bool:
     """
     members = _require_star_subgroup(b, H)
     return bool(members[_stability_rows(b, b.circ.gens)[:, np.flatnonzero(members)]].all())
-
-
-def is_ideal(b: SkewBrace, H: SubgroupSet) -> bool:
-    """A circ-stable subgroup is an ideal iff it is normal in the circ group."""
-    if not is_circ_stable(b, H):
-        raise NotStable("subgroup is not circ-stable")
-    return is_normal(b.circ, H)
 
 
 def gc_ratio(b: SkewBrace, cap: int = DEFAULT_ORDER_CAP) -> GcRatio:

@@ -57,10 +57,6 @@ class NotAStarSubgroup(ValidationFailure):
     """The given element set is not a subgroup of the brace's star group."""
 
 
-class NotStable(ValidationFailure):
-    """Ideal test applied to a subgroup that is not circ-stable."""
-
-
 class NotComplementary(ValidationFailure):
     """Two subgroups do not form an exact factorization of the parent group."""
 

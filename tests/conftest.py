@@ -317,7 +317,7 @@ def transported_algebra(A: sb.FpAlgebra, seed: int) -> sb.FpAlgebra:
         for j in range(d):
             fi = tuple(M[i])
             fj = tuple(M[j])
-            prod_e = sb.multiply(A, fi, fj)
+            prod_e = scalar_multiply(A, fi, fj)
             # rewrite the product in the new basis: coords_f = coords_e @ M^-1
             coords = tuple(
                 sum(prod_e[k] * Minv[k][l] for k in range(d)) % p for l in range(d)

@@ -8,14 +8,13 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import skewbrace as sb
 from skewbrace import algebras
 from skewbrace.groups import _element_orders
 from skewbrace.errors import (
     BudgetExceeded,
-    DimensionMismatch,
     NilpotencyTooDeep,
     NotAssociative,
     NotNilpotent,
@@ -34,6 +33,44 @@ A_COEFF = (1, 0, 0, 0)
 B_COEFF = (0, 1, 0, 0)
 
 
+# point k of every group on A is the vector of the base-p digits of k, least
+# significant first; products, circles, inverses and powers are read off the
+# circle table and checked against conftest.scalar_multiply
+
+
+def _point(A: sb.FpAlgebra, vec) -> int:
+    return sum(v * A.p**i for i, v in enumerate(vec))
+
+
+def _vector(A: sb.FpAlgebra, k) -> tuple[int, ...]:
+    return tuple(int(k) // A.p**i % A.p for i in range(A.dim))
+
+
+def _circle(A: sb.FpAlgebra, C: sb.FiniteGroup, x, y) -> tuple[int, ...]:
+    return _vector(A, C.table[_point(A, x), _point(A, y)])
+
+
+def _product(A: sb.FpAlgebra, C: sb.FiniteGroup, x, y) -> tuple[int, ...]:
+    """x*y = (x circ y) - x - y, read off the circle group C of A."""
+    return tuple((c - a - b) % A.p for a, b, c in zip(x, y, _circle(A, C, x, y)))
+
+
+def _oracle_circle(A: sb.FpAlgebra, x, y) -> tuple[int, ...]:
+    return tuple((a + b + c) % A.p for a, b, c in zip(x, y, scalar_multiply(A, x, y)))
+
+
+@pytest.fixture(scope="module")
+def degraaf3_circle():
+    A = sb.degraaf_algebra(3)
+    return A, sb.circle_group(A)
+
+
+@pytest.fixture(scope="module")
+def degraaf5_circle():
+    A = sb.degraaf_algebra(5)
+    return A, sb.circle_group(A)
+
+
 # ---------------------------------------------------------------------------
 # construction
 
@@ -43,11 +80,12 @@ def test_zero_algebra_valid():
     assert A.nilpotency_index == 2
 
 
-def test_degraaf_structure(degraaf3):
-    assert degraaf3.nilpotency_index == 3
-    assert sb.multiply(degraaf3, A_COEFF, A_COEFF) == (0, 0, 1, 0)
-    assert sb.multiply(degraaf3, A_COEFF, B_COEFF) == (0, 0, 0, 1)
-    assert sb.multiply(degraaf3, B_COEFF, A_COEFF) == (0, 0, 0, 0)
+def test_degraaf_structure(degraaf3_circle):
+    A, C = degraaf3_circle
+    assert A.nilpotency_index == 3
+    assert _product(A, C, A_COEFF, A_COEFF) == scalar_multiply(A, A_COEFF, A_COEFF) == (0, 0, 1, 0)
+    assert _product(A, C, A_COEFF, B_COEFF) == scalar_multiply(A, A_COEFF, B_COEFF) == (0, 0, 0, 1)
+    assert _product(A, C, B_COEFF, A_COEFF) == scalar_multiply(A, B_COEFF, A_COEFF) == (0, 0, 0, 0)
 
 
 def test_degraaf_p5_valid():
@@ -131,132 +169,132 @@ def test_structure_constants_are_one_read_only_array(degraaf3):
 # products
 
 
-def test_multiply_by_zero(degraaf3):
-    z = degraaf3.zero()
-    assert sb.multiply(degraaf3, z, (1, 2, 0, 1)) == z
+def test_multiply_by_zero(degraaf3_circle):
+    A, C = degraaf3_circle
+    z = (0,) * A.dim
+    assert _product(A, C, z, (1, 2, 0, 1)) == _product(A, C, (1, 2, 0, 1), z) == z
 
 
-def test_left_multiplication_by_a(degraaf3):
+def test_left_multiplication_by_a(degraaf3_circle):
     # a * (r1 a + r2 b + r3 c + r4 d) = r1 c + r2 d
+    A, C = degraaf3_circle
     for vec in product(range(3), repeat=4):
-        got = sb.multiply(degraaf3, A_COEFF, vec)
-        assert got == (0, 0, vec[0], vec[1])
+        assert _product(A, C, A_COEFF, vec) == (0, 0, vec[0], vec[1])
 
 
-def test_right_multiplication_by_basis():
+def test_right_multiplication_by_basis(degraaf5_circle):
     # r * a = r1 c and r * b = r1 d; these drive the right-ideal census
-    A = sb.degraaf_algebra(5)
+    A, C = degraaf5_circle
+    zero = (0,) * A.dim
     for vec in product(range(5), repeat=4):
-        assert sb.multiply(A, vec, A_COEFF) == (0, 0, vec[0], 0)
-        assert sb.multiply(A, vec, B_COEFF) == (0, 0, 0, vec[0])
+        assert _product(A, C, vec, A_COEFF) == (0, 0, vec[0], 0)
+        assert _product(A, C, vec, B_COEFF) == (0, 0, 0, vec[0])
         # any further right factor annihilates
-        ra = sb.multiply(A, vec, A_COEFF)
-        assert sb.multiply(A, ra, A_COEFF) == A.zero()
-        assert sb.multiply(A, ra, B_COEFF) == A.zero()
-
-
-def test_dimension_mismatch(degraaf3):
-    with pytest.raises(DimensionMismatch):
-        sb.multiply(degraaf3, (1, 0), (0, 1, 0, 0))
+        ra = _product(A, C, vec, A_COEFF)
+        assert _product(A, C, ra, A_COEFF) == _product(A, C, ra, B_COEFF) == zero
 
 
 # ---------------------------------------------------------------------------
 # circle operation
 
 
-def test_circle_identity_is_zero(degraaf3):
-    z = degraaf3.zero()
+def test_circle_identity_is_zero(degraaf3_circle):
+    A, C = degraaf3_circle
+    assert C.identity == _point(A, (0,) * A.dim) == 0
     for vec in product(range(3), repeat=4):
-        assert sb.circle(degraaf3, z, vec) == vec
-        assert sb.circle(degraaf3, vec, z) == vec
+        assert _circle(A, C, (0,) * A.dim, vec) == _circle(A, C, vec, (0,) * A.dim) == vec
 
 
-def test_circle_of_a_with_itself():
-    A = sb.degraaf_algebra(5)
-    assert sb.circle(A, A_COEFF, A_COEFF) == (2, 0, 1, 0)
+def test_circle_of_a_with_itself(degraaf5_circle):
+    A, C = degraaf5_circle
+    assert _circle(A, C, A_COEFF, A_COEFF) == _oracle_circle(A, A_COEFF, A_COEFF) == (2, 0, 1, 0)
 
 
 def test_zero_algebra_circle_is_addition():
     A = zero_algebra(3, 2)
+    C = sb.circle_group(A)
     for x in product(range(3), repeat=2):
         for y in product(range(3), repeat=2):
-            assert sb.circle(A, x, y) == tuple((a + b) % 3 for a, b in zip(x, y))
+            assert _circle(A, C, x, y) == tuple((a + b) % 3 for a, b in zip(x, y))
 
 
 def test_circle_associative_exhaustive():
     A = heisenberg_algebra(3)
-    for x in product(range(3), repeat=3):
-        for y in product(range(3), repeat=3):
-            for z in product(range(3), repeat=3):
-                lhs = sb.circle(A, sb.circle(A, x, y), z)
-                rhs = sb.circle(A, x, sb.circle(A, y, z))
-                assert lhs == rhs
+    C = sb.circle_group(A)
+    points = list(product(range(3), repeat=3))
+    for x in points:
+        for y in points:
+            assert _circle(A, C, x, y) == _oracle_circle(A, x, y)
+    # (x circ y) circ z against x circ (y circ z), for all 27^3 triples at once
+    T, n = C.table, C.order
+    assert np.array_equal(T[T], T[np.arange(n)[:, None, None], T[None]])
 
 
 def _circle_inverse(A: sb.FpAlgebra, C: sb.FiniteGroup, x) -> tuple[int, ...]:
     """Inverse of x under circle, read off the circle group C of A."""
-    return sb.index_vector(A, C.inv[sb.vector_index(A, x)])
+    return _vector(A, C.inv[_point(A, x)])
 
 
-@pytest.fixture(scope="module")
-def degraaf5_circle():
-    A = sb.degraaf_algebra(5)
-    return A, sb.circle_group(A)
-
-
-def test_circle_inverse_of_a(degraaf3):
+def test_circle_inverse_of_a(degraaf3_circle):
     # inverse of a is -a + c
-    p = degraaf3.p
-    assert _circle_inverse(degraaf3, sb.circle_group(degraaf3), A_COEFF) == (p - 1, 0, 1, 0)
-    assert sb.circle(degraaf3, A_COEFF, (p - 1, 0, 1, 0)) == degraaf3.zero()
+    A, C = degraaf3_circle
+    p = A.p
+    assert _circle_inverse(A, C, A_COEFF) == (p - 1, 0, 1, 0)
+    assert _oracle_circle(A, A_COEFF, (p - 1, 0, 1, 0)) == (0,) * A.dim
 
 
-def test_circle_inverse_is_two_sided(degraaf3):
-    z, C = degraaf3.zero(), sb.circle_group(degraaf3)
+def test_circle_inverse_is_two_sided(degraaf3_circle):
+    A, C = degraaf3_circle
     for vec in product(range(3), repeat=4):
-        inv = _circle_inverse(degraaf3, C, vec)
-        assert sb.circle(degraaf3, vec, inv) == z
-        assert sb.circle(degraaf3, inv, vec) == z
+        inv = _circle_inverse(A, C, vec)
+        assert _oracle_circle(A, vec, inv) == _oracle_circle(A, inv, vec) == (0,) * A.dim
 
 
 @given(st.tuples(*[st.integers(0, 4)] * 4))
 def test_circle_inverse_property_p5(degraaf5_circle, vec):
     A, C = degraaf5_circle
     inv = _circle_inverse(A, C, vec)
-    assert sb.circle(A, vec, inv) == A.zero()
+    assert _oracle_circle(A, vec, inv) == (0,) * A.dim
 
 
 # ---------------------------------------------------------------------------
 # circle powers
 
 
-def test_circle_power_one(degraaf3):
-    assert sb.circle_power(degraaf3, (1, 2, 0, 1), 1) == (1, 2, 0, 1)
+def _circle_power(A: sb.FpAlgebra, C: sb.FiniteGroup, x, m: int) -> tuple[int, ...]:
+    """m-fold circle product of x with itself, m >= 1, read off C."""
+    k = acc = _point(A, x)
+    for _ in range(m - 1):
+        acc = C.table[acc, k]
+    return _vector(A, acc)
 
 
-def test_circle_power_of_a_cubed_p5():
-    A = sb.degraaf_algebra(5)
-    assert sb.circle_power(A, A_COEFF, 3) == (3, 0, 3, 0)
+def test_circle_power_one(degraaf3_circle):
+    assert _circle_power(*degraaf3_circle, (1, 2, 0, 1), 1) == (1, 2, 0, 1)
 
 
-def test_circle_power_exponent_p(degraaf3):
+def test_circle_power_of_a_cubed_p5(degraaf5_circle):
+    assert _circle_power(*degraaf5_circle, A_COEFF, 3) == (3, 0, 3, 0)
+
+
+def test_circle_power_exponent_p(degraaf3_circle):
+    A, C = degraaf3_circle
     for vec in product(range(3), repeat=4):
-        assert sb.circle_power(degraaf3, vec, 3) == degraaf3.zero()
+        assert _circle_power(A, C, vec, 3) == (0,) * A.dim
 
 
 @pytest.mark.parametrize("p", [3, 5])
-def test_circle_power_closed_form_full_sweep(p):
-    # closed form m*x + binom(m,2) * x^2, checked against repeated circle
-    A = sb.degraaf_algebra(p)
+def test_circle_power_closed_form_full_sweep(request, p):
+    # closed form m*x + binom(m,2) * x^2, x^2 from the scalar oracle, checked
+    # against repeated circle in the table
+    A, C = request.getfixturevalue(f"degraaf{p}_circle")
     for vec in product(range(p), repeat=4):
-        xx = sb.multiply(A, vec, vec)
-        acc = vec
+        xx = scalar_multiply(A, vec, vec)
+        k = acc = _point(A, vec)
         for m in range(1, p + 1):
-            closed = tuple(
-                (m * vec[l] + (m * (m - 1) // 2) * xx[l]) % p for l in range(4)
-            )
-            assert acc == closed
-            acc = sb.circle(A, acc, vec)
+            closed = tuple((m * vec[l] + (m * (m - 1) // 2) * xx[l]) % p for l in range(4))
+            assert _vector(A, acc) == closed
+            acc = C.table[acc, k]
 
 
 # ---------------------------------------------------------------------------
@@ -372,12 +410,12 @@ def test_degraaf_ideal_counts_p5():
     assert len(sb.enumerate_right_ideals(A)) == 70
 
 
-def test_ideals_closed_under_circle(degraaf3):
-    for S in sb.enumerate_left_ideals(degraaf3):
-        pts = S.span()
-        for x in pts:
-            for y in pts:
-                assert S.contains(sb.circle(degraaf3, x, y))
+def test_ideals_closed_under_circle(degraaf3_circle):
+    A, C = degraaf3_circle
+    for S in sb.enumerate_left_ideals(A):
+        members = sb.subspace_subgroup(A, S).members
+        elems = np.flatnonzero(members)
+        assert members[C.table[np.ix_(elems, elems)]].all()
 
 
 # ---------------------------------------------------------------------------
@@ -424,41 +462,16 @@ def test_transported_algebras_keep_their_structure():
 
 
 def test_vector_index_round_trip(degraaf3):
+    # point k of the groups on A is the vector of the base-p digits of k,
+    # and the groups label it so
+    V = algebras._digits(81, 3, 4)
+    assert np.array_equal(V @ 3 ** np.arange(4), np.arange(81))
+    labels = sb.additive_group(degraaf3).labels
+    assert labels == sb.circle_group(degraaf3).labels
     for vec in product(range(3), repeat=4):
-        assert sb.index_vector(degraaf3, sb.vector_index(degraaf3, vec)) == vec
-
-
-@pytest.mark.parametrize(
-    "k, named",
-    [(81, "point 81 out of range"), (-1, "point -1 out of range"), (1.5, "point 1.5 is not an integer")],
-    ids=["at-order", "negative", "fractional"],
-)
-def test_index_vector_rejects_a_non_point(degraaf3, k, named):
-    # the base-p digits of 81 and -1 would read as (0, 0, 0, 0) and (2, 2, 2, 2)
-    with pytest.raises(ValueError, match=re.escape(named)):
-        sb.index_vector(degraaf3, k)
-
-
-@pytest.mark.parametrize(
-    "vec, named",
-    [((1.5, 0, 0, 0), "coordinate 0 of vector (1.5, 0, 0, 0) is not an integer: 1.5"),
-     ((0, True, 0, 0), "coordinate 1 of vector (0, True, 0, 0) is not an integer: True"),
-     ((0, 0, 1.0, 0), "coordinate 2 of vector (0, 0, 1.0, 0) is not an integer: 1.0")],
-    ids=["fractional", "bool", "integral-float"],
-)
-def test_vector_arguments_reject_a_non_integer_coordinate(degraaf3, vec, named):
-    # (1.5, 0, 0, 0) and (True, 0, 0, 0) would index as point 1, and a float
-    # coordinate would carry into the product as (0.0, 0.0, 0.5, 0.0)
-    unit = (1, 0, 0, 0)
-    for call in (
-        lambda: sb.vector_index(degraaf3, vec),
-        lambda: sb.multiply(degraaf3, vec, unit),
-        lambda: sb.multiply(degraaf3, unit, vec),
-        lambda: sb.circle(degraaf3, vec, unit),
-    ):
-        with pytest.raises(ValueError, match=re.escape(named)):
-            call()
-    assert sb.vector_index(degraaf3, np.array([1, 0, 0, 0])) == 1
+        k = _point(degraaf3, vec)
+        assert tuple(V[k].tolist()) == _vector(degraaf3, k) == vec
+        assert labels[k] == algebras.format_vector(degraaf3, vec)
 
 
 # ---------------------------------------------------------------------------
@@ -479,12 +492,17 @@ def transports(draw):
     return base, transported_algebra(base, draw(st.integers(0, 2**32)))
 
 
-@given(transports(), st.data())
-def test_multiply_matches_the_scalar_oracle(pair, data):
+# every cell costs one scalar product, about 0.1 s per degraaf example
+@settings(deadline=None, max_examples=20)
+@given(transports())
+def test_circle_table_matches_the_scalar_oracle(pair):
+    # x circ y = x + y + x*y in every cell
     _, A = pair
-    vectors = st.tuples(*[st.integers(0, A.p - 1)] * A.dim)
-    x, y = data.draw(vectors), data.draw(vectors)
-    assert sb.multiply(A, x, y) == scalar_multiply(A, x, y)
+    C = sb.circle_group(A)
+    points = list(product(range(A.p), repeat=A.dim))
+    for x in points:
+        for y in points:
+            assert _circle(A, C, x, y) == _oracle_circle(A, x, y)
 
 
 @given(transports())

@@ -14,7 +14,6 @@ from skewbrace.errors import (
     BudgetExceeded,
     IdentityMismatch,
     NotAStarSubgroup,
-    NotStable,
     ValidationFailure,
 )
 
@@ -384,18 +383,19 @@ def test_stable_subgroups_closed_under_both_operations(z9z6_braces):
 def test_full_group_is_ideal(z9z6_braces):
     b = z9z6_braces[0]
     full = sb.enumerate_subgroups(b.star)[-1]
-    assert sb.is_ideal(b, full)
+    assert sb.is_circ_stable(b, full) and sb.is_normal(b.circ, full)
 
 
 def test_self_brace_ideals_are_normal_subgroups(s3):
     b = _self_brace(s3)
     order3 = next(H for H in sb.enumerate_subgroups(s3) if H.size == 3)
-    assert sb.is_ideal(b, order3)
+    assert sb.is_circ_stable(b, order3) and sb.is_normal(b.circ, order3)
 
 
 def test_a5_order10_stable_subgroup_is_not_ideal(a5_brace):
     ten = next(H for H in sb.gc_ratio(a5_brace).stable if H.size == 10)
-    assert not sb.is_ideal(a5_brace, ten)
+    # an ideal is a circ-stable subgroup normal in the circ group
+    assert sb.is_circ_stable(a5_brace, ten) and not sb.is_normal(a5_brace.circ, ten)
     # independent check: conjugation inside the circ group escapes
     circ = a5_brace.circ
     cop = circ.table.tolist()
@@ -409,13 +409,6 @@ def test_a5_order10_stable_subgroup_is_not_ideal(a5_brace):
         if escaped:
             break
     assert escaped
-
-
-def test_is_ideal_requires_stability(s3):
-    b = _self_brace(s3)
-    order2 = next(H for H in sb.enumerate_subgroups(s3) if H.size == 2)
-    with pytest.raises(NotStable):
-        sb.is_ideal(b, order2)
 
 
 # ---------------------------------------------------------------------------

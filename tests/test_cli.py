@@ -26,6 +26,7 @@ from skewbrace.cli import (
     _family_csv,
     _family_lines,
     _ideals_lines,
+    _power_formula_holds,
     _ratio_lines,
     _verify_lines,
     main,
@@ -556,6 +557,17 @@ def test_algebra_rows_take_both_ratios_from_the_two_braces(tables_built, lattice
     assert lattices_enumerated == [81, 81]
 
 
+def test_power_formula_check_reads_the_circle_table():
+    for p in (3, 5):
+        A = algebras.degraaf_algebra(p)
+        assert _power_formula_holds(A, algebras.circle_group(A).table)
+    # with the rows of a and 2a swapped, a circ a reads as 2a circ a = 2c
+    A = algebras.degraaf_algebra(3)
+    table = algebras.circle_group(A).table.copy()
+    table[[1, 2]] = table[[2, 1]]
+    assert not _power_formula_holds(A, table)
+
+
 @pytest.mark.parametrize(
     "entry, named",
     [("dihedral=15,x", "'dihedral=15,x'"), ("pq=7:x:2", "'7:x:2'")],
@@ -960,6 +972,19 @@ def test_parse_permutations_rejects_garbage():
     for text in ("(1 1_0)", "(+1 2)", "(\u0661 2)"):
         with pytest.raises(ParseError, match=re.escape(f"bad cycle notation: {text!r}")):
             parse_permutations(text)
+
+
+@pytest.mark.parametrize(
+    "cycle, named",
+    [(f"(1 {'0' * 5000}1)", "bad cycle: (1 1)"), (f"({'0' * 5000} 1)", "bad cycle: (0 1)")],
+    ids=["repeated-point", "point-0"],
+)
+def test_a_bad_cycle_of_zero_padded_points_is_named_short(capsys, cycle, named):
+    # the message names the points read, not the 5000 zeros written
+    argv = ["ratio", "--zappa-szep", "custom", "--left-gens", cycle, "--right-gens", "(1 2)"]
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert named in err and len(err) < 100
 
 
 def test_parse_permutations_rejects_a_point_above_the_cap():

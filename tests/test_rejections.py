@@ -101,10 +101,6 @@ REJECTIONS = {
         lambda: sb.make_algebra(3, 1, [[[0]]], labels=["a", "b"]),
         ValueError, "got 2 labels for dimension 1",
     ),
-    "circle-power-0": (
-        lambda: sb.circle_power(sb.degraaf_algebra(3), (1, 0, 0, 0), 0),
-        ValueError, "exponent must be at least 1",
-    ),
     "subspace-of-another-space": (
         lambda: sb.subspace_subgroup(sb.degraaf_algebra(3), sb.enumerate_left_ideals(sb.degraaf_algebra(5))[0]),
         DimensionMismatch, "subspace of F_5^4 is not in F_3^4",

@@ -166,30 +166,43 @@ def format_vector(A: FpAlgebra, vec) -> str:
     return "+".join(parts) or "0"
 
 
-def _group_on_points(A: FpAlgebra, cap: int, coords) -> FiniteGroup:
+def _group_on_points(A: FpAlgebra, cap: int, sc: np.ndarray | None) -> FiniteGroup:
     """Group on the base-p indexing, built after the order cap check, whose
-    product of x and y has coordinate l equal to the [x, y] entry of the
-    l-th array of ``coords(V)`` modulo p, where row k of V is the point k."""
-    n = A.p**A.dim
+    product of x and y has coordinate l equal to x_l + y_l + x sc[:, :, l] y
+    modulo p, or to x_l + y_l when ``sc`` is None.
+
+    The table is built one coordinate at a time, straight into its own
+    dtype.  With x sc[:, :, l] reduced modulo p before it meets y, a
+    coordinate before reduction is below d (p-1)^2 + 2(p-1), so every n^2
+    temporary has the smallest signed dtype that holds this bound and n:
+    int16 for the degraaf algebra at p = 5, int32 for F_1999.
+    """
+    p, d = A.p, A.dim
+    n = p**d
     if n > cap:
         raise OrderCapExceeded(n, cap)
-    V = _digits(n, A.p, A.dim)
-    table = sum(c % A.p * A.p**l for l, c in enumerate(coords(V)))
+    work = np.min_scalar_type(-max(n, d * (p - 1) ** 2 + 2 * (p - 1)))
+    V = _digits(n, p, d).astype(work)
+    table = np.zeros((n, n), dtype=np.min_scalar_type(-n))
+    for l in range(d):
+        c = V[:, l, None] + V[:, l]
+        if sc is not None:
+            c += (V @ sc[:, :, l] % p).astype(work) @ V.T
+        c %= p
+        c *= p**l
+        table += c
     labels = [format_vector(A, vec) for vec in V.tolist()]
     return build_from_table(table, labels=labels)
 
 
 def additive_group(A: FpAlgebra, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     """Elementary abelian group of the underlying vector space."""
-    return _group_on_points(A, cap, lambda V: (V[:, l, None] + V[:, l] for l in range(A.dim)))
+    return _group_on_points(A, cap, None)
 
 
 def circle_group(A: FpAlgebra, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     """Group of the circle operation on the same element indexing."""
-    # coordinate l of x * y is V[x] @ sc[:, :, l] @ V[y]
-    return _group_on_points(
-        A, cap, lambda V: (V[:, l, None] + V[:, l] + V @ A.sc[:, :, l] @ V.T for l in range(A.dim))
-    )
+    return _group_on_points(A, cap, A.sc)
 
 
 @dataclass(frozen=True)

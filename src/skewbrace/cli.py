@@ -282,8 +282,8 @@ def parse_permutations(text: str, cap: int = groups.DEFAULT_ORDER_CAP) -> list[t
         if not chunk.startswith("(") or not chunk.endswith(")"):
             raise ParseError(f"bad cycle notation: {chunk!r}")
         moves: dict[int, int] = {}
-        for part in [] if chunk == "()" else chunk[1:-1].split(")("):
-            tokens = part.split()
+        parts = [part.split() for part in ([] if chunk == "()" else chunk[1:-1].split(")("))]
+        for tokens in parts:
             # int() would also read "1_0", "+1" and non-ASCII digits
             if not all(tok.isascii() and tok.isdigit() for tok in tokens):
                 raise ParseError(f"bad cycle notation: {chunk!r}")
@@ -295,7 +295,10 @@ def parse_permutations(text: str, cap: int = groups.DEFAULT_ORDER_CAP) -> list[t
                 raise ParseError(f"bad cycle: ({' '.join(tokens)})")
             twice = moves.keys() & pts
             if twice:
-                raise ParseError(f"point {min(twice)} is in two cycles of {chunk!r}")
+                # the chunk rebuilt from its tokens stripped of leading zeros
+                cycles = ")(".join(" ".join(t.lstrip("0") or "0" for t in ts) for ts in parts)
+                stripped = f"({cycles})"
+                raise ParseError(f"point {min(twice)} is in two cycles of {stripped!r}")
             moves.update(zip(pts, pts[1:] + pts[:1]))
             degree = max(degree, max(pts))
         moves_per_perm.append(moves)

@@ -271,8 +271,9 @@ def direct_product(
     n = G.order * H.order
     if n > cap:
         raise OrderCapExceeded(n, cap)
-    # entry [g, h, g', h'] is the index of (g g', h h')
-    table = G.table.astype(np.intp)[:, None, :, None] * H.order + H.table[None, :, None, :]
+    # entry [g, h, g', h'] is the index of (g g', h h'), below n
+    g = G.table.astype(np.min_scalar_type(-n))
+    table = g[:, None, :, None] * H.order + H.table[None, :, None, :]
     labels = tuple(
         f"({G.label(g)},{H.label(h)})" for g in range(G.order) for h in range(H.order)
     )
@@ -386,7 +387,7 @@ def closure_from_permutations(gens, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup
     # column q of the table is y -> y * q; for q = x * g that is column x
     # followed by right multiplication with g
     right_mult = np.reshape(right, (len(elems), len(gens)))
-    columns = np.empty((len(elems), len(elems)), dtype=np.intp)
+    columns = np.empty((len(elems), len(elems)), dtype=np.min_scalar_type(-len(elems)))
     columns[0] = np.arange(len(elems))
     for q, (x, k) in enumerate(source[1:], 1):
         columns[q] = right_mult[columns[x], k]
@@ -579,16 +580,31 @@ def is_automorphism(G: FiniteGroup, perm) -> bool:
 
 
 def _element_orders(G: FiniteGroup) -> list[int]:
-    """Order of every element, all powers taken in step."""
-    x = np.arange(G.order)
-    power = x
+    """Order of every element, one prime of n at a time: with q^a the exact
+    power of q dividing n, x^(n/q^a) has order the q-part of x's order, so
+    the q-part is found by raising that power to the q-th power until it is
+    the identity, at most a times.  Each power is taken by square-and-multiply
+    for all elements at once, about log2(n) table lookups per element for
+    each prime, where stepping through the powers one at a time cost the
+    exponent of G."""
+    T, e, factors = G.table, G.identity, _prime_factors(G.order)
     orders = np.ones(G.order, dtype=np.intp)
-    pending = power != G.identity
-    while pending.any():
-        power = G.table[power, x]
-        orders += pending
-        pending &= power != G.identity
+    for q in set(factors):
+        y = _power(T, e, np.arange(G.order), G.order // q ** factors.count(q))
+        while (pending := y != e).any():
+            orders[pending] *= q
+            y = _power(T, e, y, q)
     return orders.tolist()
+
+
+def _power(T: np.ndarray, e: int, x: np.ndarray, k: int) -> np.ndarray:
+    """x[i]^k for every i, by square-and-multiply."""
+    out = np.full(len(x), e)
+    while k:
+        if k & 1:
+            out = T[out, x]
+        x, k = T[x, x], k >> 1
+    return out
 
 
 def _extend_hom(Gop, Hop, ge: int, he: int, gens, imgs):

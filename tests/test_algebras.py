@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+import tracemalloc
 from collections import Counter
 from itertools import product
 
@@ -323,6 +324,56 @@ def test_additive_group_has_212_subgroups(degraaf3):
 def test_zero_algebra_circle_group_equals_additive():
     A = zero_algebra(3, 2)
     assert np.array_equal(sb.circle_group(A).table, sb.additive_group(A).table)
+
+
+def _int64_tables(A: sb.FpAlgebra) -> tuple[np.ndarray, np.ndarray]:
+    """The additive and circle tables in plain int64, the product of the
+    points x and y having coordinate l equal to the einsum of x, the l-th
+    slice of the constants and y, reduced modulo p only at the end."""
+    n, p = A.p**A.dim, A.p
+    V = np.arange(n)[:, None] // p ** np.arange(A.dim) % p
+    add, circ = np.zeros((n, n), dtype=np.int64), np.zeros((n, n), dtype=np.int64)
+    for l in range(A.dim):
+        s = V[:, l, None] + V[:, l]
+        add += s % p * p**l
+        circ += (s + np.einsum("xi,ij,yj->xy", V, A.sc[:, :, l], V, optimize=True)) % p * p**l
+    return add, circ
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        # e0 e0 = -e1 at n = 1849: d(p-1)^2 + 2(p-1) = 3612 fits int16, but
+        # x sc y unreduced reaches 42^3 = 74,088
+        lambda: sb.make_algebra(43, 2, [[(0, 42), (0, 0)], [(0, 0), (0, 0)]]),
+        # the ten powers of x at n = 1024
+        lambda: truncated_poly_algebra(2, 11),
+        # F_1999, where the bound needs int32 temporaries
+        lambda: zero_algebra(1999, 1),
+    ],
+    ids=["dim2-p43", "dim10-p2", "zero-p1999"],
+)
+def test_tables_equal_an_int64_oracle_at_the_dtype_edges(make):
+    A = make()
+    add, circ = _int64_tables(A)
+    for G, expected in [(sb.additive_group(A), add), (sb.circle_group(A), circ)]:
+        assert G.table.dtype == np.int16
+        assert np.array_equal(G.table, expected)
+
+
+def test_circle_table_peak_memory_is_a_small_multiple_of_its_cells():
+    # the table is built straight into int16, so building and validating it
+    # stays within 16 bytes a cell; int64 temporaries took about 32
+    A, n = sb.degraaf_algebra(5), 625
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        sb.circle_group(A)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * n**2
 
 
 def test_circle_group_has_104_subgroups(degraaf3):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import skewbrace as sb
+from skewbrace.braces import _brace_law_witness
 from skewbrace.errors import (
     BraceLawViolation,
     BudgetExceeded,
@@ -106,6 +107,32 @@ def test_relabelled_circ_witness_is_lex_first_violation(params, data):
         assert exc.witness == min(violations)
     else:
         assert violations == []
+
+
+@given(
+    semidirect_params(max_m=10, max_n=4),
+    st.sampled_from(["valid", "mirrored", "opposite-circ", "opposite-star", "relabelled"]),
+    st.data(),
+)
+def test_generator_law_check_matches_the_first_violation_of_a_triple_scan(params, kind, data):
+    # every pair is two group tables with one identity: a brace, its mirror,
+    # one table replaced by its opposite (x op' y = y op x), or circ
+    # relabelled by a permutation fixing the identity 0
+    star, circ = data.draw(st.sampled_from([(b.star, b.circ) for b in sb.semidirect_biskew(*params)]))
+    n = star.order
+    if kind == "mirrored":
+        star, circ = circ, star
+    elif kind == "opposite-circ":
+        circ = sb.build_from_table(circ.table.T)
+    elif kind == "opposite-star":
+        star = sb.build_from_table(star.table.T)
+    elif kind == "relabelled":
+        perm = np.array([0, *data.draw(st.permutations(range(1, n)))])
+        moved = np.empty_like(circ.table)
+        moved[np.ix_(perm, perm)] = perm[circ.table]
+        circ = sb.build_from_table(moved)
+    violations = brace_law_violations(star, circ)
+    assert _brace_law_witness(star, circ) == (min(violations) if violations else None)
 
 
 def test_mutation_fuzzing_rejects_every_single_entry_change(

@@ -870,6 +870,12 @@ def test_parse_permutations_rejects_a_point_in_two_cycles():
         parse_permutations("(1 2)(2 3)")
     with pytest.raises(ParseError, match=r"point 3 is in two cycles of '\(3 1\)\(2 4\)\(5 3\)'"):
         parse_permutations("(1 2), (3 1)(2 4)(5 3)")
+    # the whole chunk is named, its later cycles too, as it was written
+    # when single-spaced without leading zeros
+    for text, point in [("(1 2)(1 3)(4 5)", 1), ("(12 3 4)(5 6)(7 4)(8 9)", 4)]:
+        with pytest.raises(ParseError) as exc:
+            parse_permutations(text)
+        assert str(exc.value) == f"point {point} is in two cycles of {text!r}"
     # disjoint cycles, and one point in two permutations, still parse
     assert parse_permutations("(1 2)(3 4), (1 3)") == [(1, 0, 3, 2), (2, 1, 0, 3)]
 
@@ -976,8 +982,12 @@ def test_parse_permutations_rejects_garbage():
 
 @pytest.mark.parametrize(
     "cycle, named",
-    [(f"(1 {'0' * 5000}1)", "bad cycle: (1 1)"), (f"({'0' * 5000} 1)", "bad cycle: (0 1)")],
-    ids=["repeated-point", "point-0"],
+    [
+        (f"(1 {'0' * 5000}1)", "bad cycle: (1 1)"),
+        (f"({'0' * 5000} 1)", "bad cycle: (0 1)"),
+        (f"(1 2)({'0' * 5000}1 3)", "point 1 is in two cycles of '(1 2)(1 3)'"),
+    ],
+    ids=["repeated-point", "point-0", "point-in-two-cycles"],
 )
 def test_a_bad_cycle_of_zero_padded_points_is_named_short(capsys, cycle, named):
     # the message names the points read, not the 5000 zeros written

@@ -5,8 +5,9 @@ ideal censuses, run the built-in example regression, and sweep semidirect
 families.  Reports go to stdout and are byte-stable for a fixed
 configuration; timing and diagnostics go to stderr.
 
-Each command builds one JSON report; ``--format json`` prints it, and the
-text and CSV formats are rendered from its ``result``.
+Each command builds one JSON report and hands back what its
+``input_digest`` hashes; ``--format json`` adds the digest and prints the
+report, and the text and CSV formats are rendered from its ``result``.
 
 Exit codes: 0 success, 1 validation failure or a closed stdout, 2 parse or
 configuration error, 3 cap exceeded.
@@ -28,7 +29,6 @@ Family batch files: one spec per line, "family m n b", blank lines and
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import random
@@ -82,18 +82,22 @@ class RunConfig:
 
 
 def _digest(payload) -> str:
-    if isinstance(payload, bytes):
-        return hashlib.sha256(payload).hexdigest()
-    return hashlib.sha256(
-        json.dumps(payload, sort_keys=True).encode("utf-8")
-    ).hexdigest()
+    """sha256 of the bytes ``payload``, or of its sorted-key JSON.  hashlib
+    is imported here, by JSON reports alone: it loads OpenSSL, about 3.5 MiB
+    that text and CSV reports have no use for."""
+    import hashlib
+
+    if not isinstance(payload, bytes):
+        payload = json.dumps(payload, sort_keys=True).encode("utf-8")
+    return hashlib.sha256(payload).hexdigest()
 
 
-def _report(command: str, source, digest: str, cfg: RunConfig, result) -> dict:
+def _report(command: str, source, cfg: RunConfig, result) -> dict:
+    """The report of a command without its ``input_digest``, which ``main``
+    adds to JSON reports only."""
     return {
         "command": command,
         "source": source,
-        "input_digest": digest,
         "config": asdict(cfg),
         "flags": {},
         "result": result,
@@ -311,7 +315,7 @@ def parse_permutations(text: str, cap: int = groups.DEFAULT_ORDER_CAP) -> list[t
 # verify
 
 
-def _cmd_verify(args, cfg: RunConfig) -> tuple[dict, int]:
+def _cmd_verify(args, cfg: RunConfig) -> tuple[dict, int, bytes | dict]:
     blob = _read_input_file(args.input)
     tables = _plain_brace_tables(blob, cfg.order_cap)
     kind, data = _load_input_file(args.input, blob) if tables is None else ("brace", {})
@@ -348,7 +352,7 @@ def _cmd_verify(args, cfg: RunConfig) -> tuple[dict, int]:
             "witness": list(witness) if isinstance(witness, tuple) else witness,
         }
     code = EXIT_OK if result["valid"] else EXIT_INVALID
-    return _report("verify", {"path": args.input}, _digest(blob), cfg, result), code
+    return _report("verify", {"path": args.input}, cfg, result), code, blob
 
 
 def _verify_lines(result: dict) -> list[str]:
@@ -411,7 +415,7 @@ def _algebra_from_args(args) -> tuple[algebras.FpAlgebra, tuple[str, ...]]:
     return _parse_algebra_json(data), wanted
 
 
-def _cmd_ratio(args, cfg: RunConfig) -> tuple[dict, int]:
+def _cmd_ratio(args, cfg: RunConfig) -> tuple[dict, int, bytes | dict]:
     if args.family is not None:
         wanted = _source_directions(args, "--family")
         family, m, n, b = args.family, args.m, args.n, args.b
@@ -446,8 +450,7 @@ def _cmd_ratio(args, cfg: RunConfig) -> tuple[dict, int]:
     else:
         raise ParseError("ratio needs one of --family, --algebra, --zappa-szep")
     payloads = [_ratio_payload(b, name, provenance, cfg.order_cap) for name, b in chosen.items()]
-    report = _report("ratio", source, _digest(source), cfg, {"ratios": payloads})
-    return report, EXIT_OK
+    return _report("ratio", source, cfg, {"ratios": payloads}), EXIT_OK, source
 
 
 def _ratio_lines(result: dict) -> list[str]:
@@ -467,7 +470,7 @@ def _ratio_lines(result: dict) -> list[str]:
 # ideals
 
 
-def _cmd_ideals(args, cfg: RunConfig) -> tuple[dict, int]:
+def _cmd_ideals(args, cfg: RunConfig) -> tuple[dict, int, bytes | dict]:
     A, _ = _algebra_from_args(args)
     source = {"algebra": args.algebra, "p": A.p, "dim": A.dim, "side": args.side}
     if args.side == "left":
@@ -482,7 +485,7 @@ def _cmd_ideals(args, cfg: RunConfig) -> tuple[dict, int]:
         for pat, items in sorted(by_pattern.items())
     ]
     result = {"side": args.side, "count": len(ideals), "by_pivot_pattern": grouped}
-    return _report("ideals", source, _digest(source), cfg, result), EXIT_OK
+    return _report("ideals", source, cfg, result), EXIT_OK, source
 
 
 def _ideals_lines(result: dict) -> list[str]:
@@ -721,7 +724,7 @@ def _parse_grid(grid_args) -> tuple[list[int], list[tuple[int, int, int]]]:
     return dihedral_ms, pq_specs
 
 
-def _cmd_examples(args, cfg: RunConfig) -> tuple[dict, int]:
+def _cmd_examples(args, cfg: RunConfig) -> tuple[dict, int, bytes | dict]:
     p_list = args.p or [3]
     dihedral_ms, pq_specs = _parse_grid(args.grid)
     if not dihedral_ms and not pq_specs and not args.grid:
@@ -739,8 +742,8 @@ def _cmd_examples(args, cfg: RunConfig) -> tuple[dict, int]:
     failed = [row for row in rows if not row["ok"]]
     source = {"p": p_list, "dihedral": dihedral_ms, "pq": pq_specs}
     result = {"rows": rows, "passed": len(rows) - len(failed), "failed": len(failed)}
-    report = _report("examples", source, _digest(source), cfg, result)
-    return report, EXIT_OK if not failed else EXIT_INVALID
+    report = _report("examples", source, cfg, result)
+    return report, EXIT_OK if not failed else EXIT_INVALID, source
 
 
 def _examples_lines(result: dict) -> list[str]:
@@ -793,7 +796,7 @@ def _family_row(spec_args, cfg: RunConfig) -> dict:
     return row
 
 
-def _cmd_family(args, cfg: RunConfig) -> tuple[dict, int]:
+def _cmd_family(args, cfg: RunConfig) -> tuple[dict, int, bytes | dict]:
     specs: list[tuple[str, int, int, int]] = []
     if args.batch:
         _source_directions(args, "--batch")
@@ -817,7 +820,7 @@ def _cmd_family(args, cfg: RunConfig) -> tuple[dict, int]:
                 raise ParseError(f"--{option} needs --family")
     source = {"specs": specs}
     result = {"columns": FAMILY_CSV_COLUMNS, "rows": [_family_row(s, cfg) for s in specs]}
-    return _report("family", source, _digest(source), cfg, result), EXIT_OK
+    return _report("family", source, cfg, result), EXIT_OK, source
 
 
 def _family_lines(result: dict) -> list[str]:
@@ -927,7 +930,8 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     try:
         cfg = _config_from_args(args)
-        report, code = args.handler(args, cfg)
+        # hashed is what input_digest hashes: the file's bytes or the source
+        report, code, hashed = args.handler(args, cfg)
     except ValidationFailure as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INVALID
@@ -936,6 +940,7 @@ def main(argv=None) -> int:
         return EXIT_CAP if isinstance(exc, CapExceeded) else EXIT_CONFIG
     output_format = vars(args).get("format", "text")
     if output_format == "json":
+        report["input_digest"] = _digest(hashed)
         lines = [json.dumps(report, sort_keys=True, indent=2)]
     else:
         lines = args.renderers[output_format](report["result"])

@@ -48,6 +48,8 @@ LATTICE_BUDGET = 30_000
 # and on a 2-core machine Z_2^5 stops after 0.5 s and the order-200
 # Z_5^2 x Z_2^3 after 4.6 s
 AUT_SEARCH_BUDGET = 20_000
+# Light's test compares about this many cells of the table at a time
+ASSOC_BLOCK_CELLS = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,10 +169,12 @@ def _table_array(op_table) -> np.ndarray:
         if j is not None:
             raise ValueError(f"table entry ({i}, {j}) is not an integer: {row[j]!r}")
     raw = op_table if typed else _exact_int_array(op_table)
-    outside = (raw < 0) | (raw >= n)
-    if outside.any():
-        i, j = np.argwhere(outside)[0]
+    if raw.min() < 0 or raw.max() >= n:
+        # the n-by-n mask is built only to name the witness
+        i, j = np.argwhere((raw < 0) | (raw >= n))[0]
         raise NotClosed(int(i), int(j), int(raw[i, j]))
+    # a copy, also of an array already in this dtype: a group never aliases
+    # its caller's array
     arr = raw.astype(np.min_scalar_type(-n))
     arr.flags.writeable = False
     return arr
@@ -211,15 +215,32 @@ def _assoc_witness(arr: np.ndarray, gens) -> tuple[int, int, int] | None:
     """First (x,g,y) with (x g) y != x (g y), g running over magma generators.
 
     Light's test: the middle elements g that associate with every x and y
-    form a submagma, so checking generators covers the whole table.
+    form a submagma, so checking generators covers the whole table.  Each
+    generator is checked one block of about ASSOC_BLOCK_CELLS cells at a
+    time, so no n-by-n temporary is built.
     """
+    n = len(arr)
+    step = max(1, ASSOC_BLOCK_CELLS // n)
     for g in gens:
-        lhs = arr[arr[:, g]]  # lhs[x, y] = op[op[x][g]][y]
-        rhs = arr[:, arr[g]]  # rhs[x, y] = op[x][op[g][y]]
-        if not np.array_equal(lhs, rhs):
-            x, y = np.argwhere(lhs != rhs)[0]
-            return int(x), g, int(y)
+        xg, gy = arr[:, g], arr[g]
+        for lo in range(0, n, step):
+            lhs = arr[xg[lo : lo + step]]  # lhs[x, y] = op[op[lo + x][g]][y]
+            rhs = arr[lo : lo + step].take(gy, axis=1)  # rhs[x, y] = op[lo + x][op[g][y]]
+            if not (lhs == rhs).all():
+                x, y = np.argwhere(lhs != rhs)[0]
+                return lo + int(x), g, int(y)
     return None
+
+
+def _least_identity(arr: np.ndarray) -> int:
+    """The least e whose row and column of the table are 0..n-1, or
+    NoIdentity.  Only an e with e 0 = 0 e = 0 can be one, so the full row
+    and column are compared for those alone."""
+    ar = np.arange(len(arr))
+    for e in np.flatnonzero((arr[:, 0] == 0) & (arr[0] == 0)).tolist():
+        if np.array_equal(arr[e], ar) and np.array_equal(arr[:, e], ar):
+            return e
+    raise NoIdentity()
 
 
 def build_from_table(op_table, labels=None) -> FiniteGroup:
@@ -231,15 +252,15 @@ def build_from_table(op_table, labels=None) -> FiniteGroup:
     """
     arr = _table_array(op_table)
     n = len(arr)
-    ar = np.arange(n)
-    is_identity = (arr == ar).all(axis=1) & (arr == ar[:, None]).all(axis=0)
-    if not is_identity.any():
-        raise NoIdentity()
-    identity = int(np.argmax(is_identity))
-    two_sided = (arr == identity) & (arr.T == identity)
+    identity = _least_identity(arr)
+    # two_sided[x, y]: x y = y x = identity, the transpose combined in place
+    two_sided = arr == identity
+    two_sided &= two_sided.T
     has_inverse = two_sided.any(axis=1)
     if not has_inverse.all():
         raise NoInverse(int(np.argmin(has_inverse)))
+    inv = np.argmax(two_sided, axis=1)
+    del two_sided
     gens = _magma_generators(arr, identity)
     witness = _assoc_witness(arr, gens)
     if witness is not None:
@@ -248,7 +269,6 @@ def build_from_table(op_table, labels=None) -> FiniteGroup:
         labels = tuple(str(s) for s in labels)
         if len(labels) != n:
             raise ValueError(f"got {len(labels)} labels for {n} elements")
-    inv = np.argmax(two_sided, axis=1)
     inv.flags.writeable = False
     return FiniteGroup(n, arr, identity, inv, gens, labels)
 
@@ -466,25 +486,56 @@ def _lattice(G: FiniteGroup) -> list[SubgroupSet]:
 def _zuppos(G: FiniteGroup) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
     """The zuppos of G, ascending: the least-index generator z of each
     nontrivial cyclic subgroup of prime-power order p^k.  Also, for each,
-    the powers z, z^2, ..., z^(p-1) and the p-th power z^p."""
-    orders = _element_orders(G)
+    the powers z, z^2, ..., z^(p-1) and the p-th power z^p.
+
+    The generators of <x>, for x of order m = p^k, are the x^u for the units
+    u modulo m, so the least of them is the least element of x's orbit under
+    x -> x^u for u running over generators of the units.  That minimum is
+    taken for every element of order m at once by pointer doubling, in
+    O(n) memory; powers are then tabulated for the zuppos alone."""
+    T, e = G.table, G.identity
+    orders = np.array(_element_orders(G))
     # the prime of each prime-power order above 1
-    factors = {m: _prime_factors(m) for m in set(orders) - {1}}
+    factors = {m: _prime_factors(m) for m in set(orders.tolist()) - {1}}
     prime_of = {m: f[0] for m, f in factors.items() if f[0] == f[-1]}
-    cands = np.array([x for x, m in enumerate(orders) if m in prime_of], dtype=np.intp)
-    o = np.array([orders[x] for x in cands], dtype=np.intp)
-    p = np.array([prime_of[m] for m in o.tolist()], dtype=np.intp)
-    # row k holds x^k for every candidate x
-    powers = np.empty((int(o.max(initial=1)), len(cands)), dtype=np.intp)
-    powers[0] = G.identity
-    for k in range(1, len(powers)):
-        powers[k] = G.table[powers[k - 1], cands]
-    ks = np.arange(len(powers))[:, None]
-    # <x> is generated exactly by the x^k with k prime to p
-    least = np.where((ks < o) & (ks % p != 0), powers, G.order).min(axis=0)
-    keep = np.flatnonzero(least == cands)
-    zpowers = [powers[1 : p[i], i] for i in keep.tolist()]
-    return cands[keep], zpowers, powers[p[keep] % o[keep], keep]
+    found = [np.empty(0, dtype=np.intp)]
+    for m, p in prime_of.items():
+        elems = np.flatnonzero(orders == m)
+        least = elems
+        for u in _unit_generators(p, m):
+            # step[i] is the position in elems of elems[i]^u; after r rounds
+            # least[i] is the least of elems[i]^(u^j) for j < 2^r, and an
+            # orbit has at most phi(m) elements
+            step = np.searchsorted(elems, _power(T, e, elems, u))
+            for _ in range((m - m // p - 1).bit_length()):
+                least = np.minimum(least, least[step])
+                step = step[step]
+        found.append(elems[least == elems])
+    zuppos = np.sort(np.concatenate(found))
+    primes = np.array([prime_of[m] for m in orders[zuppos].tolist()], dtype=np.intp)
+    zpowers = [None] * len(zuppos)
+    zp = np.empty(len(zuppos), dtype=np.intp)
+    for p in set(primes.tolist()):
+        at = np.flatnonzero(primes == p)
+        # row k holds z^(k+1) for each zuppo z of prime p, doubled to p rows
+        powers = zuppos[at][None]
+        while len(powers) < p:
+            powers = np.concatenate([powers, T[powers[-1], powers]])
+        zp[at] = powers[p - 1]
+        for col, k in enumerate(at.tolist()):
+            zpowers[k] = powers[: p - 1, col]
+    return zuppos, zpowers, zp
+
+
+def _unit_generators(p: int, m: int) -> tuple[int, ...]:
+    """Exponents u != 1 whose powers give every unit modulo m = p^k: -1 and
+    5 for p = 2; for odd p the least primitive root modulo m, a unit whose
+    phi(m)/q-th power is not 1 for any prime q of phi(m)."""
+    if p == 2:
+        return tuple(u for u in (m - 1, 5 % m) if u != 1)
+    phi = m - m // p
+    qs = set(_prime_factors(phi))
+    return (next(g for g in range(2, m) if g % p and all(pow(g, phi // q, m) != 1 for q in qs)),)
 
 
 def _derived(T: np.ndarray, identity: int, inv: np.ndarray, elems, gens):
@@ -598,13 +649,16 @@ def _element_orders(G: FiniteGroup) -> list[int]:
 
 
 def _power(T: np.ndarray, e: int, x: np.ndarray, k: int) -> np.ndarray:
-    """x[i]^k for every i, by square-and-multiply."""
-    out = np.full(len(x), e)
+    """x[i]^k for every i and k >= 0, by square-and-multiply, squaring no
+    more than the highest bit of k needs; for k = 1 that is x itself."""
+    out = None
     while k:
         if k & 1:
-            out = T[out, x]
-        x, k = T[x, x], k >> 1
-    return out
+            out = x if out is None else T[out, x]
+        k >>= 1
+        if k:
+            x = T[x, x]
+    return np.full(len(x), e) if out is None else out
 
 
 def _extend_hom(Gop, Hop, ge: int, he: int, gens, imgs):

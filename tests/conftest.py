@@ -226,23 +226,76 @@ def associativity_violations(table):
                     yield a, b, c
 
 
-def reference_error(table):
-    """The error class a plain validator raises on a square table, or None
-    for a group table: closure, identity, inverses, then associativity."""
+def magma_generators(table, e: int) -> list[int]:
+    """Greedy generators of the table as a magma: each pick is the least
+    element not yet reached from ``e`` by right multiplication with the
+    picks, and the closure goes on from everything reached."""
+    n, gens, reached = len(table), [], {e}
+    while len(reached) < n:
+        gens.append(min(set(range(n)) - reached))
+        reached.add(gens[-1])
+        frontier = sorted(reached)
+        for x in frontier:  # the frontier grows while it is walked
+            for g in gens:
+                if table[x][g] not in reached:
+                    reached.add(table[x][g])
+                    frontier.append(table[x][g])
+    return gens
+
+
+def reference_failure(table):
+    """(error class, witness) of a plain validator on a square table, or
+    (None, None) for a group table, by full scans in this order: the first
+    entry outside 0..n-1 in row-major order, as (row, column, value); no
+    two-sided identity; the least x with no y such that x y = y x = e for
+    the least identity e; then Light's test, the first (x, g, y) in
+    row-major order for the first of the greedy magma generators g
+    (``magma_generators``) that fails."""
     n = len(table)
-    if any(not 0 <= v < n for row in table for v in row):
-        return NotClosed
+    for i, row in enumerate(table):
+        for j, v in enumerate(row):
+            if not 0 <= v < n:
+                return NotClosed, (i, j, v)
     identities = [
         e for e in range(n) if all(table[e][x] == x == table[x][e] for x in range(n))
     ]
     if not identities:
-        return NoIdentity
+        return NoIdentity, None
     e = identities[0]
-    if not all(any(table[x][y] == e == table[y][x] for y in range(n)) for x in range(n)):
-        return NoInverse
-    if next(associativity_violations(table), None) is not None:
-        return NotAssociative
-    return None
+    for x in range(n):
+        if not any(table[x][y] == e == table[y][x] for y in range(n)):
+            return NoInverse, x
+    for g in magma_generators(table, e):
+        for x in range(n):
+            for y in range(n):
+                if table[table[x][g]][y] != table[x][table[g][y]]:
+                    return NotAssociative, (x, g, y)
+    return None, None
+
+
+def zuppos_by_definition(G: sb.FiniteGroup) -> list[tuple[int, list[int], int]]:
+    """(z, [z, ..., z^(p-1)], z^p) for each zuppo z of G, ascending: z is the
+    least generator of a cyclic subgroup of prime-power order p^k > 1.
+    Powers are stepped one table entry at a time; each cyclic subgroup is
+    walked once, from its least generator, which comes first ascending."""
+    op, e = G.table.tolist(), G.identity
+    out, generators_seen = [], set()
+    for x in range(G.order):
+        if x in generators_seen:
+            continue
+        powers = [e, x]
+        while powers[-1] != e:
+            powers.append(op[powers[-1]][x])
+        m = len(powers) - 1
+        generators_seen.update(powers[j] for j in range(1, m) if math.gcd(j, m) == 1)
+        if m == 1:
+            continue
+        p = k = next(q for q in range(2, m + 1) if m % q == 0)
+        while k < m:
+            k *= p
+        if k == m:
+            out.append((x, powers[1:p], powers[p]))
+    return out
 
 
 # ---------------------------------------------------------------------------

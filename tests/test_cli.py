@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import re
@@ -846,6 +847,66 @@ def test_commands_load_numpy_ma_only_if_numpy_does(tmp_path, monkeypatch, comman
     Path("brace.json").write_text(json.dumps({"star": z4, "circ": z4}))
     # numpy 1.x loads numpy.ma at import, 2.x only on first use
     assert _loads_numpy_ma("-m", "skewbrace", *command) <= _loads_numpy_ma("-c", "import numpy")
+
+
+def _loads_hashlib(*argv: str) -> bool:
+    imports = _python("-X", "importtime", "-m", "skewbrace", *argv).stderr.splitlines()
+    return any(line.rsplit("|", 1)[-1].strip() == "_hashlib" for line in imports)
+
+
+@pytest.mark.parametrize(
+    "output_format, command",
+    [
+        ("text", ["family"]),
+        ("csv", ["family", "--family", "pq", "--m", "7", "--n", "3", "--b", "2"]),
+        ("text", ["verify", "brace.json"]),
+    ],
+    ids=["family-text", "family-csv", "verify-text"],
+)
+def test_only_json_reports_load_hashlib(tmp_path, monkeypatch, output_format, command):
+    # hashlib loads OpenSSL; only the input_digest of a JSON report needs it
+    monkeypatch.chdir(tmp_path)
+    z4 = [[(i + j) % 4 for j in range(4)] for i in range(4)]
+    Path("brace.json").write_text(json.dumps({"star": z4, "circ": z4}))
+    assert not _loads_hashlib("--format", output_format, *command)
+    assert _loads_hashlib("--format", "json", *command)
+
+
+@pytest.mark.parametrize("valid", [True, False], ids=["valid", "invalid"])
+def test_json_verify_digest_is_the_sha256_of_the_file_bytes(tmp_path, capsys, valid):
+    z4 = [[(i + j) % 4 for j in range(4)] for i in range(4)]
+    circ = z4 if valid else [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 1, 0], [3, 2, 0, 1]]
+    path = tmp_path / "brace.json"
+    # indented, so the digest cannot be of a re-serialised form
+    path.write_text(json.dumps({"star": z4, "circ": circ}, indent=3) + "\n")
+    code, report = run_json(capsys, "verify", str(path))
+    assert code == (EXIT_OK if valid else EXIT_INVALID)
+    assert report["input_digest"] == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["ratio", "--family", "semidirect", "--m", "9", "--n", "6", "--b", "2", "--direction", "mult"],
+        ["ratio", "--zappa-szep", "a5"],
+        ["ideals", "--algebra", "degraaf", "--p", "3", "--side", "left"],
+        ["examples", "--grid", "dihedral=15", "--grid", "pq=7:3:2"],
+        ["family", "--family", "pq", "--m", "7", "--n", "3", "--b", "2"],
+        ["family"],
+    ],
+    ids=["ratio-family", "ratio-zappa-szep", "ideals", "examples", "family", "family-empty"],
+)
+def test_json_digest_is_the_sha256_of_the_sorted_source(capsys, command):
+    code, report = run_json(capsys, *command)
+    assert code == EXIT_OK
+    source = json.dumps(report["source"], sort_keys=True).encode("utf-8")
+    assert report["input_digest"] == hashlib.sha256(source).hexdigest()
+
+
+def test_json_digest_of_an_empty_family_run_is_pinned(capsys):
+    _, report = run_json(capsys, "family")
+    assert report["source"] == {"specs": []}
+    assert report["input_digest"] == hashlib.sha256(b'{"specs": []}').hexdigest()
 
 
 def test_json_report_round_trip(capsys):

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 import re
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -42,10 +44,11 @@ from conftest import (
     join_fixpoint_subgroups,
     perfect_residuum,
     permutation_closure,
-    reference_error,
+    reference_failure,
     respects_table,
     right_closure,
     semidirect_params,
+    zuppos_by_definition,
 )
 
 
@@ -202,6 +205,86 @@ def test_no_inverse_witness_is_first_element_without_one():
     assert exc.value.witness == 2
 
 
+def _failure(table) -> tuple[type | None, object]:
+    """(error class, witness) that build_from_table raises on ``table``, or
+    (None, None) when it accepts it."""
+    try:
+        sb.build_from_table(table)
+    except ValidationFailure as exc:
+        return type(exc), getattr(exc, "witness", None)
+    return None, None
+
+
+def _cyclic_table(n: int, shift: int = 0) -> list[list[int]]:
+    """Z_n with x y = x + y + shift, whose identity is -shift mod n."""
+    return [[(i + j + shift) % n for j in range(n)] for i in range(n)]
+
+
+def _planted(n: int, shift: int, *entries) -> list[list[int]]:
+    table = _cyclic_table(n, shift)
+    for r, c, v in entries:
+        table[r][c] = v
+    return table
+
+
+@pytest.mark.parametrize(
+    "table, expected",
+    [
+        # an oversized entry, then a negative one later in row-major order
+        (_planted(7, 0, (2, 5, 7), (4, 1, -1)), (NotClosed, (2, 5, 7))),
+        (_planted(7, 0, (2, 5, -1), (4, 1, 7)), (NotClosed, (2, 5, -1))),
+        # 0 passes the row-0 / column-0 prefilter, 0 0 = 0, but 0 3 = 4
+        (_planted(5, 0, (0, 3, 4)), (NoIdentity, None)),
+        # identity 3; 0 passes the prefilter too, once 0 0 = 0 is planted,
+        # and fails on its row, so 3 is the identity and 0 lacks an inverse
+        (_planted(6, 3, (0, 0, 0)), (NoInverse, 0)),
+        # 2 and 4 lose their products with each other, the identity 0
+        (_planted(6, 0, (2, 4, 1), (4, 2, 1)), (NoInverse, 2)),
+        # 2 3 = 0 still, but 3 2 = 1: 2 has a right inverse and no two-sided
+        # one, and 3 has neither
+        (_planted(5, 0, (3, 2, 1)), (NoInverse, 2)),
+    ],
+    ids=["oversized-first", "negative-first", "prefiltered-no-identity",
+         "prefiltered-then-identity", "least-without-inverse", "one-sided-inverse"],
+)
+@pytest.mark.parametrize("as_array", [False, True], ids=["list", "array"])
+def test_planted_fault_matches_the_full_scan(table, expected, as_array):
+    assert reference_failure(table) == expected
+    assert _failure(np.array(table) if as_array else table) == expected
+
+
+def test_identity_is_the_least_that_passes_past_a_failed_candidate():
+    table = _planted(6, 3, (0, 0, 0))
+    assert groups._least_identity(np.array(table)) == 3
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 41], ids=["block-end", "block-start", "inside-block"])
+def test_associativity_witness_past_the_first_row_block(offset):
+    # Z300 is generated by 1 alone; with a x b planted, the first violation
+    # of Light's test on 1 is (a - 1, 1, b), the row after it the next one
+    n = 300
+    step = groups.ASSOC_BLOCK_CELLS // n
+    assert 1 < step < n - 42
+    a, b = step + offset + 1, 5
+    table = _planted(n, 0, (a, b, (a + b + 1) % n))
+    expected = (NotAssociative, (a - 1, 1, b))
+    assert reference_failure(table) == expected
+    assert _failure(table) == expected
+
+
+def test_validating_an_order_2000_table_peaks_within_two_and_a_half_tables():
+    # closure, identity and Light's test allocate O(n) or one row block; the
+    # copy and the inverse search's booleans (half a table each) remain
+    table = sb.semidirect_product_cyclic(1000, 2, 999).table
+    tracemalloc.start()
+    try:
+        sb.build_from_table(table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * table.nbytes
+
+
 def test_stored_table_is_read_only_and_matches_op():
     G = sb.direct_product(sb.cyclic_group(3), sb.cyclic_group(4))
     assert not G.table.flags.writeable
@@ -258,14 +341,27 @@ def test_single_entry_mutation_matches_reference_validator(G, data):
     table = G.table.tolist()
     value = data.draw(st.integers(-1, n).filter(lambda v: v != table[r][c]))
     table[r][c] = value
-    try:
-        sb.build_from_table(table)
-        error = None
-    except ValidationFailure as exc:
-        error = exc
-    assert type(error) is (reference_error(table) or type(None))
-    if isinstance(error, NotAssociative):
-        assert error.witness in associativity_violations(table)
+    assert _failure(table) == reference_failure(table)
+    error, witness = _failure(table)
+    if error is NotAssociative:
+        assert witness in associativity_violations(table)
+
+
+@given(generated_groups(), st.data())
+def test_mutated_tables_match_the_reference_validator_at_any_block_size(G, data):
+    # entries stay in range, so most tables get as far as Light's test, and
+    # the witness must not depend on how many cells it compares at a time
+    n = G.order
+    table = G.table.tolist()
+    for _ in range(data.draw(st.integers(1, 3))):
+        r, c = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        table[r][c] = data.draw(st.integers(0, n - 1))
+    cells = data.draw(st.integers(1, n * n))
+    with mock.patch.object(groups, "ASSOC_BLOCK_CELLS", cells):
+        error, witness = _failure(table)
+    assert (error, witness) == reference_failure(table)
+    if error is NotAssociative:
+        assert witness in associativity_violations(table)
 
 
 def test_subgroup_membership_views(s3):
@@ -503,6 +599,62 @@ def test_enumerate_subgroups_invariants(s3):
         # canonical order: by size, then sorted element tuple
         keys = [(H.size, H.elements()) for H in subs]
         assert keys == sorted(keys)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: sb.cyclic_group(1999),
+        lambda: sb.cyclic_group(2000),
+        lambda: sb.semidirect_product_cyclic(1000, 2, 999),
+        lambda: sb.circle_group(sb.degraaf_algebra(5)),
+        lambda: symmetric_group(5),
+        lambda: sb.direct_product(sb.cyclic_group(16), sb.cyclic_group(32)),
+    ],
+    ids=["Z1999", "Z2000", "D1000", "degraaf-5-circle", "S5", "Z16xZ32"],
+)
+def test_zuppos_match_the_definition(build):
+    G = build()
+    zuppos, zpowers, zp = groups._zuppos(G)
+    assert len(zuppos) == len(zpowers) == len(zp)
+    got = [(int(z), w.tolist(), int(y)) for z, w, y in zip(zuppos, zpowers, zp)]
+    assert got == zuppos_by_definition(G)
+
+
+@given(generated_groups())
+def test_zuppos_of_generated_groups_match_the_definition(G):
+    zuppos, zpowers, zp = groups._zuppos(G)
+    got = [(int(z), w.tolist(), int(y)) for z, w, y in zip(zuppos, zpowers, zp)]
+    assert got == zuppos_by_definition(G)
+
+
+def test_unit_generators_give_every_unit_modulo_each_prime_power_to_the_cap():
+    for m in range(2, groups.DEFAULT_ORDER_CAP + 1):
+        factors = groups._prime_factors(m)
+        if factors[0] != factors[-1]:
+            continue
+        exponents = groups._unit_generators(factors[0], m)
+        assert 1 not in exponents
+        reached, frontier = {1}, [1]
+        for x in frontier:  # the frontier grows while it is walked
+            for u in exponents:
+                if x * u % m not in reached:
+                    reached.add(x * u % m)
+                    frontier.append(x * u % m)
+        assert reached == {x for x in range(1, m) if math.gcd(x, m) == 1}, m
+
+
+def test_zuppos_of_z1999_take_under_one_mib():
+    # one cyclic subgroup of order 1999: its 1998 generators are compared
+    # by pointer doubling, not tabulated power by power
+    G = sb.cyclic_group(1999)
+    tracemalloc.start()
+    try:
+        groups._zuppos(G)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_enumerate_subgroups_cap():

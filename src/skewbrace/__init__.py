@@ -61,10 +61,8 @@ from .groups import (
     enumerate_subgroups,
     generated_subgroup,
     is_automorphism,
-    is_isomorphic,
     is_normal,
     semidirect_product_cyclic,
-    subgroup_as_group,
 )
 
 __version__ = "0.1.0"

@@ -1,14 +1,14 @@
 """Finite groups as dense operation tables.
 
-Groups live on element indices 0..n-1.  Every table, from a constructor or
-from outside, goes through the one validation path of ``build_from_table``:
-closure, identity and inverses checked with vectorized operations, and
+Groups live on element indices 0..n-1.  A ``FiniteGroup`` checks its own
+table on construction, and there is no other way to make one: closure,
+identity and inverses are checked with vectorized operations, and
 associativity by Light's test on a magma-generating set, which the group
 keeps as ``gens`` for every later check on generators.  Its table is one
 read-only small-int array.  Predicates such as normality and element orders
-run on that array, and so does the subgroup lattice; the isomorphism search,
-which walks the table one entry at a time, takes one list view of it per
-search.
+run on that array, and so does the subgroup lattice; the automorphism
+search, which walks the table one entry at a time, takes one list view of it
+per search.
 
 The lattice is built by cyclic extension (Neubüser 1960, the method of GAP's
 ``LatticeByCyclicExtension``): starting from the trivial group and the
@@ -43,7 +43,7 @@ DEFAULT_AUT_CAP = 200
 # (29,212 subgroups) still completes, in about 5 s on a 2-core machine, and
 # Z_3^6 (56,632) stops about 2 s in
 LATTICE_BUDGET = 30_000
-# more search nodes (_extend_hom calls) than this stop an isomorphism search
+# more search nodes (_extend_hom calls) than this stop an automorphism search
 # with BudgetExceeded: Z_3^3 (11,232 automorphisms, 16,927 nodes) completes,
 # and on a 2-core machine Z_2^5 stops after 0.5 s and the order-200
 # Z_5^2 x Z_2^3 after 4.6 s
@@ -54,19 +54,53 @@ ASSOC_BLOCK_CELLS = 1 << 16
 
 @dataclass(frozen=True, eq=False)
 class FiniteGroup:
-    """A finite group given by its full n-by-n operation table.
+    """A finite group given by its full n-by-n operation table, checked on
+    construction.
 
-    ``table`` is the read-only array of the table, ``inv`` the read-only
-    array of inverses and ``gens`` the generators that validation found.
-    Two groups are equal when their tables and labels are.
+    ``table`` is a square sequence of rows of integers or a 2-d integer
+    array; any other shape or entry raises ValueError.  The checks then raise
+    NotClosed, NoIdentity, NoInverse or NotAssociative with a witness, in
+    that order, and a count of ``labels`` other than n raises ValueError.
+    The group keeps a read-only copy of the table, the least identity, the
+    read-only array of inverses ``inv`` and the generators ``gens`` that
+    Light's test used.  Two groups are equal when their tables and labels are.
     """
 
-    order: int
     table: np.ndarray = field(repr=False)
-    identity: int
-    inv: np.ndarray = field(repr=False)
-    gens: tuple[int, ...]
     labels: tuple[str, ...] | None = None
+    identity: int = field(init=False)
+    inv: np.ndarray = field(init=False, repr=False)
+    gens: tuple[int, ...] = field(init=False)
+
+    def __post_init__(self) -> None:
+        arr = _table_array(self.table)
+        n = len(arr)
+        identity = _least_identity(arr)
+        # two_sided[x, y]: x y = y x = identity, the transpose combined in place
+        two_sided = arr == identity
+        two_sided &= two_sided.T
+        has_inverse = two_sided.any(axis=1)
+        if not has_inverse.all():
+            raise NoInverse(int(np.argmin(has_inverse)))
+        inv = np.argmax(two_sided, axis=1)
+        del two_sided
+        gens = _magma_generators(arr, identity)
+        witness = _assoc_witness(arr, gens)
+        if witness is not None:
+            raise NotAssociative(witness)
+        labels = self.labels
+        if labels is not None:
+            labels = tuple(str(s) for s in labels)
+            if len(labels) != n:
+                raise ValueError(f"got {len(labels)} labels for {n} elements")
+        inv.flags.writeable = False
+        for name, value in [("table", arr), ("labels", labels), ("identity", identity),
+                            ("inv", inv), ("gens", gens)]:
+            object.__setattr__(self, name, value)
+
+    @property
+    def order(self) -> int:
+        return len(self.table)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FiniteGroup):
@@ -244,33 +278,9 @@ def _least_identity(arr: np.ndarray) -> int:
 
 
 def build_from_table(op_table, labels=None) -> FiniteGroup:
-    """Validate an operation table and return the group it defines.
-
-    ``op_table`` is a square sequence of rows of integers or a 2-d integer
-    array; any other shape or entry raises ValueError.  Raises NotClosed,
-    NoIdentity, NoInverse or NotAssociative with a witness.
-    """
-    arr = _table_array(op_table)
-    n = len(arr)
-    identity = _least_identity(arr)
-    # two_sided[x, y]: x y = y x = identity, the transpose combined in place
-    two_sided = arr == identity
-    two_sided &= two_sided.T
-    has_inverse = two_sided.any(axis=1)
-    if not has_inverse.all():
-        raise NoInverse(int(np.argmin(has_inverse)))
-    inv = np.argmax(two_sided, axis=1)
-    del two_sided
-    gens = _magma_generators(arr, identity)
-    witness = _assoc_witness(arr, gens)
-    if witness is not None:
-        raise NotAssociative(witness)
-    if labels is not None:
-        labels = tuple(str(s) for s in labels)
-        if len(labels) != n:
-            raise ValueError(f"got {len(labels)} labels for {n} elements")
-    inv.flags.writeable = False
-    return FiniteGroup(n, arr, identity, inv, gens, labels)
+    """FiniteGroup(op_table, labels), as a function of its own: wrapping it
+    to count or time table builds leaves the class alone."""
+    return FiniteGroup(op_table, labels)
 
 
 def cyclic_group(k: int, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
@@ -661,27 +671,26 @@ def _power(T: np.ndarray, e: int, x: np.ndarray, k: int) -> np.ndarray:
     return np.full(len(x), e) if out is None else out
 
 
-def _extend_hom(Gop, Hop, ge: int, he: int, gens, imgs):
-    """Extend generator images to a homomorphism on <gens>, or None.
+def _extend_hom(op, e: int, gens, imgs):
+    """Extend generator images to an injective endomorphism on <gens>, or None.
 
-    ``Gop`` and ``Hop`` are list views of the two tables, ``ge`` and ``he``
-    their identities.  Walks the Cayley graph of <gens>; an edge conflict
-    kills the candidate, and so does any collision of images (an
-    isomorphism search never wants a map that is non-injective on a
-    subgroup).
+    ``op`` is a list view of the table and ``e`` its identity.  Walks the
+    Cayley graph of <gens>; an edge conflict kills the candidate, and so
+    does any collision of images (an automorphism search never wants a map
+    that is non-injective on a subgroup).
     """
-    img = [-1] * len(Gop)
-    img[ge] = he
-    used = 1 << he
-    lst = [ge]
+    img = [-1] * len(op)
+    img[e] = e
+    used = 1 << e
+    lst = [e]
     qi = 0
     while qi < len(lst):
         x = lst[qi]
         qi += 1
         ix = img[x]
         for g, h in zip(gens, imgs):
-            y = Gop[x][g]
-            iy = Hop[ix][h]
+            y = op[x][g]
+            iy = op[ix][h]
             if img[y] >= 0:
                 if img[y] != iy:
                     return None
@@ -694,15 +703,18 @@ def _extend_hom(Gop, Hop, ge: int, he: int, gens, imgs):
     return img
 
 
-def _isomorphisms(G: FiniteGroup, H: FiniteGroup, orders_g, orders_h):
-    """Every isomorphism from G onto H of equal order, as a list of images.
+def automorphism_group(G: FiniteGroup, cap: int = DEFAULT_AUT_CAP) -> list[tuple[int, ...]]:
+    """All automorphisms as element permutations, sorted lexicographically.
 
     Backtracks over images of G.gens; a generator may only map to an element
     of equal order, and partial assignments are pruned through _extend_hom.
     More than AUT_SEARCH_BUDGET calls of _extend_hom raise BudgetExceeded.
     """
-    candidates = [[x for x in range(H.order) if orders_h[x] == orders_g[g]] for g in G.gens]
-    Gop, Hop = G.table.tolist(), H.table.tolist()
+    if G.order > cap:
+        raise OrderCapExceeded(G.order, cap)
+    orders = _element_orders(G)
+    candidates = [[x for x in range(G.order) if orders[x] == orders[g]] for g in G.gens]
+    op = G.table.tolist()
     nodes = 0
 
     def extend(chosen: list[int]):
@@ -712,7 +724,7 @@ def _isomorphisms(G: FiniteGroup, H: FiniteGroup, orders_g, orders_h):
             what = "automorphism search node count of at least"
             raise BudgetExceeded(nodes, AUT_SEARCH_BUDGET, what)
         k = len(chosen)
-        img = _extend_hom(Gop, Hop, G.identity, H.identity, G.gens[:k], chosen)
+        img = _extend_hom(op, G.identity, G.gens[:k], chosen)
         if img is None:
             return
         if k == len(G.gens):
@@ -721,40 +733,4 @@ def _isomorphisms(G: FiniteGroup, H: FiniteGroup, orders_g, orders_h):
         for c in candidates[k]:
             yield from extend(chosen + [c])
 
-    return extend([])
-
-
-def automorphism_group(G: FiniteGroup, cap: int = DEFAULT_AUT_CAP) -> list[tuple[int, ...]]:
-    """All automorphisms as element permutations, sorted lexicographically.
-    A search of more than AUT_SEARCH_BUDGET nodes raises BudgetExceeded."""
-    if G.order > cap:
-        raise OrderCapExceeded(G.order, cap)
-    orders = _element_orders(G)
-    return sorted(tuple(img) for img in _isomorphisms(G, G, orders, orders))
-
-
-def is_isomorphic(G: FiniteGroup, H: FiniteGroup, cap: int = DEFAULT_AUT_CAP) -> bool:
-    """Generator-image backtracking search for an isomorphism.
-
-    Order histograms act as a fast negative filter before any search; a
-    search of more than AUT_SEARCH_BUDGET nodes raises BudgetExceeded.
-    """
-    if max(G.order, H.order) > cap:
-        raise OrderCapExceeded(max(G.order, H.order), cap)
-    if G.order != H.order:
-        return False
-    orders_g = _element_orders(G)
-    orders_h = _element_orders(H)
-    if sorted(orders_g) != sorted(orders_h):
-        return False
-    return next(_isomorphisms(G, H, orders_g, orders_h), None) is not None
-
-
-def subgroup_as_group(G: FiniteGroup, H: SubgroupSet) -> FiniteGroup:
-    """The subgroup H as a standalone group, elements reindexed ascending."""
-    if H.parent_order != G.order:
-        raise WrongParent(G.order, H.parent_order)
-    elems = np.flatnonzero(H.members)
-    labels = tuple(G.label(x) for x in elems) if G.labels is not None else None
-    # elems is ascending, so an element's new index is its rank in elems
-    return build_from_table(np.searchsorted(elems, G.table[np.ix_(elems, elems)]), labels=labels)
+    return sorted(tuple(img) for img in extend([]))

@@ -7,6 +7,7 @@ import random
 import sys
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import settings, strategies as st
 
@@ -130,11 +131,10 @@ def respects_table(G: sb.FiniteGroup, perm) -> bool:
     return all(perm[op[a][b]] == op[perm[a]][perm[b]] for a in range(n) for b in range(n))
 
 
-def right_closure(G: sb.FiniteGroup, gens) -> set[int]:
+def _walk(op, identity: int, gens) -> set[int]:
     """Everything reached from the identity by right multiplication with
-    ``gens``, one table entry at a time."""
-    op = G.table.tolist()
-    reached, frontier = {G.identity}, [G.identity]
+    ``gens``, reading ``op[x][g]`` one entry at a time."""
+    reached, frontier = {identity}, [identity]
     for x in frontier:  # the frontier grows while it is walked
         for g in gens:
             if op[x][g] not in reached:
@@ -143,15 +143,26 @@ def right_closure(G: sb.FiniteGroup, gens) -> set[int]:
     return reached
 
 
-def perfect_residuum(G: sb.FiniteGroup) -> set[int]:
-    """Last term of the derived series, each term closed from all
-    commutators of the one before."""
-    op, inv = G.table.tolist(), G.inv
-    term = set(range(G.order))
+def right_closure(G: sb.FiniteGroup, gens) -> set[int]:
+    """Everything reached from the identity by right multiplication with
+    ``gens``, one table entry at a time."""
+    return _walk(G.table.tolist(), G.identity, gens)
+
+
+def perfect_residuum(G: sb.FiniteGroup, elements=None) -> set[int]:
+    """Last term of the derived series of the subgroup on ``elements``, all
+    of G by default, each term closed from all commutators of the one
+    before.  The walk runs on the subgroup's own table, each element
+    renumbered by its rank in ``elements``."""
+    elems = np.array(sorted(range(G.order) if elements is None else elements))
+    op = np.searchsorted(elems, G.table[np.ix_(elems, elems)]).tolist()
+    inv = np.searchsorted(elems, G.inv[elems]).tolist()
+    e = int(np.searchsorted(elems, G.identity))
+    term = set(range(len(elems)))
     while True:
-        derived = right_closure(G, {op[op[op[a][b]][inv[a]]][inv[b]] for a in term for b in term})
+        derived = _walk(op, e, {op[op[op[a][b]][inv[a]]][inv[b]] for a in term for b in term})
         if len(derived) == len(term):
-            return term
+            return set(elems[sorted(term)].tolist())
         term = derived
 
 

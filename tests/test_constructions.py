@@ -105,11 +105,17 @@ def test_a5_brace_ratio(a5_brace):
 
 
 def test_a5_circ_group_is_direct_product_of_factors():
+    # (l, r) -> l r^-1 is a bijection from L x R onto A5 that carries the
+    # componentwise product to circ: l l' (r r')^-1 = l (l' r'^-1) r^-1
     f = sb.a5_factorization()
     b = sb.zappa_szep_brace(f)
-    left = sb.subgroup_as_group(f.parent, f.left)
-    right = sb.subgroup_as_group(f.parent, f.right)
-    assert sb.is_isomorphic(b.circ, sb.direct_product(left, right))
+    op, inv = f.parent.table.tolist(), f.parent.inv.tolist()
+    phi = {(l, r): op[l][inv[r]] for l in f.left.elements() for r in f.right.elements()}
+    assert sorted(phi.values()) == list(range(b.order))
+    circ = b.circ.table.tolist()
+    for (l, r), g in phi.items():
+        for (l2, r2), h in phi.items():
+            assert circ[g][h] == phi[op[l][l2], op[r][r2]]
 
 
 def test_stable_iff_normalized_agreement_on_all_a5_subgroups(a5_brace):
@@ -162,7 +168,7 @@ def test_semidirect_biskew_is_bi_skew(z9z6_braces):
 def test_semidirect_circ_structure_isomorphic_to_direct_product(z9z6_braces):
     add_galois, _ = z9z6_braces
     target = sb.direct_product(sb.cyclic_group(9), sb.cyclic_group(6))
-    assert sb.is_isomorphic(add_galois.circ, target)
+    assert np.array_equal(add_galois.circ.table, target.table)
 
 
 def test_semidirect_trivial_action_gives_trivial_braces():

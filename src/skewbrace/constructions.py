@@ -26,6 +26,7 @@ from .errors import (
 from .groups import (
     DEFAULT_ORDER_CAP,
     FACTOR_BOUND,
+    FAMILIES,
     FiniteGroup,
     SubgroupSet,
     build_from_table,
@@ -132,9 +133,6 @@ def _order(b: int, d: int, n: int, n_primes) -> int:
     """Order of b modulo d, given b^n = 1 (mod d) with n squarefree: it
     divides n and has the prime q exactly when b^(n/q) is not 1 (mod d)."""
     return math.prod(q for q in n_primes if pow(b, n // q, d) != 1)
-
-
-FAMILIES = ("pq", "product_pq", "generalized_dihedral", "custom_semidirect")
 
 
 @dataclass(frozen=True)

@@ -236,12 +236,20 @@ def _mask(members: np.ndarray) -> int:
 def _magma_generators(arr: np.ndarray, identity: int) -> tuple[int, ...]:
     """Greedy generators of the table as a magma, the identity given: each
     pick is the least element not yet reached by right multiplication."""
+    seen = bytearray(len(arr))
+    seen[identity] = 1
     gens: list[int] = []
-    seen = _right_closure(arr, [identity], gens)
-    while not seen.all():
-        gens.append(int(np.argmin(seen)))
-        # the closure goes on from what the earlier generators reached
-        seen = _right_closure(arr, np.append(np.flatnonzero(seen), gens[-1]), gens)
+    columns: list[list[int]] = []  # columns[k][x] = x gens[k]
+    while (g := seen.find(0)) >= 0:
+        gens.append(g)
+        columns.append(column := arr[:, g].tolist())
+        # what the earlier picks reached is closed under them: only its
+        # products with g, and what those reach, can be new
+        queue = [column[x] for x, reached in enumerate(seen) if reached]
+        for y in queue:
+            if not seen[y]:
+                seen[y] = 1
+                queue.extend(col[y] for col in columns)
     return tuple(gens)
 
 
@@ -325,6 +333,10 @@ def _prime_factors(m: int) -> tuple[int, ...]:
             out.append(d)
             m //= d
     return (*out, m) if m > 1 else tuple(out)
+
+
+# the families of constructions.family_spec, here for the CLI's parser
+FAMILIES = ("pq", "product_pq", "generalized_dihedral", "custom_semidirect")
 
 
 def _unit_action(m: int, n: int, b: int) -> int:

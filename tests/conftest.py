@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import importlib
 import math
+import pkgutil
 import random
 import sys
 from itertools import combinations
@@ -445,8 +447,11 @@ def tables_built(monkeypatch):
 
     The counting wrapper replaces the name in every skewbrace module that
     binds it, so calls through ``from .groups import build_from_table``
-    are counted too.
+    are counted too.  Every module of the package is imported first: one
+    that a command loads later would otherwise bind the original.
     """
+    for module in pkgutil.iter_modules(sb.__path__):
+        importlib.import_module(f"skewbrace.{module.name}")
     calls = []
     original = sb.build_from_table
 

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import hashlib
+import importlib
 import json
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -20,20 +22,19 @@ from skewbrace.cli import (
     EXIT_INVALID,
     EXIT_OK,
     RunConfig,
-    _algebra_rows,
     _build_parser,
     _cmd_family,
     _examples_lines,
     _family_csv,
     _family_lines,
     _ideals_lines,
-    _power_formula_holds,
     _ratio_lines,
     _verify_lines,
     main,
     parse_permutations,
 )
 from skewbrace.errors import OrderCapExceeded, ParseError
+from skewbrace.examples import _algebra_rows, _power_formula_holds
 
 from conftest import EXAMPLES_DEFAULT_LINES
 
@@ -870,6 +871,101 @@ def test_only_json_reports_load_hashlib(tmp_path, monkeypatch, output_format, co
     Path("brace.json").write_text(json.dumps({"star": z4, "circ": z4}))
     assert not _loads_hashlib("--format", output_format, *command)
     assert _loads_hashlib("--format", "json", *command)
+
+
+DEFERRED_MODULES = {"skewbrace.algebras", "skewbrace.constructions", "skewbrace.examples"}
+
+
+def _skewbrace_modules(*argv: str) -> set[str]:
+    """The skewbrace modules that ``python *argv`` imports; it must exit 0."""
+    child = _python("-X", "importtime", *argv)
+    assert child.returncode == 0, child.stderr
+    names = (line.rsplit("|", 1)[-1].strip() for line in child.stderr.splitlines())
+    return {name for name in names if name.split(".")[0] == "skewbrace"}
+
+
+@pytest.mark.parametrize(
+    "command, deferred",
+    [
+        (["verify", "brace.json"], set()),
+        (["verify", "algebra.json"], {"skewbrace.algebras"}),
+        (["family"], set()),
+        (["family", "--batch", "specs.txt"], {"skewbrace.constructions"}),
+        (["ratio", "--zappa-szep", "a5"], {"skewbrace.constructions"}),
+        (["examples"], DEFERRED_MODULES),
+    ],
+    ids=["verify-brace", "verify-algebra", "family-no-op", "family-batch", "ratio-zappa-szep", "examples"],
+)
+def test_each_command_loads_only_the_modules_it_uses(tmp_path, monkeypatch, command, deferred):
+    monkeypatch.chdir(tmp_path)
+    z4 = [[(i + j) % 4 for j in range(4)] for i in range(4)]
+    Path("brace.json").write_text(json.dumps({"star": z4, "circ": z4}))
+    Path("algebra.json").write_text(json.dumps({"p": 3, "dim": 2, "products": [{"i": 0, "j": 0, "value": [0, 1]}]}))
+    Path("specs.txt").write_text("pq 7 3 2\n")
+    modules = _skewbrace_modules("-m", "skewbrace", *command)
+    # every command, the no-op included, pays for the same start-up
+    assert {"skewbrace.cli", "skewbrace.groups", "skewbrace.braces"} <= modules
+    assert modules & DEFERRED_MODULES == deferred
+
+
+def test_importing_the_package_loads_no_submodule():
+    assert _skewbrace_modules("-c", "import skewbrace") == {"skewbrace"}
+
+
+# the public names of the package and the module that defines each
+PUBLIC_NAMES = {
+    "algebras": [
+        "FpAlgebra", "SubspaceBasis", "additive_group", "brace_from_radical",
+        "brace_from_radical_flipped", "circle_group", "degraaf_algebra", "enumerate_left_ideals",
+        "enumerate_right_ideals", "enumerate_subspaces", "make_algebra", "subspace_subgroup",
+    ],
+    "braces": [
+        "GcRatio", "SkewBrace", "gc_ratio", "hgs_count", "is_bi_skew", "is_circ_stable",
+        "skew_brace_automorphism_count", "stability_map", "validate_skew_brace",
+    ],
+    "constructions": [
+        "ExactFactorization", "FamilySpec", "FormulaReport", "a5_factorization",
+        "exact_factorization", "factorization_from_permutations", "family_formula_report",
+        "family_spec", "semidirect_biskew", "stability_criterion_z9z6", "zappa_szep_brace",
+    ],
+    "groups": [
+        "DEFAULT_AUT_CAP", "DEFAULT_ORDER_CAP", "FiniteGroup", "SubgroupSet", "automorphism_group",
+        "build_from_table", "closure_from_permutations", "cyclic_group", "direct_product",
+        "enumerate_subgroups", "generated_subgroup", "is_automorphism", "is_normal",
+        "semidirect_product_cyclic",
+    ],
+}
+
+
+@pytest.mark.parametrize("module_name", sorted(PUBLIC_NAMES))
+def test_each_public_name_is_its_module_object(module_name):
+    module = importlib.import_module(f"skewbrace.{module_name}")
+    for name in PUBLIC_NAMES[module_name]:
+        assert getattr(skewbrace, name) is getattr(module, name)
+        namespace: dict = {}
+        exec(f"from skewbrace import {name}", namespace)
+        assert namespace[name] is getattr(module, name)
+        assert name in dir(skewbrace)
+    assert skewbrace.__version__ == "0.1.0" and "__version__" in dir(skewbrace)
+
+
+def test_an_unknown_public_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="module 'skewbrace' has no attribute 'is_isomorphic'"):
+        skewbrace.is_isomorphic
+    with pytest.raises(ImportError, match="cannot import name 'is_isomorphic'"):
+        exec("from skewbrace import is_isomorphic", {})
+
+
+def test_tables_built_counts_through_every_module_that_binds_build_from_table(tables_built):
+    # a module first loaded inside a test would bind the original, uncounted
+    modules = [sys.modules[f"skewbrace.{m.name}"] for m in pkgutil.iter_modules(skewbrace.__path__)]
+    binding = [skewbrace, *(m for m in modules if hasattr(m, "build_from_table"))]
+    assert {"skewbrace.groups", "skewbrace.algebras", "skewbrace.constructions"} <= {
+        m.__name__ for m in binding
+    }
+    for module in binding:
+        module.build_from_table([[0]])
+    assert tables_built == [1] * len(binding)
 
 
 @pytest.mark.parametrize("valid", [True, False], ids=["valid", "invalid"])

@@ -27,7 +27,7 @@ _MODULE_OF = {
             "make_algebra", "subspace_subgroup",
         ),
         "braces": (
-            "GcRatio", "SkewBrace", "gc_ratio", "hgs_count", "is_bi_skew", "is_circ_stable",
+            "GcRatio", "SkewBrace", "gc_ratio", "hgs_count", "is_bi_skew",
             "skew_brace_automorphism_count", "stability_map", "validate_skew_brace",
         ),
         "constructions": (
@@ -39,7 +39,7 @@ _MODULE_OF = {
             "DEFAULT_AUT_CAP", "DEFAULT_ORDER_CAP", "FiniteGroup", "SubgroupSet",
             "automorphism_group", "build_from_table", "closure_from_permutations",
             "cyclic_group", "direct_product", "enumerate_subgroups", "generated_subgroup",
-            "is_automorphism", "is_normal", "semidirect_product_cyclic",
+            "is_automorphism", "semidirect_product_cyclic",
         ),
     }.items()
     for name in names

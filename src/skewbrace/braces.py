@@ -33,6 +33,9 @@ The stable subgroups are read off the circ lattice, by three facts:
 3. gamma_(g circ h) = gamma_g gamma_h by the brace law, so the g with
    gamma_g(H) in H form a circ-subgroup, and circ.gens decide stability.
 So a ratio enumerates one lattice, the circ group's.
+
+The lattice and the automorphism search are called as ``groups.<name>``
+when a ratio or a count needs them, so checking a brace loads neither.
 """
 
 from __future__ import annotations
@@ -42,12 +45,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    BraceLawViolation,
-    IdentityMismatch,
-    NonIntegralQuotient,
-    NotAStarSubgroup,
-)
+from . import groups
+from .errors import BraceLawViolation, IdentityMismatch, NonIntegralQuotient
 from .groups import (
     DEFAULT_AUT_CAP,
     DEFAULT_ORDER_CAP,
@@ -55,9 +54,7 @@ from .groups import (
     SubgroupSet,
     _element,
     _respects,
-    automorphism_group,
     build_from_table,
-    enumerate_subgroups,
 )
 
 
@@ -160,47 +157,6 @@ def _stability_rows(b: SkewBrace, gens) -> np.ndarray:
     return b.star.table[b.circ.table[g], b.star.inv[g][:, None]]
 
 
-def _escape(table: np.ndarray, members: np.ndarray) -> tuple[int, int] | None:
-    """First (x, y) of members, in row-major order, whose product in
-    ``table`` is not a member, or None."""
-    elems = np.flatnonzero(members)
-    out = ~members[table[np.ix_(elems, elems)]]
-    if not out.any():
-        return None
-    i, j = np.argwhere(out)[0]
-    return int(elems[i]), int(elems[j])
-
-
-def _require_star_subgroup(b: SkewBrace, H: SubgroupSet) -> np.ndarray:
-    """The membership array of H, once H is known to be a star-subgroup."""
-    if H.parent_order != b.order:
-        raise NotAStarSubgroup(
-            f"subgroup parent order {H.parent_order} does not match brace order {b.order}"
-        )
-    if H.mask < 0 or H.mask >> b.order:
-        raise NotAStarSubgroup(f"membership mask has bits outside 0..{b.order - 1}")
-    if not H.contains(b.star.identity):
-        raise NotAStarSubgroup("set does not contain the identity")
-    members = H.members
-    escape = _escape(b.star.table, members)
-    if escape is not None:
-        raise NotAStarSubgroup(
-            "set is not closed under star: {} star {} escapes".format(*escape)
-        )
-    return members
-
-
-def is_circ_stable(b: SkewBrace, H: SubgroupSet) -> bool:
-    """True iff every stability map sends H into itself.
-
-    H must be a subgroup of the star group (NotAStarSubgroup otherwise).
-    By fact 3 of the module docstring the maps of circ.gens decide it, each
-    applied to every element of H.
-    """
-    members = _require_star_subgroup(b, H)
-    return bool(members[_stability_rows(b, b.circ.gens)[:, np.flatnonzero(members)]].all())
-
-
 def gc_ratio(b: SkewBrace, cap: int = DEFAULT_ORDER_CAP) -> GcRatio:
     """Galois correspondence ratio of the brace, reported unreduced.
 
@@ -210,7 +166,7 @@ def gc_ratio(b: SkewBrace, cap: int = DEFAULT_ORDER_CAP) -> GcRatio:
     themselves (facts 1-3 of the module docstring), at len(circ.gens) * |H|
     cells per subgroup.
     """
-    subgroups = tuple(enumerate_subgroups(b.circ, cap))
+    subgroups = tuple(groups.enumerate_subgroups(b.circ, cap))
     gamma = _stability_rows(b, b.circ.gens)
     stable = tuple(H for H in subgroups if (m := H.members)[gamma[:, np.flatnonzero(m)]].all())
     return GcRatio(subgroups, stable)
@@ -218,14 +174,14 @@ def gc_ratio(b: SkewBrace, cap: int = DEFAULT_ORDER_CAP) -> GcRatio:
 
 def skew_brace_automorphism_count(b: SkewBrace, cap: int = DEFAULT_AUT_CAP) -> int:
     """Number of automorphisms of star that are automorphisms of circ too."""
-    return int(_respects(b.circ, np.array(automorphism_group(b.star, cap))).sum())
+    return int(_respects(b.circ, np.array(groups.automorphism_group(b.star, cap))).sum())
 
 
 def hgs_count(b: SkewBrace, cap: int = DEFAULT_AUT_CAP) -> int:
     """Circ-automorphism count divided by the two-sided automorphism count,
     both read off one listing of Aut(circ); the quotient is guaranteed
     integral, and a remainder signals a bug."""
-    auts = np.array(automorphism_group(b.circ, cap))
+    auts = np.array(groups.automorphism_group(b.circ, cap))
     total, both = len(auts), int(_respects(b.star, auts).sum())
     if total % both:
         raise NonIntegralQuotient(total, both)

@@ -1,4 +1,9 @@
-"""Braces from exact factorizations and semidirect products.
+"""Groups and braces from explicit constructions.
+
+The groups are the cyclic groups, direct products, semidirect products of
+two cyclic groups and permutation closures; ``groups`` resolves their names
+on first access, so a command that only validates tables never loads this
+module.  The braces come from exact factorizations and semidirect products.
 
 Also carries the squarefree-family bookkeeping: closed-form subgroup and
 stable-subgroup counts for the product family (pq is its one-pair case) and
@@ -15,9 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import groups
 from .braces import SkewBrace, gc_ratio
 from .errors import (
     BudgetExceeded,
+    ClosureCapExceeded,
     InvalidAction,
     NotComplementary,
     OrderCapExceeded,
@@ -30,11 +37,133 @@ from .groups import (
     FiniteGroup,
     SubgroupSet,
     build_from_table,
-    closure_from_permutations,
-    generated_subgroup,
-    semidirect_product_cyclic,
 )
-from .groups import _cycle_label, _integer, _prime_factors, _unit_action
+from .groups import _integer, _prime_factors
+
+
+def cyclic_group(k: int, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
+    """Additive group of integers modulo k."""
+    k = _integer(k, "k")
+    if k < 1:
+        raise ValueError("cyclic group order must be at least 1")
+    if k > cap:
+        raise OrderCapExceeded(k, cap)
+    ar = np.arange(k)
+    return build_from_table((ar[:, None] + ar) % k, labels=[str(i) for i in range(k)])
+
+
+def direct_product(
+    G: FiniteGroup, H: FiniteGroup, cap: int = DEFAULT_ORDER_CAP
+) -> FiniteGroup:
+    """Componentwise product on pairs, indexed row-major: (g,h) -> g*|H| + h."""
+    n = G.order * H.order
+    if n > cap:
+        raise OrderCapExceeded(n, cap)
+    # entry [g, h, g', h'] is the index of (g g', h h'), below n
+    g = G.table.astype(np.min_scalar_type(-n))
+    table = g[:, None, :, None] * H.order + H.table[None, :, None, :]
+    labels = tuple(
+        f"({G.label(g)},{H.label(h)})" for g in range(G.order) for h in range(H.order)
+    )
+    return build_from_table(table.reshape(n, n), labels=labels)
+
+
+def _unit_action(m: int, n: int, b: int) -> int:
+    """b modulo m, once b^n = 1 (mod m) for an n >= 1, which makes b a unit;
+    InvalidAction otherwise."""
+    b %= m
+    # 1 % m, not 1: modulo m = 1 every residue is 0
+    if pow(b, n, m) != 1 % m:
+        raise InvalidAction(f"b={b} must be a unit modulo {m} with b^{n} = 1 (mod {m})")
+    return b
+
+
+def semidirect_product_cyclic(
+    m: int, n: int, b: int, cap: int = DEFAULT_ORDER_CAP
+) -> FiniteGroup:
+    """Group on pairs (r,s) with (r,s)(r',s') = (r + b^s r' mod m, s+s' mod n)."""
+    m, n, b = _integer(m, "m"), _integer(n, "n"), _integer(b, "b")
+    if m < 1 or n < 1:
+        raise ValueError("factors must have positive order")
+    b = _unit_action(m, n, b)
+    if m * n > cap:
+        raise OrderCapExceeded(m * n, cap)
+    dt = np.min_scalar_type(-2 * m * n)  # every sum below stays under 2mn
+    r = np.arange(m, dtype=dt)[:, None, None, None]
+    s = np.arange(n, dtype=dt)[None, :, None, None]
+    r2 = np.arange(m)[None, None, :, None]
+    s2 = np.arange(n, dtype=dt)[None, None, None, :]
+    powers = np.array([pow(b, k, m) for k in range(n)])[s]
+    # entry [r, s, r', s'] is the index of (r + b^s r', s + s'), b^s r' reduced mod m first
+    table = (r + (powers * r2 % m).astype(dt)) % m * n + (s + s2) % n
+    labels = tuple(f"({r},{s})" for r in range(m) for s in range(n))
+    return build_from_table(table.reshape(m * n, m * n), labels=labels)
+
+
+def _cycle_label(perm: tuple[int, ...]) -> str:
+    """One-line cycle notation, points printed 1-indexed."""
+    seen: set[int] = set()
+    parts = []
+    for i in range(len(perm)):
+        if i in seen or perm[i] == i:
+            continue
+        cyc = [i]
+        seen.add(i)
+        j = perm[i]
+        while j != i:
+            cyc.append(j)
+            seen.add(j)
+            j = perm[j]
+        parts.append("(" + " ".join(str(k + 1) for k in cyc) + ")")
+    return "".join(parts) or "()"
+
+
+def closure_from_permutations(gens, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
+    """Group generated by permutations, as a table.
+
+    A generator of length k permutes 0..k-1 and fixes every later point, so
+    all act on the degree d of the longest one; a d above ``cap`` raises
+    OrderCapExceeded before any entry is read.  Element 0 is the identity,
+    and each element is labelled by its cycle notation (``_cycle_label``).
+    Composition is (p*q)(i) = p[q[i]].
+    """
+    gens = list(gens)
+    if not gens:
+        raise ValueError("at least one generator is required")
+    d = max(map(len, gens))
+    if d > cap:
+        raise OrderCapExceeded(d, cap, "permutation degree")
+    gens = [tuple(_integer(v, f"generator {i} entry") for v in g) for i, g in enumerate(gens)]
+    for i, g in enumerate(gens):
+        if sorted(g) != list(range(len(g))):
+            raise ValueError(f"generator {i} is not a bijection on 0..{len(g) - 1}")
+    identity = tuple(range(d))
+    gens = [g + identity[len(g):] for g in gens]
+    index = {identity: 0}
+    elems = [identity]
+    # right lists the index of elems[x] * gens[k] row by row; element q > 0
+    # was first reached as elems[x] * gens[k] for (x, k) = source[q]
+    right: list[int] = []
+    source = [(0, 0)]
+    for x, p in enumerate(elems):  # elems grows while it is walked
+        for k, g in enumerate(gens):
+            q = tuple(p[i] for i in g)
+            if q not in index:
+                if len(elems) >= cap:
+                    raise ClosureCapExceeded(cap)
+                index[q] = len(elems)
+                elems.append(q)
+                source.append((x, k))
+            right.append(index[q])
+    # column q of the table is y -> y * q; for q = x * g that is column x
+    # followed by right multiplication with g
+    right_mult = np.reshape(right, (len(elems), len(gens)))
+    columns = np.empty((len(elems), len(elems)), dtype=np.min_scalar_type(-len(elems)))
+    columns[0] = np.arange(len(elems))
+    for q, (x, k) in enumerate(source[1:], 1):
+        columns[q] = right_mult[columns[x], k]
+    labels = tuple(_cycle_label(p) for p in elems)
+    return build_from_table(columns.T, labels=labels)
 
 
 @dataclass(frozen=True)
@@ -54,8 +183,8 @@ def exact_factorization(G: FiniteGroup, left_seed, right_seed) -> ExactFactoriza
     (l, r) -> l * r^-1 injective, as l * r^-1 = l' * r'^-1 puts l'^-1 * l =
     r'^-1 * r in L n R, and so a bijection from L x R onto G.
     """
-    left = generated_subgroup(G, left_seed)
-    right = generated_subgroup(G, right_seed)
+    left = groups.generated_subgroup(G, left_seed)
+    right = groups.generated_subgroup(G, right_seed)
     inter = (left.mask & right.mask).bit_count()
     if left.size * right.size != G.order or inter != 1:
         raise NotComplementary(

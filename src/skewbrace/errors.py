@@ -53,10 +53,6 @@ class BraceLawViolation(ValidationFailure):
         super().__init__(f"left brace law fails at ({a},{b},{c})")
 
 
-class NotAStarSubgroup(ValidationFailure):
-    """The given element set is not a subgroup of the brace's star group."""
-
-
 class NotComplementary(ValidationFailure):
     """Two subgroups do not form an exact factorization of the parent group."""
 

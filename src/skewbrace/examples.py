@@ -1,5 +1,5 @@
-"""The example regression of ``skewbrace examples``, the one command that
-imports this module: one (builder id, builder) entry per worked example.  A
+"""``skewbrace examples``: the example regression, which no other command
+imports.  It is one (builder id, builder) entry per worked example.  A
 builder returns rows judged against values pinned inside it; an error it
 raises becomes one failed row under the builder id.  The library is called
 through module attributes (``braces.gc_ratio``), so a function wrapped in
@@ -15,8 +15,9 @@ from functools import cache, partial
 import numpy as np
 
 from . import algebras, braces, constructions, groups
-from .cli import EXIT_INVALID, EXIT_OK, RunConfig, _family_row, _parse_int, _report
+from .cli import EXIT_INVALID, EXIT_OK, RunConfig, _report
 from .errors import CapExceeded, ParseError, ValidationFailure
+from .family import _family_row, _parse_int
 
 
 def _row(row_id: str, ok: bool, detail: str) -> dict:
@@ -226,7 +227,7 @@ def _parse_grid(grid_args) -> tuple[list[int], list[tuple[int, int, int]]]:
     return dihedral_ms, pq_specs
 
 
-def _cmd_examples(args, cfg: RunConfig) -> tuple[dict, int, bytes | dict]:
+def run(args, cfg: RunConfig) -> tuple[dict, int, bytes | dict]:
     p_list = args.p or [3]
     dihedral_ms, pq_specs = _parse_grid(args.grid)
     if not dihedral_ms and not pq_specs and not args.grid:
@@ -246,3 +247,13 @@ def _cmd_examples(args, cfg: RunConfig) -> tuple[dict, int, bytes | dict]:
     result = {"rows": rows, "passed": len(rows) - len(failed), "failed": len(failed)}
     report = _report("examples", source, cfg, result)
     return report, EXIT_OK if not failed else EXIT_INVALID, source
+
+
+def _examples_lines(result: dict) -> list[str]:
+    return [
+        ("PASS" if row["ok"] else "FAIL") + f"  {row['id']}: {row['detail']}"
+        for row in result["rows"]
+    ] + [f"{result['passed']}/{len(result['rows'])} rows passed"]
+
+
+RENDERERS = {"text": _examples_lines}

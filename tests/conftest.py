@@ -14,7 +14,7 @@ import pytest
 from hypothesis import settings, strategies as st
 
 import skewbrace as sb
-from skewbrace import groups
+from skewbrace import lattice
 from skewbrace.errors import NoIdentity, NoInverse, NotAssociative, NotClosed
 
 settings.register_profile("suite", derandomize=True, max_examples=60)
@@ -103,6 +103,13 @@ def stable_by_definition(b: sb.SkewBrace) -> list[int]:
         if all(mask >> row[h] & 1 for row in images for h in elems):
             out.append(mask)
     return out
+
+
+def normal_by_conjugation(G: sb.FiniteGroup, H: sb.SubgroupSet) -> bool:
+    """Whether g h g^-1 lies in H for every g in G and h in H, one table
+    entry at a time."""
+    op, inv = G.table.tolist(), G.inv.tolist()
+    return all(H.contains(op[op[g][h]][inv[g]]) for g in range(G.order) for h in H.elements())
 
 
 def brute_force_automorphisms(G: sb.FiniteGroup) -> set[tuple[int, ...]]:
@@ -469,15 +476,16 @@ def tables_built(monkeypatch):
 @pytest.fixture
 def lattices_enumerated(monkeypatch):
     """List of the group orders whose subgroup lattice was enumerated, one
-    per enumeration."""
+    per enumeration.  The counter replaces ``_lattice`` in the module that
+    ``enumerate_subgroups`` calls it through."""
     calls = []
-    original = groups._lattice
+    original = lattice._lattice
 
     def counting(G):
         calls.append(G.order)
         return original(G)
 
-    monkeypatch.setattr(groups, "_lattice", counting)
+    monkeypatch.setattr(lattice, "_lattice", counting)
     return calls
 
 

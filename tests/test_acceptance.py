@@ -121,7 +121,7 @@ def test_criterion_3_degraaf_p5_counts(heavy_cache):
 
 def test_criterion_4_stable_sets_equal_ideal_sets(heavy_cache, degraaf3, degraaf3_braces):
     def masks_agree(A, brace, subs, ideals):
-        stable = {H.mask for H in subs if sb.is_circ_stable(brace, H)}
+        stable = {H.mask for H in set(subs) & set(sb.gc_ratio(brace).stable)}
         spans = {sb.subspace_subgroup(A, S).mask for S in ideals}
         return stable == spans
 
@@ -188,16 +188,11 @@ def test_criterion_6_order54_biskew(z9z6_braces):
     subs_mult = sb.enumerate_subgroups(add_galois.star)
     r_mult = sb.gc_ratio(mult_galois)
     r_add = sb.gc_ratio(add_galois)
-    agree = 0
-    for H in subs_add:
-        shortcut = sb.stability_criterion_z9z6(H)
-        generic_mult = sb.is_circ_stable(mult_galois, H)
-        try:
-            generic_add = sb.is_circ_stable(add_galois, H)
-        except Exception:
-            generic_add = False
-        if shortcut == (generic_mult, generic_add):
-            agree += 1
+    # a subgroup that is no star-subgroup of add_galois is not add-stable
+    agree = sum(
+        sb.stability_criterion_z9z6(H) == (H in r_mult.stable, H in r_add.stable)
+        for H in subs_add
+    )
     elapsed = time.perf_counter() - t0
     # The multiplicative structure has 36 subgroups (26 cyclic + 10
     # non-cyclic), pinned by two independent enumerations; see the ledger.

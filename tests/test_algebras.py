@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import skewbrace as sb
 from skewbrace import algebras
-from skewbrace.groups import _element_orders
+from skewbrace.lattice import _element_orders
 from skewbrace.errors import (
     BudgetExceeded,
     NilpotencyTooDeep,

@@ -1,4 +1,4 @@
-"""The plain brace-file reader of ``cli`` against the JSON path.
+"""The plain brace-file reader of ``verify`` against the JSON path.
 
 Every generated pair of tables is written in each style below.  ``verify``
 must print the same report, on stdout and stderr, and exit with the same
@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from skewbrace import cli
+from skewbrace import verify
 from skewbrace.cli import EXIT_CAP, EXIT_CONFIG, main
 
 from conftest import generated_groups
@@ -77,6 +77,8 @@ ROW = {
     "beyond-int64": lambda r, j, n: r[:j] + [str(10**20)] + r[j + 1:],
     "2**64-more": lambda r, j, n: r[:j] + [str(2**64 + int(r[j]))] + r[j + 1:],
     "entry-at-least-n": lambda r, j, n: r[:j] + [str(n + int(r[j]))] + r[j + 1:],
+    "entry-equal-n": lambda r, j, n: r[:j] + [str(n)] + r[j + 1:],
+    "one-digit-more": lambda r, j, n: r[:j] + [str(10 ** len(str(n - 1)) + int(r[j]))] + r[j + 1:],
     "empty-entry": lambda r, j, n: r[:j] + [""] + r[j + 1:],
     "trailing-comma": lambda r, j, n: r + [""],
     "ragged-row": lambda r, j, n: r[:j] + r[j + 1:],
@@ -101,10 +103,25 @@ def table_pairs(draw) -> tuple[list, list]:
     return draw(square), draw(square)
 
 
+# orders on each side of a new digit: entries below 10, 100 and 1000 have
+# at most 1, 2 and 3 digits, and those of orders 101 and 1001 reach 3 and 4.
+# Files of random entries below n in each plain style, and compact ones
+# with one entry changed
+WIDE_ORDERS = [10, 100, 101, 1000, 1001]
+WIDE_STYLES = ["compact", "indented", "leading-zero", "entry-equal-n", "one-digit-more"]
+
+
 @st.composite
-def styled_files(draw, style: str) -> tuple[str, int]:
-    """A pair of tables written in ``style``, and its order."""
-    star, circ = draw(table_pairs())
+def styled_files(draw, style: str, order: int | None = None) -> tuple[str, int]:
+    """A pair of tables written in ``style``, and its order: drawn, or
+    random entries below ``order`` and a changed entry placed at random,
+    all from a generator seeded by the order, so that Hypothesis draws
+    nothing and runs the one file."""
+    if order is None:
+        star, circ = draw(table_pairs())
+    else:
+        rng = np.random.default_rng(order)
+        star, circ = rng.integers(0, order, (2, order, order)).tolist()
     n = len(star)
     payload = {"star": star, "circ": circ}
     if style in PLAIN:
@@ -112,8 +129,11 @@ def styled_files(draw, style: str) -> tuple[str, int]:
     if style in WHOLE:
         return WHOLE[style](payload), n
     texts = {key: _compact(table) for key, table in payload.items()}
-    key = draw(st.sampled_from(["star", "circ"]))
-    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    if order is None:
+        key = draw(st.sampled_from(["star", "circ"]))
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    else:
+        key, (i, j) = ("star", "circ")[rng.integers(2)], rng.integers(0, n, 2).tolist()
     rows = [[str(v) for v in row] for row in payload[key]]
     rows[i] = ROW[style](rows[i], j, n)
     texts[key] = "[" + ",".join("[" + ",".join(row) + "]" for row in rows) + "]"
@@ -129,23 +149,27 @@ def _verify(path: Path, *options: str) -> tuple[int, str, list[str]]:
 
 def _verify_declined(path: Path, *options: str) -> tuple[int, str, list[str]]:
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cli, "_plain_brace_tables", lambda blob, cap: None)
+        mp.setattr(verify, "_plain_brace_tables", lambda blob, cap: None)
         return _verify(path, *options)
 
 
-@pytest.mark.parametrize("style", [*PLAIN, *WHOLE, *ROW])
+@pytest.mark.parametrize(
+    "style, order",
+    [pytest.param(style, None, id=style) for style in [*PLAIN, *WHOLE, *ROW]]
+    + [pytest.param(style, n, id=f"{style}-n{n}") for style in WIDE_STYLES for n in WIDE_ORDERS],
+)
 @settings(max_examples=10, deadline=None)
 @given(data=st.data())
-def test_verify_reads_each_style_as_the_json_path_does(style, data):
-    text, n = data.draw(styled_files(style))
+def test_verify_reads_each_style_as_the_json_path_does(style, order, data):
+    text, n = data.draw(styled_files(style, order))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "brace.json"
         path.write_text(text, encoding="utf-8")
         blob = path.read_bytes()
-        tables = cli._plain_brace_tables(blob, cli.RunConfig.order_cap)
+        tables = verify._plain_brace_tables(blob, verify.RunConfig.order_cap)
         assert (tables is not None) == (style in PLAIN)
         if tables is not None:
-            for got, want in zip(tables, cli._parse_brace_json(json.loads(blob), n)):
+            for got, want in zip(tables, verify._parse_brace_json(json.loads(blob), n)):
                 assert got.dtype == want.dtype == np.int64
                 assert np.array_equal(got, want)
         # at the default cap, and with the cap below the order where one is
@@ -170,7 +194,7 @@ MISSHAPEN = {
 def test_verify_reads_a_misshapen_square_file_as_the_json_path_does(tmp_path, text):
     path = tmp_path / "brace.json"
     path.write_text(text)
-    assert cli._plain_brace_tables(path.read_bytes(), cli.RunConfig.order_cap) is None
+    assert verify._plain_brace_tables(path.read_bytes(), verify.RunConfig.order_cap) is None
     code, out, err = _verify(path)
     assert (code, out, err) == _verify_declined(path)
     assert code == EXIT_CONFIG and "not valid JSON" in err[0]
@@ -192,7 +216,7 @@ def test_a_plain_file_over_the_cap_exits_3_before_any_json_parse(tmp_path, monke
     def refuse(*args, **kwargs):
         raise AssertionError("the JSON parser ran")
 
-    monkeypatch.setattr(cli.json, "loads", refuse)
+    monkeypatch.setattr(verify.json, "loads", refuse)
     code, out, err = _verify(path, *options)
     assert code == EXIT_CAP and out == ""
     assert err == [f"error: group order {n} exceeds the configured cap {n - 1}"]

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import skewbrace
-from skewbrace import algebras, groups
+from skewbrace import algebras, groups, lattice
 from skewbrace.cli import (
     EXIT_CAP,
     EXIT_CONFIG,
@@ -23,18 +23,15 @@ from skewbrace.cli import (
     EXIT_OK,
     RunConfig,
     _build_parser,
-    _cmd_family,
-    _examples_lines,
-    _family_csv,
-    _family_lines,
-    _ideals_lines,
-    _ratio_lines,
-    _verify_lines,
     main,
-    parse_permutations,
 )
 from skewbrace.errors import OrderCapExceeded, ParseError
-from skewbrace.examples import _algebra_rows, _power_formula_holds
+from skewbrace.examples import _algebra_rows, _examples_lines, _power_formula_holds
+from skewbrace.family import _family_csv, _family_lines
+from skewbrace.family import run as _cmd_family
+from skewbrace.ideals import _ideals_lines
+from skewbrace.ratio import _ratio_lines, parse_permutations
+from skewbrace.verify import _verify_lines
 
 from conftest import EXAMPLES_DEFAULT_LINES
 
@@ -337,7 +334,7 @@ def test_ratio_stops_at_the_lattice_budget(tmp_path, capsys, monkeypatch):
     # F_3^6 with zero products: the circ group Z_3^6 has 56,632 subgroups
     path = tmp_path / "alg.json"
     path.write_text(json.dumps({"p": 3, "dim": 6, "products": []}))
-    monkeypatch.setattr(groups, "LATTICE_BUDGET", 1000)
+    monkeypatch.setattr(lattice, "LATTICE_BUDGET", 1000)
     code = main(["ratio", "--algebra", str(path), "--direction", "circ"])
     assert code == EXIT_CAP
     assert "subgroup count of at least 1001 exceeds the enumeration budget 1000" in capsys.readouterr().err
@@ -873,28 +870,42 @@ def test_only_json_reports_load_hashlib(tmp_path, monkeypatch, output_format, co
     assert _loads_hashlib("--format", "json", *command)
 
 
-DEFERRED_MODULES = {"skewbrace.algebras", "skewbrace.constructions", "skewbrace.examples"}
+# every command loads these, the no-op family included; each loads its own
+# module and what it uses beside them, and no other skewbrace module
+STARTUP_MODULES = {"skewbrace", "skewbrace.cli", "skewbrace.errors", "skewbrace.groups", "skewbrace.braces"}
+
+
+def _imported_modules(*argv: str) -> set[str]:
+    """The modules that ``python *argv`` imports; it must exit 0."""
+    child = _python("-X", "importtime", *argv)
+    assert child.returncode == 0, child.stderr
+    return {line.rsplit("|", 1)[-1].strip() for line in child.stderr.splitlines()}
 
 
 def _skewbrace_modules(*argv: str) -> set[str]:
     """The skewbrace modules that ``python *argv`` imports; it must exit 0."""
-    child = _python("-X", "importtime", *argv)
-    assert child.returncode == 0, child.stderr
-    names = (line.rsplit("|", 1)[-1].strip() for line in child.stderr.splitlines())
-    return {name for name in names if name.split(".")[0] == "skewbrace"}
+    return {name for name in _imported_modules(*argv) if name.split(".")[0] == "skewbrace"}
 
 
 @pytest.mark.parametrize(
     "command, deferred",
     [
-        (["verify", "brace.json"], set()),
-        (["verify", "algebra.json"], {"skewbrace.algebras"}),
-        (["family"], set()),
-        (["family", "--batch", "specs.txt"], {"skewbrace.constructions"}),
-        (["ratio", "--zappa-szep", "a5"], {"skewbrace.constructions"}),
-        (["examples"], DEFERRED_MODULES),
+        (["verify", "brace.json"], {"verify"}),
+        (["verify", "algebra.json"], {"verify", "algebras"}),
+        (["family"], {"family"}),
+        (["family", "--batch", "specs.txt"], {"family", "constructions", "lattice"}),
+        (["ratio", "--zappa-szep", "a5"], {"ratio", "constructions", "lattice"}),
+        # an algebra file is read by the verify module's reader
+        (["ideals", "--algebra", "algebra.json", "--side", "left"], {"ideals", "verify", "algebras"}),
+        (
+            ["examples"],
+            {"examples", "family", "algebras", "constructions", "lattice", "automorphisms"},
+        ),
     ],
-    ids=["verify-brace", "verify-algebra", "family-no-op", "family-batch", "ratio-zappa-szep", "examples"],
+    ids=[
+        "verify-brace", "verify-algebra", "family-no-op", "family-batch", "ratio-zappa-szep",
+        "ideals", "examples",
+    ],
 )
 def test_each_command_loads_only_the_modules_it_uses(tmp_path, monkeypatch, command, deferred):
     monkeypatch.chdir(tmp_path)
@@ -902,10 +913,12 @@ def test_each_command_loads_only_the_modules_it_uses(tmp_path, monkeypatch, comm
     Path("brace.json").write_text(json.dumps({"star": z4, "circ": z4}))
     Path("algebra.json").write_text(json.dumps({"p": 3, "dim": 2, "products": [{"i": 0, "j": 0, "value": [0, 1]}]}))
     Path("specs.txt").write_text("pq 7 3 2\n")
-    modules = _skewbrace_modules("-m", "skewbrace", *command)
+    modules = _imported_modules("-m", "skewbrace", *command)
     # every command, the no-op included, pays for the same start-up
-    assert {"skewbrace.cli", "skewbrace.groups", "skewbrace.braces"} <= modules
-    assert modules & DEFERRED_MODULES == deferred
+    assert "numpy" in modules
+    assert {m for m in modules if m.split(".")[0] == "skewbrace"} == STARTUP_MODULES | {
+        f"skewbrace.{name}" for name in deferred
+    }
 
 
 def test_importing_the_package_loads_no_submodule():
@@ -920,7 +933,7 @@ PUBLIC_NAMES = {
         "enumerate_right_ideals", "enumerate_subspaces", "make_algebra", "subspace_subgroup",
     ],
     "braces": [
-        "GcRatio", "SkewBrace", "gc_ratio", "hgs_count", "is_bi_skew", "is_circ_stable",
+        "GcRatio", "SkewBrace", "gc_ratio", "hgs_count", "is_bi_skew",
         "skew_brace_automorphism_count", "stability_map", "validate_skew_brace",
     ],
     "constructions": [
@@ -931,7 +944,7 @@ PUBLIC_NAMES = {
     "groups": [
         "DEFAULT_AUT_CAP", "DEFAULT_ORDER_CAP", "FiniteGroup", "SubgroupSet", "automorphism_group",
         "build_from_table", "closure_from_permutations", "cyclic_group", "direct_product",
-        "enumerate_subgroups", "generated_subgroup", "is_automorphism", "is_normal",
+        "enumerate_subgroups", "generated_subgroup", "is_automorphism",
         "semidirect_product_cyclic",
     ],
 }
@@ -947,6 +960,32 @@ def test_each_public_name_is_its_module_object(module_name):
         assert namespace[name] is getattr(module, name)
         assert name in dir(skewbrace)
     assert skewbrace.__version__ == "0.1.0" and "__version__" in dir(skewbrace)
+
+
+# the public names that groups resolves on first access, by defining module
+RESOLVED_BY_GROUPS = {
+    "automorphisms": ["automorphism_group"],
+    "constructions": [
+        "closure_from_permutations", "cyclic_group", "direct_product", "semidirect_product_cyclic",
+    ],
+    "lattice": ["enumerate_subgroups", "generated_subgroup"],
+}
+
+
+@pytest.mark.parametrize("module_name", sorted(RESOLVED_BY_GROUPS))
+def test_each_name_groups_resolves_is_its_module_object(monkeypatch, module_name):
+    module = importlib.import_module(f"skewbrace.{module_name}")
+    for name in RESOLVED_BY_GROUPS[module_name]:
+        assert name not in vars(groups) and name in dir(groups)
+        assert getattr(groups, name) is getattr(skewbrace, name) is getattr(module, name)
+        namespace: dict = {}
+        exec(f"from skewbrace.groups import {name}", namespace)
+        assert namespace[name] is getattr(module, name)
+        # read through the module each time: a wrapper installed there is seen
+        monkeypatch.setattr(module, name, wrapper := lambda *args: None)
+        assert getattr(groups, name) is wrapper is getattr(skewbrace, name)
+    with pytest.raises(AttributeError, match="module 'skewbrace.groups' has no attribute 'is_normal'"):
+        groups.is_normal
 
 
 def test_an_unknown_public_name_is_an_attribute_error():
@@ -966,6 +1005,12 @@ def test_tables_built_counts_through_every_module_that_binds_build_from_table(ta
     for module in binding:
         module.build_from_table([[0]])
     assert tables_built == [1] * len(binding)
+
+
+def test_lattices_enumerated_counts_the_lattice_of_one_gc_ratio(lattices_enumerated, z9z6_braces):
+    # the fixture counts through the module whose _lattice enumerate_subgroups calls
+    skewbrace.gc_ratio(z9z6_braces[0])
+    assert lattices_enumerated == [54]
 
 
 @pytest.mark.parametrize("valid", [True, False], ids=["valid", "invalid"])

@@ -13,7 +13,7 @@ import pytest
 from skewbrace.cli import EXIT_OK, main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
-MODULES = ("groups", "braces", "algebras", "constructions", "cli")
+MODULES = ("groups", "lattice", "automorphisms", "braces", "algebras", "constructions", "cli")
 # a CLI line such as "skewbrace ideals --algebra degraaf --p 3 --side left  # 23"
 ANNOTATED = re.findall(r"^skewbrace (.+?)\s+# ([\d/]+)$", README.read_text(encoding="utf-8"), re.M)
 

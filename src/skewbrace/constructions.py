@@ -88,16 +88,20 @@ def semidirect_product_cyclic(
     b = _unit_action(m, n, b)
     if m * n > cap:
         raise OrderCapExceeded(m * n, cap)
-    dt = np.min_scalar_type(-2 * m * n)  # every sum below stays under 2mn
-    r = np.arange(m, dtype=dt)[:, None, None, None]
-    s = np.arange(n, dtype=dt)[None, :, None, None]
-    r2 = np.arange(m)[None, None, :, None]
-    s2 = np.arange(n, dtype=dt)[None, None, None, :]
+    N = m * n
+    dt = np.min_scalar_type(-N)
+    # (r, s)(r', s') = (r, 0)((0, s)(r', s')), and (r, 0) adds r n to an index
+    # modulo mn: so row (r, s) is row (0, s) read through shifted[r], where
+    # shifted[r, j] = (j + r n) mod mn, a window of 0..mn-1 written twice
+    doubled = (np.arange(2 * N) % N).astype(dt)
+    shifted = np.lib.stride_tricks.sliding_window_view(doubled, N)[: N : n].copy()
+    s = np.arange(n)[:, None, None]
     powers = np.array([pow(b, k, m) for k in range(n)])[s]
-    # entry [r, s, r', s'] is the index of (r + b^s r', s + s'), b^s r' reduced mod m first
-    table = (r + (powers * r2 % m).astype(dt)) % m * n + (s + s2) % n
+    # first[s, r', s'] is the index of (0, s)(r', s') = (b^s r' mod m, s + s' mod n)
+    first = powers * np.arange(m)[:, None] % m * n + (s + np.arange(n)) % n
+    table = shifted.take(first.reshape(n, N), axis=1)
     labels = tuple(f"({r},{s})" for r in range(m) for s in range(n))
-    return build_from_table(table.reshape(m * n, m * n), labels=labels)
+    return build_from_table(table.reshape(N, N), labels=labels)
 
 
 def _cycle_label(perm: tuple[int, ...]) -> str:

@@ -8,8 +8,9 @@ keeps as ``gens`` for every later check on generators.  Its table is one
 read-only small-int array.
 
 This module holds what checking a table needs: ``FiniteGroup``,
-``SubgroupSet``, the table checks and ``_respects``, with the
-factorisation the other modules share.  The rest of the group API lives in
+``SubgroupSet``, the table checks and ``_respects``, with the one closure
+routine (``_closure``, which validation and the lattice share) and the
+factorisation the other modules read.  The rest of the group API lives in
 modules of its own, and this module resolves those names on first access
 (PEP 562): the constructors (``cyclic_group``, ``direct_product``,
 ``semidirect_product_cyclic``, ``closure_from_permutations``) in
@@ -23,6 +24,7 @@ of them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -225,24 +227,38 @@ def _mask(members: np.ndarray) -> int:
     return int.from_bytes(np.packbits(members, bitorder="little").tobytes(), "little")
 
 
-def _magma_generators(arr: np.ndarray, identity: int) -> tuple[int, ...]:
-    """Greedy generators of the table as a magma, the identity given: each
-    pick is the least element not yet reached by right multiplication."""
-    seen = bytearray(len(arr))
+def _closure(table: np.ndarray, identity: int, candidates, columns=None):
+    """Membership array of everything reached from the identity by right
+    multiplication with ``candidates`` (in a group, the subgroup they
+    generate), and the candidates outside the closure of those before them,
+    in order.  ``columns`` caches ``table[:, g].tolist()`` by g, so callers
+    that close many small sets can share one dict."""
+    columns = {} if columns is None else columns
+    seen = bytearray(len(table))
     seen[identity] = 1
-    gens: list[int] = []
-    columns: list[list[int]] = []  # columns[k][x] = x gens[k]
-    while (g := seen.find(0)) >= 0:
-        gens.append(g)
-        columns.append(column := arr[:, g].tolist())
-        # what the earlier picks reached is closed under them: only its
-        # products with g, and what those reach, can be new
-        queue = [column[x] for x, reached in enumerate(seen) if reached]
-        for y in queue:
-            if not seen[y]:
-                seen[y] = 1
-                queue.extend(col[y] for col in columns)
-    return tuple(gens)
+    reached, used, done = [identity], [], []
+    for g in candidates:
+        if seen[g]:
+            continue
+        if g not in columns:
+            columns[g] = table[:, g].tolist()
+        used.append(g)
+        done.append(0)
+        # column used[k] has multiplied reached[:done[k]], read while it grows;
+        # the rest is closed under the earlier columns, so the walk starts at g
+        while min(done) < len(reached):
+            for k, h in enumerate(used):
+                for y in map(columns[h].__getitem__, islice(reached, done[k], None)):
+                    if not seen[y]:
+                        seen[y] = 1
+                        reached.append(y)
+                done[k] = len(reached)
+    return np.frombuffer(seen, dtype=bool), used
+
+
+def _magma_generators(arr: np.ndarray, identity: int) -> tuple[int, ...]:
+    """Greedy magma generators: each is the least element not yet reached."""
+    return tuple(_closure(arr, identity, range(len(arr)))[1])
 
 
 def _assoc_witness(arr: np.ndarray, gens) -> tuple[int, int, int] | None:

@@ -1,13 +1,14 @@
 """The subgroup lattice of a finite group, by cyclic extension.
 
-The lattice is built by cyclic extension (Neubüser 1960, the method of GAP's
+Cyclic extension (Neubüser 1960, the method of GAP's
 ``LatticeByCyclicExtension``): starting from the trivial group and the
 perfect subgroups, each found subgroup S is extended to S<z> by every
 prime-power-order generator z that normalizes S and has z^p in S.  The
-perfect subgroups are found as 2-generated subgroups <x, y> of the perfect
+perfect subgroups are the 2-generated subgroups <x, y> of the perfect
 residuum, closed under conjugation; ``_perfect_subgroups`` states where
-that search is not proved complete.  Element orders, which the lattice and
-the automorphism search both read, are found here too.
+that search is not proved complete.  A subgroup given by generators (a
+seed, a term of the derived series, a pair <x, y>) is closed by
+``groups._closure``.  Element orders are found here too.
 
 ``groups`` resolves ``generated_subgroup`` and ``enumerate_subgroups`` on
 first access, so only a command that reads a lattice loads this module.
@@ -18,7 +19,9 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import BudgetExceeded, OrderCapExceeded
-from .groups import DEFAULT_ORDER_CAP, FiniteGroup, SubgroupSet, _element, _mask, _prime_factors
+from .groups import (
+    DEFAULT_ORDER_CAP, FiniteGroup, SubgroupSet, _closure, _element, _mask, _prime_factors,
+)
 
 # more subgroups than this stop an enumeration with BudgetExceeded: Z_2^7
 # (29,212 subgroups) still completes, in about 5 s on a 2-core machine, and
@@ -26,26 +29,11 @@ from .groups import DEFAULT_ORDER_CAP, FiniteGroup, SubgroupSet, _element, _mask
 LATTICE_BUDGET = 30_000
 
 
-def _right_closure(table: np.ndarray, start, gens) -> np.ndarray:
-    """Membership array of everything reached from ``start`` by repeated
-    right multiplication with ``gens``; in a group, from the identity,
-    that is the subgroup the generators generate."""
-    seen = np.zeros(len(table), dtype=bool)
-    seen[start] = True
-    frontier = np.flatnonzero(seen)
-    while frontier.size:
-        reached = np.zeros_like(seen)
-        reached[table[np.ix_(frontier, gens)]] = True
-        frontier = np.flatnonzero(reached & ~seen)
-        seen |= reached
-    return seen
-
-
 def generated_subgroup(G: FiniteGroup, seed) -> SubgroupSet:
     """Smallest subgroup of G containing the seed elements, each of which
     must be an integer in 0..n-1 (ValueError naming it otherwise)."""
     seed = [_element(G.order, s, "seed element") for s in seed]
-    return SubgroupSet(G.order, _mask(_right_closure(G.table, [G.identity], seed)))
+    return SubgroupSet(G.order, _mask(_closure(G.table, G.identity, seed)[0]))
 
 
 def enumerate_subgroups(G: FiniteGroup, cap: int = DEFAULT_ORDER_CAP) -> list[SubgroupSet]:
@@ -70,14 +58,10 @@ def _lattice(G: FiniteGroup) -> list[SubgroupSet]:
     zuppos, zpowers, zp = _zuppos(G)
     zinv = inv[zuppos][:, None]
 
-    def key(members: np.ndarray) -> bytes:
-        # the mask's little-endian bytes, compared without building the int
-        return np.packbits(members, bitorder="little").tobytes()
-
     # each entry keeps a generating set of its subgroup: the seed's, plus
     # one zuppo per extension; normalizing S means normalizing these
     seeds = [(SubgroupSet(n, 1 << e), ()), *_perfect_subgroups(G)]
-    queue = [(key(H.members), np.flatnonzero(H.members), gens) for H, gens in seeds]
+    queue = [(H.mask, np.flatnonzero(H.members), gens) for H, gens in seeds]
     known = {k for k, *_ in queue}
     for _, elems, gens in queue:  # the queue grows while it is walked
         members = np.zeros(n, dtype=bool)
@@ -98,7 +82,7 @@ def _lattice(G: FiniteGroup) -> list[SubgroupSet]:
             joined = members.copy()
             joined[coset_elems] = True
             covered |= joined
-            joined_key = key(joined)
+            joined_key = _mask(joined)
             if joined_key not in known:
                 known.add(joined_key)
                 queue.append((joined_key, np.concatenate([elems, coset_elems]), gens + (z,)))
@@ -106,7 +90,7 @@ def _lattice(G: FiniteGroup) -> list[SubgroupSet]:
                     raise BudgetExceeded(len(known), LATTICE_BUDGET, "subgroup count of at least")
 
     subs = [(len(elems), tuple(np.sort(elems).tolist()), k) for k, elems, _ in queue]
-    return [SubgroupSet(n, int.from_bytes(k, "little")) for *_, k in sorted(subs)]
+    return [SubgroupSet(n, k) for *_, k in sorted(subs)]
 
 
 def _zuppos(G: FiniteGroup) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
@@ -164,14 +148,15 @@ def _unit_generators(p: int, m: int) -> tuple[int, ...]:
     return (next(g for g in range(2, m) if g % p and all(pow(g, phi // q, m) != 1 for q in qs)),)
 
 
-def _derived(T: np.ndarray, identity: int, inv: np.ndarray, elems, gens):
-    """Elements of K' for K = <gens> with elements ``elems``, and the
-    commutators [a, g] = a g a^-1 g^-1 (a in K, g in gens) that generate it:
-    modulo them every generator is central."""
+def _derived(T: np.ndarray, identity: int, inv: np.ndarray, elems, gens, columns=None):
+    """Elements of K' for K = <gens> with elements ``elems``, and the commutators
+    [a, g] = a g a^-1 g^-1 (a in K, g in gens) outside the closure of those
+    before them, which generate K': modulo them every generator is central."""
     a = np.asarray(elems, dtype=np.intp)[:, None]
     g = np.asarray(gens, dtype=np.intp)[None, :]
     comms = np.flatnonzero(np.bincount(T[T[T[a, g], inv[a]], inv[g]].ravel(), minlength=len(T)))
-    return np.flatnonzero(_right_closure(T, [identity], comms)), comms
+    members, used = _closure(T, identity, comms.tolist(), columns)
+    return np.flatnonzero(members), used
 
 
 def _perfect_residuum(G: FiniteGroup) -> np.ndarray:
@@ -206,17 +191,16 @@ def _perfect_subgroups(G: FiniteGroup) -> list[tuple[SubgroupSet, tuple[int, int
     # conj[g, i] = g R[i] g^-1; orbit representatives are the least indices
     conj = T[T[:, R], inv[:, None]]
     candidates: dict[int, tuple[np.ndarray, tuple[int, int]]] = {}
+    columns: dict[int, list[int]] = {}  # shared by every closure below
     for x in R[(conj.min(axis=0) == R) & (R != e)].tolist():
         centralizer = np.flatnonzero(T[:, x] == T[x, :])
         ys = R[conj[centralizer].min(axis=0) == R]
         for y in ys[T[x, ys] != T[ys, x]].tolist():
-            members = _right_closure(T, [e], [x, y])
-            mask = _mask(members)
-            if mask not in candidates:
-                candidates[mask] = (np.flatnonzero(members), (x, y))
+            members = _closure(T, e, (x, y), columns)[0]
+            candidates.setdefault(_mask(members), (np.flatnonzero(members), (x, y)))
     found: dict[int, tuple[int, int]] = {}
     for elems, (x, y) in candidates.values():
-        if len(_derived(T, e, inv, elems, [x, y])[0]) < len(elems):
+        if len(_derived(T, e, inv, elems, [x, y], columns)[0]) < len(elems):
             continue
         images = np.sort(T[T[:, elems], inv[:, None]], axis=1)
         _, first = np.unique(images, axis=0, return_index=True)

@@ -246,6 +246,14 @@ def test_sigma_and_divisor_count():
     assert sigma(105) == 192
 
 
+def test_generalized_dihedral_at_the_order_cap_matches_its_subgroup_counts():
+    # Z_1990 has tau(1990) subgroups and D_995 has tau(995) + sigma(995)
+    report = sb.family_formula_report(sb.family_spec("generalized_dihedral", 995, 2, 994))
+    assert report.enumerated["subgroups_add"] == divisor_count(1990) == 8
+    assert report.enumerated["subgroups_mult"] == divisor_count(995) + sigma(995) == 1204
+    assert report.all_match
+
+
 def test_multiplicative_order():
     assert multiplicative_order(2, 9) == 6
     assert multiplicative_order(2, 7) == 3

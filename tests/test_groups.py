@@ -31,7 +31,6 @@ from skewbrace.lattice import (
     _element_orders,
     _perfect_residuum,
     _perfect_subgroups,
-    _right_closure,
 )
 
 from conftest import (
@@ -48,6 +47,7 @@ from conftest import (
     respects_table,
     right_closure,
     semidirect_params,
+    sigma,
     zuppos_by_definition,
 )
 
@@ -427,6 +427,27 @@ def test_direct_product_z9_z6_has_20_subgroups():
     assert len(sb.enumerate_subgroups(G)) == 20
 
 
+def _assert_semidirect_formula(m, n, b):
+    G = sb.semidirect_product_cyclic(m, n, b)
+    r, s, r2, s2 = np.ix_(range(m), range(n), range(m), range(n))
+    b_to_s = np.array([pow(b, k, m) for k in range(n)])[s]
+    expected = (r + b_to_s * r2) % m * n + (s + s2) % n
+    assert np.array_equal(G.table, expected.reshape(m * n, m * n))
+    assert G.table.dtype == np.min_scalar_type(-m * n)
+    assert G.labels == tuple(f"({r},{s})" for r in range(m) for s in range(n))
+    return G
+
+
+@given(semidirect_params())
+def test_semidirect_table_is_the_entrywise_formula(params):
+    _assert_semidirect_formula(*params)
+
+
+@pytest.mark.parametrize("m, n, b", [(1000, 2, 999), (995, 2, 994)])
+def test_semidirect_table_at_the_order_cap_is_the_entrywise_formula(m, n, b):
+    assert _assert_semidirect_formula(m, n, b).table.dtype == np.int16
+
+
 def test_semidirect_sample_product():
     G = sb.semidirect_product_cyclic(9, 6, 2)
     # (1,1).(1,0) = (1 + 2*1, 1) = (3,1)
@@ -498,10 +519,20 @@ def test_recorded_generators_are_the_greedy_ones_light_test_used(G):
 
 
 @given(generated_groups(), st.data())
-def test_right_closure_matches_the_entrywise_walk(G, data):
-    gens = data.draw(st.lists(st.integers(0, G.order - 1), max_size=3))
-    members = _right_closure(G.table, [G.identity], gens)
-    assert set(np.flatnonzero(members).tolist()) == right_closure(G, gens)
+def test_closure_is_the_entrywise_walk_and_keeps_the_candidates_that_extend_it(G, data):
+    drawn = data.draw(st.lists(st.integers(0, G.order - 1), max_size=4))
+    # the identity, and the first two drawn elements a second time
+    candidates = data.draw(st.permutations([G.identity, *drawn, *drawn[:2]]))
+    columns = {}
+    members, used = groups._closure(G.table, G.identity, candidates, columns)
+    assert set(np.flatnonzero(members).tolist()) == right_closure(G, candidates)
+    assert used == [c for k, c in enumerate(candidates) if c not in right_closure(G, candidates[:k])]
+    # the columns read are those of the candidates used, and a second call
+    # that reads them from the dict returns the same
+    assert columns.keys() == set(used)
+    assert all(columns[g] == G.table[:, g].tolist() for g in used)
+    again, used_again = groups._closure(G.table, G.identity, candidates, columns)
+    assert np.array_equal(again, members) and used_again == used
 
 
 @given(generated_groups())
@@ -515,6 +546,31 @@ def test_perfect_residuum_of_symmetric_groups(d, size):
     residuum = _perfect_residuum(G).tolist()
     assert len(residuum) == size
     assert residuum == sorted(perfect_residuum(G))
+
+
+@pytest.mark.parametrize("m, b", [(995, 994), (1000, 999)])
+def test_perfect_residuum_of_a_dihedral_group_at_the_order_cap_is_trivial(m, b):
+    G = sb.semidirect_product_cyclic(m, 2, b)
+    assert _perfect_residuum(G).tolist() == [G.identity]
+    # G' is the rotation subgroup <r^2>, and one commutator is kept to generate it
+    derived, comms = lattice._derived(G.table, G.identity, G.inv, np.arange(G.order), G.gens)
+    assert len(derived) == m // math.gcd(m, 2) and len(comms) == 1
+
+
+def test_perfect_residuum_of_s5_times_z2_cubed_is_the_a5_factor():
+    z2 = sb.cyclic_group(2)
+    S5 = symmetric_group(5)
+    G = sb.direct_product(S5, sb.direct_product(z2, sb.direct_product(z2, z2)))
+    a5 = sorted(perfect_residuum(S5))
+    assert len(a5) == 60
+    # (a, 0) has index 8 a, the second factor's identity being 0
+    assert _perfect_residuum(G).tolist() == [8 * a for a in a5]
+
+
+def test_dihedral_group_of_order_2000_has_tau_plus_sigma_subgroups():
+    G = sb.semidirect_product_cyclic(1000, 2, 999)
+    subs = sb.enumerate_subgroups(G)
+    assert len(subs) == divisor_count(1000) + sigma(1000) == 2356
 
 
 def test_closure_identity_only():

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from .errors import BudgetExceeded, OrderCapExceeded
 from .groups import DEFAULT_AUT_CAP, FiniteGroup
-from .lattice import _element_orders
+from .lattice import _cyclic_walk
 
 # more search nodes (_extend_hom calls) than this stop an automorphism search
 # with BudgetExceeded: Z_3^3 (11,232 automorphisms, 16,927 nodes) completes,
@@ -59,7 +59,7 @@ def automorphism_group(G: FiniteGroup, cap: int = DEFAULT_AUT_CAP) -> list[tuple
     """
     if G.order > cap:
         raise OrderCapExceeded(G.order, cap)
-    orders = _element_orders(G)
+    orders = _cyclic_walk(G)[0]
     candidates = [[x for x in range(G.order) if orders[x] == orders[g]] for g in G.gens]
     op = G.table.tolist()
     nodes = 0

@@ -85,14 +85,7 @@ class FiniteGroup:
         arr = _table_array(self.table)
         n = len(arr)
         identity = _least_identity(arr)
-        # two_sided[x, y]: x y = y x = identity, the transpose combined in place
-        two_sided = arr == identity
-        two_sided &= two_sided.T
-        has_inverse = two_sided.any(axis=1)
-        if not has_inverse.all():
-            raise NoInverse(int(np.argmin(has_inverse)))
-        inv = np.argmax(two_sided, axis=1)
-        del two_sided
+        inv = _inverses(arr, identity)
         gens = _magma_generators(arr, identity)
         witness = _assoc_witness(arr, gens)
         if witness is not None:
@@ -198,20 +191,28 @@ def _length(x, what: str) -> int:
 
 def _table_array(op_table) -> np.ndarray:
     """The square table as a read-only array of the smallest signed dtype
-    that holds its indices.  A row of the wrong length or an entry that is
-    not an integer raises ValueError; the first entry outside 0..n-1 in
-    row-major order raises NotClosed."""
+    that holds its indices.  An integer array of any shape but (n, n), a row
+    of the wrong length or an entry that is not an integer raises
+    ValueError; the first entry outside 0..n-1 in row-major order raises
+    NotClosed."""
     n = _length(op_table, "operation table")
     if n == 0:
         raise ValueError("operation table is empty")
     typed = isinstance(op_table, np.ndarray) and op_table.dtype.kind in "iu"
-    for i, row in enumerate(op_table):
-        if _length(row, f"table row {i}") != n:
-            raise ValueError(f"table is not square: row {i} has length {len(row)}")
-        j = None if typed else _first_non_integer(row)
-        if j is not None:
-            raise ValueError(f"table entry ({i}, {j}) is not an integer: {row[j]!r}")
-    raw = op_table if typed else _exact_int_array(op_table)
+    if typed:
+        if op_table.ndim != 2:
+            raise ValueError(f"operation table has shape {op_table.shape}, not (n, n)")
+        if op_table.shape[1] != n:
+            raise ValueError(f"table is not square: row 0 has length {op_table.shape[1]}")
+        raw = op_table
+    else:
+        for i, row in enumerate(op_table):
+            if _length(row, f"table row {i}") != n:
+                raise ValueError(f"table is not square: row {i} has length {len(row)}")
+            j = _first_non_integer(row)
+            if j is not None:
+                raise ValueError(f"table entry ({i}, {j}) is not an integer: {row[j]!r}")
+        raw = _exact_int_array(op_table)
     if raw.min() < 0 or raw.max() >= n:
         # the n-by-n mask is built only to name the witness
         i, j = np.argwhere((raw < 0) | (raw >= n))[0]
@@ -280,6 +281,24 @@ def _assoc_witness(arr: np.ndarray, gens) -> tuple[int, int, int] | None:
                 x, y = np.argwhere(lhs != rhs)[0]
                 return lo + int(x), g, int(y)
     return None
+
+
+def _inverses(arr: np.ndarray, identity: int) -> np.ndarray:
+    """The two-sided inverse of every element, or NoInverse naming the least
+    element without one.  Rows are searched one block of about
+    ASSOC_BLOCK_CELLS cells at a time, each against the matching columns."""
+    n = len(arr)
+    step = max(1, ASSOC_BLOCK_CELLS // n)
+    inv = np.empty(n, dtype=np.intp)
+    for lo in range(0, n, step):
+        # two_sided[x, y]: (lo + x) y = y (lo + x) = identity
+        two_sided = arr[lo : lo + step] == identity
+        two_sided &= (arr[:, lo : lo + step] == identity).T
+        has_inverse = two_sided.any(axis=1)
+        if not has_inverse.all():
+            raise NoInverse(lo + int(np.argmin(has_inverse)))
+        inv[lo : lo + step] = two_sided.argmax(axis=1)
+    return inv
 
 
 def _least_identity(arr: np.ndarray) -> int:

@@ -8,13 +8,17 @@ perfect subgroups are the 2-generated subgroups <x, y> of the perfect
 residuum, closed under conjugation; ``_perfect_subgroups`` states where
 that search is not proved complete.  A subgroup given by generators (a
 seed, a term of the derived series, a pair <x, y>) is closed by
-``groups._closure``.  Element orders are found here too.
+``groups._closure``.  The zuppos and every element's order come from
+``_cyclic_walk``, one walk through the powers of each element that no
+earlier walk reached; the automorphism search reads its orders too.
 
 ``groups`` resolves ``generated_subgroup`` and ``enumerate_subgroups`` on
 first access, so only a command that reads a lattice loads this module.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -55,7 +59,7 @@ def enumerate_subgroups(G: FiniteGroup, cap: int = DEFAULT_ORDER_CAP) -> list[Su
 
 def _lattice(G: FiniteGroup) -> list[SubgroupSet]:
     n, T, e, inv = G.order, G.table, G.identity, G.inv
-    zuppos, zpowers, zp = _zuppos(G)
+    _, zuppos, zpowers, zp = _cyclic_walk(G)
     zinv = inv[zuppos][:, None]
 
     # each entry keeps a generating set of its subgroup: the seed's, plus
@@ -93,59 +97,43 @@ def _lattice(G: FiniteGroup) -> list[SubgroupSet]:
     return [SubgroupSet(n, k) for *_, k in sorted(subs)]
 
 
-def _zuppos(G: FiniteGroup) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
-    """The zuppos of G, ascending: the least-index generator z of each
-    nontrivial cyclic subgroup of prime-power order p^k.  Also, for each,
-    the powers z, z^2, ..., z^(p-1) and the p-th power z^p.
+def _cyclic_walk(G: FiniteGroup) -> tuple[list[int], np.ndarray, list[np.ndarray], np.ndarray]:
+    """The order of every element, and the zuppos of G ascending: the
+    least-index generator z of each nontrivial cyclic subgroup of
+    prime-power order p^j, each with its powers z, ..., z^(p-1) and z^p.
 
-    The generators of <x>, for x of order m = p^k, are the x^u for the units
-    u modulo m, so the least of them is the least element of x's orbit under
-    x -> x^u for u running over generators of the units.  That minimum is
-    taken for every element of order m at once by pointer doubling, in
-    O(n) memory; powers are then tabulated for the zuppos alone."""
+    Each element x that no earlier walk reached walks its powers x, x^2,
+    ..., x^m = e, and x^k has order m / gcd(k, m).  For each prime power q
+    dividing m, the subgroup of order q is generated by the x^((m/q) u), u a
+    unit modulo q; the least of them is its zuppo, whose powers are read off
+    the same walk, unless an earlier walk reached x^(m/q) and took it there.
+    A generator of <x> reached earlier would have put x in that walk, so a
+    walk of m steps reaches at least phi(m) new elements, and all walks
+    together take O(n log log n) steps."""
     T, e = G.table, G.identity
-    orders = np.array(_element_orders(G))
-    # the prime of each prime-power order above 1
-    factors = {m: _prime_factors(m) for m in set(orders.tolist()) - {1}}
-    prime_of = {m: f[0] for m, f in factors.items() if f[0] == f[-1]}
-    found = [np.empty(0, dtype=np.intp)]
-    for m, p in prime_of.items():
-        elems = np.flatnonzero(orders == m)
-        least = elems
-        for u in _unit_generators(p, m):
-            # step[i] is the position in elems of elems[i]^u; after r rounds
-            # least[i] is the least of elems[i]^(u^j) for j < 2^r, and an
-            # orbit has at most phi(m) elements
-            step = np.searchsorted(elems, _power(T, e, elems, u))
-            for _ in range((m - m // p - 1).bit_length()):
-                least = np.minimum(least, least[step])
-                step = step[step]
-        found.append(elems[least == elems])
-    zuppos = np.sort(np.concatenate(found))
-    primes = np.array([prime_of[m] for m in orders[zuppos].tolist()], dtype=np.intp)
-    zpowers = [None] * len(zuppos)
-    zp = np.empty(len(zuppos), dtype=np.intp)
-    for p in set(primes.tolist()):
-        at = np.flatnonzero(primes == p)
-        # row k holds z^(k+1) for each zuppo z of prime p, doubled to p rows
-        powers = zuppos[at][None]
-        while len(powers) < p:
-            powers = np.concatenate([powers, T[powers[-1], powers]])
-        zp[at] = powers[p - 1]
-        for col, k in enumerate(at.tolist()):
-            zpowers[k] = powers[: p - 1, col]
-    return zuppos, zpowers, zp
-
-
-def _unit_generators(p: int, m: int) -> tuple[int, ...]:
-    """Exponents u != 1 whose powers give every unit modulo m = p^k: -1 and
-    5 for p = 2; for odd p the least primitive root modulo m, a unit whose
-    phi(m)/q-th power is not 1 for any prime q of phi(m)."""
-    if p == 2:
-        return tuple(u for u in (m - 1, 5 % m) if u != 1)
-    phi = m - m // p
-    qs = set(_prime_factors(phi))
-    return (next(g for g in range(2, m) if g % p and all(pow(g, phi // q, m) != 1 for q in qs)),)
+    orders = [0] * G.order
+    zuppos = {}  # z: [z, z^2, ..., z^p]
+    for x in range(G.order):
+        if orders[x]:
+            continue
+        powers, y = [e], x
+        while y != e:
+            powers.append(y)
+            y = T.item(y, x)
+        m = len(powers)
+        factors = _prime_factors(m)
+        for p in set(factors):
+            for j in range(1, factors.count(p) + 1):
+                step = m // p**j
+                if not orders[powers[step]]:
+                    a = min((step * u for u in range(1, p**j) if u % p), key=powers.__getitem__)
+                    zuppos[powers[a]] = [powers[a * i % m] for i in range(1, p + 1)]
+        for k, y in enumerate(powers):
+            orders[y] = m // math.gcd(k, m)
+    ordered = sorted(zuppos)
+    zpowers = [np.array(zuppos[z][:-1], dtype=np.intp) for z in ordered]
+    zp = np.array([zuppos[z][-1] for z in ordered], dtype=np.intp)
+    return orders, np.array(ordered, dtype=np.intp), zpowers, zp
 
 
 def _derived(T: np.ndarray, identity: int, inv: np.ndarray, elems, gens, columns=None):
@@ -210,34 +198,3 @@ def _perfect_subgroups(G: FiniteGroup) -> list[tuple[SubgroupSet, tuple[int, int
             gens = (int(T[T[g, x], inv[g]]), int(T[T[g, y], inv[g]]))
             found.setdefault(_mask(members), gens)
     return [(SubgroupSet(G.order, mask), gens) for mask, gens in found.items()]
-
-
-def _element_orders(G: FiniteGroup) -> list[int]:
-    """Order of every element, one prime of n at a time: with q^a the exact
-    power of q dividing n, x^(n/q^a) has order the q-part of x's order, so
-    the q-part is found by raising that power to the q-th power until it is
-    the identity, at most a times.  Each power is taken by square-and-multiply
-    for all elements at once, about log2(n) table lookups per element for
-    each prime, where stepping through the powers one at a time cost the
-    exponent of G."""
-    T, e, factors = G.table, G.identity, _prime_factors(G.order)
-    orders = np.ones(G.order, dtype=np.intp)
-    for q in set(factors):
-        y = _power(T, e, np.arange(G.order), G.order // q ** factors.count(q))
-        while (pending := y != e).any():
-            orders[pending] *= q
-            y = _power(T, e, y, q)
-    return orders.tolist()
-
-
-def _power(T: np.ndarray, e: int, x: np.ndarray, k: int) -> np.ndarray:
-    """x[i]^k for every i and k >= 0, by square-and-multiply, squaring no
-    more than the highest bit of k needs; for k = 1 that is x itself."""
-    out = None
-    while k:
-        if k & 1:
-            out = x if out is None else T[out, x]
-        k >>= 1
-        if k:
-            x = T[x, x]
-    return np.full(len(x), e) if out is None else out

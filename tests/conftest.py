@@ -293,6 +293,18 @@ def reference_failure(table):
     return None, None
 
 
+def element_orders_by_definition(G: sb.FiniteGroup) -> list[int]:
+    """The order of each element: the least k >= 1 with x^k = e, its powers
+    stepped one table entry at a time."""
+    op, e, out = G.table.tolist(), G.identity, []
+    for x in range(G.order):
+        k, y = 1, x
+        while y != e:
+            k, y = k + 1, op[y][x]
+        out.append(k)
+    return out
+
+
 def zuppos_by_definition(G: sb.FiniteGroup) -> list[tuple[int, list[int], int]]:
     """(z, [z, ..., z^(p-1)], z^p) for each zuppo z of G, ascending: z is the
     least generator of a cyclic subgroup of prime-power order p^k > 1.

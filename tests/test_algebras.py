@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import skewbrace as sb
 from skewbrace import algebras
-from skewbrace.lattice import _element_orders
+from skewbrace.lattice import _cyclic_walk
 from skewbrace.errors import (
     BudgetExceeded,
     NilpotencyTooDeep,
@@ -311,7 +311,7 @@ def test_additive_group_dim1():
 def test_additive_group_is_elementary_abelian(degraaf3):
     G = sb.additive_group(degraaf3)
     assert G.order == 81
-    orders = _element_orders(G)
+    orders = _cyclic_walk(G)[0]
     for x in range(1, G.order):
         assert orders[x] == 3
 

@@ -28,7 +28,7 @@ from skewbrace.errors import (
 )
 from skewbrace.constructions import _cycle_label
 from skewbrace.lattice import (
-    _element_orders,
+    _cyclic_walk,
     _perfect_residuum,
     _perfect_subgroups,
 )
@@ -39,6 +39,7 @@ from conftest import (
     brute_force_automorphisms,
     brute_force_subgroups,
     divisor_count,
+    element_orders_by_definition,
     generated_groups,
     join_fixpoint_subgroups,
     perfect_residuum,
@@ -91,7 +92,7 @@ def test_z4_from_table():
     table = [[(i + j) % 4 for j in range(4)] for i in range(4)]
     G = sb.build_from_table(table)
     assert G.identity == 0
-    assert _element_orders(G)[1] == 4
+    assert _cyclic_walk(G)[0][1] == 4
 
 
 def _rejection(table, labels=None) -> Exception | None:
@@ -170,11 +171,28 @@ def test_out_of_range_witness_beyond_int64_is_exact(value):
         (5, None),
         (None, None),
         ([5, [1, 0]], None),
+        (np.zeros((2, 2, 2), dtype=np.int64), None),
+        (np.zeros((3, 3, 1), dtype=np.int64), None),
     ],
-    ids=["empty", "ragged", "label-count", "int", "none", "row-without-length"],
+    ids=["empty", "ragged", "label-count", "int", "none", "row-without-length", "cube",
+         "column-of-rows"],
 )
 def test_malformed_table_or_labels_is_value_error(table, labels):
     assert isinstance(_rejection(table, labels), ValueError)
+
+
+@pytest.mark.parametrize(
+    "shape, named",
+    [
+        ((2, 2, 2), "operation table has shape (2, 2, 2), not (n, n)"),
+        ((3, 3, 1), "operation table has shape (3, 3, 1), not (n, n)"),
+        ((3,), "operation table has shape (3,), not (n, n)"),
+        ((3, 2), "table is not square: row 0 has length 2"),
+    ],
+)
+def test_an_integer_array_of_the_wrong_shape_is_named(shape, named):
+    exc = _rejection(np.zeros(shape, dtype=np.int16))
+    assert isinstance(exc, ValueError) and str(exc) == named
 
 
 @pytest.mark.parametrize(
@@ -299,6 +317,19 @@ def test_validating_an_order_2000_table_peaks_within_two_and_a_half_tables():
     assert peak <= 2.5 * table.nbytes
 
 
+def test_validating_the_d1000_table_peaks_at_its_copy_and_a_row_block():
+    # the inverse search, like Light's test, compares one block of rows with
+    # the matching columns at a time, so no n-by-n boolean is made
+    table = sb.semidirect_product_cyclic(1000, 2, 999).table
+    tracemalloc.start()
+    try:
+        sb.build_from_table(table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < table.nbytes + 2**20
+
+
 def test_stored_table_is_read_only_and_matches_op():
     G = sb.direct_product(sb.cyclic_group(3), sb.cyclic_group(4))
     assert not G.table.flags.writeable
@@ -397,7 +428,7 @@ def test_cyclic_basics():
     G = sb.cyclic_group(1)
     assert G.order == 1
     G6 = sb.cyclic_group(6)
-    assert _element_orders(G6)[1] == 6
+    assert _cyclic_walk(G6)[0][1] == 6
 
 
 def test_cyclic_30_has_eight_subgroups():
@@ -634,10 +665,10 @@ def test_generated_subgroup_in_pair_group():
 
 def test_element_orders_in_pair_group():
     G = sb.direct_product(sb.cyclic_group(9), sb.cyclic_group(6))
-    orders = _element_orders(G)
+    orders = _cyclic_walk(G)[0]
     assert orders[G.identity] == 1
     assert orders[1 * 6 + 3] == 18
-    assert _element_orders(sb.cyclic_group(9))[1] == 9
+    assert _cyclic_walk(sb.cyclic_group(9))[0][1] == 9
 
 
 def test_enumerate_subgroups_matches_brute_force_on_small_groups(s3):
@@ -684,7 +715,7 @@ def test_enumerate_subgroups_invariants(s3):
 )
 def test_zuppos_match_the_definition(build):
     G = build()
-    zuppos, zpowers, zp = lattice._zuppos(G)
+    _, zuppos, zpowers, zp = lattice._cyclic_walk(G)
     assert len(zuppos) == len(zpowers) == len(zp)
     got = [(int(z), w.tolist(), int(y)) for z, w, y in zip(zuppos, zpowers, zp)]
     assert got == zuppos_by_definition(G)
@@ -692,34 +723,56 @@ def test_zuppos_match_the_definition(build):
 
 @given(generated_groups())
 def test_zuppos_of_generated_groups_match_the_definition(G):
-    zuppos, zpowers, zp = lattice._zuppos(G)
+    _, zuppos, zpowers, zp = lattice._cyclic_walk(G)
     got = [(int(z), w.tolist(), int(y)) for z, w, y in zip(zuppos, zpowers, zp)]
     assert got == zuppos_by_definition(G)
 
 
-def test_unit_generators_give_every_unit_modulo_each_prime_power_to_the_cap():
-    for m in range(2, groups.DEFAULT_ORDER_CAP + 1):
-        factors = groups._prime_factors(m)
-        if factors[0] != factors[-1]:
-            continue
-        exponents = lattice._unit_generators(factors[0], m)
-        assert 1 not in exponents
-        reached, frontier = {1}, [1]
-        for x in frontier:  # the frontier grows while it is walked
-            for u in exponents:
-                if x * u % m not in reached:
-                    reached.add(x * u % m)
-                    frontier.append(x * u % m)
-        assert reached == {x for x in range(1, m) if math.gcd(x, m) == 1}, m
+def _relabelled_apart(G: sb.FiniteGroup, seed: int) -> sb.FiniteGroup:
+    """G with every element but the identity moved to a seeded random label."""
+    others = [x for x in range(G.order) if x != G.identity]
+    perm = np.arange(G.order)
+    perm[others] = random.Random(seed).sample(others, len(others))
+    moved = np.empty_like(G.table)
+    moved[np.ix_(perm, perm)] = perm[G.table]
+    return sb.build_from_table(moved)
+
+
+def _walk_matches_the_definitions(G: sb.FiniteGroup) -> None:
+    orders, zuppos, zpowers, zp = lattice._cyclic_walk(G)
+    assert orders == element_orders_by_definition(G)
+    got = [(int(z), w.tolist(), int(y)) for z, w, y in zip(zuppos, zpowers, zp)]
+    assert got == zuppos_by_definition(G)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: sb.direct_product(sb.cyclic_group(16), sb.cyclic_group(32)),
+        lambda: sb.semidirect_product_cyclic(1000, 2, 999),
+        lambda: symmetric_group(5),
+    ],
+    ids=["Z16xZ32", "D1000", "S5"],
+)
+def test_the_walk_matches_the_definitions_on_labels_no_constructor_chose(build, seed):
+    # the least generator of each subgroup is then no longer the first power
+    # a constructor happened to number first
+    _walk_matches_the_definitions(_relabelled_apart(build(), seed))
+
+
+@given(generated_groups(), st.integers(0, 2**32))
+def test_the_walk_matches_the_definitions_on_relabelled_generated_groups(G, seed):
+    _walk_matches_the_definitions(_relabelled_apart(G, seed))
 
 
 def test_zuppos_of_z1999_take_under_one_mib():
-    # one cyclic subgroup of order 1999: its 1998 generators are compared
-    # by pointer doubling, not tabulated power by power
+    # one cyclic subgroup of order 1999: one walk lists its powers once, and
+    # its least generator is read off that list, not tabulated power by power
     G = sb.cyclic_group(1999)
     tracemalloc.start()
     try:
-        lattice._zuppos(G)
+        lattice._cyclic_walk(G)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1025,7 +1078,7 @@ def test_a_relabelling_fixing_the_identity_keeps_the_automorphism_count(build, c
 
 @given(st.integers(min_value=2, max_value=30))
 def test_element_order_divides_group_order(k):
-    orders = _element_orders(sb.cyclic_group(k))
+    orders = _cyclic_walk(sb.cyclic_group(k))[0]
     for x in range(0, k, max(1, k // 5)):
         assert k % orders[x] == 0
 
@@ -1039,7 +1092,7 @@ def test_element_orders_match_the_definition(G):
         while y != G.identity:
             k, y = k + 1, op[y][x]
         expected.append(k)
-    assert _element_orders(G) == expected
+    assert _cyclic_walk(G)[0] == expected
 
 
 def test_enumerate_subgroups_enumerates_each_group_once(lattices_enumerated):

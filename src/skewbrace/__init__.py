@@ -27,8 +27,8 @@ _MODULE_OF = {
             "make_algebra", "subspace_subgroup",
         ),
         "braces": (
-            "GcRatio", "SkewBrace", "gc_ratio", "hgs_count", "is_bi_skew",
-            "skew_brace_automorphism_count", "stability_map", "validate_skew_brace",
+            "GcRatio", "SkewBrace", "automorphism_counts", "gc_ratio", "hgs_count",
+            "is_bi_skew", "stability_map", "validate_skew_brace",
         ),
         "constructions": (
             "ExactFactorization", "FamilySpec", "FormulaReport", "a5_factorization",
@@ -38,8 +38,8 @@ _MODULE_OF = {
         "groups": (
             "DEFAULT_AUT_CAP", "DEFAULT_ORDER_CAP", "FiniteGroup", "SubgroupSet",
             "automorphism_group", "build_from_table", "closure_from_permutations",
-            "cyclic_group", "direct_product", "enumerate_subgroups", "generated_subgroup",
-            "is_automorphism", "semidirect_product_cyclic",
+            "enumerate_subgroups", "generated_subgroup", "is_automorphism",
+            "semidirect_product_cyclic",
         ),
     }.items()
     for name in names

@@ -21,7 +21,8 @@ are closed under circ: circ.gens decide the law.  Each lambda_g is tested
 on star.gens, len(circ.gens) * len(star.gens) * n cells instead of n^3
 triples.  Only when a generator's lambda_g fails is the full scan run: it
 builds every lambda_a and reports the lexicographically first violating
-triple.  ``hgs_count`` lists Aut(circ) alone.
+triple.  ``automorphism_counts`` lists Aut(circ) alone and keeps the maps
+that respect star, so Aut(star) is never listed.
 
 A star-subgroup H is circ-stable when every stability map gamma_g: x ->
 (g circ x) star g^-1 (Childs, J. Algebra 511, 2018) sends H into itself.
@@ -172,17 +173,19 @@ def gc_ratio(b: SkewBrace, cap: int = DEFAULT_ORDER_CAP) -> GcRatio:
     return GcRatio(subgroups, stable)
 
 
-def skew_brace_automorphism_count(b: SkewBrace, cap: int = DEFAULT_AUT_CAP) -> int:
-    """Number of automorphisms of star that are automorphisms of circ too."""
-    return int(_respects(b.circ, np.array(groups.automorphism_group(b.star, cap))).sum())
-
-
-def hgs_count(b: SkewBrace, cap: int = DEFAULT_AUT_CAP) -> int:
-    """Circ-automorphism count divided by the two-sided automorphism count,
-    both read off one listing of Aut(circ); the quotient is guaranteed
-    integral, and a remainder signals a bug."""
+def automorphism_counts(b: SkewBrace, cap: int = DEFAULT_AUT_CAP) -> tuple[int, int]:
+    """(|Aut(circ)|, |Aut(B)|), both read off one listing of Aut(circ): the
+    two-sided automorphisms are the circ-automorphisms that respect star.
+    The second divides the first, and a remainder signals a bug."""
     auts = np.array(groups.automorphism_group(b.circ, cap))
     total, both = len(auts), int(_respects(b.star, auts).sum())
     if total % both:
         raise NonIntegralQuotient(total, both)
+    return total, both
+
+
+def hgs_count(b: SkewBrace, cap: int = DEFAULT_AUT_CAP) -> int:
+    """Circ-automorphism count divided by the two-sided automorphism count
+    (``automorphism_counts``)."""
+    total, both = automorphism_counts(b, cap)
     return total // both

@@ -1,9 +1,9 @@
 """Groups and braces from explicit constructions.
 
-The groups are the cyclic groups, direct products, semidirect products of
-two cyclic groups and permutation closures; ``groups`` resolves their names
-on first access, so a command that only validates tables never loads this
-module.  The braces come from exact factorizations and semidirect products.
+The groups are the semidirect products of two cyclic groups and the
+permutation closures; ``groups`` resolves their names on first access, so
+a command that only validates tables never loads this module.  The braces
+come from exact factorizations and semidirect products.
 
 Also carries the squarefree-family bookkeeping: closed-form subgroup and
 stable-subgroup counts for the product family (pq is its one-pair case) and
@@ -39,33 +39,6 @@ from .groups import (
     build_from_table,
 )
 from .groups import _integer, _prime_factors
-
-
-def cyclic_group(k: int, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
-    """Additive group of integers modulo k."""
-    k = _integer(k, "k")
-    if k < 1:
-        raise ValueError("cyclic group order must be at least 1")
-    if k > cap:
-        raise OrderCapExceeded(k, cap)
-    ar = np.arange(k)
-    return build_from_table((ar[:, None] + ar) % k, labels=[str(i) for i in range(k)])
-
-
-def direct_product(
-    G: FiniteGroup, H: FiniteGroup, cap: int = DEFAULT_ORDER_CAP
-) -> FiniteGroup:
-    """Componentwise product on pairs, indexed row-major: (g,h) -> g*|H| + h."""
-    n = G.order * H.order
-    if n > cap:
-        raise OrderCapExceeded(n, cap)
-    # entry [g, h, g', h'] is the index of (g g', h h'), below n
-    g = G.table.astype(np.min_scalar_type(-n))
-    table = g[:, None, :, None] * H.order + H.table[None, :, None, :]
-    labels = tuple(
-        f"({G.label(g)},{H.label(h)})" for g in range(G.order) for h in range(H.order)
-    )
-    return build_from_table(table.reshape(n, n), labels=labels)
 
 
 def _unit_action(m: int, n: int, b: int) -> int:

@@ -176,11 +176,8 @@ def _stability_maps(z9z6: Z9Z6, cfg: RunConfig) -> list[dict]:
 
 def _aut_counts(z9z6: Z9Z6, cfg: RunConfig) -> list[dict]:
     add_galois, _ = z9z6()
-    got = (
-        len(groups.automorphism_group(add_galois.circ, cfg.aut_cap)),
-        braces.skew_brace_automorphism_count(add_galois, cfg.aut_cap),
-        braces.hgs_count(add_galois, cfg.aut_cap),
-    )
+    total, both = braces.automorphism_counts(add_galois, cfg.aut_cap)
+    got = (total, both, total // both)
     detail = "|Aut(add)|={} two-sided={} quotient={}"
     return [_pinned("aut-counts-9-6-2", detail, got, (108, 6, 18))]
 

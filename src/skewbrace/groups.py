@@ -12,13 +12,12 @@ This module holds what checking a table needs: ``FiniteGroup``,
 routine (``_closure``, which validation and the lattice share) and the
 factorisation the other modules read.  The rest of the group API lives in
 modules of its own, and this module resolves those names on first access
-(PEP 562): the constructors (``cyclic_group``, ``direct_product``,
-``semidirect_product_cyclic``, ``closure_from_permutations``) in
-``skewbrace.constructions``, the subgroup lattice (``generated_subgroup``,
-``enumerate_subgroups``) in ``skewbrace.lattice`` and the automorphism
-search (``automorphism_group``) in ``skewbrace.automorphisms``.  So a
-command that only checks tables, such as a brace ``verify``, loads none
-of them.
+(PEP 562): the constructors (``semidirect_product_cyclic``,
+``closure_from_permutations``) in ``skewbrace.constructions``, the
+subgroup lattice (``generated_subgroup``, ``enumerate_subgroups``) in
+``skewbrace.lattice`` and the automorphism search (``automorphism_group``)
+in ``skewbrace.automorphisms``.  So a command that only checks tables,
+such as a brace ``verify``, loads none of them.
 """
 
 from __future__ import annotations
@@ -38,8 +37,6 @@ ASSOC_BLOCK_CELLS = 1 << 16
 # the public names defined in a module of their own, which groups loads
 # only when one of them is first read
 _MODULE_OF = {
-    "cyclic_group": "constructions",
-    "direct_product": "constructions",
     "semidirect_product_cyclic": "constructions",
     "closure_from_permutations": "constructions",
     "generated_subgroup": "lattice",

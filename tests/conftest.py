@@ -14,7 +14,7 @@ import pytest
 from hypothesis import settings, strategies as st
 
 import skewbrace as sb
-from skewbrace import lattice
+from skewbrace import automorphisms, lattice
 from skewbrace.errors import NoIdentity, NoInverse, NotAssociative, NotClosed
 
 settings.register_profile("suite", derandomize=True, max_examples=60)
@@ -138,6 +138,12 @@ def respects_table(G: sb.FiniteGroup, perm) -> bool:
     if sorted(perm) != list(range(n)):
         return False
     return all(perm[op[a][b]] == op[perm[a]][perm[b]] for a in range(n) for b in range(n))
+
+
+def two_sided_count_from_star(b: sb.SkewBrace) -> int:
+    """|Aut(B)| read off the star side: the automorphisms of the star group
+    that respect the circ table in all n^2 pairs."""
+    return sum(respects_table(b.circ, phi) for phi in sb.automorphism_group(b.star))
 
 
 def _walk(op, identity: int, gens) -> set[int]:
@@ -334,6 +340,28 @@ def zuppos_by_definition(G: sb.FiniteGroup) -> list[tuple[int, list[int], int]]:
 # generated groups: cyclic semidirect products, direct products, and
 # permutation closures in S4/S5 (the nonsolvable A5 among them)
 
+
+def product_group(*factors) -> sb.FiniteGroup:
+    """The direct product of the factors, each a FiniteGroup or an order k
+    standing for the integers modulo k, labelled "0".."k-1"; one factor is
+    that group alone.  A pair (g, h) has index g |H| + h and label "(g,h)",
+    and more factors are multiplied from the left."""
+
+    def group(f) -> sb.FiniteGroup:
+        if isinstance(f, sb.FiniteGroup):
+            return f
+        ar = np.arange(f)
+        return sb.build_from_table((ar[:, None] + ar) % f, labels=[str(i) for i in range(f)])
+
+    G = group(factors[0])
+    for H in map(group, factors[1:]):
+        n = G.order * H.order
+        # entry [g, h, g', h'] is the index of (g g', h h')
+        table = G.table.astype(np.int32)[:, None, :, None] * H.order + H.table[None, :, None, :]
+        labels = [f"({G.label(g)},{H.label(h)})" for g in range(G.order) for h in range(H.order)]
+        G = sb.build_from_table(table.reshape(n, n), labels=labels)
+    return G
+
 A5_GENS = [(1, 2, 3, 4, 0), (1, 2, 0, 3, 4)]
 
 
@@ -353,7 +381,7 @@ def generated_groups(draw):
         return sb.semidirect_product_cyclic(*draw(semidirect_params()))
     if kind == "direct":
         left = sb.semidirect_product_cyclic(*draw(semidirect_params(max_m=6, max_n=3)))
-        return sb.direct_product(left, sb.cyclic_group(draw(st.integers(1, 4))))
+        return product_group(left, draw(st.integers(1, 4)))
     gens = draw(
         st.just(A5_GENS)
         | st.integers(4, 5).flatmap(
@@ -498,6 +526,23 @@ def lattices_enumerated(monkeypatch):
         return original(G)
 
     monkeypatch.setattr(lattice, "_lattice", counting)
+    return calls
+
+
+@pytest.fixture
+def automorphism_searches(monkeypatch):
+    """List of the group orders whose automorphisms were listed, one per
+    call of ``automorphism_group``.  The counter replaces the name in
+    ``skewbrace.automorphisms``, which ``groups`` reads it from on every
+    access."""
+    calls = []
+    original = automorphisms.automorphism_group
+
+    def counting(G, *args, **kwargs):
+        calls.append(G.order)
+        return original(G, *args, **kwargs)
+
+    monkeypatch.setattr(automorphisms, "automorphism_group", counting)
     return calls
 
 

@@ -22,7 +22,13 @@ from skewbrace.errors import (
     OrderCapExceeded,
 )
 
-from conftest import heisenberg_algebra, scalar_multiply, transported_algebra, truncated_poly_algebra
+from conftest import (
+    heisenberg_algebra,
+    product_group,
+    scalar_multiply,
+    transported_algebra,
+    truncated_poly_algebra,
+)
 
 
 def zero_algebra(p, dim):
@@ -305,7 +311,7 @@ def test_circle_power_closed_form_full_sweep(request, p):
 def test_additive_group_dim1():
     A = zero_algebra(3, 1)
     G = sb.additive_group(A)
-    assert np.array_equal(G.table, sb.cyclic_group(3).table)
+    assert np.array_equal(G.table, product_group(3).table)
 
 
 def test_additive_group_is_elementary_abelian(degraaf3):

@@ -22,11 +22,13 @@ from conftest import (
     heisenberg_algebra,
     join_fixpoint_subgroups,
     normal_by_conjugation,
+    product_group,
     respects_table,
     semidirect_params,
     stable_by_definition,
     transported_algebra,
     truncated_poly_algebra,
+    two_sided_count_from_star,
 )
 
 
@@ -40,7 +42,7 @@ def _self_brace(G: sb.FiniteGroup) -> sb.SkewBrace:
 
 
 def test_trivial_brace_on_abelian_group():
-    b = _self_brace(sb.cyclic_group(6))
+    b = _self_brace(product_group(6))
     assert b.order == 6
 
 
@@ -56,7 +58,7 @@ def test_z9z6_pairing_is_valid_and_bi_skew(z9z6_braces):
 
 
 def test_identity_mismatch_detected():
-    z3 = sb.cyclic_group(3)
+    z3 = product_group(3)
     op = z3.table.tolist()
     # relabel so the identity sits at index 1
     perm = [1, 0, 2]
@@ -69,7 +71,7 @@ def test_identity_mismatch_detected():
 
 
 def test_brace_law_violation_has_witness(s3):
-    z6 = sb.cyclic_group(6)
+    z6 = product_group(6)
     with pytest.raises(BraceLawViolation) as exc:
         sb.validate_skew_brace(z6.table, s3.table)
     a, b, c = exc.value.witness
@@ -83,7 +85,7 @@ def test_brace_law_violation_has_witness(s3):
 def test_law_scan_matches_plain_python(s3, z9z6_braces):
     add_galois, _ = z9z6_braces
     assert brace_law_violations(add_galois.star, add_galois.circ) == []
-    z6 = sb.cyclic_group(6)
+    z6 = product_group(6)
     plain = brace_law_violations(z6, s3)
     assert plain  # the pairing above really does violate the law
 
@@ -160,7 +162,7 @@ def test_mutation_fuzzing_rejects_every_single_entry_change(
 
 
 def test_trivial_brace_is_bi_skew():
-    assert sb.is_bi_skew(_self_brace(sb.cyclic_group(4)))
+    assert sb.is_bi_skew(_self_brace(product_group(4)))
 
 
 def test_degraaf_brace_is_bi_skew(degraaf3_braces):
@@ -197,7 +199,7 @@ def test_stability_map_rejects_a_non_element(z9z6_braces, g, named):
 
 
 def test_stability_maps_trivial_for_abelian_self_brace():
-    b = _self_brace(sb.cyclic_group(6))
+    b = _self_brace(product_group(6))
     for g in range(6):
         assert sb.stability_map(b, g) == tuple(range(6))
 
@@ -220,7 +222,7 @@ def test_stability_maps_are_star_automorphisms(
         a5_brace,
         degraaf3_braces[0],
         degraaf3_braces[1],
-        _self_brace(sb.cyclic_group(6)),
+        _self_brace(product_group(6)),
         _self_brace(s3),
     ]
     for brace in suite:
@@ -431,7 +433,7 @@ def test_ratio_reads_no_star_lattice(lattices_enumerated):
 
 
 def test_trivial_abelian_brace_has_ratio_one():
-    z12 = sb.cyclic_group(12)
+    z12 = product_group(12)
     b = _self_brace(z12)
     r = sb.gc_ratio(b)
     assert r.numerator == r.denominator == len(sb.enumerate_subgroups(z12))
@@ -488,11 +490,15 @@ def test_gc_ratio_commutes_with_relabelling(params, seed):
 # automorphism counts
 
 
-def test_skew_brace_automorphism_counts(s3, z9z6_braces):
-    assert sb.skew_brace_automorphism_count(_self_brace(sb.cyclic_group(6))) == 2
-    assert sb.skew_brace_automorphism_count(_self_brace(s3)) == 6
+def test_two_sided_automorphism_counts(s3, z9z6_braces):
+    # the two-sided counts read off Aut(star), and off Aut(circ) by the library
+    assert two_sided_count_from_star(_self_brace(product_group(6))) == 2
+    assert sb.automorphism_counts(_self_brace(product_group(6))) == (2, 2)
+    assert two_sided_count_from_star(_self_brace(s3)) == 6
+    assert sb.automorphism_counts(_self_brace(s3)) == (6, 6)
     # order-54 bi-skew example, frozen from the exhaustive filter
-    assert sb.skew_brace_automorphism_count(z9z6_braces[0]) == 6
+    assert two_sided_count_from_star(z9z6_braces[0]) == 6
+    assert sb.automorphism_counts(z9z6_braces[0]) == (108, 6)
 
 
 def test_aut_count_of_pair_group_by_dumb_enumeration(z9z6_braces):
@@ -519,7 +525,7 @@ def test_aut_count_of_pair_group_by_dumb_enumeration(z9z6_braces):
 
 
 def test_hgs_counts(s3, z9z6_braces):
-    assert sb.hgs_count(_self_brace(sb.cyclic_group(6))) == 1
+    assert sb.hgs_count(_self_brace(product_group(6))) == 1
     assert sb.hgs_count(_self_brace(s3)) == 1
     add_galois, _ = z9z6_braces
     assert sb.hgs_count(add_galois) == 108 // 6 == 18
@@ -538,7 +544,24 @@ def test_hgs_count_of_a_radical_brace_never_lists_the_additive_group(
     auts = sb.automorphism_group(brace.circ)
     assert len(auts) == circ_count
     assert sum(respects_table(brace.star, phi) for phi in auts) == both
+    assert sb.automorphism_counts(brace) == (circ_count, both)
     assert sb.hgs_count(brace) == quotient == circ_count // both
+
+
+def test_two_sided_count_of_a_flipped_radical_brace_lists_the_additive_group():
+    # F_2^4 with e0 e0 = e2 and e0 e1 = e3: triple products vanish, so the
+    # algebra has a flipped brace, whose circ group is the additive one
+    zero = (0, 0, 0, 0)
+    sc = [[zero] * 4 for _ in range(4)]
+    sc[0][0], sc[0][1] = (0, 0, 1, 0), (0, 0, 0, 1)
+    algebra = sb.make_algebra(2, 4, sc)
+    assert sb.automorphism_counts(sb.brace_from_radical(algebra)) == (32, 32)
+    # Aut(B) = Aut(star) & Aut(circ) does not depend on which table is star
+    flipped = sb.brace_from_radical_flipped(algebra)
+    assert two_sided_count_from_star(flipped) == 32
+    # but the flipped brace's search lists GL(4, 2), 20,160 maps
+    with pytest.raises(BudgetExceeded, match="automorphism search node count"):
+        sb.automorphism_counts(flipped)
 
 
 def test_hgs_count_of_the_degraaf_3_braces_exceeds_the_search_budget(degraaf3_braces):
@@ -552,4 +575,6 @@ def test_hgs_count_of_the_degraaf_3_braces_exceeds_the_search_budget(degraaf3_br
 def test_hgs_count_read_off_circ_agrees_with_the_count_read_off_star(params):
     for brace in sb.semidirect_biskew(*params):
         total = len(sb.automorphism_group(brace.circ))
-        assert sb.hgs_count(brace) * sb.skew_brace_automorphism_count(brace) == total
+        both = two_sided_count_from_star(brace)
+        assert sb.automorphism_counts(brace) == (total, both)
+        assert sb.hgs_count(brace) * both == total

@@ -26,7 +26,7 @@ from skewbrace.cli import (
     main,
 )
 from skewbrace.errors import OrderCapExceeded, ParseError
-from skewbrace.examples import _algebra_rows, _examples_lines, _power_formula_holds
+from skewbrace.examples import _algebra_rows, _aut_counts, _examples_lines, _power_formula_holds
 from skewbrace.family import _family_csv, _family_lines
 from skewbrace.family import run as _cmd_family
 from skewbrace.ideals import _ideals_lines
@@ -556,6 +556,13 @@ def test_algebra_rows_take_both_ratios_from_the_two_braces(tables_built, lattice
     assert lattices_enumerated == [81, 81]
 
 
+def test_the_aut_row_lists_aut_circ_once(automorphism_searches, z9z6_braces):
+    rows = _aut_counts(lambda: z9z6_braces, RunConfig())
+    detail = "|Aut(add)|=108 two-sided=6 quotient=18"
+    assert rows == [{"id": "aut-counts-9-6-2", "ok": True, "detail": detail}]
+    assert automorphism_searches == [54]
+
+
 def test_power_formula_check_reads_the_circle_table():
     for p in (3, 5):
         A = algebras.degraaf_algebra(p)
@@ -933,8 +940,8 @@ PUBLIC_NAMES = {
         "enumerate_right_ideals", "enumerate_subspaces", "make_algebra", "subspace_subgroup",
     ],
     "braces": [
-        "GcRatio", "SkewBrace", "gc_ratio", "hgs_count", "is_bi_skew",
-        "skew_brace_automorphism_count", "stability_map", "validate_skew_brace",
+        "GcRatio", "SkewBrace", "automorphism_counts", "gc_ratio", "hgs_count", "is_bi_skew",
+        "stability_map", "validate_skew_brace",
     ],
     "constructions": [
         "ExactFactorization", "FamilySpec", "FormulaReport", "a5_factorization",
@@ -943,9 +950,8 @@ PUBLIC_NAMES = {
     ],
     "groups": [
         "DEFAULT_AUT_CAP", "DEFAULT_ORDER_CAP", "FiniteGroup", "SubgroupSet", "automorphism_group",
-        "build_from_table", "closure_from_permutations", "cyclic_group", "direct_product",
-        "enumerate_subgroups", "generated_subgroup", "is_automorphism",
-        "semidirect_product_cyclic",
+        "build_from_table", "closure_from_permutations", "enumerate_subgroups",
+        "generated_subgroup", "is_automorphism", "semidirect_product_cyclic",
     ],
 }
 
@@ -965,9 +971,7 @@ def test_each_public_name_is_its_module_object(module_name):
 # the public names that groups resolves on first access, by defining module
 RESOLVED_BY_GROUPS = {
     "automorphisms": ["automorphism_group"],
-    "constructions": [
-        "closure_from_permutations", "cyclic_group", "direct_product", "semidirect_product_cyclic",
-    ],
+    "constructions": ["closure_from_permutations", "semidirect_product_cyclic"],
     "lattice": ["enumerate_subgroups", "generated_subgroup"],
 }
 

@@ -13,7 +13,7 @@ from skewbrace.constructions import _order, _predicted
 from skewbrace.errors import InvalidAction, NotClosed, NotComplementary, WrongParent
 from skewbrace.groups import _prime_factors
 
-from conftest import divisor_count, multiplicative_order, semidirect_params, sigma
+from conftest import divisor_count, multiplicative_order, product_group, semidirect_params, sigma
 
 
 def _plain_normalized(f: sb.ExactFactorization, H: sb.SubgroupSet) -> bool:
@@ -40,7 +40,7 @@ def _check_zappa_szep_rows(f: sb.ExactFactorization, brace: sb.SkewBrace) -> Non
 
 
 def test_factorization_of_z6():
-    G = sb.cyclic_group(6)
+    G = product_group(6)
     f = sb.exact_factorization(G, [2], [3])
     assert f.left.size == 3 and f.right.size == 2
     _check_zappa_szep_rows(f, sb.zappa_szep_brace(f))
@@ -60,14 +60,14 @@ def test_semidirect_factorization_matches_plain_products(params):
 
 
 def test_factorization_rejects_overlap():
-    G = sb.cyclic_group(4)
+    G = product_group(4)
     with pytest.raises(NotComplementary):
         sb.exact_factorization(G, [2], [2])
 
 
 def test_zappa_szep_brace_of_an_unchecked_overlap_leaves_a_row_unfilled():
     # built without exact_factorization: l * r^-1 reaches only {0, 2}
-    G = sb.cyclic_group(4)
+    G = product_group(4)
     H = sb.generated_subgroup(G, [2])
     with pytest.raises(NotClosed) as info:
         sb.zappa_szep_brace(sb.ExactFactorization(G, H, H))
@@ -94,7 +94,7 @@ def test_factorization_from_permutations_skips_identity_and_repeats():
 
 
 def test_internal_direct_product_gives_trivial_brace():
-    G = sb.cyclic_group(6)
+    G = product_group(6)
     b = sb.zappa_szep_brace(sb.exact_factorization(G, [2], [3]))
     assert np.array_equal(b.circ.table, b.star.table)
 
@@ -169,7 +169,7 @@ def test_semidirect_biskew_is_bi_skew(z9z6_braces):
 
 def test_semidirect_circ_structure_isomorphic_to_direct_product(z9z6_braces):
     add_galois, _ = z9z6_braces
-    target = sb.direct_product(sb.cyclic_group(9), sb.cyclic_group(6))
+    target = product_group(9, 6)
     assert np.array_equal(add_galois.circ.table, target.table)
 
 
@@ -182,7 +182,7 @@ def test_semidirect_trivial_action_gives_trivial_braces():
 def test_semidirect_biskew_builds_two_tables(tables_built):
     add_galois, mult_galois = sb.semidirect_biskew(9, 6, 2)
     assert tables_built == [54, 54]
-    assert mult_galois.star == sb.direct_product(sb.cyclic_group(9), sb.cyclic_group(6))
+    assert mult_galois.star == product_group(9, 6)
     assert add_galois.circ is mult_galois.star
 
 
@@ -229,7 +229,7 @@ def test_shortcuts_agree_with_generic_stability(z9z6_braces):
 
 
 def test_shortcut_rejects_wrong_parent():
-    G = sb.cyclic_group(6)
+    G = product_group(6)
     with pytest.raises(WrongParent):
         sb.stability_criterion_z9z6(sb.generated_subgroup(G, [1]))
 

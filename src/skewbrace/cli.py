@@ -167,11 +167,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "examples", help="run the built-in example regression", parents=[common]
     )
     p_examples.add_argument("--p", type=int, nargs="*", help="algebra primes (default 3)")
-    p_examples.add_argument(
-        "--grid",
-        action="append",
-        help="extra family rows, e.g. dihedral=15,105 or pq=7:3:2",
-    )
 
     p_family = sub.add_parser(
         "family", help="closed-form family sweep", parents=[common, spec]

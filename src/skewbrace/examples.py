@@ -16,8 +16,8 @@ import numpy as np
 
 from . import algebras, braces, constructions, groups
 from .cli import EXIT_INVALID, EXIT_OK, RunConfig, _report
-from .errors import CapExceeded, ParseError, ValidationFailure
-from .family import _family_row, _parse_int
+from .errors import CapExceeded, ValidationFailure
+from .family import _family_row
 
 
 def _row(row_id: str, ok: bool, detail: str) -> dict:
@@ -119,12 +119,15 @@ def _algebra_rows(p: int, cfg: RunConfig) -> list[dict]:
     return rows
 
 
+# the family rows, as the report's source names them: generalized dihedral
+# m = 15 and pq (7, 3, 2); ``family`` runs any other spec
+FAMILY_SOURCE = {"dihedral": [15], "pq": [(7, 3, 2)]}
+
+
 def _family_example(row_id: str, spec_args: tuple, cfg: RunConfig) -> list[dict]:
     """One family spec judged on the row that ``family`` prints for it: pq
     rows on every additive subgroup being mult-stable, generalized dihedral
-    rows on the ratio bound.  A rejected spec raises, so that the example
-    loop records an error row under the builder id."""
-    constructions.family_spec(*spec_args)
+    rows on the ratio bound."""
     row = _family_row(spec_args, cfg)
     if row["predicted_match"] == "unverified":
         return [_row(row_id, False, "unverified: order cap exceeded")]
@@ -183,8 +186,9 @@ def _aut_counts(z9z6: Z9Z6, cfg: RunConfig) -> list[dict]:
 
 
 def _example_builders(
-    p_list, dihedral_ms, pq_specs, z9z6: Z9Z6, ratios: Z9Z6Ratios
+    p_list, z9z6: Z9Z6, ratios: Z9Z6Ratios
 ) -> list[tuple[str, Callable[[RunConfig], list[dict]]]]:
+    dihedral_ms, pq_specs = FAMILY_SOURCE["dihedral"], FAMILY_SOURCE["pq"]
     family_specs = [
         *((f"dihedral-{m}", ("generalized_dihedral", m, 2, m - 1)) for m in dihedral_ms),
         *((f"pq-{p}-{q}-{b}", ("pq", p, q, b)) for p, q, b in pq_specs),
@@ -202,45 +206,19 @@ def _example_builders(
     ]
 
 
-def _parse_grid(grid_args) -> tuple[list[int], list[tuple[int, int, int]]]:
-    dihedral_ms: list[int] = []
-    pq_specs: list[tuple[int, int, int]] = []
-    for item in grid_args or []:
-        if "=" not in item:
-            raise ParseError(f"bad --grid entry {item!r}; use name=values")
-        name, values = item.split("=", 1)
-        if name == "dihedral":
-            what, brief = f"value in --grid entry {item!r}", "value in --grid dihedral"
-            dihedral_ms.extend(_parse_int(v, what, brief=brief) for v in values.split(",") if v)
-        elif name == "pq":
-            for trip in filter(None, values.split(",")):
-                parts = trip.split(":")
-                if len(parts) != 3:
-                    raise ParseError(f"bad pq grid entry {trip!r}; use p:q:b")
-                what, brief = f"value in pq grid entry {trip!r}", "value in --grid pq"
-                pq_specs.append(tuple(_parse_int(v, what, brief=brief) for v in parts))
-        else:
-            raise ParseError(f"unknown grid family {name!r}")
-    return dihedral_ms, pq_specs
-
-
 def run(args, cfg: RunConfig) -> tuple[dict, int, bytes | dict]:
     p_list = args.p or [3]
-    dihedral_ms, pq_specs = _parse_grid(args.grid)
-    if not dihedral_ms and not pq_specs and not args.grid:
-        dihedral_ms = [15]
-        pq_specs = [(7, 3, 2)]
     # a failed build is not cached, so each builder reports the error itself
     z9z6 = cache(partial(constructions.semidirect_biskew, 9, 6, 2, cfg.order_cap))
     ratios = cache(lambda: tuple(braces.gc_ratio(b, cfg.order_cap) for b in z9z6()[::-1]))
     rows: list[dict] = []
-    for builder_id, build in _example_builders(p_list, dihedral_ms, pq_specs, z9z6, ratios):
+    for builder_id, build in _example_builders(p_list, z9z6, ratios):
         try:
             rows += build(cfg)
         except (CapExceeded, ValidationFailure, ValueError) as exc:
             rows.append(_row(builder_id, False, f"error: {type(exc).__name__}: {exc}"))
     failed = [row for row in rows if not row["ok"]]
-    source = {"p": p_list, "dihedral": dihedral_ms, "pq": pq_specs}
+    source = {"p": p_list, **FAMILY_SOURCE}
     result = {"rows": rows, "passed": len(rows) - len(failed), "failed": len(failed)}
     report = _report("examples", source, cfg, result)
     return report, EXIT_OK if not failed else EXIT_INVALID, source

@@ -29,9 +29,9 @@ FAMILY_CSV_COLUMNS = [
 ]
 
 
-def _parse_int(text: str, what: str, position: str | None = None, brief: str = "") -> int:
-    """``text`` as an integer.  A ParseError names ``what``, or ``brief`` if
-    given when the text has too many digits, so as not to echo them."""
+def _parse_int(text: str, what: str, position: str | None = None) -> int:
+    """``text`` as an integer.  A ParseError names ``what``, and counts the
+    digits of a text that has too many rather than echo them."""
     try:
         return int(text)
     except ValueError:
@@ -39,7 +39,7 @@ def _parse_int(text: str, what: str, position: str | None = None, brief: str = "
         digits = numeral[1:] if numeral[:1] in ("+", "-") else numeral
         # int() refuses a decimal numeral only for its length
         if digits.isdecimal():
-            message = f"{brief or what} has too many digits ({len(digits)})"
+            message = f"{what} has too many digits ({len(digits)})"
             raise ParseError(message, position=position) from None
         raise ParseError(f"{what} must be an integer, got {text!r}", position=position) from None
 

@@ -225,13 +225,16 @@ def _mask(members: np.ndarray) -> int:
     return int.from_bytes(np.packbits(members, bitorder="little").tobytes(), "little")
 
 
-def _closure(table: np.ndarray, identity: int, candidates, columns=None):
+def _closure(table: np.ndarray, identity: int, candidates, columns=None, limit=None):
     """Membership array of everything reached from the identity by right
     multiplication with ``candidates`` (in a group, the subgroup they
     generate), and the candidates outside the closure of those before them,
     in order.  ``columns`` caches ``table[:, g].tolist()`` by g, so callers
-    that close many small sets can share one dict."""
+    that close many small sets can share one dict.  Given a ``limit``, the
+    walk multiplies only the first ``limit`` elements it reaches, and stops
+    once it has reached more."""
     columns = {} if columns is None else columns
+    limit = len(table) if limit is None else limit
     seen = bytearray(len(table))
     seen[identity] = 1
     reached, used, done = [identity], [], []
@@ -244,9 +247,9 @@ def _closure(table: np.ndarray, identity: int, candidates, columns=None):
         done.append(0)
         # column used[k] has multiplied reached[:done[k]], read while it grows;
         # the rest is closed under the earlier columns, so the walk starts at g
-        while min(done) < len(reached):
+        while min(done) < len(reached) <= limit:
             for k, h in enumerate(used):
-                for y in map(columns[h].__getitem__, islice(reached, done[k], None)):
+                for y in map(columns[h].__getitem__, islice(reached, done[k], limit)):
                     if not seen[y]:
                         seen[y] = 1
                         reached.append(y)

@@ -164,15 +164,19 @@ def _perfect_subgroups(G: FiniteGroup) -> list[tuple[SubgroupSet, tuple[int, int
 
     A perfect subgroup lies in R = G^inf.  Up to G-conjugation a 2-generated
     one is <x, y> with x a representative of a G-class in R and y a
-    representative of a C_G(x)-orbit on R; the candidates found perfect are
-    then closed under G-conjugation.  Every finite simple group is
+    representative of a C_G(x)-orbit on R.  A proper subgroup of R has
+    index k >= 5 (R acts on its cosets through a perfect transitive
+    subgroup of S_k, solvable for k <= 4), so a closure of <x, y> that
+    passes |R|/5 elements stops there and is taken to be R.  The conjugates
+    of each candidate found perfect come from a walk over conjugation by
+    G.gens, which carries (x, y) along.  Every finite simple group is
     2-generated (Steinberg 1962 for the groups of Lie type, Aschbacher and
     Guralnick 1984 for the rest), but this is not proved here for every
     perfect group up to the order cap: a perfect subgroup that needs three
     generators would be missed, and so would every subgroup above it whose
     perfect residuum it is.
     """
-    T, e, inv = G.table, G.identity, G.inv
+    n, T, e, inv = G.order, G.table, G.identity, G.inv
     R = _perfect_residuum(G)
     if len(R) == 1:
         return []
@@ -184,17 +188,20 @@ def _perfect_subgroups(G: FiniteGroup) -> list[tuple[SubgroupSet, tuple[int, int
         centralizer = np.flatnonzero(T[:, x] == T[x, :])
         ys = R[conj[centralizer].min(axis=0) == R]
         for y in ys[T[x, ys] != T[ys, x]].tolist():
-            members = _closure(T, e, (x, y), columns)[0]
+            members = _closure(T, e, (x, y), columns, len(R) // 5)[0]
+            if np.count_nonzero(members) > len(R) // 5:
+                members[R] = True
             candidates.setdefault(_mask(members), (np.flatnonzero(members), (x, y)))
     found: dict[int, tuple[int, int]] = {}
-    for elems, (x, y) in candidates.values():
-        if len(_derived(T, e, inv, elems, [x, y], columns)[0]) < len(elems):
+    for mask, (elems, pair) in candidates.items():
+        if mask in found or len(_derived(T, e, inv, elems, pair, columns)[0]) < len(elems):
             continue
-        images = np.sort(T[T[:, elems], inv[:, None]], axis=1)
-        _, first = np.unique(images, axis=0, return_index=True)
-        for g in sorted(first.tolist()):
-            members = np.zeros(G.order, dtype=bool)
-            members[images[g]] = True
-            gens = (int(T[T[g, x], inv[g]]), int(T[T[g, y], inv[g]]))
-            found.setdefault(_mask(members), gens)
-    return [(SubgroupSet(G.order, mask), gens) for mask, gens in found.items()]
+        found[mask] = pair
+        orbit = [(elems, pair)]
+        for elems, pair in orbit:  # the orbit grows while it is walked
+            for g in G.gens:
+                members = np.bincount(T[T[g, elems], inv[g]], minlength=n) > 0
+                if (key := _mask(members)) not in found:
+                    found[key] = image = tuple(T[T[g, pair], inv[g]].tolist())
+                    orbit.append((np.flatnonzero(members), image))
+    return [(SubgroupSet(n, mask), gens) for mask, gens in found.items()]

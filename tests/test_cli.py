@@ -513,19 +513,6 @@ def test_examples_byte_identical_across_runs_and_options(capsys):
     assert out1 == out2 == out3
 
 
-def test_examples_grid_row(capsys):
-    code, out = run(capsys, "examples", "--grid", "pq=31:5:2")
-    assert code == EXIT_OK
-    assert "pq-31-5-2" in out
-
-
-def test_examples_grid_skips_empty_pq_entries(capsys):
-    assert run(capsys, "examples", "--grid", "pq=") == run(capsys, "examples", "--grid", "dihedral=")
-    code, out = run(capsys, "examples", "--grid", "pq=7:3:2,")
-    assert code == EXIT_OK
-    assert (code, out) == run(capsys, "examples", "--grid", "pq=7:3:2")
-
-
 def test_examples_prime_flag(capsys):
     code, out = run(capsys, "examples", "--p", "3")
     assert code == EXIT_OK
@@ -572,17 +559,6 @@ def test_power_formula_check_reads_the_circle_table():
     table = algebras.circle_group(A).table.copy()
     table[[1, 2]] = table[[2, 1]]
     assert not _power_formula_holds(A, table)
-
-
-@pytest.mark.parametrize(
-    "entry, named",
-    [("dihedral=15,x", "'dihedral=15,x'"), ("pq=7:x:2", "'7:x:2'")],
-)
-def test_examples_grid_non_integer_names_the_entry(capsys, entry, named):
-    code = main(["examples", "--grid", entry])
-    assert code == EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert named in err and "must be an integer, got 'x'" in err
 
 
 def test_examples_row_errors_are_collected(capsys):
@@ -737,7 +713,7 @@ def test_csv_format_rejected_outside_family(capsys):
         (["ratio", "--zappa-szep", "a5"], "text", _ratio_lines),
         (["ideals", "--algebra", "alg.json", "--side", "right"], "text", _ideals_lines),
         (["examples"], "text", _examples_lines),
-        (["examples", "--order-cap", "50", "--grid", "pq=9:3:2"], "text", _examples_lines),
+        (["examples", "--order-cap", "50"], "text", _examples_lines),
         (["family", "--batch", "specs.txt"], "text", _family_lines),
         (["family", "--batch", "specs.txt"], "csv", _family_csv),
         (["family", "--batch", "empty.txt"], "text", _family_lines),
@@ -1035,7 +1011,7 @@ def test_json_verify_digest_is_the_sha256_of_the_file_bytes(tmp_path, capsys, va
         ["ratio", "--family", "semidirect", "--m", "9", "--n", "6", "--b", "2", "--direction", "mult"],
         ["ratio", "--zappa-szep", "a5"],
         ["ideals", "--algebra", "degraaf", "--p", "3", "--side", "left"],
-        ["examples", "--grid", "dihedral=15", "--grid", "pq=7:3:2"],
+        ["examples"],
         ["family", "--family", "pq", "--m", "7", "--n", "3", "--b", "2"],
         ["family"],
     ],
@@ -1120,11 +1096,8 @@ REJECTED = {
         ["--order-cap", "4", "ratio", "--zappa-szep", "custom", "--left-gens", "(1 2 3 4 5)", "--right-gens", "(1 2)"],
         EXIT_CAP, "permutation degree 5 exceeds the configured cap 4",
     ),
-    "grid-entry": (["examples", "--grid", "dihedral"], EXIT_CONFIG, "bad --grid entry 'dihedral'; use name=values"),
-    "grid-pq-triple": (["examples", "--grid", "pq=7:3"], EXIT_CONFIG, "bad pq grid entry '7:3'; use p:q:b"),
-    "grid-family": (["examples", "--grid", "cube=3"], EXIT_CONFIG, "unknown grid family 'cube'"),
-    "grid-over-cap": (
-        ["examples", "--order-cap", "20", "--grid", "pq=7:3:2"],
+    "examples-over-cap": (
+        ["examples", "--order-cap", "20"],
         EXIT_INVALID, "FAIL  pq-7-3-2: unverified: order cap exceeded",
     ),
     "batch-unreadable": (["family", "--batch", "missing.txt"], EXIT_CONFIG, "No such file or directory: 'missing.txt'"),
@@ -1132,10 +1105,6 @@ REJECTED = {
     # an integer past int()'s digit limit is named by its digit count, not echoed
     "batch-field-of-5000-digits": (
         ["family", "--batch", "long.txt"], EXIT_CONFIG, "long.txt:1: m has too many digits (5000)",
-    ),
-    "grid-value-of-5000-digits": (
-        ["examples", "--grid", f"dihedral={'9' * 5000}"], EXIT_CONFIG,
-        "value in --grid dihedral has too many digits (5000)",
     ),
     "brace-file-number-of-5000-digits": (["verify", "long.json"], EXIT_CONFIG, "long.json: not valid JSON ("),
     "algebra-file-number-of-5000-digits": (

@@ -554,6 +554,17 @@ def test_closure_is_the_entrywise_walk_and_keeps_the_candidates_that_extend_it(G
     assert np.array_equal(again, members) and used_again == used
 
 
+@given(generated_groups(), st.data())
+def test_limited_closure_stops_only_past_the_limit(G, data):
+    candidates = data.draw(st.lists(st.integers(0, G.order - 1), max_size=4))
+    limit = data.draw(st.integers(1, G.order))
+    members = groups._closure(G.table, G.identity, candidates, limit=limit)[0]
+    reached, closure = set(np.flatnonzero(members).tolist()), right_closure(G, candidates)
+    assert reached <= closure
+    # a walk cut short has passed the limit, so the closure has too
+    assert reached == closure or len(closure) >= len(reached) > limit
+
+
 @given(generated_groups())
 def test_perfect_residuum_matches_the_derived_series_on_generated_groups(G):
     assert _perfect_residuum(G).tolist() == sorted(perfect_residuum(G))
@@ -1163,6 +1174,27 @@ def test_s6_perfect_subgroups_are_a6_and_two_classes_of_six_a5():
         for mask in orbit:
             a5s.pop(mask, None)
     assert classes == [6, 6]
+
+
+def special_linear_2_5():
+    """SL(2, 5), perfect but not simple, on the 24 nonzero vectors of F_5^2,
+    generated by [[1, 1], [0, 1]] and [[0, 1], [-1, 0]]."""
+    vectors = [(u, v) for u in range(5) for v in range(5) if (u, v) != (0, 0)]
+
+    def matrix(a, b, c, d):
+        return tuple(vectors.index(((a * u + b * v) % 5, (c * u + d * v) % 5)) for u, v in vectors)
+
+    return sb.closure_from_permutations([matrix(1, 1, 0, 1), matrix(0, 1, -1, 0)])
+
+
+def test_special_linear_2_5_lattice_and_perfect_subgroups():
+    G = special_linear_2_5()
+    assert G.order == 120
+    subs = sb.enumerate_subgroups(G)
+    assert len(subs) == 76
+    assert [H.mask for H in subs] == join_fixpoint_subgroups(G)
+    # its one nontrivial perfect subgroup is the whole group
+    assert [H.mask for H, _ in _perfect_subgroups(G)] == [(1 << G.order) - 1]
 
 
 def projective_special_linear_2(q: int):

@@ -31,9 +31,9 @@ _MODULE_OF = {
             "is_bi_skew", "stability_map", "validate_skew_brace",
         ),
         "constructions": (
-            "ExactFactorization", "FamilySpec", "FormulaReport", "a5_factorization",
-            "exact_factorization", "factorization_from_permutations", "family_formula_report",
-            "family_spec", "semidirect_biskew", "stability_criterion_z9z6", "zappa_szep_brace",
+            "ExactFactorization", "FamilySpec", "a5_factorization", "exact_factorization",
+            "factorization_from_permutations", "family_spec", "semidirect_biskew",
+            "stability_criterion_z9z6", "zappa_szep_brace",
         ),
         "groups": (
             "DEFAULT_AUT_CAP", "DEFAULT_ORDER_CAP", "FiniteGroup", "SubgroupSet",

@@ -5,12 +5,9 @@ permutation closures; ``groups`` resolves their names on first access, so
 a command that only validates tables never loads this module.  The braces
 come from exact factorizations and semidirect products.
 
-Also carries the squarefree-family bookkeeping: closed-form subgroup and
-stable-subgroup counts for the product family (pq is its one-pair case) and
-the generalized dihedral family, checked against brute-force enumeration.
-The closed forms and the orders asked of b are read off the primes of m and n.
-Stable sets and ratios come from ``braces.gc_ratio``; this module filters
-no lattice itself.
+Also validates the squarefree-family specs (``family_spec``): the orders
+asked of b are read off the primes of m and n.  The closed-form counts of
+each family, and their check against enumeration, live in ``family``.
 """
 
 from __future__ import annotations
@@ -21,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import groups
-from .braces import SkewBrace, gc_ratio
+from .braces import SkewBrace
 from .errors import (
     BudgetExceeded,
     ClosureCapExceeded,
@@ -298,79 +295,3 @@ def family_spec(family: str, m: int, n: int, b: int) -> FamilySpec:
             if _order(b, p, n, np_) != n:
                 raise InvalidAction(f"b={b} must have order {n} modulo {p}")
     return FamilySpec(family, m, n, b, mp, np_)
-
-
-@dataclass(frozen=True)
-class FormulaReport:
-    """Closed-form predictions next to brute-force enumeration."""
-
-    spec: FamilySpec
-    predicted: dict
-    enumerated: dict | None
-    match: dict | None
-    bound_ok: bool | None
-
-    @property
-    def verified(self) -> bool:
-        return self.enumerated is not None
-
-    @property
-    def all_match(self) -> bool:
-        return bool(self.match) and all(self.match.values())
-
-
-def _predicted(spec: FamilySpec) -> dict:
-    g, h = spec.g, spec.h
-    if spec.family in ("pq", "product_pq"):
-        add, mult, stable_in_mult = 4**g, math.prod(p + 3 for p in spec.m_primes), 3**g
-    elif spec.family == "generalized_dihedral":
-        sigma = math.prod(p + 1 for p in spec.m_primes)  # divisor sum of the squarefree m
-        add, mult = 2 ** (g + h), 2**g + (2**h - 1) * sigma
-        stable_in_mult = 2**h + 2**g - 1
-    elif _order(spec.b, spec.m, spec.n, spec.n_primes) == spec.n:
-        # custom semidirect: no closed forms; the full-stability prediction
-        # only applies when b has full order modulo m
-        return {"all_add_subgroups_mult_stable": True}
-    else:
-        return {}
-    # in both closed-form families every additive subgroup is mult-stable
-    return {
-        "subgroups_add": add,
-        "subgroups_mult": mult,
-        "stable_in_add": add,
-        "stable_in_mult": stable_in_mult,
-        "ratio_mult_galois": (add, mult),
-        "ratio_add_galois": (stable_in_mult, add),
-        "all_add_subgroups_mult_stable": True,
-    }
-
-
-def family_formula_report(spec: FamilySpec, cap: int = DEFAULT_ORDER_CAP) -> FormulaReport:
-    """Predict the family's counts and verify them by enumeration.
-
-    When the group order exceeds the cap the report carries the predictions
-    only and is flagged unverified.
-    """
-    predicted = _predicted(spec)
-    try:
-        add_galois, mult_galois = semidirect_biskew(spec.m, spec.n, spec.b, cap)
-        r_mult = gc_ratio(mult_galois, cap)
-        r_add = gc_ratio(add_galois, cap)
-    except OrderCapExceeded:
-        return FormulaReport(spec, predicted, None, None, None)
-    enumerated = {
-        "subgroups_add": r_add.denominator,
-        "subgroups_mult": r_mult.denominator,
-        "stable_in_add": r_mult.numerator,
-        "stable_in_mult": r_add.numerator,
-        "ratio_mult_galois": (r_mult.numerator, r_mult.denominator),
-        "ratio_add_galois": (r_add.numerator, r_add.denominator),
-        "all_add_subgroups_mult_stable": r_mult.numerator == r_add.denominator,
-    }
-    match = {k: predicted[k] == enumerated[k] for k in predicted}
-    bound_ok = None
-    if spec.family == "generalized_dihedral":
-        num, den = enumerated["ratio_mult_galois"]
-        bound_ok = num * 3**spec.g <= 2 * 2**spec.g * den
-    return FormulaReport(spec, predicted, enumerated, match, bound_ok)
-

@@ -485,6 +485,19 @@ EXAMPLES_DEFAULT_LINES = [
 
 
 # ---------------------------------------------------------------------------
+# the row of one `skewbrace family` spec
+
+
+def family_row(family: str, m: int, n: int, b: int, cap: int = sb.DEFAULT_ORDER_CAP) -> dict:
+    """The row that ``skewbrace family`` prints for one spec, at order cap
+    ``cap``."""
+    from skewbrace.cli import RunConfig
+    from skewbrace.family import _family_row
+
+    return _family_row((family, m, n, b), RunConfig(order_cap=cap))
+
+
+# ---------------------------------------------------------------------------
 # fixtures
 
 

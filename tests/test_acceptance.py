@@ -16,6 +16,7 @@ from skewbrace.cli import main
 
 from conftest import (
     EXAMPLES_DEFAULT_LINES,
+    family_row,
     heisenberg_algebra,
     product_group,
     sigma,
@@ -215,57 +216,53 @@ def test_criterion_6_order54_biskew(z9z6_braces):
     )
 
 
+def _ratios(row: dict) -> tuple[tuple[int, int], tuple[int, int]]:
+    """(add-galois, mult-galois) ratios of a family row, as (num, den)."""
+    return (row["ratio2_num"], row["ratio2_den"]), (row["ratio1_num"], row["ratio1_den"])
+
+
 def test_criterion_7_every_additive_subgroup_stable():
     specs = [("pq", 7, 3, 2), ("generalized_dihedral", 15, 2, 14), ("pq", 31, 5, 2)]
     results = {}
     for fam, m, n, b in specs:
-        report = sb.family_formula_report(sb.family_spec(fam, m, n, b))
-        results[(m, n, b)] = report.enumerated["all_add_subgroups_mult_stable"]
+        row = family_row(fam, m, n, b)
+        results[(m, n, b)] = row["n_stable_dir1"] == row["n_sub_add"]
     ok = all(results.values())
     _report(ok, f"criterion 7: all additive subgroups mult-stable for {results}")
 
 
 def test_criterion_8_pq_example():
     t0 = time.perf_counter()
-    report = sb.family_formula_report(sb.family_spec("pq", 7, 3, 2))
+    row = family_row("pq", 7, 3, 2)
     elapsed = time.perf_counter() - t0
-    ok = (
-        report.enumerated["ratio_add_galois"] == (3, 4)
-        and report.enumerated["ratio_mult_galois"] == (4, 10)
-        and report.all_match
-        and elapsed < 1.0
-    )
-    _report(
-        ok,
-        f"criterion 8: (7,3,2) ratios {report.enumerated['ratio_add_galois']} and "
-        f"{report.enumerated['ratio_mult_galois']} [{elapsed:.2f}s]",
-    )
+    add, mult = _ratios(row)
+    ok = add == (3, 4) and mult == (4, 10) and row["predicted_match"] == "true" and elapsed < 1.0
+    _report(ok, f"criterion 8: (7,3,2) ratios {add} and {mult} [{elapsed:.2f}s]")
 
 
 def test_criterion_9_generalized_dihedral():
     t0 = time.perf_counter()
-    r15 = sb.family_formula_report(sb.family_spec("generalized_dihedral", 15, 2, 14))
-    r105 = sb.family_formula_report(sb.family_spec("generalized_dihedral", 105, 2, 104))
+    r15 = family_row("generalized_dihedral", 15, 2, 14)
+    r105 = family_row("generalized_dihedral", 105, 2, 104)
     elapsed = time.perf_counter() - t0
-    e15 = r15.enumerated
+    (add15, mult15), (add105, mult105) = _ratios(r15), _ratios(r105)
     ok = (
-        e15["stable_in_mult"] == 2**1 + 2**2 - 1 == 5
-        and e15["subgroups_add"] == 2**3 == 8
-        and e15["subgroups_mult"] == 2**2 + (2**1 - 1) * sigma(15) == 28
-        and e15["ratio_add_galois"] == (5, 8)
-        and e15["ratio_mult_galois"] == (8, 28)
-        and r15.bound_ok  # 8/28 <= 2*(2/3)^2
-        and r105.enumerated["ratio_add_galois"] == (9, 16)
-        and r105.enumerated["ratio_mult_galois"] == (16, 200)
-        and r15.all_match
-        and r105.all_match
+        r15["n_stable_dir2"] == 2**1 + 2**2 - 1 == 5
+        and r15["n_sub_add"] == 2**3 == 8
+        and r15["n_sub_mult"] == 2**2 + (2**1 - 1) * sigma(15) == 28
+        and add15 == (5, 8)
+        and mult15 == (8, 28)
+        and r15["bound_ok"] is True  # 8/28 <= 2*(2/3)^2
+        and add105 == (9, 16)
+        and mult105 == (16, 200)
+        and r15["predicted_match"] == "true"
+        and r105["predicted_match"] == "true"
         and elapsed < 120.0
     )
     _report(
         ok,
-        f"criterion 9: m=15 ratios {e15['ratio_add_galois']}/{e15['ratio_mult_galois']} "
-        f"bound_ok={r15.bound_ok}; m=105 ratios {r105.enumerated['ratio_add_galois']}"
-        f"/{r105.enumerated['ratio_mult_galois']} [{elapsed:.2f}s]",
+        f"criterion 9: m=15 ratios {add15}/{mult15} bound_ok={r15['bound_ok']}; "
+        f"m=105 ratios {add105}/{mult105} [{elapsed:.2f}s]",
     )
 
 

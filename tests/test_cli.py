@@ -693,6 +693,35 @@ def test_family_empty_batch(tmp_path, capsys):
     assert report["result"]["rows"] == []
 
 
+# one spec of each row kind: true with and without bound_ok, no-prediction,
+# the one-key full-stability prediction, unverified, an error row, and the
+# dihedral group of order 1990 near the order cap
+GOLDEN_FAMILY_SPECS = [
+    "generalized_dihedral 15 2 14",
+    "generalized_dihedral 105 2 104",
+    "pq 31 5 2",
+    "pq 7 3 2",
+    "product_pq 35 6 9",
+    "custom_semidirect 35 6 29",
+    "custom_semidirect 21 2 20",
+    "generalized_dihedral 1000000007 2 1000000006",
+    "pq 9 3 2",
+    "generalized_dihedral 995 2 994",
+    "product_pq 33 10 14",
+]
+
+
+def test_family_json_report_of_every_row_kind_is_pinned(tmp_path, capsys):
+    batch = tmp_path / "specs.txt"
+    batch.write_text("\n".join(GOLDEN_FAMILY_SPECS) + "\n")
+    code, out = run(capsys, "--format", "json", "family", "--batch", str(batch))
+    assert code == EXIT_OK
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    rows = json.dumps(json.loads(out)["result"]["rows"], indent=1)
+    expected = "46d86514b87ed98c80a1353003a61c2c9337108c0aff535a95b6e046cd164e12"
+    assert digest == expected, rows
+
+
 def test_csv_format_rejected_outside_family(capsys):
     code, _ = run(capsys, "--format", "csv", "ratio", "--zappa-szep", "a5")
     assert code == EXIT_CONFIG
@@ -920,9 +949,9 @@ PUBLIC_NAMES = {
         "stability_map", "validate_skew_brace",
     ],
     "constructions": [
-        "ExactFactorization", "FamilySpec", "FormulaReport", "a5_factorization",
-        "exact_factorization", "factorization_from_permutations", "family_formula_report",
-        "family_spec", "semidirect_biskew", "stability_criterion_z9z6", "zappa_szep_brace",
+        "ExactFactorization", "FamilySpec", "a5_factorization", "exact_factorization",
+        "factorization_from_permutations", "family_spec", "semidirect_biskew",
+        "stability_criterion_z9z6", "zappa_szep_brace",
     ],
     "groups": [
         "DEFAULT_AUT_CAP", "DEFAULT_ORDER_CAP", "FiniteGroup", "SubgroupSet", "automorphism_group",

@@ -9,11 +9,19 @@ import pytest
 from hypothesis import given
 
 import skewbrace as sb
-from skewbrace.constructions import _order, _predicted
+from skewbrace.constructions import _order
 from skewbrace.errors import InvalidAction, NotClosed, NotComplementary, WrongParent
+from skewbrace.family import _predicted
 from skewbrace.groups import _prime_factors
 
-from conftest import divisor_count, multiplicative_order, product_group, semidirect_params, sigma
+from conftest import (
+    divisor_count,
+    family_row,
+    multiplicative_order,
+    product_group,
+    semidirect_params,
+    sigma,
+)
 
 
 def _plain_normalized(f: sb.ExactFactorization, H: sb.SubgroupSet) -> bool:
@@ -248,10 +256,10 @@ def test_sigma_and_divisor_count():
 
 def test_generalized_dihedral_at_the_order_cap_matches_its_subgroup_counts():
     # Z_1990 has tau(1990) subgroups and D_995 has tau(995) + sigma(995)
-    report = sb.family_formula_report(sb.family_spec("generalized_dihedral", 995, 2, 994))
-    assert report.enumerated["subgroups_add"] == divisor_count(1990) == 8
-    assert report.enumerated["subgroups_mult"] == divisor_count(995) + sigma(995) == 1204
-    assert report.all_match
+    row = family_row("generalized_dihedral", 995, 2, 994)
+    assert row["n_sub_add"] == divisor_count(1990) == 8
+    assert row["n_sub_mult"] == divisor_count(995) + sigma(995) == 1204
+    assert row["predicted_match"] == "true"
 
 
 def test_multiplicative_order():
@@ -298,47 +306,51 @@ def test_family_spec_validation():
 
 
 def test_pq_family_report():
-    report = sb.family_formula_report(sb.family_spec("pq", 7, 3, 2))
-    assert report.verified and report.all_match
-    assert report.enumerated["ratio_add_galois"] == (3, 4)
-    assert report.enumerated["ratio_mult_galois"] == (4, 10)
+    row = family_row("pq", 7, 3, 2)
+    assert row["predicted_match"] == "true"
+    assert (row["ratio2_num"], row["ratio2_den"]) == (3, 4)
+    assert (row["ratio1_num"], row["ratio1_den"]) == (4, 10)
 
 
 def test_dihedral_family_report_m15():
-    spec = sb.family_spec("generalized_dihedral", 15, 2, 14)
-    report = sb.family_formula_report(spec)
-    assert report.verified and report.all_match
-    assert report.enumerated["stable_in_mult"] == 5
-    assert report.enumerated["subgroups_add"] == 8
-    assert report.enumerated["subgroups_mult"] == 28
-    assert report.bound_ok
+    row = family_row("generalized_dihedral", 15, 2, 14)
+    assert row["predicted_match"] == "true"
+    assert row["n_stable_dir2"] == 5
+    assert row["n_sub_add"] == 8
+    assert row["n_sub_mult"] == 28
+    assert row["bound_ok"] is True
 
 
 def test_dihedral_add_galois_ratio_exceeds_half():
     for m, g in ((15, 2), (105, 3)):
-        spec = sb.family_spec("generalized_dihedral", m, 2, m - 1)
-        report = sb.family_formula_report(spec)
-        num, den = report.enumerated["ratio_add_galois"]
+        row = family_row("generalized_dihedral", m, 2, m - 1)
+        num, den = row["ratio2_num"], row["ratio2_den"]
         assert (num, den) == (2**g + 1, 2 ** (g + 1))
         assert 2 * num > den
 
 
 def test_product_family_report():
     # m = 5*7, n = 2*3, b = 9: order 2 mod 5 and order 3 mod 7
-    spec = sb.family_spec("product_pq", 35, 6, 9)
-    report = sb.family_formula_report(spec)
-    assert report.verified and report.all_match
-    assert report.enumerated["ratio_add_galois"] == (9, 16)
-    assert report.enumerated["ratio_mult_galois"] == (16, 80)
+    row = family_row("product_pq", 35, 6, 9)
+    assert row["predicted_match"] == "true"
+    assert (row["ratio2_num"], row["ratio2_den"]) == (9, 16)
+    assert (row["ratio1_num"], row["ratio1_den"]) == (16, 80)
+
+
+# the columns of a family row that enumeration fills
+COUNT_COLUMNS = [
+    "n_sub_add", "n_sub_mult", "n_stable_dir1", "n_stable_dir2",
+    "ratio1_num", "ratio1_den", "ratio2_num", "ratio2_den",
+]
 
 
 def test_product_family_with_one_factor_matches_pq():
     for p, q, b in ((7, 3, 2), (7, 3, 4), (7, 2, 6), (13, 3, 3), (11, 5, 3), (31, 5, 2)):
-        pq = sb.family_formula_report(sb.family_spec("pq", p, q, b))
-        prod = sb.family_formula_report(sb.family_spec("product_pq", p, q, b))
-        assert pq.enumerated == prod.enumerated
-        assert pq.predicted == prod.predicted
-        assert pq.all_match
+        pq = family_row("pq", p, q, b)
+        prod = family_row("product_pq", p, q, b)
+        assert [pq[c] for c in COUNT_COLUMNS] == [prod[c] for c in COUNT_COLUMNS]
+        assert pq["predicted"] == prod["predicted"]
+        assert pq["predicted_match"] == "true"
     # a product spec with two prime pairs is still no pq spec
     sb.family_spec("product_pq", 35, 6, 4)
     with pytest.raises(ValueError, match="pq family needs m and n prime"):
@@ -346,26 +358,36 @@ def test_product_family_with_one_factor_matches_pq():
 
 
 @pytest.mark.parametrize(
-    "family, m, n, b",
+    "family, m, n, b, verdict",
     [
-        ("pq", 7, 3, 2),
-        ("product_pq", 33, 10, 14),
-        ("generalized_dihedral", 15, 2, 14),
-        ("custom_semidirect", 21, 2, 20),
+        pytest.param("pq", 7, 3, 2, "true", id="pq-7-3-2"),
+        pytest.param("product_pq", 33, 10, 14, "true", id="product_pq-33-10-14"),
+        pytest.param("generalized_dihedral", 15, 2, 14, "true", id="generalized_dihedral-15-2-14"),
+        pytest.param("custom_semidirect", 21, 2, 20, "true", id="custom_semidirect-21-2-20"),
+        pytest.param(
+            "generalized_dihedral", 1000000007, 2, 1000000006, "unverified",
+            id="generalized_dihedral-1000000007-2-1000000006",
+        ),
+        pytest.param("pq", 9, 3, 2, "error:ValueError", id="pq-9-3-2"),
     ],
 )
-def test_family_report_enumerates_each_lattice_once(lattices_enumerated, family, m, n, b):
-    report = sb.family_formula_report(sb.family_spec(family, m, n, b))
-    assert report.verified
-    assert lattices_enumerated == [m * n, m * n]
+def test_family_report_enumerates_each_lattice_once(
+    tables_built, lattices_enumerated, family, m, n, b, verdict
+):
+    assert family_row(family, m, n, b)["predicted_match"] == verdict
+    # a verified row builds its two groups of order mn and enumerates each
+    # lattice once; a row over the cap or with an invalid spec builds none
+    orders = [m * n, m * n] if verdict == "true" else []
+    assert tables_built == orders
+    assert lattices_enumerated == orders
 
 
 def test_unverified_report_keeps_predictions():
-    spec = sb.family_spec("generalized_dihedral", 105, 2, 104)
-    report = sb.family_formula_report(spec, cap=100)
-    assert not report.verified
-    assert report.enumerated is None
-    assert report.predicted["subgroups_mult"] == 200
+    row = family_row("generalized_dihedral", 105, 2, 104, cap=100)
+    assert row["predicted_match"] == "unverified"
+    assert "match" not in row
+    assert [row[c] for c in COUNT_COLUMNS[2:]] == [""] * 6
+    assert row["n_sub_mult"] == row["predicted"]["subgroups_mult"] == 200
 
 
 def test_all_additive_subgroups_stable_instances():
@@ -374,5 +396,5 @@ def test_all_additive_subgroups_stable_instances():
         ("generalized_dihedral", 15, 2, 14),
         ("pq", 31, 5, 2),
     ):
-        report = sb.family_formula_report(sb.family_spec(fam, m, n, b))
-        assert report.enumerated["all_add_subgroups_mult_stable"]
+        row = family_row(fam, m, n, b)
+        assert row["n_stable_dir1"] == row["n_sub_add"]

@@ -24,16 +24,16 @@ _MODULE_OF = {
             "FpAlgebra", "SubspaceBasis", "additive_group", "brace_from_radical",
             "brace_from_radical_flipped", "circle_group", "degraaf_algebra",
             "enumerate_left_ideals", "enumerate_right_ideals", "enumerate_subspaces",
-            "make_algebra", "subspace_subgroup",
+            "subspace_subgroup",
         ),
         "braces": (
             "GcRatio", "SkewBrace", "automorphism_counts", "gc_ratio", "hgs_count",
             "is_bi_skew", "stability_map", "validate_skew_brace",
         ),
         "constructions": (
-            "ExactFactorization", "FamilySpec", "a5_factorization", "exact_factorization",
-            "factorization_from_permutations", "family_spec", "semidirect_biskew",
-            "stability_criterion_z9z6", "zappa_szep_brace",
+            "ExactFactorization", "FamilySpec", "a5_factorization",
+            "factorization_from_permutations", "semidirect_biskew", "stability_criterion_z9z6",
+            "zappa_szep_brace",
         ),
         "groups": (
             "DEFAULT_AUT_CAP", "DEFAULT_ORDER_CAP", "FiniteGroup", "SubgroupSet",

@@ -48,21 +48,62 @@ def _check_prime(p: int) -> None:
 
 @dataclass(frozen=True, eq=False)
 class FpAlgebra:
-    """Structure constants of a nilpotent algebra on a d-dimensional basis.
-
-    ``sc`` is the read-only int64 array whose entry sc[i, j] is the
-    coordinate vector of the basis product e_i * e_j.  ``nilpotency_index``
-    is the least e with every e-fold product zero.  The nilpotency chain and
-    the circle group read ``sc``; point arithmetic is read off the additive
-    and circle tables.  Two algebras are equal when their p, constants and
-    labels are.
+    """A nilpotent algebra over F_p on a d-dimensional basis, given by integer
+    structure constants (``sc[i][j]`` is the vector e_i * e_j) and checked on
+    construction: the point budget of F_p^dim first, then dim, the primality
+    of p, the shape and integer entries of ``sc`` (ValueError), associativity
+    on basis triples (bilinearity covers the rest), nilpotency by the power
+    chain A, A^2, ... which must strictly shrink to zero, and the count of
+    ``basis_labels``.  ``sc`` is kept as one read-only int64 array, read by
+    the nilpotency chain and the circle group, and ``nilpotency_index`` is the
+    least e with every e-fold product zero.  Two algebras are equal when
+    their p, constants and labels are.
     """
 
     p: int
     dim: int
     sc: np.ndarray = field(repr=False)
     basis_labels: tuple[str, ...] | None = None
-    nilpotency_index: int = 2
+    nilpotency_index: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        p, dim = self.p, self.dim
+        check_point_budget(p, dim)
+        if dim < 1:
+            raise ValueError("dimension must be at least 1")
+        _check_prime(p)
+        raw = [list(row) for row in self.sc]
+        if len(raw) != dim or any(len(row) != dim or any(len(e) != dim for e in row) for row in raw):
+            raise ValueError("structure constant table must be dim x dim x dim")
+        for k, entry in enumerate(entry for row in raw for entry in row):
+            l = _first_non_integer(entry)
+            if l is not None:
+                where = (k // dim, k % dim, l)
+                raise ValueError(f"structure constant {where} is not an integer: {entry[l]!r}")
+        # reduced as Python integers first, so a constant beyond int64 is exact
+        SC = (np.array(raw, dtype=object) % p).astype(np.int64)  # SC[i, j, l]
+        SC.flags.writeable = False
+        lhs = np.einsum("ijl,lkm->ijkm", SC, SC) % p  # (e_i e_j) e_k
+        rhs = np.einsum("jkl,ilm->ijkm", SC, SC) % p  # e_i (e_j e_k)
+        bad = np.argwhere(lhs != rhs)
+        if len(bad):
+            raise NotAssociative(tuple(bad[0, :3].tolist()))
+        # A^(k+1) is spanned by the products e_i v over a basis v of A^k
+        current = np.eye(dim, dtype=np.int64)
+        index = 1
+        while len(current):
+            nxt = _rref(np.einsum("vj,ijl->ivl", current, SC).reshape(-1, dim), p)
+            if len(nxt) and len(nxt) >= len(current):
+                raise NotNilpotent(index + 1, len(nxt))
+            current = nxt
+            index += 1
+        labels = self.basis_labels
+        if labels is not None:
+            labels = tuple(str(s) for s in labels)
+            if len(labels) != dim:
+                raise ValueError(f"got {len(labels)} labels for dimension {dim}")
+        for name, value in [("sc", SC), ("basis_labels", labels), ("nilpotency_index", index)]:
+            object.__setattr__(self, name, value)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FpAlgebra):
@@ -94,55 +135,10 @@ def _rref(rows: np.ndarray, p: int) -> np.ndarray:
     return M[:rank]
 
 
-def make_algebra(p: int, dim: int, sc, labels=None) -> FpAlgebra:
-    """Validate structure constants and return the algebra.
-
-    Every structure constant must be an integer (ValueError otherwise).
-    Associativity is checked on basis triples (bilinearity covers the rest)
-    and nilpotency by iterating the power chain A, A^2, A^3, ... which must
-    strictly shrink to zero.  F_p^dim may have at most DEFAULT_POINT_BUDGET
-    points, checked first, and dim is checked before p is factored.
-    """
-    check_point_budget(p, dim)
-    if dim < 1:
-        raise ValueError("dimension must be at least 1")
-    _check_prime(p)
-    raw = [list(row) for row in sc]
-    if len(raw) != dim or any(len(row) != dim or any(len(e) != dim for e in row) for row in raw):
-        raise ValueError("structure constant table must be dim x dim x dim")
-    for k, entry in enumerate(entry for row in raw for entry in row):
-        l = _first_non_integer(entry)
-        if l is not None:
-            where = (k // dim, k % dim, l)
-            raise ValueError(f"structure constant {where} is not an integer: {entry[l]!r}")
-    # reduced as Python integers first, so a constant beyond int64 is exact
-    SC = (np.array(raw, dtype=object) % p).astype(np.int64)  # SC[i, j, l]
-    SC.flags.writeable = False
-    lhs = np.einsum("ijl,lkm->ijkm", SC, SC) % p  # (e_i e_j) e_k
-    rhs = np.einsum("jkl,ilm->ijkm", SC, SC) % p  # e_i (e_j e_k)
-    bad = np.argwhere(lhs != rhs)
-    if len(bad):
-        raise NotAssociative(tuple(bad[0, :3].tolist()))
-    # A^(k+1) is spanned by the products e_i v over a basis v of A^k
-    current = np.eye(dim, dtype=np.int64)
-    index = 1
-    while len(current):
-        nxt = _rref(np.einsum("vj,ijl->ivl", current, SC).reshape(-1, dim), p)
-        if len(nxt) and len(nxt) >= len(current):
-            raise NotNilpotent(index + 1, len(nxt))
-        current = nxt
-        index += 1
-    if labels is not None:
-        labels = tuple(str(s) for s in labels)
-        if len(labels) != dim:
-            raise ValueError(f"got {len(labels)} labels for dimension {dim}")
-    return FpAlgebra(p, dim, SC, labels, index)
-
-
 def degraaf_algebra(p: int) -> FpAlgebra:
     """Four-dimensional algebra with a*a = c, a*b = d, other basis products zero.
 
-    Defined for odd primes only; ``make_algebra`` checks the budget and primality.
+    Defined for odd primes only; ``FpAlgebra`` checks the budget and primality.
     """
     if p <= 2:
         raise ValueError("p must be an odd prime")
@@ -150,7 +146,7 @@ def degraaf_algebra(p: int) -> FpAlgebra:
     sc = [[zero] * 4 for _ in range(4)]
     sc[0][0] = (0, 0, 1, 0)
     sc[0][1] = (0, 0, 0, 1)
-    return make_algebra(p, 4, sc, labels=("a", "b", "c", "d"))
+    return FpAlgebra(p, 4, sc, ("a", "b", "c", "d"))
 
 
 def _digits(n: int, p: int, width: int) -> np.ndarray:

@@ -5,15 +5,16 @@ permutation closures; ``groups`` resolves their names on first access, so
 a command that only validates tables never loads this module.  The braces
 come from exact factorizations and semidirect products.
 
-Also validates the squarefree-family specs (``family_spec``): the orders
-asked of b are read off the primes of m and n.  The closed-form counts of
-each family, and their check against enumeration, live in ``family``.
+Each input checks itself on construction: an ``ExactFactorization`` its
+factors, and a ``FamilySpec`` (a squarefree-family spec) its m, n and b,
+with the orders asked of b read off the primes of m and n.  The closed-form
+counts of each family, and their check against enumeration, live in ``family``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -142,29 +143,29 @@ def closure_from_permutations(gens, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup
 
 @dataclass(frozen=True)
 class ExactFactorization:
-    """G = L * R with |L| |R| = |G| and trivial intersection, so that each g
-    is l * r^-1 for exactly one pair (l, r) in L x R."""
+    """G = L * R for subgroups L and R of G, checked on construction: a factor
+    of another parent order raises WrongParent, one not closed under G's
+    table ValueError.  Then |L| |R| = |G| and L n R = 1 (NotComplementary
+    otherwise) make (l, r) -> l * r^-1 injective, as l * r^-1 = l' * r'^-1
+    puts l'^-1 * l = r'^-1 * r in L n R, and so a bijection onto G."""
 
     parent: FiniteGroup
     left: SubgroupSet
     right: SubgroupSet
 
-
-def exact_factorization(G: FiniteGroup, left_seed, right_seed) -> ExactFactorization:
-    """Verify that the generated subgroups factor G exactly.
-
-    |L| |R| = |G| and L n R = 1 (NotComplementary otherwise) make the map
-    (l, r) -> l * r^-1 injective, as l * r^-1 = l' * r'^-1 puts l'^-1 * l =
-    r'^-1 * r in L n R, and so a bijection from L x R onto G.
-    """
-    left = groups.generated_subgroup(G, left_seed)
-    right = groups.generated_subgroup(G, right_seed)
-    inter = (left.mask & right.mask).bit_count()
-    if left.size * right.size != G.order or inter != 1:
-        raise NotComplementary(
-            f"|L|={left.size}, |R|={right.size}, |G|={G.order}, |L n R|={inter}"
-        )
-    return ExactFactorization(G, left, right)
+    def __post_init__(self) -> None:
+        G, left, right = self.parent, self.left, self.right
+        for name, H in (("left", left), ("right", right)):
+            if H.parent_order != G.order:
+                raise WrongParent(G.order, H.parent_order)
+            elems = np.array(H.elements(), dtype=np.intp)
+            if not H.members[G.table[np.ix_(elems, elems)]].all():
+                raise ValueError(f"the {name} factor is not a subgroup")
+        inter = (left.mask & right.mask).bit_count()
+        if left.size * right.size != G.order or inter != 1:
+            raise NotComplementary(
+                f"|L|={left.size}, |R|={right.size}, |G|={G.order}, |L n R|={inter}"
+            )
 
 
 def zappa_szep_brace(f: ExactFactorization) -> SkewBrace:
@@ -191,8 +192,8 @@ def factorization_from_permutations(
     """
     G = closure_from_permutations([*left, *right], cap=cap)
     index = {label: k for k, label in enumerate(G.labels)}
-    lseed, rseed = ([index[_cycle_label(g)] for g in gens] for gens in (left, right))
-    return exact_factorization(G, lseed, rseed)
+    seeds = ([index[_cycle_label(g)] for g in gens] for gens in (left, right))
+    return ExactFactorization(G, *(groups.generated_subgroup(G, seed) for seed in seeds))
 
 
 def a5_factorization(cap: int = DEFAULT_ORDER_CAP) -> ExactFactorization:
@@ -240,14 +241,53 @@ def _order(b: int, d: int, n: int, n_primes) -> int:
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """Validated parameters (m, n, b) for one of the squarefree families."""
+    """Parameters (m, n, b) of one of the squarefree families, checked on
+    construction: ``family`` is one of groups.FAMILIES, m and n are coprime,
+    squarefree and at most groups.FACTOR_BOUND, which keeps trial division
+    fast (BudgetExceeded otherwise), and b acts with the multiplicative
+    orders each family requires.  m, n and b are kept as ints, b modulo m,
+    with the primes of m and n."""
 
     family: str
     m: int
     n: int
     b: int
-    m_primes: tuple[int, ...]
-    n_primes: tuple[int, ...]
+    m_primes: tuple[int, ...] = field(init=False)
+    n_primes: tuple[int, ...] = field(init=False)
+
+    def __post_init__(self) -> None:
+        family = self.family
+        if family not in FAMILIES:
+            raise ValueError(f"unknown family {family!r}; choose one of {FAMILIES}")
+        m, n, b = _integer(self.m, "m"), _integer(self.n, "n"), _integer(self.b, "b")
+        if m < 2 or n < 2:
+            raise ValueError("m and n must be at least 2")
+        if max(m, n) > FACTOR_BOUND:
+            raise BudgetExceeded(max(m, n), FACTOR_BOUND, "family parameter")
+        mp, np_ = _prime_factors(m), _prime_factors(n)
+        if len(set(mp)) != len(mp) or len(set(np_)) != len(np_):
+            raise ValueError(f"m={m} and n={n} must be squarefree")
+        if math.gcd(m, n) != 1:
+            raise ValueError(f"m={m} and n={n} must be coprime")
+        b = _unit_action(m, n, b)
+        if family == "pq" and (len(mp) != 1 or len(np_) != 1):
+            raise ValueError("pq family needs m and n prime")
+        # pq is the product family with one prime pair
+        if family in ("pq", "product_pq"):
+            if len(mp) != len(np_):
+                raise ValueError("product family pairs one q with each p")
+            orders = sorted(_order(b, p, n, np_) for p in mp)
+            if orders != sorted(np_):
+                raise InvalidAction(
+                    f"orders of b modulo the primes of m are {orders}, "
+                    f"expected the primes of n"
+                )
+        elif family == "generalized_dihedral":
+            for p in mp:
+                if _order(b, p, n, np_) != n:
+                    raise InvalidAction(f"b={b} must have order {n} modulo {p}")
+        for name, value in [("m", m), ("n", n), ("b", b), ("m_primes", mp), ("n_primes", np_)]:
+            object.__setattr__(self, name, value)
 
     @property
     def g(self) -> int:
@@ -256,42 +296,3 @@ class FamilySpec:
     @property
     def h(self) -> int:
         return len(self.n_primes)
-
-
-def family_spec(family: str, m: int, n: int, b: int) -> FamilySpec:
-    """Validate and normalize a family spec.
-
-    m and n must be coprime, squarefree and at most groups.FACTOR_BOUND,
-    which keeps trial division fast (BudgetExceeded otherwise); b must act
-    with the multiplicative orders each family requires.
-    """
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}; choose one of {FAMILIES}")
-    m, n, b = _integer(m, "m"), _integer(n, "n"), _integer(b, "b")
-    if m < 2 or n < 2:
-        raise ValueError("m and n must be at least 2")
-    if max(m, n) > FACTOR_BOUND:
-        raise BudgetExceeded(max(m, n), FACTOR_BOUND, "family parameter")
-    mp, np_ = _prime_factors(m), _prime_factors(n)
-    if len(set(mp)) != len(mp) or len(set(np_)) != len(np_):
-        raise ValueError(f"m={m} and n={n} must be squarefree")
-    if math.gcd(m, n) != 1:
-        raise ValueError(f"m={m} and n={n} must be coprime")
-    b = _unit_action(m, n, b)
-    if family == "pq" and (len(mp) != 1 or len(np_) != 1):
-        raise ValueError("pq family needs m and n prime")
-    # pq is the product family with one prime pair
-    if family in ("pq", "product_pq"):
-        if len(mp) != len(np_):
-            raise ValueError("product family pairs one q with each p")
-        orders = sorted(_order(b, p, n, np_) for p in mp)
-        if orders != sorted(np_):
-            raise InvalidAction(
-                f"orders of b modulo the primes of m are {orders}, "
-                f"expected the primes of n"
-            )
-    elif family == "generalized_dihedral":
-        for p in mp:
-            if _order(b, p, n, np_) != n:
-                raise InvalidAction(f"b={b} must have order {n} modulo {p}")
-    return FamilySpec(family, m, n, b, mp, np_)

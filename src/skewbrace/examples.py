@@ -189,7 +189,7 @@ def _example_builders(
     p_list, z9z6: Z9Z6, ratios: Z9Z6Ratios
 ) -> list[tuple[str, Callable[[RunConfig], list[dict]]]]:
     dihedral_ms, pq_specs = FAMILY_SOURCE["dihedral"], FAMILY_SOURCE["pq"]
-    family_specs = [
+    family_rows = [
         *((f"dihedral-{m}", ("generalized_dihedral", m, 2, m - 1)) for m in dihedral_ms),
         *((f"pq-{p}-{q}-{b}", ("pq", p, q, b)) for p, q, b in pq_specs),
     ]
@@ -199,7 +199,7 @@ def _example_builders(
         ("semidirect-9-6-2-shortcuts", partial(_z9z6_shortcuts, ratios)),
         ("zappa-a5", _zappa_a5),
         *((f"algebra-p{p}", partial(_algebra_rows, p)) for p in p_list),
-        *((row_id, partial(_family_example, row_id, spec)) for row_id, spec in family_specs),
+        *((row_id, partial(_family_example, row_id, spec)) for row_id, spec in family_rows),
         ("fuzz", partial(_fuzz, z9z6)),
         ("stability-maps", partial(_stability_maps, z9z6)),
         ("aut-counts", partial(_aut_counts, z9z6)),

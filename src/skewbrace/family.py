@@ -93,7 +93,7 @@ def _family_row(spec_args, cfg: RunConfig) -> dict:
     row = dict.fromkeys(FAMILY_CSV_COLUMNS, "")
     row.update(family=family, m=m, n=n, b=b)
     try:
-        spec = constructions.family_spec(family, m, n, b)
+        spec = constructions.FamilySpec(family, m, n, b)
     except (ValueError, ValidationFailure, CapExceeded) as exc:
         row["predicted_match"] = f"error:{type(exc).__name__}"
         return row

@@ -117,18 +117,22 @@ class FiniteGroup:
 @dataclass(frozen=True)
 class SubgroupSet:
     """A subgroup as its membership: element i of the parent is in it when
-    bit i of ``mask`` is set.  Every view below reads bits 0..n-1 alone, so
-    a mask with bits outside that range holds no more elements."""
+    bit i of ``mask`` is set.  The set keeps bits 0..n-1 of the mask it is
+    given, so a mask with bits outside that range holds no more elements,
+    and two sets with the same members are equal."""
 
     parent_order: int
     mask: int
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "mask", self.mask & ((1 << self.parent_order) - 1))
+
     @property
     def size(self) -> int:
-        return (self.mask & ((1 << self.parent_order) - 1)).bit_count()
+        return self.mask.bit_count()
 
     def contains(self, x: int) -> bool:
-        return 0 <= x < self.parent_order and bool(self.mask >> x & 1)
+        return x >= 0 and bool(self.mask >> x & 1)
 
     def elements(self) -> tuple[int, ...]:
         return tuple(np.flatnonzero(self.members).tolist())
@@ -137,8 +141,7 @@ class SubgroupSet:
     def members(self) -> np.ndarray:
         """Membership array over 0..n-1."""
         n = self.parent_order
-        mask = self.mask & ((1 << n) - 1)
-        bits = np.frombuffer(mask.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
+        bits = np.frombuffer(self.mask.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
         return np.unpackbits(bits, count=n, bitorder="little").view(bool)
 
 
@@ -318,7 +321,7 @@ def build_from_table(op_table, labels=None) -> FiniteGroup:
     return FiniteGroup(op_table, labels)
 
 
-# family_spec factors no integer above this: trial division to its square
+# a FamilySpec factors no integer above this: trial division to its square
 # root tries 10^5 divisors, about 0.01 s
 FACTOR_BOUND = 10**10
 
@@ -335,7 +338,7 @@ def _prime_factors(m: int) -> tuple[int, ...]:
     return (*out, m) if m > 1 else tuple(out)
 
 
-# the families of constructions.family_spec, here for the CLI's parser
+# the families of constructions.FamilySpec, here for the CLI's parser
 FAMILIES = ("pq", "product_pq", "generalized_dihedral", "custom_semidirect")
 
 

@@ -64,7 +64,7 @@ def _parse_algebra_json(data: dict) -> algebras.FpAlgebra:
         sc[i][j] = tuple(
             _json_int(v, f"products[{k}].value[{l}]") for l, v in enumerate(value)
         )
-    return algebras.make_algebra(p, dim, sc, labels=labels)
+    return algebras.FpAlgebra(p, dim, sc, labels)
 
 
 def _parse_brace_json(data: dict, cap: int) -> list[np.ndarray]:

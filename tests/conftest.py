@@ -437,7 +437,7 @@ def transported_algebra(A: sb.FpAlgebra, seed: int) -> sb.FpAlgebra:
             )
             row.append(coords)
         sc.append(tuple(row))
-    return sb.make_algebra(p, d, tuple(sc))
+    return sb.FpAlgebra(p, d, tuple(sc))
 
 
 def heisenberg_algebra(p: int) -> sb.FpAlgebra:
@@ -445,7 +445,7 @@ def heisenberg_algebra(p: int) -> sb.FpAlgebra:
     zero = (0, 0, 0)
     sc = [[zero] * 3 for _ in range(3)]
     sc[0][1] = (0, 0, 1)
-    return sb.make_algebra(p, 3, sc)
+    return sb.FpAlgebra(p, 3, sc)
 
 
 def truncated_poly_algebra(p: int, k: int) -> sb.FpAlgebra:
@@ -458,7 +458,7 @@ def truncated_poly_algebra(p: int, k: int) -> sb.FpAlgebra:
             deg = i + j + 2
             row.append(tuple(1 if l + 1 == deg else 0 for l in range(d)))
         sc.append(tuple(row))
-    return sb.make_algebra(p, d, tuple(sc))
+    return sb.FpAlgebra(p, d, tuple(sc))
 
 
 # ---------------------------------------------------------------------------

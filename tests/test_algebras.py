@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import re
 import tracemalloc
 from collections import Counter
@@ -33,7 +34,7 @@ from conftest import (
 
 def zero_algebra(p, dim):
     zero = (0,) * dim
-    return sb.make_algebra(p, dim, [[zero] * dim for _ in range(dim)])
+    return sb.FpAlgebra(p, dim, [[zero] * dim for _ in range(dim)])
 
 
 A_COEFF = (1, 0, 0, 0)
@@ -110,14 +111,29 @@ def test_degraaf_rejects_p2():
 def test_idempotent_rejected():
     sc = [[(1,)]]
     with pytest.raises(NotNilpotent):
-        sb.make_algebra(3, 1, sc)
+        sb.FpAlgebra(3, 1, sc)
+
+
+def test_an_algebra_checks_itself_and_takes_only_constants_and_labels():
+    # a a = b and a b = b a = c: x, x^2, x^3 with x^4 = 0, so A^4 = 0 and A^3 != 0
+    zero = (0, 0, 0)
+    sc = [[zero] * 3 for _ in range(3)]
+    sc[0][0], sc[0][1], sc[1][0] = (0, 1, 0), (0, 0, 1), (0, 0, 1)
+    A = sb.FpAlgebra(3, 3, sc)
+    assert A.nilpotency_index == 4
+    with pytest.raises(NilpotencyTooDeep):
+        sb.brace_from_radical_flipped(A)
+    fields = dataclasses.fields(sb.FpAlgebra)
+    assert [f.name for f in fields if f.init] == ["p", "dim", "sc", "basis_labels"]
+    with pytest.raises(TypeError):
+        sb.FpAlgebra(3, 3, sc, nilpotency_index=2)
 
 
 def test_non_associative_rejected():
     # e0*e0 = e1, e0*e1 = e0 makes (e0 e0) e0 != e0 (e0 e0)
     sc = [[(0, 1), (1, 0)], [(0, 0), (0, 0)]]
     with pytest.raises(NotAssociative):
-        sb.make_algebra(3, 2, sc)
+        sb.FpAlgebra(3, 2, sc)
 
 
 @pytest.mark.parametrize(
@@ -134,13 +150,13 @@ def test_non_integer_structure_constant_is_value_error_naming_its_position(entry
     sc = [[(0, 0), entry], [(0, 0), (0, 0)]]
     message = f"structure constant {where} is not an integer"
     with pytest.raises(ValueError, match=re.escape(message)):
-        sb.make_algebra(3, 2, sc)
+        sb.FpAlgebra(3, 2, sc)
 
 
 def test_non_prime_rejected():
     with pytest.raises(ValueError):
         zero = (0, 0)
-        sb.make_algebra(6, 2, [[zero] * 2] * 2)
+        sb.FpAlgebra(6, 2, [[zero] * 2] * 2)
 
 
 def test_point_budget_checked_before_primality_and_before_p_to_the_dim(monkeypatch):
@@ -151,11 +167,11 @@ def test_point_budget_checked_before_primality_and_before_p_to_the_dim(monkeypat
     with pytest.raises(BudgetExceeded):
         sb.degraaf_algebra(1000000000000000003)
     with pytest.raises(ValueError, match="^dimension must be at least 1$"):
-        sb.make_algebra(1000000000000000003, 0, [])
+        sb.FpAlgebra(1000000000000000003, 0, [])
     with pytest.raises(BudgetExceeded):
-        sb.make_algebra(3, 11, [])  # 3^11 = 177147 points
+        sb.FpAlgebra(3, 11, [])  # 3^11 = 177147 points
     with pytest.raises(BudgetExceeded):
-        sb.make_algebra(3, 10**12, [])  # 3^(10^12) is never formed
+        sb.FpAlgebra(3, 10**12, [])  # 3^(10^12) is never formed
 
 
 def test_largest_algebra_within_point_budget_is_accepted():
@@ -169,7 +185,7 @@ def test_structure_constants_are_one_read_only_array(degraaf3):
     again = sb.degraaf_algebra(3)
     assert again == degraaf3 and hash(again) == hash(degraaf3)
     assert transported_algebra(degraaf3, 1) != degraaf3
-    assert sb.make_algebra(3, 4, degraaf3.sc) != degraaf3  # no labels
+    assert sb.FpAlgebra(3, 4, degraaf3.sc) != degraaf3  # no labels
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +367,7 @@ def _int64_tables(A: sb.FpAlgebra) -> tuple[np.ndarray, np.ndarray]:
     [
         # e0 e0 = -e1 at n = 1849: d(p-1)^2 + 2(p-1) = 3612 fits int16, but
         # x sc y unreduced reaches 42^3 = 74,088
-        lambda: sb.make_algebra(43, 2, [[(0, 42), (0, 0)], [(0, 0), (0, 0)]]),
+        lambda: sb.FpAlgebra(43, 2, [[(0, 42), (0, 0)], [(0, 0), (0, 0)]]),
         # the ten powers of x at n = 1024
         lambda: truncated_poly_algebra(2, 11),
         # F_1999, where the bound needs int32 temporaries

@@ -554,7 +554,7 @@ def test_two_sided_count_of_a_flipped_radical_brace_lists_the_additive_group():
     zero = (0, 0, 0, 0)
     sc = [[zero] * 4 for _ in range(4)]
     sc[0][0], sc[0][1] = (0, 0, 1, 0), (0, 0, 0, 1)
-    algebra = sb.make_algebra(2, 4, sc)
+    algebra = sb.FpAlgebra(2, 4, sc)
     assert sb.automorphism_counts(sb.brace_from_radical(algebra)) == (32, 32)
     # Aut(B) = Aut(star) & Aut(circ) does not depend on which table is star
     flipped = sb.brace_from_radical_flipped(algebra)

@@ -92,6 +92,31 @@ def test_verify_mutated_brace_reports_witness(tmp_path, capsys):
     assert report["result"]["witness"] is not None
 
 
+# algebra files that FpAlgebra rejects: e0 e0 = e0 is idempotent, so A^2 = A;
+# a a = b and a b = c without b a = c give (a a) a = 0 but a (a a) = c
+INVALID_ALGEBRAS = {
+    "idempotent": (
+        {"p": 3, "dim": 1, "products": [{"i": 0, "j": 0, "value": [1]}]},
+        "NotNilpotent", [2, 1],
+    ),
+    "non-associative": (
+        {"p": 3, "dim": 3, "products": [{"i": 0, "j": 0, "value": [0, 1, 0]},
+                                        {"i": 0, "j": 1, "value": [0, 0, 1]}]},
+        "NotAssociative", [0, 0, 0],
+    ),
+}
+
+
+@pytest.mark.parametrize("data, error, witness", INVALID_ALGEBRAS.values(), ids=INVALID_ALGEBRAS)
+def test_verify_invalid_algebra_file_names_its_error_and_witness(tmp_path, capsys, data, error, witness):
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps(data))
+    code, report = run_json(capsys, "verify", str(path))
+    assert code == EXIT_INVALID
+    result = report["result"]
+    assert (result["valid"], result["error"], result["witness"]) == (False, error, witness)
+
+
 def test_verify_empty_file_is_parse_error(tmp_path, capsys):
     path = tmp_path / "empty.json"
     path.write_text("")
@@ -942,16 +967,15 @@ PUBLIC_NAMES = {
     "algebras": [
         "FpAlgebra", "SubspaceBasis", "additive_group", "brace_from_radical",
         "brace_from_radical_flipped", "circle_group", "degraaf_algebra", "enumerate_left_ideals",
-        "enumerate_right_ideals", "enumerate_subspaces", "make_algebra", "subspace_subgroup",
+        "enumerate_right_ideals", "enumerate_subspaces", "subspace_subgroup",
     ],
     "braces": [
         "GcRatio", "SkewBrace", "automorphism_counts", "gc_ratio", "hgs_count", "is_bi_skew",
         "stability_map", "validate_skew_brace",
     ],
     "constructions": [
-        "ExactFactorization", "FamilySpec", "a5_factorization", "exact_factorization",
-        "factorization_from_permutations", "family_spec", "semidirect_biskew",
-        "stability_criterion_z9z6", "zappa_szep_brace",
+        "ExactFactorization", "FamilySpec", "a5_factorization", "factorization_from_permutations",
+        "semidirect_biskew", "stability_criterion_z9z6", "zappa_szep_brace",
     ],
     "groups": [
         "DEFAULT_AUT_CAP", "DEFAULT_ORDER_CAP", "FiniteGroup", "SubgroupSet", "automorphism_group",

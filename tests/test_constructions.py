@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from hypothesis import given
 
 import skewbrace as sb
 from skewbrace.constructions import _order
-from skewbrace.errors import InvalidAction, NotClosed, NotComplementary, WrongParent
+from skewbrace.errors import InvalidAction, NotComplementary, WrongParent
 from skewbrace.family import _predicted
 from skewbrace.groups import _prime_factors
 
@@ -22,6 +24,13 @@ from conftest import (
     semidirect_params,
     sigma,
 )
+
+
+def _factorization(G: sb.FiniteGroup, left_seed, right_seed) -> sb.ExactFactorization:
+    """The exact factorization of G by the subgroups the two seeds generate."""
+    return sb.ExactFactorization(
+        G, sb.generated_subgroup(G, left_seed), sb.generated_subgroup(G, right_seed)
+    )
 
 
 def _plain_normalized(f: sb.ExactFactorization, H: sb.SubgroupSet) -> bool:
@@ -49,7 +58,7 @@ def _check_zappa_szep_rows(f: sb.ExactFactorization, brace: sb.SkewBrace) -> Non
 
 def test_factorization_of_z6():
     G = product_group(6)
-    f = sb.exact_factorization(G, [2], [3])
+    f = _factorization(G, [2], [3])
     assert f.left.size == 3 and f.right.size == 2
     _check_zappa_szep_rows(f, sb.zappa_szep_brace(f))
 
@@ -59,7 +68,7 @@ def test_semidirect_factorization_matches_plain_products(params):
     m, n, _ = params
     G = sb.semidirect_product_cyclic(*params)
     # (1,0) has index n and (0,1) index 1
-    f = sb.exact_factorization(G, [n], [1] if n > 1 else [])
+    f = _factorization(G, [n], [1] if n > 1 else [])
     brace = sb.zappa_szep_brace(f)
     _check_zappa_szep_rows(f, brace)
     stable = sb.gc_ratio(brace).stable
@@ -68,18 +77,23 @@ def test_semidirect_factorization_matches_plain_products(params):
 
 
 def test_factorization_rejects_overlap():
-    G = product_group(4)
-    with pytest.raises(NotComplementary):
-        sb.exact_factorization(G, [2], [2])
-
-
-def test_zappa_szep_brace_of_an_unchecked_overlap_leaves_a_row_unfilled():
-    # built without exact_factorization: l * r^-1 reaches only {0, 2}
+    # H = <2> twice in Z4: l * r^-1 reaches only {0, 2}, so unchecked it would
+    # leave rows of the Zappa-Szep circ table unfilled
     G = product_group(4)
     H = sb.generated_subgroup(G, [2])
-    with pytest.raises(NotClosed) as info:
-        sb.zappa_szep_brace(sb.ExactFactorization(G, H, H))
-    assert info.value.witness == (1, 0, -1)
+    with pytest.raises(NotComplementary, match=re.escape("|L|=2, |R|=2, |G|=4, |L n R|=2")):
+        sb.ExactFactorization(G, H, H)
+
+
+def test_a_factorization_checks_itself_and_takes_only_a_parent_and_two_factors():
+    G, H = product_group(4), sb.generated_subgroup(product_group(4), [2])
+    fields = dataclasses.fields(sb.ExactFactorization)
+    assert [f.name for f in fields if f.init] == ["parent", "left", "right"]
+    # each factor is a subgroup of this parent
+    with pytest.raises(WrongParent):
+        sb.ExactFactorization(G, sb.generated_subgroup(product_group(2), [1]), H)
+    with pytest.raises(ValueError, match="^the right factor is not a subgroup$"):
+        sb.ExactFactorization(G, H, sb.SubgroupSet(4, 0b0011))
 
 
 def test_a5_factorization():
@@ -103,7 +117,7 @@ def test_factorization_from_permutations_skips_identity_and_repeats():
 
 def test_internal_direct_product_gives_trivial_brace():
     G = product_group(6)
-    b = sb.zappa_szep_brace(sb.exact_factorization(G, [2], [3]))
+    b = sb.zappa_szep_brace(_factorization(G, [2], [3]))
     assert np.array_equal(b.circ.table, b.star.table)
 
 
@@ -284,7 +298,7 @@ def test_order_from_the_primes_of_n_is_the_stepped_order():
 
 def test_dihedral_subgroup_count_is_read_off_sigma():
     for m in (3, 15, 21, 105, 1001):
-        spec = sb.family_spec("generalized_dihedral", m, 2, m - 1)
+        spec = sb.FamilySpec("generalized_dihedral", m, 2, m - 1)
         assert _predicted(spec)["subgroups_mult"] == 2**spec.g + sigma(m)
 
 
@@ -293,16 +307,29 @@ def test_dihedral_subgroup_count_is_read_off_sigma():
 
 
 def test_family_spec_validation():
-    spec = sb.family_spec("pq", 7, 3, 2)
+    spec = sb.FamilySpec("pq", 7, 3, 2)
     assert spec.g == 1 and spec.h == 1
     with pytest.raises(ValueError):
-        sb.family_spec("custom_semidirect", 9, 6, 2)  # m not squarefree
+        sb.FamilySpec("custom_semidirect", 9, 6, 2)  # m not squarefree
     with pytest.raises(ValueError):
-        sb.family_spec("pq", 15, 2, 14)  # m not prime
+        sb.FamilySpec("pq", 15, 2, 14)  # m not prime
     with pytest.raises(InvalidAction):
-        sb.family_spec("pq", 7, 3, 6)  # 6 has order 2 modulo 7
+        sb.FamilySpec("pq", 7, 3, 6)  # 6 has order 2 modulo 7
     with pytest.raises(ValueError):
-        sb.family_spec("generalized_dihedral", 15, 3, 4)  # gcd(m, n) != 1
+        sb.FamilySpec("generalized_dihedral", 15, 3, 4)  # gcd(m, n) != 1
+    with pytest.raises(ValueError, match="^pq family needs m and n prime$"):
+        sb.FamilySpec("pq", 15, 2, 4)
+
+
+def test_a_family_spec_checks_itself_and_keeps_its_parameters_normalized():
+    spec = sb.FamilySpec("generalized_dihedral", np.int64(15), 2, -1)
+    assert (spec.m, spec.n, spec.b, spec.m_primes, spec.n_primes) == (15, 2, 14, (3, 5), (2,))
+    assert type(spec.m) is int and (spec.g, spec.h) == (2, 1)
+    assert spec == sb.FamilySpec("generalized_dihedral", 15, 2, 14)
+    fields = dataclasses.fields(sb.FamilySpec)
+    assert [f.name for f in fields if f.init] == ["family", "m", "n", "b"]
+    with pytest.raises(TypeError):
+        sb.FamilySpec("pq", 15, 2, 4, (3, 5), (2,))
 
 
 def test_pq_family_report():
@@ -352,9 +379,9 @@ def test_product_family_with_one_factor_matches_pq():
         assert pq["predicted"] == prod["predicted"]
         assert pq["predicted_match"] == "true"
     # a product spec with two prime pairs is still no pq spec
-    sb.family_spec("product_pq", 35, 6, 4)
+    sb.FamilySpec("product_pq", 35, 6, 4)
     with pytest.raises(ValueError, match="pq family needs m and n prime"):
-        sb.family_spec("pq", 35, 6, 4)
+        sb.FamilySpec("pq", 35, 6, 4)
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import math
 import random
 import re
@@ -27,6 +28,7 @@ from skewbrace.errors import (
     ValidationFailure,
 )
 from skewbrace.constructions import _cycle_label
+from skewbrace.groups import _prime_factors
 from skewbrace.lattice import (
     _cyclic_walk,
     _perfect_residuum,
@@ -824,7 +826,10 @@ def test_subgroup_views_read_bits_0_to_n_minus_1_of_any_mask(n, data):
     low = data.draw(st.integers(0, (1 << n) - 1))
     # a negative high part sets bits from n up without end, a positive one a few
     high = data.draw(st.integers(-3, 3))
-    assert_views_read_the_mask(sb.SubgroupSet(n, low + (high << n)))
+    H, plain = sb.SubgroupSet(n, low + (high << n)), sb.SubgroupSet(n, low)
+    assert_views_read_the_mask(H)
+    # the set keeps bits 0..n-1 alone, so equal memberships are equal values
+    assert H.mask == low and H == plain and hash(H) == hash(plain)
 
 
 @given(generated_groups())
@@ -1233,6 +1238,104 @@ def test_lattice_and_perfect_subgroups_of_projective_special_linear_groups(q, or
         for mask in orbit:
             found.pop(mask, None)
     assert classes == a5_classes
+
+
+def _gf8_mul(a: int, b: int) -> int:
+    """Product in F_8 = F_2[x]/(x^3 + x + 1), bit k the coefficient of x^k."""
+    r = 0
+    for k in range(3):
+        if b >> k & 1:
+            r ^= a << k
+    for k in (4, 3):  # x^3 = x + 1
+        if r >> k & 1:
+            r ^= 0b1011 << (k - 3)
+    return r
+
+
+def _gf9_mul(x: int, y: int) -> int:
+    """Product in F_9 = F_3[i] with i^2 = -1, a + b i written as a + 3 b."""
+    a, b, c, d = x % 3, x // 3, y % 3, y // 3
+    return (a * c - b * d) % 3 + (a * d + b * c) % 3 * 3
+
+
+def projective_special_linear_2_8():
+    """PSL(2, 8) on the 9 points of the projective line over F_8 (infinity
+    is point 8), generated by x -> x + 1, x -> w x with w the class of x,
+    and x -> 1/x."""
+    inverse = {a: b for a in range(1, 8) for b in range(1, 8) if _gf8_mul(a, b) == 1}
+    translate = (*(x ^ 1 for x in range(8)), 8)
+    scale = (*(_gf8_mul(2, x) for x in range(8)), 8)
+    invert = (8, *(inverse[x] for x in range(1, 8)), 0)
+    return sb.closure_from_permutations([translate, scale, invert])
+
+
+def projective_special_linear_2_9():
+    """PSL(2, 9) on the 10 points of the projective line over F_9 (infinity
+    is point 9), generated by x -> x + 1, x -> s^2 x with s = 1 + i of order
+    8, so s^2 = 2i, and x -> -1/x."""
+    assert _gf9_mul(4, 4) == 6 and _gf9_mul(6, 6) == 2  # s^2 = 2i and s^4 = -1
+    inverse = {a: b for a in range(1, 9) for b in range(1, 9) if _gf9_mul(a, b) == 1}
+    translate = (*((x + 1) % 3 + x // 3 * 3 for x in range(9)), 9)
+    scale = (*(_gf9_mul(6, x) for x in range(9)), 9)
+    invert = (9, *(_gf9_mul(2, inverse[x]) for x in range(1, 9)), 0)
+    return sb.closure_from_permutations([translate, scale, invert])
+
+
+def affine_general_linear_3_2():
+    """AGL(3, 2) on the 8 vectors of F_2^3 (bit k is coordinate k), generated
+    by the companion matrix of x^3 + x + 1 (v -> x v in F_8), the
+    transvection v -> v + v_0 e_1 and the translation v -> v + e_0."""
+    companion = tuple(_gf8_mul(2, v) for v in range(8))
+    transvection = tuple(v ^ ((v & 1) << 1) for v in range(8))
+    translation = tuple(v ^ 1 for v in range(8))
+    return sb.closure_from_permutations([companion, transvection, translation])
+
+
+def assert_perfect_subgroups(G, subs, sizes):
+    """``_perfect_subgroups`` returns the nontrivial perfect subgroups among
+    ``subs``, of the given sizes, each with a pair that generates it.  A
+    group of order p^a q^b is solvable (Burnside), so only orders with three
+    primes or more are tested for perfection."""
+    perfect = [
+        H.mask for H in subs
+        if len(set(_prime_factors(H.size))) > 2 and len(perfect_residuum(G, H.elements())) == H.size
+    ]
+    found = _perfect_subgroups(G)
+    assert sorted(H.mask for H, _ in found) == sorted(perfect)
+    assert sorted(H.size for H, _ in found) == sizes
+    for H, pair in found:
+        assert sb.generated_subgroup(G, pair) == H
+
+
+# PSL(2, 9) has two classes of six A5s
+@pytest.mark.parametrize(
+    "build, order, count, perfect_sizes",
+    [(projective_special_linear_2_8, 504, 386, [504]),
+     (projective_special_linear_2_9, 360, 501, [60] * 12 + [360])],
+    ids=["psl-2-8", "psl-2-9"],
+)
+def test_lattices_of_psl_2_8_and_psl_2_9_match_the_join_fixpoint(build, order, count, perfect_sizes):
+    G = build()
+    assert G.order == order
+    subs = sb.enumerate_subgroups(G)
+    assert len(subs) == count
+    assert [H.mask for H in subs] == join_fixpoint_subgroups(G)
+    assert_perfect_subgroups(G, subs, perfect_sizes)
+
+
+# conftest.join_fixpoint_subgroups found the same 3,299 masks, in the same
+# order, in about 3 minutes; the sha256 of their repr() is pinned instead
+AGL_3_2_MASKS_SHA256 = "9c917049d565cd02f99450a2317c62e0028fad09127c0dd3d6cef1e563ad7be9"
+
+
+def test_affine_general_linear_3_2_lattice_and_perfect_subgroups():
+    G = affine_general_linear_3_2()
+    assert G.order == 1344
+    subs = sb.enumerate_subgroups(G)
+    assert len(subs) == 3299
+    assert hashlib.sha256(repr([H.mask for H in subs]).encode()).hexdigest() == AGL_3_2_MASKS_SHA256
+    # the 16 complements of the translations, in two classes of 8, are GL(3, 2)
+    assert_perfect_subgroups(G, subs, [168] * 16 + [1344])
 
 
 def test_lattice_budget_names_the_count(monkeypatch, lattices_enumerated):

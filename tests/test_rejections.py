@@ -58,15 +58,15 @@ REJECTIONS = {
         BraceLawViolation, "left brace law fails at (1,1,1)",
     ),
     "algebra-dim-0": (
-        lambda: sb.make_algebra(3, 0, []),
+        lambda: sb.FpAlgebra(3, 0, []),
         ValueError, "dimension must be at least 1",
     ),
     "algebra-dim-0-over-a-huge-p": (
-        lambda: sb.make_algebra(1000000000000000003, 0, []),
+        lambda: sb.FpAlgebra(1000000000000000003, 0, []),
         ValueError, "dimension must be at least 1",
     ),
     "algebra-over-a-float-p": (
-        lambda: sb.make_algebra(3.0, 1, [[[0]]]),
+        lambda: sb.FpAlgebra(3.0, 1, [[[0]]]),
         ValueError, "3.0 is not prime",
     ),
     "point-budget-at-p-1": (
@@ -86,11 +86,11 @@ REJECTIONS = {
         ValueError, "4 is not prime",
     ),
     "algebra-bad-shape": (
-        lambda: sb.make_algebra(3, 2, [[[0, 0], [0, 0]], [[0, 0]]]),
+        lambda: sb.FpAlgebra(3, 2, [[[0, 0], [0, 0]], [[0, 0]]]),
         ValueError, "structure constant table must be dim x dim x dim",
     ),
     "algebra-label-count": (
-        lambda: sb.make_algebra(3, 1, [[[0]]], labels=["a", "b"]),
+        lambda: sb.FpAlgebra(3, 1, [[[0]]], basis_labels=["a", "b"]),
         ValueError, "got 2 labels for dimension 1",
     ),
     "subspace-of-another-space": (
@@ -131,32 +131,32 @@ REJECTIONS = {
         ValueError, "factors must have positive order",
     ),
     "unknown-family": (
-        lambda: sb.family_spec("dicyclic", 15, 2, 4),
+        lambda: sb.FamilySpec("dicyclic", 15, 2, 4),
         ValueError, "unknown family 'dicyclic'; choose one of "
         "('pq', 'product_pq', 'generalized_dihedral', 'custom_semidirect')",
     ),
     "family-of-a-float-m": (
-        lambda: sb.family_spec("pq", 7.0, 3, 2),
+        lambda: sb.FamilySpec("pq", 7.0, 3, 2),
         ValueError, "m 7.0 is not an integer",
     ),
     "family-m-below-2": (
-        lambda: sb.family_spec("custom_semidirect", 1, 2, 1),
+        lambda: sb.FamilySpec("custom_semidirect", 1, 2, 1),
         ValueError, "m and n must be at least 2",
     ),
     "family-m-over-the-spec-bound": (
-        lambda: sb.family_spec("pq", 1000000000000000003, 2, 5),
+        lambda: sb.FamilySpec("pq", 1000000000000000003, 2, 5),
         BudgetExceeded, "family parameter 1000000000000000003 exceeds the enumeration budget 10000000000",
     ),
     "product-pq-with-one-q-for-two-p": (
-        lambda: sb.family_spec("product_pq", 15, 2, 4),
+        lambda: sb.FamilySpec("product_pq", 15, 2, 4),
         ValueError, "product family pairs one q with each p",
     ),
     "product-pq-with-b-of-orders-1-1": (
-        lambda: sb.family_spec("product_pq", 35, 6, 1),
+        lambda: sb.FamilySpec("product_pq", 35, 6, 1),
         InvalidAction, "orders of b modulo the primes of m are [1, 1], expected the primes of n",
     ),
     "generalized-dihedral-order-modulo-3": (
-        lambda: sb.family_spec("generalized_dihedral", 15, 2, 4),
+        lambda: sb.FamilySpec("generalized_dihedral", 15, 2, 4),
         InvalidAction, "b=4 must have order 2 modulo 3",
     ),
 }

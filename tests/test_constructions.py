@@ -12,7 +12,7 @@ from hypothesis import given
 
 import skewbrace as sb
 from skewbrace.constructions import _order
-from skewbrace.errors import InvalidAction, NotComplementary, WrongParent
+from skewbrace.errors import InvalidAction, NotClosed, NotComplementary, WrongParent
 from skewbrace.family import _predicted
 from skewbrace.groups import _prime_factors
 
@@ -83,6 +83,18 @@ def test_factorization_rejects_overlap():
     H = sb.generated_subgroup(G, [2])
     with pytest.raises(NotComplementary, match=re.escape("|L|=2, |R|=2, |G|=4, |L n R|=2")):
         sb.ExactFactorization(G, H, H)
+
+
+def test_zappa_szep_brace_of_an_unchecked_overlap_leaves_a_row_unfilled():
+    # built past the construction check: l * r^-1 reaches only {0, 2}
+    G = product_group(4)
+    H = sb.generated_subgroup(G, [2])
+    f = object.__new__(sb.ExactFactorization)
+    for name, value in (("parent", G), ("left", H), ("right", H)):
+        object.__setattr__(f, name, value)
+    with pytest.raises(NotClosed) as info:
+        sb.zappa_szep_brace(f)
+    assert info.value.witness == (1, 0, -1)
 
 
 def test_a_factorization_checks_itself_and_takes_only_a_parent_and_two_factors():

@@ -4,8 +4,9 @@ The constants are one read-only int64 array, read by the nilpotency chain
 and the circle group; point arithmetic is read off the additive and circle
 tables.  Vectors are coordinate tuples modulo p.  The circle operation
 x circ y = x + y + x*y turns a nilpotent algebra into a group, and the two
-group structures (addition and circle) on the same point set give braces.
-Group elements are indexed by the base-p encoding sum(x_i * p^i).
+group structures (addition and circle) on the same point set give braces,
+bi-skew exactly when A^3 = 0.  Group elements are indexed by the base-p
+encoding sum(x_i * p^i).
 Subspaces are listed one pivot pattern at a time, as a (count, rank, dim)
 array of echelon bases that each ideal census tests at once, after their
 exact number is checked against the point budget.
@@ -319,9 +320,17 @@ def brace_from_radical(A: FpAlgebra, cap: int = DEFAULT_ORDER_CAP) -> SkewBrace:
     return SkewBrace(star, circ)
 
 
+def _triple_products_vanish(A: FpAlgebra) -> bool:
+    """A^3 = 0, exactly when the brace of A is bi-skew: with a' the circle inverse
+    of a, (a + b) circ a' circ (a + c) = a + b + c + bc + b a' c, while
+    a + (b circ c) = a + b + c + bc, and a' runs over all of A as a does."""
+    return A.nilpotency_index <= 3
+
+
 def brace_from_radical_flipped(A: FpAlgebra, cap: int = DEFAULT_ORDER_CAP) -> SkewBrace:
-    """Brace with the roles swapped; requires every triple product to vanish."""
-    if A.nilpotency_index > 3:
+    """Brace with the roles swapped, (A, circ, +); it exists exactly when
+    A^3 = 0, and NilpotencyTooDeep is raised otherwise."""
+    if not _triple_products_vanish(A):
         raise NilpotencyTooDeep(A.nilpotency_index)
     star = circle_group(A, cap)
     circ = additive_group(A, cap)

@@ -14,7 +14,7 @@ def _ratio_payload(brace: braces.SkewBrace, direction: str, provenance: str, cap
     for H in ratio.stable:
         entry = {"size": H.size, "elements": list(H.elements())}
         if brace.star.labels is not None:
-            entry["labels"] = [brace.star.label(x) for x in H.elements()]
+            entry["labels"] = [brace.star.label(x) for x in entry["elements"]]
         stable.append(entry)
     return {
         "direction": direction,

@@ -4,12 +4,15 @@ Schemas (JSON):
 
   algebra: {"p": int, "dim": int, "labels": [str, ...]?,
             "products": [{"i": int, "j": int, "value": [int; dim]}, ...]}
-           with 0-indexed basis positions; unlisted products are zero.
-           p**dim above algebras.DEFAULT_POINT_BUDGET is a cap error.
+           with 0-indexed basis positions, each (i, j) at most once;
+           unlisted products are zero.  p**dim above
+           algebras.DEFAULT_POINT_BUDGET is a cap error.
 
   brace:   {"star": [[int; n]; n], "circ": [[int; n]; n]}
            read without the JSON parser when plain (_plain_brace_tables).
 
+An algebra is reported from itself alone, its bi_skew being A^3 = 0 at any
+order, with no group table built; a brace's tables are checked in full.
 ``ratio`` and ``ideals`` read algebra files through this module too.
 """
 
@@ -53,6 +56,7 @@ def _parse_algebra_json(data: dict) -> algebras.FpAlgebra:
         _json_list(labels, "labels")
     zero = tuple(0 for _ in range(dim))
     sc = [[zero] * dim for _ in range(dim)]
+    first = {}
     for k, entry in enumerate(_json_list(data.get("products", []), "products")):
         if not isinstance(entry, dict) or not {"i", "j", "value"} <= entry.keys():
             raise ParseError(f"products[{k}] must have keys i, j, value")
@@ -61,6 +65,8 @@ def _parse_algebra_json(data: dict) -> algebras.FpAlgebra:
         value = _json_list(entry["value"], f"products[{k}].value")
         if not (0 <= i < dim and 0 <= j < dim) or len(value) != dim:
             raise ParseError(f"products[{k}] is out of range for dimension {dim}")
+        if (prior := first.setdefault((i, j), k)) != k:
+            raise ParseError(f"products[{k}] repeats i={i}, j={j} of products[{prior}]")
         sc[i][j] = tuple(
             _json_int(v, f"products[{k}].value[{l}]") for l, v in enumerate(value)
         )
@@ -186,26 +192,14 @@ def run(args, cfg: RunConfig) -> tuple[dict, int, bytes | dict]:
             from . import algebras
 
             A = _parse_algebra_json(data)
-            result = {
-                "kind": "algebra",
-                "valid": True,
-                "p": A.p,
-                "dim": A.dim,
-                "nilpotency_index": A.nilpotency_index,
-            }
-            if A.p**A.dim <= cfg.order_cap:
-                brace = algebras.brace_from_radical(A, cfg.order_cap)
-                result["bi_skew"] = braces.is_bi_skew(brace)
+            facts = {"p": A.p, "dim": A.dim, "nilpotency_index": A.nilpotency_index}
+            bi_skew = algebras._triple_products_vanish(A)
         else:
             if tables is None:
                 tables = _parse_brace_json(data, cfg.order_cap)
             brace = braces.validate_skew_brace(*tables)
-            result = {
-                "kind": "brace",
-                "valid": True,
-                "order": brace.order,
-                "bi_skew": braces.is_bi_skew(brace),
-            }
+            facts, bi_skew = {"order": brace.order}, braces.is_bi_skew(brace)
+        result = {"kind": kind, "valid": True, **facts, "bi_skew": bi_skew}
     except ValidationFailure as exc:
         witness = getattr(exc, "witness", None)
         result = {
@@ -226,11 +220,7 @@ def _verify_lines(result: dict) -> list[str]:
         "algebra": "algebra: valid, p={p}, dim={dim}, nilpotency index {nilpotency_index}",
         "brace": "brace: valid, order {order}",
     }
-    lines = [head[result["kind"]].format(**result)]
-    # an algebra over the order cap is reported without its brace
-    if "bi_skew" in result:
-        lines.append(f"bi-skew: {result['bi_skew']}")
-    return lines
+    return [head[result["kind"]].format(**result), f"bi-skew: {result['bi_skew']}"]
 
 
 RENDERERS = {"text": _verify_lines}

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import io
+import json
 import re
 import tracemalloc
 from collections import Counter
@@ -14,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 import skewbrace as sb
 from skewbrace import algebras
+from skewbrace.cli import main
 from skewbrace.lattice import _cyclic_walk
 from skewbrace.errors import (
     BudgetExceeded,
@@ -610,6 +614,50 @@ def test_nilpotency_index_matches_the_power_chain(pair):
         words = {w for w in (scalar_multiply(A, x, u) for x in words for u in units) if any(w)}
         e += 1
     assert A.nilpotency_index == e
+
+
+def _verify_json(A: sb.FpAlgebra, path) -> dict:
+    """The JSON result of ``skewbrace verify`` on A written as an algebra
+    file, one products entry per nonzero e_i e_j."""
+    products = [
+        {"i": i, "j": j, "value": A.sc[i, j].tolist()}
+        for i in range(A.dim) for j in range(A.dim) if A.sc[i, j].any()
+    ]
+    path.write_text(json.dumps({"p": A.p, "dim": A.dim, "products": products}))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        assert main(["--format", "json", "verify", str(path)]) == 0
+    return json.loads(out.getvalue())["result"]
+
+
+def _assert_bi_skew_is_a_vanishing_cube(A: sb.FpAlgebra, path) -> None:
+    # the brute force builds the radical brace and scans the mirrored law;
+    # the flipped brace, when it is built, checks its own law
+    cube_zero = algebras._triple_products_vanish(A)
+    assert sb.is_bi_skew(sb.brace_from_radical(A)) == cube_zero
+    if cube_zero:
+        sb.brace_from_radical_flipped(A)
+    else:
+        with pytest.raises(NilpotencyTooDeep):
+            sb.brace_from_radical_flipped(A)
+    assert _verify_json(A, path)["bi_skew"] == cube_zero
+
+
+CUBE_RULE_ALGEBRAS = {
+    **{f"truncated-{p}-{k}": truncated_poly_algebra(p, k) for p in (2, 3) for k in range(2, 6)},
+    "zero-5-2": zero_algebra(5, 2),
+}
+
+
+@pytest.mark.parametrize("A", CUBE_RULE_ALGEBRAS.values(), ids=CUBE_RULE_ALGEBRAS)
+def test_bi_skew_is_a_vanishing_cube(tmp_path, A):
+    _assert_bi_skew_is_a_vanishing_cube(A, tmp_path / "alg.json")
+
+
+@given(transports())
+def test_bi_skew_is_a_vanishing_cube_in_any_basis(tmp_path_factory, pair):
+    _, A = pair
+    _assert_bi_skew_is_a_vanishing_cube(A, tmp_path_factory.mktemp("alg") / "alg.json")
 
 
 @given(transports())

@@ -71,6 +71,37 @@ def test_verify_algebra_file(tmp_path, capsys):
     assert report["result"]["bi_skew"] is True
 
 
+def test_verify_reads_an_algebra_report_off_the_algebra_alone(tmp_path, capsys, tables_built):
+    # bi_skew is A^3 = 0, so no group table is built and the order cap,
+    # here under p^dim = 81, leaves the result as it is
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps(DEGRAAF3))
+    results = []
+    for cap in ("2000", "50"):
+        code, report = run_json(capsys, "--order-cap", cap, "verify", str(path))
+        assert code == EXIT_OK
+        results.append(report["result"])
+    assert results[0] == results[1]
+    assert results[0]["bi_skew"] is True
+    assert tables_built == []
+
+
+def test_verify_algebra_file_over_the_order_cap_reports_bi_skew(tmp_path, capsys):
+    # the degraaf products on 7 basis vectors: A^3 = 0 on 3^7 = 2187 points
+    products = [
+        {"i": 0, "j": 0, "value": [0, 0, 1, 0, 0, 0, 0]},
+        {"i": 0, "j": 1, "value": [0, 0, 0, 1, 0, 0, 0]},
+    ]
+    path = tmp_path / "alg7.json"
+    path.write_text(json.dumps({"p": 3, "dim": 7, "products": products}))
+    code, out = run(capsys, "verify", str(path))
+    assert code == EXIT_OK
+    assert out.splitlines() == ["algebra: valid, p=3, dim=7, nilpotency index 3", "bi-skew: True"]
+    code, out = run(capsys, "--format", "json", "verify", str(path))
+    assert code == EXIT_OK
+    assert '"bi_skew": true' in out
+
+
 def test_verify_brace_file(tmp_path, capsys):
     z3 = [[(i + j) % 3 for j in range(3)] for i in range(3)]
     path = tmp_path / "brace.json"
@@ -1122,6 +1153,10 @@ REJECTED = {
     "products-entry-keys": (["verify", "keys.json"], EXIT_CONFIG, "products[0] must have keys i, j, value"),
     "products-entry-not-object": (["verify", "entry.json"], EXIT_CONFIG, "products[0] must have keys i, j, value"),
     "product-out-of-range": (["verify", "range.json"], EXIT_CONFIG, "products[0] is out of range for dimension 2"),
+    "product-repeated": (["verify", "twice.json"], EXIT_CONFIG, "products[1] repeats i=0, j=0 of products[0]"),
+    "product-repeated-in-ratio": (
+        ["ratio", "--algebra", "twice.json"], EXIT_CONFIG, "products[1] repeats i=0, j=0 of products[0]",
+    ),
     "unreadable-file": (["verify", "missing.json"], EXIT_CONFIG, "No such file or directory: 'missing.json'"),
     "top-level-list": (["verify", "list.json"], EXIT_CONFIG, "list.json: top-level JSON value must be an object"),
     "algebra-without-dim": (
@@ -1176,6 +1211,9 @@ def test_rejected_input_exits_with_its_code_and_names_the_entry(
         "keys.json": {"p": 3, "dim": 2, "products": [{"i": 0, "j": 0}]},
         "entry.json": {"p": 3, "dim": 2, "products": [5]},
         "range.json": _algebra_with_product(i=2),
+        # a later entry for the same (i, j) would silently replace the first
+        "twice.json": {"p": 3, "dim": 2, "products": [{"i": 0, "j": 0, "value": [0, 1]},
+                                                       {"i": 0, "j": 0, "value": [0, 0]}]},
         "list.json": [1, 2],
         "half.json": {"p": 3},
         "star.json": {"star": Z2},

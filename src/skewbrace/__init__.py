@@ -31,10 +31,10 @@ _MODULE_OF = {
             "is_bi_skew", "stability_map", "validate_skew_brace",
         ),
         "constructions": (
-            "ExactFactorization", "FamilySpec", "a5_factorization",
-            "factorization_from_permutations", "semidirect_biskew", "stability_criterion_z9z6",
-            "zappa_szep_brace",
+            "ExactFactorization", "a5_factorization", "factorization_from_permutations",
+            "semidirect_biskew", "stability_criterion_z9z6", "zappa_szep_brace",
         ),
+        "family": ("FamilySpec",),
         "groups": (
             "DEFAULT_AUT_CAP", "DEFAULT_ORDER_CAP", "FiniteGroup", "SubgroupSet",
             "automorphism_group", "build_from_table", "closure_from_permutations",

@@ -29,7 +29,7 @@ from .errors import (
     OrderCapExceeded,
 )
 from .groups import DEFAULT_ORDER_CAP, FiniteGroup, SubgroupSet, build_from_table
-from .groups import _first_non_integer, _integral, _mask, _prime_factors
+from .groups import _first_non_integer, _integer, _integral, _mask, _prime_factors
 
 DEFAULT_POINT_BUDGET = 100_000
 
@@ -38,27 +38,30 @@ def check_point_budget(p: int, dim: int) -> None:
     """Raise BudgetExceeded when F_p^dim has more than DEFAULT_POINT_BUDGET
     points, before any work that grows with p or dim; a dim of the budget's
     bit length or more, over it for every prime, is rejected for any p."""
+    p = int(p) if isinstance(p, np.integer) else p  # so that p**dim cannot wrap
     if dim >= DEFAULT_POINT_BUDGET.bit_length() or (p > 1 and p**dim > DEFAULT_POINT_BUDGET):
         raise BudgetExceeded(f"{p}^{dim}", DEFAULT_POINT_BUDGET)
 
 
-def _check_prime(p: int) -> None:
+def _check_prime(p: int) -> int:
     if not _integral(type(p)) or _prime_factors(p) != (p,):
         raise ValueError(f"{p} is not prime")
+    return int(p)
 
 
 @dataclass(frozen=True, eq=False)
 class FpAlgebra:
     """A nilpotent algebra over F_p on a d-dimensional basis, given by integer
     structure constants (``sc[i][j]`` is the vector e_i * e_j) and checked on
-    construction: the point budget of F_p^dim first, then dim, the primality
-    of p, the shape and integer entries of ``sc`` (ValueError), associativity
-    on basis triples (bilinearity covers the rest), nilpotency by the power
-    chain A, A^2, ... which must strictly shrink to zero, and the count of
-    ``basis_labels``.  ``sc`` is kept as one read-only int64 array, read by
-    the nilpotency chain and the circle group, and ``nilpotency_index`` is the
-    least e with every e-fold product zero.  Two algebras are equal when
-    their p, constants and labels are.
+    construction: an integer dim first, then the point budget of F_p^dim,
+    dim >= 1, the primality of p, the shape and integer entries of ``sc``
+    (ValueError), associativity on basis triples (bilinearity covers the
+    rest), nilpotency by the power chain A, A^2, ... which must strictly
+    shrink to zero, and the count of ``basis_labels``.  p and dim are kept as
+    ints, ``sc`` as one read-only int64 array, read by the nilpotency chain
+    and the circle group, and ``nilpotency_index`` is the least e with every
+    e-fold product zero.  Two algebras are equal when their p, constants and
+    labels are.
     """
 
     p: int
@@ -68,11 +71,11 @@ class FpAlgebra:
     nilpotency_index: int = field(init=False)
 
     def __post_init__(self) -> None:
-        p, dim = self.p, self.dim
+        p, dim = self.p, _integer(self.dim, "dim")
         check_point_budget(p, dim)
         if dim < 1:
             raise ValueError("dimension must be at least 1")
-        _check_prime(p)
+        p = _check_prime(p)
         raw = [list(row) for row in self.sc]
         if len(raw) != dim or any(len(row) != dim or any(len(e) != dim for e in row) for row in raw):
             raise ValueError("structure constant table must be dim x dim x dim")
@@ -103,7 +106,8 @@ class FpAlgebra:
             labels = tuple(str(s) for s in labels)
             if len(labels) != dim:
                 raise ValueError(f"got {len(labels)} labels for dimension {dim}")
-        for name, value in [("sc", SC), ("basis_labels", labels), ("nilpotency_index", index)]:
+        for name, value in [("p", p), ("dim", dim), ("sc", SC), ("basis_labels", labels),
+                            ("nilpotency_index", index)]:
             object.__setattr__(self, name, value)
 
     def __eq__(self, other) -> bool:
@@ -250,9 +254,11 @@ def _pivot_patterns(p: int, dim: int):
     """Yield (pivots, bases) for every pivot pattern of F_p^dim, by rank and
     then lexicographically.  Raises BudgetExceeded before anything is listed
     when F_p^dim has more than DEFAULT_POINT_BUDGET points or subspaces (the
-    sum of the Gaussian binomials [dim, k]_p), then ValueError for a p not prime."""
+    sum of the Gaussian binomials [dim, k]_p), then ValueError for a p not
+    prime; a dim that is not an integer is a ValueError before either."""
+    dim = _integer(dim, "dim")
     check_point_budget(p, dim)
-    _check_prime(p)
+    p = _check_prime(p)
     count, binomial = 0, 1
     for k in range(dim + 1):
         count += binomial

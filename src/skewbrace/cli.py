@@ -6,14 +6,14 @@ families.  Reports go to stdout and are byte-stable for a fixed
 configuration; timing and diagnostics go to stderr.
 
 This module is the parser, ``main`` and what the commands share: the run
-configuration, the exit codes, the report and the options each source
-takes.  Each command is a module of its own, named after it
-(``skewbrace.verify``, ``.ratio``, ``.ideals``, ``.examples``,
-``.family``), which ``main`` imports for that command alone.  Its
-``run(args, cfg)`` builds one JSON report and hands back what the report's
-``input_digest`` hashes; ``--format json`` adds the digest and prints the
-report, and its ``RENDERERS`` render the text and CSV formats from the
-report's ``result``.
+configuration, the exit codes, the report, the names of the squarefree
+families (``FAMILIES``) and the options each source takes (``SOURCES``).
+Each command is a module of its own, named after it (``skewbrace.verify``,
+``.ratio``, ``.ideals``, ``.examples``, ``.family``), which ``main``
+imports for that command alone.  Its ``run(args, cfg)`` builds one JSON
+report and hands back what the report's ``input_digest`` hashes;
+``--format json`` adds the digest and prints the report, and its
+``RENDERERS`` render the text and CSV formats from the report's ``result``.
 
 Every command loads numpy, ``groups`` and ``braces``.  ``algebras``,
 ``constructions``, the lattice and the automorphism search are loaded by
@@ -82,6 +82,9 @@ def _read_input_file(path: str) -> bytes:
         raise ParseError(str(exc)) from exc
 
 
+# the squarefree families of family.FamilySpec, which --family names
+FAMILIES = ("pq", "product_pq", "generalized_dihedral", "custom_semidirect")
+
 # the directions and the options each source takes and needs; any other is a
 # configuration error, raised before any table is built
 SOURCES = {
@@ -146,9 +149,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "ratio", help="correspondence ratio for one source", parents=[common, spec]
     )
     ratio_source = p_ratio.add_mutually_exclusive_group()
-    ratio_source.add_argument(
-        "--family", choices=["semidirect", *groups.FAMILIES]
-    )
+    ratio_source.add_argument("--family", choices=["semidirect", *FAMILIES])
     ratio_source.add_argument("--algebra", help="'degraaf' or a path to an algebra file")
     ratio_source.add_argument("--zappa-szep", choices=["a5", "custom"])
     p_ratio.add_argument("--p", type=int)
@@ -172,7 +173,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "family", help="closed-form family sweep", parents=[common, spec]
     )
     family_source = p_family.add_mutually_exclusive_group()
-    family_source.add_argument("--family", choices=list(groups.FAMILIES))
+    family_source.add_argument("--family", choices=list(FAMILIES))
     family_source.add_argument("--batch", help="file with one 'family m n b' per line")
     return parser
 

@@ -3,50 +3,21 @@
 The groups are the semidirect products of two cyclic groups and the
 permutation closures; ``groups`` resolves their names on first access, so
 a command that only validates tables never loads this module.  The braces
-come from exact factorizations and semidirect products.
-
-Each input checks itself on construction: an ``ExactFactorization`` its
-factors, and a ``FamilySpec`` (a squarefree-family spec) its m, n and b,
-with the orders asked of b read off the primes of m and n.  The closed-form
-counts of each family, and their check against enumeration, live in ``family``.
+come from exact factorizations and semidirect products.  An
+``ExactFactorization`` checks its factors on construction.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import groups
 from .braces import SkewBrace
-from .errors import (
-    BudgetExceeded,
-    ClosureCapExceeded,
-    InvalidAction,
-    NotComplementary,
-    OrderCapExceeded,
-    WrongParent,
-)
-from .groups import (
-    DEFAULT_ORDER_CAP,
-    FACTOR_BOUND,
-    FAMILIES,
-    FiniteGroup,
-    SubgroupSet,
-    build_from_table,
-)
-from .groups import _integer, _prime_factors
-
-
-def _unit_action(m: int, n: int, b: int) -> int:
-    """b modulo m, once b^n = 1 (mod m) for an n >= 1, which makes b a unit;
-    InvalidAction otherwise."""
-    b %= m
-    # 1 % m, not 1: modulo m = 1 every residue is 0
-    if pow(b, n, m) != 1 % m:
-        raise InvalidAction(f"b={b} must be a unit modulo {m} with b^{n} = 1 (mod {m})")
-    return b
+from .errors import ClosureCapExceeded, NotComplementary, OrderCapExceeded, WrongParent
+from .groups import DEFAULT_ORDER_CAP, FiniteGroup, SubgroupSet, build_from_table
+from .groups import _integer, _unit_action
 
 
 def semidirect_product_cyclic(
@@ -232,67 +203,3 @@ def stability_criterion_z9z6(H: SubgroupSet) -> tuple[bool, bool]:
     r, s = np.divmod(np.flatnonzero(members), 6)
     return bool(members[r * 6].all()), bool(members[(2**s - 1) % 9 * 6].all())
 
-
-def _order(b: int, d: int, n: int, n_primes) -> int:
-    """Order of b modulo d, given b^n = 1 (mod d) with n squarefree: it
-    divides n and has the prime q exactly when b^(n/q) is not 1 (mod d)."""
-    return math.prod(q for q in n_primes if pow(b, n // q, d) != 1)
-
-
-@dataclass(frozen=True)
-class FamilySpec:
-    """Parameters (m, n, b) of one of the squarefree families, checked on
-    construction: ``family`` is one of groups.FAMILIES, m and n are coprime,
-    squarefree and at most groups.FACTOR_BOUND, which keeps trial division
-    fast (BudgetExceeded otherwise), and b acts with the multiplicative
-    orders each family requires.  m, n and b are kept as ints, b modulo m,
-    with the primes of m and n."""
-
-    family: str
-    m: int
-    n: int
-    b: int
-    m_primes: tuple[int, ...] = field(init=False)
-    n_primes: tuple[int, ...] = field(init=False)
-
-    def __post_init__(self) -> None:
-        family = self.family
-        if family not in FAMILIES:
-            raise ValueError(f"unknown family {family!r}; choose one of {FAMILIES}")
-        m, n, b = _integer(self.m, "m"), _integer(self.n, "n"), _integer(self.b, "b")
-        if m < 2 or n < 2:
-            raise ValueError("m and n must be at least 2")
-        if max(m, n) > FACTOR_BOUND:
-            raise BudgetExceeded(max(m, n), FACTOR_BOUND, "family parameter")
-        mp, np_ = _prime_factors(m), _prime_factors(n)
-        if len(set(mp)) != len(mp) or len(set(np_)) != len(np_):
-            raise ValueError(f"m={m} and n={n} must be squarefree")
-        if math.gcd(m, n) != 1:
-            raise ValueError(f"m={m} and n={n} must be coprime")
-        b = _unit_action(m, n, b)
-        if family == "pq" and (len(mp) != 1 or len(np_) != 1):
-            raise ValueError("pq family needs m and n prime")
-        # pq is the product family with one prime pair
-        if family in ("pq", "product_pq"):
-            if len(mp) != len(np_):
-                raise ValueError("product family pairs one q with each p")
-            orders = sorted(_order(b, p, n, np_) for p in mp)
-            if orders != sorted(np_):
-                raise InvalidAction(
-                    f"orders of b modulo the primes of m are {orders}, "
-                    f"expected the primes of n"
-                )
-        elif family == "generalized_dihedral":
-            for p in mp:
-                if _order(b, p, n, np_) != n:
-                    raise InvalidAction(f"b={b} must have order {n} modulo {p}")
-        for name, value in [("m", m), ("n", n), ("b", b), ("m_primes", mp), ("n_primes", np_)]:
-            object.__setattr__(self, name, value)
-
-    @property
-    def g(self) -> int:
-        return len(self.m_primes)
-
-    @property
-    def h(self) -> int:
-        return len(self.n_primes)

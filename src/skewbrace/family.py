@@ -1,10 +1,11 @@
-"""``skewbrace family``: closed-form rows of the semidirect families, checked
+"""``skewbrace family``: the specs of the squarefree families (``FamilySpec``,
+which checks m, n and b on construction) and their closed-form rows, checked
 by enumeration, for one ``--family`` spec or a ``--batch`` file.
 
 Each row holds the two ratios of the spec's braces (``braces.gc_ratio``)
 next to the closed-form subgroup and stable-subgroup counts of the product
-family (pq is its one-pair case) and the generalized dihedral family, which
-are read off the primes of m and n.
+family (pq is its one-pair case) and the generalized dihedral family; these
+and the orders that a spec asks of b are read off the primes of m and n.
 
 Batch files: one spec per line, "family m n b", blank lines and '#'
 comments ignored.
@@ -13,9 +14,12 @@ comments ignored.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, field
 
-from .cli import EXIT_OK, RunConfig, _read_input_file, _report, _source_directions
-from .errors import CapExceeded, OrderCapExceeded, ParseError, ValidationFailure
+from .cli import EXIT_OK, FAMILIES, RunConfig, _read_input_file, _report, _source_directions
+from .errors import BudgetExceeded, CapExceeded, InvalidAction, OrderCapExceeded, ParseError
+from .errors import ValidationFailure
+from .groups import FACTOR_BOUND, _integer, _prime_factors, _unit_action
 
 FAMILY_CSV_COLUMNS = [
     "family",
@@ -51,11 +55,74 @@ def _parse_int(text: str, what: str, position: str | None = None) -> int:
         raise ParseError(f"{what} must be an integer, got {text!r}", position=position) from None
 
 
-def _predicted(spec) -> dict:
-    """Closed-form counts of a validated ``constructions.FamilySpec``, keyed
-    as in the row's ``match``; empty when its family has none."""
-    from .constructions import _order
+def _order(b: int, d: int, n: int, n_primes) -> int:
+    """Order of b modulo d, given b^n = 1 (mod d) with n squarefree: it
+    divides n and has the prime q exactly when b^(n/q) is not 1 (mod d)."""
+    return math.prod(q for q in n_primes if pow(b, n // q, d) != 1)
 
+
+@dataclass(frozen=True)
+class FamilySpec:
+    """Parameters (m, n, b) of one of the squarefree families, checked on
+    construction: ``family`` is one of cli.FAMILIES, m and n are coprime,
+    squarefree and at most groups.FACTOR_BOUND, which keeps trial division
+    fast (BudgetExceeded otherwise), and b acts with the multiplicative
+    orders each family requires.  m, n and b are kept as ints, b modulo m,
+    with the primes of m and n."""
+
+    family: str
+    m: int
+    n: int
+    b: int
+    m_primes: tuple[int, ...] = field(init=False)
+    n_primes: tuple[int, ...] = field(init=False)
+
+    def __post_init__(self) -> None:
+        family = self.family
+        if family not in FAMILIES:
+            raise ValueError(f"unknown family {family!r}; choose one of {FAMILIES}")
+        m, n, b = _integer(self.m, "m"), _integer(self.n, "n"), _integer(self.b, "b")
+        if m < 2 or n < 2:
+            raise ValueError("m and n must be at least 2")
+        if max(m, n) > FACTOR_BOUND:
+            raise BudgetExceeded(max(m, n), FACTOR_BOUND, "family parameter")
+        mp, np_ = _prime_factors(m), _prime_factors(n)
+        if len(set(mp)) != len(mp) or len(set(np_)) != len(np_):
+            raise ValueError(f"m={m} and n={n} must be squarefree")
+        if math.gcd(m, n) != 1:
+            raise ValueError(f"m={m} and n={n} must be coprime")
+        b = _unit_action(m, n, b)
+        if family == "pq" and (len(mp) != 1 or len(np_) != 1):
+            raise ValueError("pq family needs m and n prime")
+        # pq is the product family with one prime pair
+        if family in ("pq", "product_pq"):
+            if len(mp) != len(np_):
+                raise ValueError("product family pairs one q with each p")
+            orders = sorted(_order(b, p, n, np_) for p in mp)
+            if orders != sorted(np_):
+                raise InvalidAction(
+                    f"orders of b modulo the primes of m are {orders}, "
+                    f"expected the primes of n"
+                )
+        elif family == "generalized_dihedral":
+            for p in mp:
+                if _order(b, p, n, np_) != n:
+                    raise InvalidAction(f"b={b} must have order {n} modulo {p}")
+        for name, value in [("m", m), ("n", n), ("b", b), ("m_primes", mp), ("n_primes", np_)]:
+            object.__setattr__(self, name, value)
+
+    @property
+    def g(self) -> int:
+        return len(self.m_primes)
+
+    @property
+    def h(self) -> int:
+        return len(self.n_primes)
+
+
+def _predicted(spec: FamilySpec) -> dict:
+    """Closed-form counts of a validated spec, keyed as in the row's
+    ``match``; empty when its family has none."""
     g, h = spec.g, spec.h
     if spec.family in ("pq", "product_pq"):
         add, mult, stable_in_mult = 4**g, math.prod(p + 3 for p in spec.m_primes), 3**g
@@ -85,18 +152,18 @@ def _family_row(spec_args, cfg: RunConfig) -> dict:
     """The row of one (family, m, n, b): the counts enumerated from its two
     braces, and each closed form checked against them.  A spec over the
     order cap keeps the predicted subgroup counts and reads ``unverified``;
-    an invalid one reads ``error:<exception name>``."""
-    from . import constructions
-    from .braces import gc_ratio
-
+    an invalid one reads ``error:<exception name>`` before any is loaded."""
     family, m, n, b = spec_args
     row = dict.fromkeys(FAMILY_CSV_COLUMNS, "")
     row.update(family=family, m=m, n=n, b=b)
     try:
-        spec = constructions.FamilySpec(family, m, n, b)
+        spec = FamilySpec(family, m, n, b)
     except (ValueError, ValidationFailure, CapExceeded) as exc:
         row["predicted_match"] = f"error:{type(exc).__name__}"
         return row
+    from . import constructions
+    from .braces import gc_ratio
+
     predicted = _predicted(spec)
     # JSON output carries the full prediction detail; the CSV writer only
     # picks the fixed columns

@@ -10,9 +10,9 @@ read-only small-int array.
 This module holds what checking a table needs: ``FiniteGroup``,
 ``SubgroupSet``, the table checks and ``_respects``, with the one closure
 routine (``_closure``, which validation and the lattice share) and the
-factorisation the other modules read.  The rest of the group API lives in
-modules of its own, and this module resolves those names on first access
-(PEP 562): the constructors (``semidirect_product_cyclic``,
+number theory the other modules read (``_prime_factors``, ``_unit_action``).
+The rest of the group API lives in modules of its own, resolved on first
+access (PEP 562): the constructors (``semidirect_product_cyclic``,
 ``closure_from_permutations``) in ``skewbrace.constructions``, the
 subgroup lattice (``generated_subgroup``, ``enumerate_subgroups``) in
 ``skewbrace.lattice`` and the automorphism search (``automorphism_group``)
@@ -27,7 +27,7 @@ from itertools import islice
 
 import numpy as np
 
-from .errors import NoIdentity, NoInverse, NotAssociative, NotClosed
+from .errors import InvalidAction, NoIdentity, NoInverse, NotAssociative, NotClosed
 
 DEFAULT_ORDER_CAP = 2000
 DEFAULT_AUT_CAP = 200
@@ -321,8 +321,8 @@ def build_from_table(op_table, labels=None) -> FiniteGroup:
     return FiniteGroup(op_table, labels)
 
 
-# a FamilySpec factors no integer above this: trial division to its square
-# root tries 10^5 divisors, about 0.01 s
+# no caller factors an integer above this: trial division to its square root
+# tries 10^5 divisors, about 0.01 s
 FACTOR_BOUND = 10**10
 
 
@@ -338,8 +338,14 @@ def _prime_factors(m: int) -> tuple[int, ...]:
     return (*out, m) if m > 1 else tuple(out)
 
 
-# the families of constructions.FamilySpec, here for the CLI's parser
-FAMILIES = ("pq", "product_pq", "generalized_dihedral", "custom_semidirect")
+def _unit_action(m: int, n: int, b: int) -> int:
+    """b modulo m, once b^n = 1 (mod m) for an n >= 1, which makes b a unit;
+    InvalidAction otherwise."""
+    b %= m
+    # 1 % m, not 1: modulo m = 1 every residue is 0
+    if pow(b, n, m) != 1 % m:
+        raise InvalidAction(f"b={b} must be a unit modulo {m} with b^{n} = 1 (mod {m})")
+    return b
 
 
 def _respects(G: FiniteGroup, maps: np.ndarray) -> np.ndarray:

@@ -77,7 +77,9 @@ def run(args, cfg: RunConfig) -> tuple[dict, int, bytes | dict]:
         wanted = _source_directions(args, "--family")
         family, m, n, b = args.family, args.m, args.n, args.b
         if family != "semidirect":
-            constructions.FamilySpec(family, m, n, b)
+            from .family import FamilySpec
+
+            FamilySpec(family, m, n, b)
         source = {"family": family, "m": m, "n": n, "b": b}
         add_galois, mult_galois = constructions.semidirect_biskew(m, n, b, cfg.order_cap)
         directions = {"mult": mult_galois, "add": add_galois}

@@ -1,6 +1,6 @@
 """``skewbrace verify``, and the readers of every input file.
 
-Schemas (JSON):
+Schemas (JSON, with no key repeated in one object):
 
   algebra: {"p": int, "dim": int, "labels": [str, ...]?,
             "products": [{"i": int, "j": int, "value": [int; dim]}, ...]}
@@ -167,10 +167,20 @@ def _plain_brace_tables(blob: bytes, cap: int) -> list[np.ndarray] | None:
     return tables if keys == _KEY_ORDERS[0] else tables[::-1]
 
 
+def _unique_keys(pairs: list[tuple[str, object]], path: str) -> dict:
+    """One object of the JSON file at ``path``, or a ParseError naming a key
+    that it repeats, of which a plain dict would keep the last value alone."""
+    data = dict(pairs)
+    if len(data) < len(pairs):
+        key = next(k for i, (k, _) in enumerate(pairs) if k in dict(pairs[:i]))
+        raise ParseError(f"key {json.dumps(key)} is repeated in one object", position=path)
+    return data
+
+
 def _load_input_file(path: str, blob: bytes) -> tuple[str, dict]:
     """The kind of a file's JSON, "brace" or "algebra", and its object."""
     try:
-        data = json.loads(blob.decode("utf-8"))
+        data = json.loads(blob.decode("utf-8"), object_pairs_hook=lambda o: _unique_keys(o, path))
     except ValueError as exc:  # the decode errors, and int()'s digit limit
         pos = f"{path}:{exc.lineno}" if hasattr(exc, "lineno") else path
         raise ParseError(f"not valid JSON ({exc})", position=pos) from exc

@@ -178,6 +178,12 @@ def test_point_budget_checked_before_primality_and_before_p_to_the_dim(monkeypat
         sb.FpAlgebra(3, 10**12, [])  # 3^(10^12) is never formed
 
 
+def test_an_algebra_keeps_p_and_dim_as_ints():
+    A = sb.FpAlgebra(np.int64(3), np.int64(2), [[(0, 0), (0, 0)], [(0, 0), (0, 0)]])
+    assert type(A.p) is int and type(A.dim) is int
+    assert A == zero_algebra(3, 2)
+
+
 def test_largest_algebra_within_point_budget_is_accepted():
     assert zero_algebra(3, 10).dim == 10  # 3^10 = 59049 points
 

@@ -962,6 +962,8 @@ def _skewbrace_modules(*argv: str) -> set[str]:
         (["verify", "algebra.json"], {"verify", "algebras"}),
         (["family"], {"family"}),
         (["family", "--batch", "specs.txt"], {"family", "constructions", "lattice"}),
+        # every spec fails its FamilySpec check, so no group is built
+        (["family", "--batch", "invalid.txt"], {"family"}),
         (["ratio", "--zappa-szep", "a5"], {"ratio", "constructions", "lattice"}),
         # an algebra file is read by the verify module's reader
         (["ideals", "--algebra", "algebra.json", "--side", "left"], {"ideals", "verify", "algebras"}),
@@ -971,8 +973,8 @@ def _skewbrace_modules(*argv: str) -> set[str]:
         ),
     ],
     ids=[
-        "verify-brace", "verify-algebra", "family-no-op", "family-batch", "ratio-zappa-szep",
-        "ideals", "examples",
+        "verify-brace", "verify-algebra", "family-no-op", "family-batch", "family-batch-invalid",
+        "ratio-zappa-szep", "ideals", "examples",
     ],
 )
 def test_each_command_loads_only_the_modules_it_uses(tmp_path, monkeypatch, command, deferred):
@@ -981,6 +983,7 @@ def test_each_command_loads_only_the_modules_it_uses(tmp_path, monkeypatch, comm
     Path("brace.json").write_text(json.dumps({"star": z4, "circ": z4}))
     Path("algebra.json").write_text(json.dumps({"p": 3, "dim": 2, "products": [{"i": 0, "j": 0, "value": [0, 1]}]}))
     Path("specs.txt").write_text("pq 7 3 2\n")
+    Path("invalid.txt").write_text("pq 9 3 2\ngeneralized_dihedral 15 2 4\n")
     modules = _imported_modules("-m", "skewbrace", *command)
     # every command, the no-op included, pays for the same start-up
     assert "numpy" in modules
@@ -1005,9 +1008,10 @@ PUBLIC_NAMES = {
         "stability_map", "validate_skew_brace",
     ],
     "constructions": [
-        "ExactFactorization", "FamilySpec", "a5_factorization", "factorization_from_permutations",
+        "ExactFactorization", "a5_factorization", "factorization_from_permutations",
         "semidirect_biskew", "stability_criterion_z9z6", "zappa_szep_brace",
     ],
+    "family": ["FamilySpec"],
     "groups": [
         "DEFAULT_AUT_CAP", "DEFAULT_ORDER_CAP", "FiniteGroup", "SubgroupSet", "automorphism_group",
         "build_from_table", "closure_from_permutations", "enumerate_subgroups",
@@ -1157,6 +1161,26 @@ REJECTED = {
     "product-repeated-in-ratio": (
         ["ratio", "--algebra", "twice.json"], EXIT_CONFIG, "products[1] repeats i=0, j=0 of products[0]",
     ),
+    "brace-key-repeated": (
+        ["verify", "twice-star.json"], EXIT_CONFIG, 'twice-star.json: key "star" is repeated in one object',
+    ),
+    "brace-key-repeated-in-ratio": (
+        ["ratio", "--algebra", "twice-star.json"], EXIT_CONFIG,
+        'twice-star.json: key "star" is repeated in one object',
+    ),
+    "algebra-key-repeated": (
+        ["verify", "twice-p.json"], EXIT_CONFIG, 'twice-p.json: key "p" is repeated in one object',
+    ),
+    "algebra-key-repeated-in-ratio": (
+        ["ratio", "--algebra", "twice-p.json"], EXIT_CONFIG, 'twice-p.json: key "p" is repeated in one object',
+    ),
+    "product-key-repeated": (
+        ["verify", "twice-value.json"], EXIT_CONFIG, 'twice-value.json: key "value" is repeated in one object',
+    ),
+    "product-key-repeated-in-ratio": (
+        ["ratio", "--algebra", "twice-value.json"], EXIT_CONFIG,
+        'twice-value.json: key "value" is repeated in one object',
+    ),
     "unreadable-file": (["verify", "missing.json"], EXIT_CONFIG, "No such file or directory: 'missing.json'"),
     "top-level-list": (["verify", "list.json"], EXIT_CONFIG, "list.json: top-level JSON value must be an object"),
     "algebra-without-dim": (
@@ -1225,6 +1249,11 @@ def test_rejected_input_exits_with_its_code_and_names_the_entry(
     Path("long.txt").write_text(f"pq {'9' * 5000} 2 5\n")
     Path("long.json").write_text(f'{{"star": {Z2}, "circ": [[0, 1], [1, {"9" * 5000}]]}}')
     Path("longp.json").write_text(f'{{"p": {"9" * 5000}, "dim": 2}}')
+    # json.loads alone keeps the last value of a repeated key: the first star
+    # is not closed, p would read 5 and the product [0, 0]
+    Path("twice-star.json").write_text('{"star":[[0,1],[2,0]],"star":[[0,1],[1,0]],"circ":[[0,1],[1,0]]}')
+    Path("twice-p.json").write_text('{"p":3,"dim":1,"p":5}')
+    Path("twice-value.json").write_text('{"p":3,"dim":2,"products":[{"i":0,"j":0,"value":[0,1],"value":[0,0]}]}')
     assert main(argv) == code
     captured = capsys.readouterr()
     # a failed example row is part of the report on stdout

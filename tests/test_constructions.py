@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import math
 import re
@@ -11,9 +12,14 @@ import pytest
 from hypothesis import given
 
 import skewbrace as sb
-from skewbrace.constructions import _order
-from skewbrace.errors import InvalidAction, NotClosed, NotComplementary, WrongParent
-from skewbrace.family import _predicted
+from skewbrace.errors import (
+    InvalidAction,
+    NotClosed,
+    NotComplementary,
+    ValidationFailure,
+    WrongParent,
+)
+from skewbrace.family import _order, _predicted
 from skewbrace.groups import _prime_factors
 
 from conftest import (
@@ -312,6 +318,35 @@ def test_dihedral_subgroup_count_is_read_off_sigma():
     for m in (3, 15, 21, 105, 1001):
         spec = sb.FamilySpec("generalized_dihedral", m, 2, m - 1)
         assert _predicted(spec)["subgroups_mult"] == 2**spec.g + sigma(m)
+
+
+def _accepted_specs(bound: int) -> list[sb.FamilySpec]:
+    """Every pq, product_pq and generalized_dihedral spec (m, n, b) with
+    m n <= bound and 0 <= b < m that FamilySpec accepts."""
+    specs = []
+    for family in ("pq", "product_pq", "generalized_dihedral"):
+        for m in range(2, bound // 2 + 1):
+            for n in range(2, bound // m + 1):
+                for b in range(m):
+                    with contextlib.suppress(ValueError, ValidationFailure):
+                        specs.append(sb.FamilySpec(family, m, n, b))
+    return specs
+
+
+def test_every_accepted_spec_to_order_250_matches_its_closed_forms():
+    specs = _accepted_specs(250)
+    assert len(specs) == 238
+    for spec in specs:
+        row = family_row(spec.family, spec.m, spec.n, spec.b)
+        assert row["predicted_match"] == "true", spec
+        if spec.family == "generalized_dihedral":
+            assert row["bound_ok"] is True, spec
+    # among them the smallest multi-prime specs: a dihedral one with h = 2
+    # (n = 6) and a product one with two prime pairs (m = 35, n = 6)
+    named = {(s.family, s.m, s.n, s.b) for s in specs}
+    assert {("generalized_dihedral", 7, 6, 3), ("product_pq", 35, 6, 4)} <= named
+    spec = sb.FamilySpec("generalized_dihedral", 7, 6, 3)
+    assert _predicted(spec)["subgroups_mult"] == 26 == 2 + 3 * sigma(7)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import re
 
+import numpy as np
 import pytest
 
 import skewbrace as sb
@@ -68,6 +69,23 @@ REJECTIONS = {
     "algebra-over-a-float-p": (
         lambda: sb.FpAlgebra(3.0, 1, [[[0]]]),
         ValueError, "3.0 is not prime",
+    ),
+    "algebra-of-a-float-dim": (
+        lambda: sb.FpAlgebra(3, 2.0, [[(0, 0), (0, 0)], [(0, 0), (0, 0)]]),
+        ValueError, "dim 2.0 is not an integer",
+    ),
+    "algebra-of-a-bool-dim": (
+        lambda: sb.FpAlgebra(3, True, [[(0,)]]),
+        ValueError, "dim True is not an integer",
+    ),
+    "subspaces-of-a-float-dim": (
+        lambda: sb.enumerate_subspaces(3, 2.0),
+        ValueError, "dim 2.0 is not an integer",
+    ),
+    # 17^16 wraps to a negative number in int64
+    "algebra-numpy-p-over-the-point-budget": (
+        lambda: sb.FpAlgebra(np.int64(17), 16, []),
+        BudgetExceeded, "point count 17^16 exceeds the enumeration budget 100000",
     ),
     "point-budget-at-p-1": (
         lambda: check_point_budget(1, 100000),

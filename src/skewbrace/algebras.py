@@ -37,9 +37,10 @@ DEFAULT_POINT_BUDGET = 100_000
 def check_point_budget(p: int, dim: int) -> None:
     """Raise BudgetExceeded when F_p^dim has more than DEFAULT_POINT_BUDGET
     points, before any work that grows with p or dim; a dim of the budget's
-    bit length or more, over it for every prime, is rejected for any p."""
-    p = int(p) if isinstance(p, np.integer) else p  # so that p**dim cannot wrap
-    if dim >= DEFAULT_POINT_BUDGET.bit_length() or (p > 1 and p**dim > DEFAULT_POINT_BUDGET):
+    bit length or more, over it for every prime, is rejected for any p.  A p
+    that is not an integer is left to the primality check that follows."""
+    q = int(p) if _integral(type(p)) else 0  # a float p**dim can overflow, an int64 one wrap
+    if dim >= DEFAULT_POINT_BUDGET.bit_length() or (q > 1 and q**dim > DEFAULT_POINT_BUDGET):
         raise BudgetExceeded(f"{p}^{dim}", DEFAULT_POINT_BUDGET)
 
 
@@ -255,8 +256,9 @@ def _pivot_patterns(p: int, dim: int):
     then lexicographically.  Raises BudgetExceeded before anything is listed
     when F_p^dim has more than DEFAULT_POINT_BUDGET points or subspaces (the
     sum of the Gaussian binomials [dim, k]_p), then ValueError for a p not
-    prime; a dim that is not an integer is a ValueError before either."""
-    dim = _integer(dim, "dim")
+    prime; a dim that is not an integer or negative is a ValueError before either."""
+    if (dim := _integer(dim, "dim")) < 0:
+        raise ValueError(f"dim {dim} is negative")
     check_point_budget(p, dim)
     p = _check_prime(p)
     count, binomial = 0, 1

@@ -3,7 +3,8 @@
 Cyclic extension (Neubüser 1960, the method of GAP's
 ``LatticeByCyclicExtension``): starting from the trivial group and the
 perfect subgroups, each found subgroup S is extended to S<z> by every
-prime-power-order generator z that normalizes S and has z^p in S.  The
+prime-power-order generator z that normalizes S and has z^p in S; the
+conjugates z x z^-1 are one table per lattice, read at S's generators.  The
 perfect subgroups are the 2-generated subgroups <x, y> of the perfect
 residuum, closed under conjugation; ``_perfect_subgroups`` states where
 that search is not proved complete.  A subgroup given by generators (a
@@ -46,7 +47,8 @@ def enumerate_subgroups(G: FiniteGroup, cap: int = DEFAULT_ORDER_CAP) -> list[Su
     Cyclic extension (Neubüser 1960): seeded with the trivial group and the
     perfect subgroups, a found subgroup S grows to S<z> = S u Sz u ... u
     Sz^(p-1) for each zuppo z (a generator of a cyclic subgroup of
-    prime-power order p^k) with z outside S, z^p in S and z normalizing S.
+    prime-power order p^k) with z outside S, z^p in S and z normalizing S,
+    read at S's generators off one table of z x z^-1 built per lattice.
     Every subgroup H is reached: H^inf is a seed, and a subgroup below H of
     prime index p, normal in H, is extended by the p-part of any element of
     H outside it.  The cap is checked first, more than LATTICE_BUDGET
@@ -60,20 +62,16 @@ def enumerate_subgroups(G: FiniteGroup, cap: int = DEFAULT_ORDER_CAP) -> list[Su
 def _lattice(G: FiniteGroup) -> list[SubgroupSet]:
     n, T, e, inv = G.order, G.table, G.identity, G.inv
     _, zuppos, zpowers, zp = _cyclic_walk(G)
-    zinv = inv[zuppos][:, None]
-
-    # each entry keeps a generating set of its subgroup: the seed's, plus
-    # one zuppo per extension; normalizing S means normalizing these
+    conj = T[T[zuppos], inv[zuppos][:, None]]  # conj[k, x] = z_k x z_k^-1
+    # each entry keeps a generating set of its subgroup: the seed's, plus one
+    # zuppo per extension; z_k normalizes S when conj[k] maps these into S
     seeds = [(SubgroupSet(n, 1 << e), ()), *_perfect_subgroups(G)]
     queue = [(H.mask, np.flatnonzero(H.members), gens) for H, gens in seeds]
     known = {k for k, *_ in queue}
     for _, elems, gens in queue:  # the queue grows while it is walked
         members = np.zeros(n, dtype=bool)
         members[elems] = True
-        fits = ~members[zuppos] & members[zp]
-        if gens:
-            conj = T[T[zuppos[:, None], np.asarray(gens)], zinv]
-            fits &= members[conj].all(axis=1)
+        fits = ~members[zuppos] & members[zp] & members[conj[:, gens]].all(axis=1)
         # every zuppo inside an S<z> already formed gives the same S<z>
         covered = members.copy()
         column = elems[:, None]

@@ -428,6 +428,7 @@ def test_subspace_counts():
     assert len(sb.enumerate_subspaces(3, 1)) == 2
     assert len(sb.enumerate_subspaces(3, 2)) == 6
     assert len(sb.enumerate_subspaces(3, 4)) == 212
+    assert len(sb.enumerate_subspaces(3, 0)) == 1
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])

@@ -283,6 +283,21 @@ def test_ratio_semidirect_both_directions(capsys):
     assert ratios == {"mult": (12, 36), "add": (9, 20)}
 
 
+def test_ratio_report_lists_the_order_2000_stable_subgroups_in_lattice_order(capsys):
+    # the stable subgroups are listed in lattice order, so the digest pins it
+    code, out = run(
+        capsys,
+        "--format", "json", "ratio",
+        "--family", "semidirect", "--m", "1000", "--n", "2", "--b", "999",
+        "--direction", "both",
+    )
+    assert code == EXIT_OK
+    ratios = {r["direction"]: (r["numerator"], r["denominator"]) for r in json.loads(out)["result"]["ratios"]}
+    assert ratios == {"mult": (44, 2356), "add": (19, 44)}
+    expected = "46cbc10bbb54b1aef461f9da368b031c02c18329d48ce61505f0bbd46993a75c"
+    assert hashlib.sha256(out.encode()).hexdigest() == expected
+
+
 def test_ratio_algebra_circ_direction(tmp_path, capsys):
     code, report = run_json(
         capsys, "ratio", "--algebra", "degraaf", "--p", "3", "--direction", "circ"

@@ -1338,6 +1338,31 @@ def test_affine_general_linear_3_2_lattice_and_perfect_subgroups():
     assert_perfect_subgroups(G, subs, [168] * 16 + [1344])
 
 
+# the sha256 of the repr() of each lattice's masks in output order, so that a
+# change of the extension's bookkeeping can neither reorder nor change one
+@pytest.mark.parametrize(
+    "build, count, digest",
+    [
+        (lambda: sb.semidirect_product_cyclic(1000, 2, 999), 2356,
+         "e6b4b8c248c4870b3572bd3bb6397bf2d5c71a652e25b594c22730bf516ded04"),
+        (lambda: symmetric_group(6), 1455,
+         "4b9400eb8889def4e21acd0e0c561e6b7d1095ee9b515485f9409dee0149fbd5"),
+    ],
+    ids=["d1000", "s6"],
+)
+def test_lattice_masks_are_pinned_in_output_order(build, count, digest):
+    masks = [H.mask for H in sb.enumerate_subgroups(build())]
+    assert len(masks) == count
+    assert hashlib.sha256(repr(masks).encode()).hexdigest() == digest
+
+
+def test_lattice_of_the_trivial_group_is_the_trivial_group():
+    # no zuppos, so the conjugation table over them is empty
+    G = sb.FiniteGroup([[0]])
+    assert len(lattice._cyclic_walk(G)[1]) == 0
+    assert [H.mask for H in sb.enumerate_subgroups(G)] == [1]
+
+
 def test_lattice_budget_names_the_count(monkeypatch, lattices_enumerated):
     monkeypatch.setattr(lattice, "LATTICE_BUDGET", 100)
     G = product_group(3, 3, 3, 3)

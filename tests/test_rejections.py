@@ -82,6 +82,19 @@ REJECTIONS = {
         lambda: sb.enumerate_subspaces(3, 2.0),
         ValueError, "dim 2.0 is not an integer",
     ),
+    "subspaces-of-a-negative-dim": (
+        lambda: sb.enumerate_subspaces(3, -1),
+        ValueError, "dim -1 is negative",
+    ),
+    # 1e300**5 overflows a float, so the point budget leaves a float p alone
+    "algebra-over-a-huge-float-p": (
+        lambda: sb.FpAlgebra(1e300, 5, []),
+        ValueError, "1e+300 is not prime",
+    ),
+    "subspaces-over-a-huge-float-p": (
+        lambda: sb.enumerate_subspaces(1e300, 5),
+        ValueError, "1e+300 is not prime",
+    ),
     # 17^16 wraps to a negative number in int64
     "algebra-numpy-p-over-the-point-budget": (
         lambda: sb.FpAlgebra(np.int64(17), 16, []),

@@ -28,7 +28,7 @@ from .errors import (
     NotNilpotent,
     OrderCapExceeded,
 )
-from .groups import DEFAULT_ORDER_CAP, FiniteGroup, SubgroupSet, build_from_table
+from .groups import ASSOC_BLOCK_CELLS, DEFAULT_ORDER_CAP, FiniteGroup, SubgroupSet, build_from_table
 from .groups import _first_non_integer, _integer, _integral, _mask, _prime_factors
 
 DEFAULT_POINT_BUDGET = 100_000
@@ -173,11 +173,11 @@ def _group_on_points(A: FpAlgebra, cap: int, sc: np.ndarray | None) -> FiniteGro
     product of x and y has coordinate l equal to x_l + y_l + x sc[:, :, l] y
     modulo p, or to x_l + y_l when ``sc`` is None.
 
-    The table is built one coordinate at a time, straight into its own
-    dtype.  With x sc[:, :, l] reduced modulo p before it meets y, a
-    coordinate before reduction is below d (p-1)^2 + 2(p-1), so every n^2
-    temporary has the smallest signed dtype that holds this bound and n:
-    int16 for the degraaf algebra at p = 5, int32 for F_1999.
+    The table is built one block of about ASSOC_BLOCK_CELLS cells and one
+    coordinate at a time, straight into its dtype.  With x sc[:, :, l]
+    reduced modulo p before it meets y, a coordinate before reduction is
+    below d (p-1)^2 + 2(p-1), so each block has the smallest signed dtype
+    holding this bound and n: int16 for degraaf at p = 5, int32 for F_1999.
     """
     p, d = A.p, A.dim
     n = p**d
@@ -186,13 +186,16 @@ def _group_on_points(A: FpAlgebra, cap: int, sc: np.ndarray | None) -> FiniteGro
     work = np.min_scalar_type(-max(n, d * (p - 1) ** 2 + 2 * (p - 1)))
     V = _digits(n, p, d).astype(work)
     table = np.zeros((n, n), dtype=np.min_scalar_type(-n))
-    for l in range(d):
-        c = V[:, l, None] + V[:, l]
-        if sc is not None:
-            c += (V @ sc[:, :, l] % p).astype(work) @ V.T
-        c %= p
-        c *= p**l
-        table += c
+    step = max(1, ASSOC_BLOCK_CELLS // n)
+    for lo in range(0, n, step):
+        X = V[lo : lo + step]
+        for l in range(d):
+            c = X[:, l, None] + V[:, l]
+            if sc is not None:
+                c += (X @ sc[:, :, l] % p).astype(work) @ V.T
+            c %= p
+            c *= p**l
+            table[lo : lo + step] += c
     labels = [format_vector(A, vec) for vec in V.tolist()]
     return build_from_table(table, labels=labels)
 

@@ -103,20 +103,19 @@ def _digits(text: bytes) -> np.ndarray:
 
 def _plain_brace_tables(blob: bytes, cap: int) -> list[np.ndarray] | None:
     """The star and circ tables of a plain brace file as int64 arrays, read
-    in one scan of its bytes without a Python object per entry; None for
-    any other input, which the JSON path then reads.
+    from its bytes without a Python object per entry; None for any other
+    input, which the JSON path then reads.
 
     Plain means: one object with exactly the keys "star" and "circ", in
     either order; JSON whitespace anywhere between tokens; each value an
     n x n array of unsigned decimal integers, n >= 1, without leading zeros
-    and each below n.  A plain file of more than ``cap`` rows raises
-    OrderCapExceeded once its entries are known to be integers, and before
-    any is read, as the JSON path would after its parse."""
+    and each below n.  Past the skeleton, one pass over each table checks
+    its slots, and a file of more than ``cap`` rows that passes raises
+    OrderCapExceeded before any entry is read, as the JSON path would."""
     spaced = any(bytes([c]) in blob for c in _JSON_SPACE)
     compact = blob.translate(None, _JSON_SPACE) if spaced else blob
     digits = _digits(compact)
-    other = digits >= 10
-    marks = np.flatnonzero(other)  # every byte but a digit
+    marks = np.flatnonzero(digits >= 10)  # every byte but a digit
     skeleton = np.frombuffer(compact, dtype=np.uint8)[marks].tobytes()
     # {"key":[[,,],[,,],[,,]],"key":[[...]]}: each table has (n + 1)**2 bytes
     n = skeleton.find(b"]") - 9
@@ -130,20 +129,21 @@ def _plain_brace_tables(blob: bytes, cap: int) -> list[np.ndarray] | None:
     # the skeleton has lost any whitespace or digit inside a key
     if b'"star"' not in blob or b'"circ"' not in blob:
         return None
-    # the rows of the two tables start at marks 9 and (n + 1)**2 + 17, and
-    # bounds[t][r, k] and bounds[t][r, k + 1] are the marks around slot k of
-    # row r of table t.  Each slot must hold one number of no more digits
-    # than n - 1, so that none overflows, and no other place may hold a digit
-    starts = (9, (n + 1) ** 2 + 17)
-    bounds = [marks[i : i + n * (n + 2)].reshape(n, n + 2)[:, : n + 1] for i in starts]
-    gaps = [np.diff(b) for b in bounds]  # one more than each slot's width
-    places = len(str(n - 1))
-    if any(g.min() < 2 or g.max() > places + 1 for g in gaps):
-        return None
-    if sum(int(g.sum()) for g in gaps) - 2 * n * n != len(compact) - len(marks):
-        return None
-    if ((digits[1:-1] == 0) & other[:-2] & ~other[2:]).any():
-        return None  # a leading zero
+    # the rows of a table start at mark 9 or (n + 1)**2 + 17, and bounds[r, k]
+    # and bounds[r, k + 1] are the marks around slot k of row r.  Each slot must
+    # hold one number of no more digits than n - 1, so that none overflows
+    places, starts, found, gaps = len(str(n - 1)), (9, (n + 1) ** 2 + 17), 0, []
+    for i in starts:
+        bounds = marks[i : i + n * (n + 2)].reshape(n, n + 2)
+        # one more than each slot's width, capped at places + 2 to fit a uint8,
+        # and the first byte of each slot, which may be 0 only where gap is 2
+        gap = np.diff(bounds[:, : n + 1]).clip(max=places + 2).astype(np.uint8)
+        if gap.min() < 2 or gap.max() > places + 1 or ((gap > 2) & (digits[1:][bounds][:, :n] == 0)).any():
+            return None
+        found += int(gap.sum()) - n * n
+        gaps.append(gap)
+    if found != len(compact) - len(marks):
+        return None  # a digit outside the slots
     # whitespace inside a number joins two runs of digits into one
     if spaced:
         in_blob = _digits(blob) < 10
@@ -155,8 +155,8 @@ def _plain_brace_tables(blob: bytes, cap: int) -> list[np.ndarray] | None:
     # the least unsigned type that holds a number of that many digits
     dtype = np.min_scalar_type(10**places).type
     tables = []
-    for b, gap in zip(bounds, gaps):
-        at = b[:, 1:] - 1
+    for i, gap in zip(starts, gaps):
+        at = marks[i : i + n * (n + 2)].reshape(n, n + 2)[:, 1 : n + 1] - 1
         values = digits[at].astype(dtype)
         for place in range(1, places):
             at -= 1

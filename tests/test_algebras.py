@@ -410,6 +410,20 @@ def test_circle_table_peak_memory_is_a_small_multiple_of_its_cells():
     assert peak <= 11 * n**2
 
 
+def test_the_f1999_circle_table_peaks_within_three_of_its_tables():
+    # the table is filled one row block at a time, so the copy made to
+    # validate it is the only other n-by-n array, about 2.1 tables in all;
+    # all rows at once held two int32 work tables beside it, about 5.0
+    A = zero_algebra(1999, 1)
+    tracemalloc.start()
+    try:
+        G = sb.circle_group(A)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * G.table.nbytes
+
+
 def test_circle_group_has_104_subgroups(degraaf3):
     G = sb.circle_group(degraaf3)
     assert len(sb.enumerate_subgroups(G)) == 104

@@ -13,6 +13,7 @@ import io
 import json
 import re
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,7 @@ from hypothesis import given, settings, strategies as st
 
 from skewbrace import verify
 from skewbrace.cli import EXIT_CAP, EXIT_CONFIG, main
+from skewbrace.errors import OrderCapExceeded
 
 from conftest import generated_groups
 
@@ -221,3 +223,47 @@ def test_a_plain_file_over_the_cap_exits_3_before_any_json_parse(tmp_path, monke
     assert code == EXIT_CAP and out == ""
     assert err == [f"error: group order {n} exceeds the configured cap {n - 1}"]
     assert tables_built == []
+
+
+def test_an_entry_at_least_n_in_a_plain_file_over_the_cap_is_a_cap_error(tmp_path, monkeypatch):
+    # no entry is read before the cap check, so an out-of-range one cannot
+    # send a file over the cap to the JSON path
+    n = 30
+    path = tmp_path / "brace.json"
+    path.write_text(_zero_tables(n).replace('0]],"circ"', f'{n}]],"circ"'))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the JSON parser ran")
+
+    monkeypatch.setattr(verify.json, "loads", refuse)
+    with pytest.raises(OrderCapExceeded) as exc:
+        verify._plain_brace_tables(path.read_bytes(), n - 1)
+    assert _verify(path, "--order-cap", str(n - 1)) == (EXIT_CAP, "", [f"error: {exc.value}"])
+
+
+def test_a_leading_zero_in_the_last_star_slot_sends_a_file_over_the_cap_to_the_json_path(tmp_path):
+    # every slot is checked before the cap, so the JSON parser rejects the
+    # number 01 with exit 2, as it does on any file with it, instead of exit 3
+    n = 30
+    path = tmp_path / "brace.json"
+    path.write_text(_zero_tables(n).replace('0]],"circ"', '01]],"circ"'))
+    assert verify._plain_brace_tables(path.read_bytes(), n - 1) is None
+    code, out, err = _verify(path, "--order-cap", str(n - 1))
+    assert code == EXIT_CONFIG and out == "" and "not valid JSON" in err[0]
+
+
+def test_reading_a_compact_order_625_file_peaks_within_8_5_times_its_bytes():
+    # each table's slots are checked from its own marks, with no file-sized
+    # temporary beyond the digits and the marks, about 7.0 times the file's
+    # bytes; a file-wide leading-zero test took it to 10.0
+    n = 625
+    star, circ = np.random.default_rng(n).integers(0, n, (2, n, n)).tolist()
+    blob = _compact({"star": star, "circ": circ}).encode()
+    tracemalloc.start()
+    try:
+        tables = verify._plain_brace_tables(blob, verify.RunConfig.order_cap)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [t.tolist() for t in tables] == [star, circ]
+    assert peak <= 8.5 * len(blob)

@@ -31,7 +31,7 @@ from .errors import InvalidAction, NoIdentity, NoInverse, NotAssociative, NotClo
 
 DEFAULT_ORDER_CAP = 2000
 DEFAULT_AUT_CAP = 200
-# Light's test compares about this many cells of the table at a time
+# the work size of every blockwise pass: cells of a table, bytes of a file
 ASSOC_BLOCK_CELLS = 1 << 16
 
 # the public names defined in a module of their own, which groups loads
@@ -286,21 +286,19 @@ def _assoc_witness(arr: np.ndarray, gens) -> tuple[int, int, int] | None:
     return None
 
 
-def _inverses(arr: np.ndarray, identity: int) -> np.ndarray:
-    """The two-sided inverse of every element, or NoInverse naming the least
-    element without one.  Rows are searched one block of about
-    ASSOC_BLOCK_CELLS cells at a time, each against the matching columns."""
+def _inverses(arr: np.ndarray, e: int) -> np.ndarray:
+    """Each element's least right inverse under the identity e, read one row
+    block of about ASSOC_BLOCK_CELLS cells at a time; NoInverse names the
+    least element with no two-sided one.  That is enough: in a monoid a right
+    inverse equals any two-sided one, so a row whose least right inverse is
+    not a left one has no two-sided inverse or fails Light's test."""
     n = len(arr)
     step = max(1, ASSOC_BLOCK_CELLS // n)
-    inv = np.empty(n, dtype=np.intp)
-    for lo in range(0, n, step):
-        # two_sided[x, y]: (lo + x) y = y (lo + x) = identity
-        two_sided = arr[lo : lo + step] == identity
-        two_sided &= (arr[:, lo : lo + step] == identity).T
-        has_inverse = two_sided.any(axis=1)
-        if not has_inverse.all():
-            raise NoInverse(lo + int(np.argmin(has_inverse)))
-        inv[lo : lo + step] = two_sided.argmax(axis=1)
+    inv = np.concatenate([(arr[lo : lo + step] == e).argmax(axis=1) for lo in range(0, n, step)])
+    ar = np.arange(n)
+    for x in np.flatnonzero((arr[ar, inv] != e) | (arr[inv, ar] != e)).tolist():
+        if not ((arr[x] == e) & (arr[:, x] == e)).any():
+            raise NoInverse(x)
     return inv
 
 

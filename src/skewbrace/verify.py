@@ -144,10 +144,12 @@ def _plain_brace_tables(blob: bytes, cap: int) -> list[np.ndarray] | None:
         gaps.append(gap)
     if found != len(compact) - len(marks):
         return None  # a digit outside the slots
-    # whitespace inside a number joins two runs of digits into one
+    # whitespace inside a number joins two runs of digits into one; run starts
+    # are counted per slice, from a byte early (the blob opens with no digit)
     if spaced:
-        in_blob = _digits(blob) < 10
-        if np.count_nonzero(in_blob[1:] > in_blob[:-1]) + in_blob[0] != 2 * n * n:
+        step = groups.ASSOC_BLOCK_CELLS
+        slices = (_digits(blob[max(lo - 1, 0) : lo + step]) < 10 for lo in range(0, len(blob), step))
+        if sum(np.count_nonzero(d[1:] > d[:-1]) for d in slices) != 2 * n * n:
             return None
     if n > cap:
         raise OrderCapExceeded(n, cap)

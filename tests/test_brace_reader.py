@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from skewbrace import verify
+from skewbrace import groups, verify
 from skewbrace.cli import EXIT_CAP, EXIT_CONFIG, main
 from skewbrace.errors import OrderCapExceeded
 
@@ -267,3 +267,46 @@ def test_reading_a_compact_order_625_file_peaks_within_8_5_times_its_bytes():
         tracemalloc.stop()
     assert [t.tolist() for t in tables] == [star, circ]
     assert peak <= 8.5 * len(blob)
+
+
+def test_reading_an_indented_order_625_file_peaks_within_4_5_times_its_bytes():
+    # the digit runs of the spaced bytes are counted one slice at a time, so
+    # beside the compact copy, its digits and its marks (about 4.0 times the
+    # file's bytes) nothing file-sized is built; counting them over the whole
+    # file at once took three file-sized arrays, and 5.0 times
+    n = 625
+    star, circ = np.random.default_rng(n).integers(0, n, (2, n, n)).tolist()
+    blob = json.dumps({"star": star, "circ": circ}, indent=1).encode()
+    tracemalloc.start()
+    try:
+        tables = verify._plain_brace_tables(blob, verify.RunConfig.order_cap)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [t.tolist() for t in tables] == [star, circ]
+    assert peak <= 4.5 * len(blob)
+
+
+@pytest.mark.parametrize("split", ["", "\n"], ids=["number", "newline-in-number"])
+def test_a_number_split_at_a_slice_boundary_reads_as_the_json_path_does(tmp_path, monkeypatch, split):
+    # the digit runs of a spaced file are counted one slice of
+    # groups.ASSOC_BLOCK_CELLS bytes at a time: a slice starts at the second
+    # digit of star's first entry 11, which is one number or, with a newline
+    # before that digit, two
+    n = 12
+    star = [[(x + y) % n for y in range(n)] for x in range(n)]
+    text = json.dumps({"star": star, "circ": star}, indent=1)
+    at = text.index("11") + 1
+    path = tmp_path / "brace.json"
+    path.write_text(text[:at] + split + text[at:])
+    blob = path.read_bytes()
+    step = at + len(split)
+    assert blob[step - 1 : step + 1] == (b"11" if split == "" else b"\n1")
+    monkeypatch.setattr(groups, "ASSOC_BLOCK_CELLS", step)
+    tables = verify._plain_brace_tables(blob, verify.RunConfig.order_cap)
+    if split:
+        assert tables is None
+    else:
+        for got, want in zip(tables, verify._parse_brace_json(json.loads(blob), n)):
+            assert np.array_equal(got, want)
+    assert _verify(path) == _verify_declined(path)

@@ -303,6 +303,29 @@ def test_associativity_witness_past_the_first_row_block(offset):
     assert _failure(table) == expected
 
 
+@pytest.mark.parametrize(
+    "table, expected",
+    [
+        # Z12 with 5 2 = 0 planted: 2 5 = 7, so 5's least right inverse 2 is
+        # no left inverse, while 7 is still two-sided; in a monoid that is
+        # impossible, and Light's test names the fault
+        (_planted(12, 0, (5, 2, 0)), NotAssociative),
+        # as above for 3, whose two-sided 9 remains; then 5 gets a right
+        # inverse 2 and loses its two-sided 7 (7 5 = 1), and 7 its only
+        # right inverse: 5 is the least element with no two-sided inverse
+        (_planted(12, 0, (3, 1, 0), (5, 2, 0), (7, 5, 1)), NoInverse),
+    ],
+    ids=["later-two-sided", "none-two-sided"],
+)
+def test_a_least_right_inverse_that_is_no_left_inverse_matches_the_full_scan(table, expected):
+    n = len(table)
+    error, witness = reference_failure(table)
+    assert error is expected
+    for cells in [1, n, n * n]:
+        with mock.patch.object(groups, "ASSOC_BLOCK_CELLS", cells):
+            assert _failure(table) == (error, witness)
+
+
 def test_validating_an_order_2000_table_peaks_within_two_and_a_half_tables():
     # closure, identity and Light's test allocate O(n) or one row block; the
     # copy and the inverse search's booleans (half a table each) remain
@@ -317,8 +340,8 @@ def test_validating_an_order_2000_table_peaks_within_two_and_a_half_tables():
 
 
 def test_validating_the_d1000_table_peaks_at_its_copy_and_a_row_block():
-    # the inverse search, like Light's test, compares one block of rows with
-    # the matching columns at a time, so no n-by-n boolean is made
+    # the inverse pass, like Light's test, reads one block of rows at a time,
+    # and checks each least right inverse in O(n), so no n-by-n boolean is made
     table = sb.semidirect_product_cyclic(1000, 2, 999).table
     tracemalloc.start()
     try:

@@ -108,20 +108,25 @@ class GcRatio:
         return self.numerator / self.denominator
 
 
+def _law_holds(star: FiniteGroup, circ: FiniteGroup) -> bool:
+    """Whether the left brace law holds: whether lambda_g respects star for
+    every g in circ.gens (module docstring), at len(circ.gens) rows."""
+    g = np.asarray(circ.gens, dtype=np.intp)
+    return bool(_respects(star, star.table[star.inv[g][:, None], circ.table[g]]).all())
+
+
 def _brace_law_witness(star: FiniteGroup, circ: FiniteGroup):
     """Lexicographically first (a,b,c) violating the left brace law, or None.
 
     The law holds at (a,b,c) iff lambda_a(b star c) = lambda_a(b) star
-    lambda_a(c).  The lambda_g of g in circ.gens decide it (module
-    docstring), at len(circ.gens) rows; only when one fails is every row
-    built, and the first a whose lambda_a does not respect star is the
+    lambda_a(c).  ``_law_holds`` decides it; only when it fails is every
+    row built, and the first a whose lambda_a does not respect star is the
     first a of a violating triple, whose row is then scanned in full.
     """
-    S, C = star.table, circ.table
-    g = np.asarray(circ.gens, dtype=np.intp)
-    if _respects(star, S[star.inv[g][:, None], C[g]]).all():
+    if _law_holds(star, circ):
         return None
-    lam = S[star.inv[:, None], C]  # lam[a, x] = lambda_a(x)
+    S = star.table
+    lam = S[star.inv[:, None], circ.table]  # lam[a, x] = lambda_a(x)
     a = int(np.argmin(_respects(star, lam)))
     row = lam[a]
     b, c = np.argwhere(row[S] != S[row[:, None], row])[0]
@@ -142,7 +147,7 @@ def validate_skew_brace(star_table, circ_table) -> SkewBrace:
 def is_bi_skew(b: SkewBrace) -> bool:
     """True iff the mirrored law holds, i.e. the roles of the two tables
     can be swapped and the result is again a skew brace."""
-    return _brace_law_witness(b.circ, b.star) is None
+    return _law_holds(b.circ, b.star)
 
 
 def stability_map(b: SkewBrace, g: int) -> tuple[int, ...]:

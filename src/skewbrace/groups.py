@@ -131,9 +131,6 @@ class SubgroupSet:
     def size(self) -> int:
         return self.mask.bit_count()
 
-    def contains(self, x: int) -> bool:
-        return x >= 0 and bool(self.mask >> x & 1)
-
     def elements(self) -> tuple[int, ...]:
         return tuple(np.flatnonzero(self.members).tolist())
 

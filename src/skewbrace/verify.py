@@ -102,15 +102,15 @@ def _digits(text: bytes) -> np.ndarray:
 
 
 def _plain_brace_tables(blob: bytes, cap: int) -> list[np.ndarray] | None:
-    """The star and circ tables of a plain brace file as int64 arrays, read
-    from its bytes without a Python object per entry; None for any other
-    input, which the JSON path then reads.
+    """The star and circ tables of a plain brace file, read from its bytes
+    without a Python object per entry, each in the least unsigned type that
+    holds its numbers; None for any other input, which the JSON path reads.
 
     Plain means: one object with exactly the keys "star" and "circ", in
     either order; JSON whitespace anywhere between tokens; each value an
     n x n array of unsigned decimal integers, n >= 1, without leading zeros
-    and each below n.  Past the skeleton, one pass over each table checks
-    its slots, and a file of more than ``cap`` rows that passes raises
+    and of no more digits than n - 1.  One pass over each table checks its
+    slots, and a file of more than ``cap`` rows that passes raises
     OrderCapExceeded before any entry is read, as the JSON path would."""
     spaced = any(bytes([c]) in blob for c in _JSON_SPACE)
     compact = blob.translate(None, _JSON_SPACE) if spaced else blob
@@ -154,7 +154,7 @@ def _plain_brace_tables(blob: bytes, cap: int) -> list[np.ndarray] | None:
     if n > cap:
         raise OrderCapExceeded(n, cap)
     # each entry from the digits that end its slot, one place at a time, in
-    # the least unsigned type that holds a number of that many digits
+    # the least unsigned type that holds it; FiniteGroup names one of n or more
     dtype = np.min_scalar_type(10**places).type
     tables = []
     for i, gap in zip(starts, gaps):
@@ -163,9 +163,7 @@ def _plain_brace_tables(blob: bytes, cap: int) -> list[np.ndarray] | None:
         for place in range(1, places):
             at -= 1
             values += (digits[at] * (gap > place + 1)).astype(dtype) * dtype(10**place)
-        tables.append(values.astype(np.int64))
-        if values.max() >= n:
-            return None
+        tables.append(values)
     return tables if keys == _KEY_ORDERS[0] else tables[::-1]
 
 

@@ -109,7 +109,7 @@ def normal_by_conjugation(G: sb.FiniteGroup, H: sb.SubgroupSet) -> bool:
     """Whether g h g^-1 lies in H for every g in G and h in H, one table
     entry at a time."""
     op, inv = G.table.tolist(), G.inv.tolist()
-    return all(H.contains(op[op[g][h]][inv[g]]) for g in range(G.order) for h in H.elements())
+    return {op[op[g][h]][inv[g]] for g in range(G.order) for h in H.elements()} <= set(H.elements())
 
 
 def brute_force_automorphisms(G: sb.FiniteGroup) -> set[tuple[int, ...]]:

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from skewbrace import groups, verify
-from skewbrace.cli import EXIT_CAP, EXIT_CONFIG, main
+from skewbrace.cli import EXIT_CAP, EXIT_CONFIG, EXIT_INVALID, main
 from skewbrace.errors import OrderCapExceeded
 
 from conftest import generated_groups
@@ -169,10 +169,17 @@ def test_verify_reads_each_style_as_the_json_path_does(style, order, data):
         path.write_text(text, encoding="utf-8")
         blob = path.read_bytes()
         tables = verify._plain_brace_tables(blob, verify.RunConfig.order_cap)
-        assert (tables is not None) == (style in PLAIN)
+        places = len(str(n - 1))
+        if style in ("entry-at-least-n", "entry-equal-n"):
+            # an entry of n or more is read when it is no wider than n - 1,
+            # and left for the group check to name
+            wide = max(max(map(max, table)) for table in json.loads(blob).values()) >= 10**places
+            assert (tables is None) == wide
+        else:
+            assert (tables is not None) == (style in PLAIN)
         if tables is not None:
             for got, want in zip(tables, verify._parse_brace_json(json.loads(blob), n)):
-                assert got.dtype == want.dtype == np.int64
+                assert got.dtype == np.min_scalar_type(10**places)
                 assert np.array_equal(got, want)
         # at the default cap, and with the cap below the order where one is
         for options in [()] if n == 1 else [(), ("--order-cap", str(n - 1))]:
@@ -223,6 +230,26 @@ def test_a_plain_file_over_the_cap_exits_3_before_any_json_parse(tmp_path, monke
     assert code == EXIT_CAP and out == ""
     assert err == [f"error: group order {n} exceeds the configured cap {n - 1}"]
     assert tables_built == []
+
+
+def test_an_entry_of_n_in_a_plain_file_is_named_by_the_group_check_without_a_json_parse(tmp_path, monkeypatch):
+    # the reader reads an entry of n as it reads any of as many digits as
+    # n - 1, and FiniteGroup names it with the witness of the JSON path
+    n = 1001
+    star = ((np.arange(n)[:, None] + np.arange(n)) % n).tolist()
+    star[123][456] = n
+    path = tmp_path / "brace.json"
+    path.write_text(_compact({"star": star, "circ": star}))
+    declined = _verify_declined(path)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the JSON path ran")
+
+    monkeypatch.setattr(verify, "_load_input_file", refuse)
+    code, out, err = _verify(path)
+    assert (code, out, err) == declined and code == EXIT_INVALID
+    result = json.loads(out)["result"]
+    assert result["error"] == "NotClosed" and result["witness"] == [123, 456, n]
 
 
 def test_an_entry_at_least_n_in_a_plain_file_over_the_cap_is_a_cap_error(tmp_path, monkeypatch):

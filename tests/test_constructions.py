@@ -43,9 +43,7 @@ def _plain_normalized(f: sb.ExactFactorization, H: sb.SubgroupSet) -> bool:
     """H is normalized by the left factor, by conjugating every element."""
     G = f.parent
     op = G.table.tolist()
-    return all(
-        H.contains(op[op[l][h]][G.inv[l]]) for l in f.left.elements() for h in H.elements()
-    )
+    return {op[op[l][h]][G.inv[l]] for l in f.left.elements() for h in H.elements()} <= set(H.elements())
 
 
 def _check_zappa_szep_rows(f: sb.ExactFactorization, brace: sb.SkewBrace) -> None:

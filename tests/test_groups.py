@@ -326,19 +326,6 @@ def test_a_least_right_inverse_that_is_no_left_inverse_matches_the_full_scan(tab
             assert _failure(table) == (error, witness)
 
 
-def test_validating_an_order_2000_table_peaks_within_two_and_a_half_tables():
-    # closure, identity and Light's test allocate O(n) or one row block; the
-    # copy and the inverse search's booleans (half a table each) remain
-    table = sb.semidirect_product_cyclic(1000, 2, 999).table
-    tracemalloc.start()
-    try:
-        sb.build_from_table(table)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2.5 * table.nbytes
-
-
 def test_validating_the_d1000_table_peaks_at_its_copy_and_a_row_block():
     # the inverse pass, like Light's test, reads one block of rows at a time,
     # and checks each least right inverse in O(n), so no n-by-n boolean is made
@@ -434,7 +421,6 @@ def test_subgroup_membership_views(s3):
     H = next(H for H in sb.enumerate_subgroups(s3) if H.size == 3)
     assert sum(H.members) == 3
     assert [i for i, m in enumerate(H.members) if m] == list(H.elements())
-    assert all(H.contains(x) for x in H.elements())
 
 
 # ---------------------------------------------------------------------------
@@ -676,7 +662,7 @@ def test_closure_matches_plain_composition(gens):
 
 def test_generated_subgroup_empty_seed_is_trivial(s3):
     H = sb.generated_subgroup(s3, [])
-    assert H.size == 1 and H.contains(s3.identity)
+    assert H.elements() == (s3.identity,)
 
 
 def test_generated_subgroup_in_pair_group():
@@ -715,10 +701,10 @@ def test_enumerate_subgroups_invariants(s3):
         assert ((1 << G.order) - 1) in masks
         for H in subs:
             assert G.order % H.size == 0
-            assert H.contains(G.identity)
+            assert H.members[G.identity]
             elems = H.elements()
             assert len(elems) == H.size
-            assert all(H.contains(op[a][b]) for a in elems for b in elems)
+            assert {op[a][b] for a in elems for b in elems} <= set(elems)
         # canonical order: by size, then sorted element tuple
         keys = [(H.size, H.elements()) for H in subs]
         assert keys == sorted(keys)
@@ -841,7 +827,6 @@ def assert_views_read_the_mask(H):
     assert H.size == len(plain)
     assert H.elements() == tuple(plain)
     assert np.flatnonzero(H.members).tolist() == plain and len(H.members) == n
-    assert [x for x in range(-2, n + 2) if H.contains(x)] == plain
 
 
 @given(st.integers(1, 80), st.data())

@@ -196,8 +196,7 @@ def _group_on_points(A: FpAlgebra, cap: int, sc: np.ndarray | None) -> FiniteGro
             c %= p
             c *= p**l
             table[lo : lo + step] += c
-    labels = [format_vector(A, vec) for vec in V.tolist()]
-    return build_from_table(table, labels=labels)
+    return build_from_table(table)
 
 
 def additive_group(A: FpAlgebra, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:

@@ -42,8 +42,7 @@ def semidirect_product_cyclic(
     # first[s, r', s'] is the index of (0, s)(r', s') = (b^s r' mod m, s + s' mod n)
     first = powers * np.arange(m)[:, None] % m * n + (s + np.arange(n)) % n
     table = shifted.take(first.reshape(n, N), axis=1)
-    labels = tuple(f"({r},{s})" for r in range(m) for s in range(n))
-    return build_from_table(table.reshape(N, N), labels=labels)
+    return build_from_table(table.reshape(N, N))
 
 
 def _cycle_label(perm: tuple[int, ...]) -> str:
@@ -69,10 +68,14 @@ def closure_from_permutations(gens, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup
 
     A generator of length k permutes 0..k-1 and fixes every later point, so
     all act on the degree d of the longest one; a d above ``cap`` raises
-    OrderCapExceeded before any entry is read.  Element 0 is the identity,
-    and each element is labelled by its cycle notation (``_cycle_label``).
+    OrderCapExceeded before any entry is read.  Element 0 is the identity.
     Composition is (p*q)(i) = p[q[i]].
     """
+    return _permutation_closure(gens, cap)[0]
+
+
+def _permutation_closure(gens, cap: int) -> tuple[FiniteGroup, list[tuple[int, ...]]]:
+    """``closure_from_permutations(gens, cap)`` and its elements as permutations."""
     gens = list(gens)
     if not gens:
         raise ValueError("at least one generator is required")
@@ -108,8 +111,7 @@ def closure_from_permutations(gens, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup
     columns[0] = np.arange(len(elems))
     for q, (x, k) in enumerate(source[1:], 1):
         columns[q] = right_mult[columns[x], k]
-    labels = tuple(_cycle_label(p) for p in elems)
-    return build_from_table(columns.T, labels=labels)
+    return build_from_table(columns.T), elems
 
 
 @dataclass(frozen=True)
@@ -149,7 +151,7 @@ def zappa_szep_brace(f: ExactFactorization) -> SkewBrace:
     # row l * r^-1 is y -> l * y * r^-1; a row left at -1 fails validation
     circ = np.full_like(G.table, -1)
     circ[G.table[np.ix_(elems_l, ri)]] = G.table[G.table[elems_l][:, None], ri[:, None]]
-    return SkewBrace(G, build_from_table(circ, labels=G.labels))
+    return SkewBrace(G, build_from_table(circ))
 
 
 def factorization_from_permutations(
@@ -159,20 +161,26 @@ def factorization_from_permutations(
 
     ``left`` and ``right`` are lists of permutations, which
     ``closure_from_permutations`` extends to one degree; each generator is
-    found in the closure by its cycle-notation label.
+    found in the closure by its permutation at that degree.
     """
-    G = closure_from_permutations([*left, *right], cap=cap)
-    index = {label: k for k, label in enumerate(G.labels)}
-    seeds = ([index[_cycle_label(g)] for g in gens] for gens in (left, right))
-    return ExactFactorization(G, *(groups.generated_subgroup(G, seed) for seed in seeds))
+    return _named_factorization(left, right, cap)[0]
+
+
+def _named_factorization(left, right, cap: int) -> tuple[ExactFactorization, list[str]]:
+    """``factorization_from_permutations`` and each element's ``_cycle_label``."""
+    G, perms = _permutation_closure([*left, *right], cap)
+    index = {p: k for k, p in enumerate(perms)}
+    seeds = ([index[(*g, *perms[0][len(g):])] for g in gens] for gens in (left, right))
+    f = ExactFactorization(G, *(groups.generated_subgroup(G, seed) for seed in seeds))
+    return f, [_cycle_label(p) for p in perms]
+
+
+_A5_GENERATORS = ([(1, 2, 3, 4, 0)], [(1, 2, 0, 3, 4), (1, 0, 3, 2, 4)])
 
 
 def a5_factorization(cap: int = DEFAULT_ORDER_CAP) -> ExactFactorization:
     """Alternating group on 5 points as (5-cycle subgroup) * (point stabilizer)."""
-    five_cycle = (1, 2, 3, 4, 0)
-    three_cycle = (1, 2, 0, 3, 4)
-    double_swap = (1, 0, 3, 2, 4)
-    return factorization_from_permutations([five_cycle], [three_cycle, double_swap], cap)
+    return factorization_from_permutations(*_A5_GENERATORS, cap)
 
 
 def semidirect_biskew(

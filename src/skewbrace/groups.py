@@ -66,35 +66,26 @@ class FiniteGroup:
     ``table`` is a square sequence of rows of integers or a 2-d integer
     array; any other shape or entry raises ValueError.  The checks then raise
     NotClosed, NoIdentity, NoInverse or NotAssociative with a witness, in
-    that order, and a count of ``labels`` other than n raises ValueError.
-    The group keeps a read-only copy of the table, the least identity, the
-    read-only array of inverses ``inv`` and the generators ``gens`` that
-    Light's test used.  Two groups are equal when their tables and labels are.
+    that order.  The group keeps a read-only copy of the table, the least
+    identity, the read-only array of inverses ``inv`` and the generators
+    ``gens`` that Light's test used.  Groups with equal tables are equal.
     """
 
     table: np.ndarray = field(repr=False)
-    labels: tuple[str, ...] | None = None
     identity: int = field(init=False)
     inv: np.ndarray = field(init=False, repr=False)
     gens: tuple[int, ...] = field(init=False)
 
     def __post_init__(self) -> None:
         arr = _table_array(self.table)
-        n = len(arr)
         identity = _least_identity(arr)
         inv = _inverses(arr, identity)
         gens = _magma_generators(arr, identity)
         witness = _assoc_witness(arr, gens)
         if witness is not None:
             raise NotAssociative(witness)
-        labels = self.labels
-        if labels is not None:
-            labels = tuple(str(s) for s in labels)
-            if len(labels) != n:
-                raise ValueError(f"got {len(labels)} labels for {n} elements")
         inv.flags.writeable = False
-        for name, value in [("table", arr), ("labels", labels), ("identity", identity),
-                            ("inv", inv), ("gens", gens)]:
+        for name, value in [("table", arr), ("identity", identity), ("inv", inv), ("gens", gens)]:
             object.__setattr__(self, name, value)
 
     @property
@@ -104,14 +95,11 @@ class FiniteGroup:
     def __eq__(self, other) -> bool:
         if not isinstance(other, FiniteGroup):
             return NotImplemented
-        return self.labels == other.labels and np.array_equal(self.table, other.table)
+        return np.array_equal(self.table, other.table)
 
     def __hash__(self) -> int:
         # the dtype is a function of the order, so equal tables have equal bytes
-        return hash((self.order, self.table.tobytes(), self.labels))
-
-    def label(self, a: int) -> str:
-        return self.labels[a] if self.labels is not None else str(a)
+        return hash((self.order, self.table.tobytes()))
 
 
 @dataclass(frozen=True)
@@ -310,10 +298,10 @@ def _least_identity(arr: np.ndarray) -> int:
     raise NoIdentity()
 
 
-def build_from_table(op_table, labels=None) -> FiniteGroup:
-    """FiniteGroup(op_table, labels), as a function of its own: wrapping it
-    to count or time table builds leaves the class alone."""
-    return FiniteGroup(op_table, labels)
+def build_from_table(op_table) -> FiniteGroup:
+    """FiniteGroup(op_table), as a function of its own: wrapping it to count
+    or time table builds leaves the class alone."""
+    return FiniteGroup(op_table)
 
 
 # no caller factors an integer above this: trial division to its square root

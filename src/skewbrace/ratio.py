@@ -8,14 +8,15 @@ from .cli import EXIT_OK, RunConfig, _report, _source_directions
 from .errors import OrderCapExceeded, ParseError
 
 
-def _ratio_payload(brace: braces.SkewBrace, direction: str, provenance: str, cap: int) -> dict:
+def _ratio_payload(
+    brace: braces.SkewBrace, direction: str, provenance: str, cap: int, names: list[str]
+) -> dict:
+    """One direction's report, naming element k ``names[k]``."""
     ratio = braces.gc_ratio(brace, cap)
     stable = []
     for H in ratio.stable:
-        entry = {"size": H.size, "elements": list(H.elements())}
-        if brace.star.labels is not None:
-            entry["labels"] = [brace.star.label(x) for x in entry["elements"]]
-        stable.append(entry)
+        xs = list(H.elements())
+        stable.append({"size": H.size, "elements": xs, "labels": [names[x] for x in xs]})
     return {
         "direction": direction,
         "provenance": provenance,
@@ -84,6 +85,7 @@ def run(args, cfg: RunConfig) -> tuple[dict, int, bytes | dict]:
         add_galois, mult_galois = constructions.semidirect_biskew(m, n, b, cfg.order_cap)
         directions = {"mult": mult_galois, "add": add_galois}
         chosen = {name: directions[name] for name in wanted}
+        names = [f"({r},{s})" for r in range(m) for s in range(n)]
         provenance = "semidirect"
     elif args.algebra is not None:
         from . import algebras
@@ -96,24 +98,26 @@ def run(args, cfg: RunConfig) -> tuple[dict, int, bytes | dict]:
             "add": algebras.brace_from_radical_flipped,
         }
         chosen = {name: makers[name](A, cfg.order_cap) for name in wanted}
+        digits = algebras._digits(A.p**A.dim, A.p, A.dim).tolist()
+        names = [algebras.format_vector(A, vec) for vec in digits]
         provenance = "radical"
     elif args.zappa_szep is not None:
         from . import constructions
 
         _source_directions(args, f"--zappa-szep {args.zappa_szep}")
         if args.zappa_szep == "a5":
-            fact = constructions.a5_factorization(cfg.order_cap)
+            left, right = constructions._A5_GENERATORS
             source = {"zappa_szep": "a5"}
         else:
             left = parse_permutations(args.left_gens, cfg.order_cap)
             right = parse_permutations(args.right_gens, cfg.order_cap)
-            fact = constructions.factorization_from_permutations(left, right, cfg.order_cap)
             source = {"zappa_szep": "custom", "left": args.left_gens, "right": args.right_gens}
+        fact, names = constructions._named_factorization(left, right, cfg.order_cap)
         chosen = {"circ": constructions.zappa_szep_brace(fact)}
         provenance = "zappa_szep"
     else:
         raise ParseError("ratio needs one of --family, --algebra, --zappa-szep")
-    payloads = [_ratio_payload(b, name, provenance, cfg.order_cap) for name, b in chosen.items()]
+    payloads = [_ratio_payload(b, d, provenance, cfg.order_cap, names) for d, b in chosen.items()]
     return _report("ratio", source, cfg, {"ratios": payloads}), EXIT_OK, source
 
 

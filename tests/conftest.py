@@ -343,23 +343,22 @@ def zuppos_by_definition(G: sb.FiniteGroup) -> list[tuple[int, list[int], int]]:
 
 def product_group(*factors) -> sb.FiniteGroup:
     """The direct product of the factors, each a FiniteGroup or an order k
-    standing for the integers modulo k, labelled "0".."k-1"; one factor is
-    that group alone.  A pair (g, h) has index g |H| + h and label "(g,h)",
-    and more factors are multiplied from the left."""
+    standing for the integers modulo k; one factor is that group alone.  A
+    pair (g, h) has index g |H| + h, and more factors are multiplied from
+    the left."""
 
     def group(f) -> sb.FiniteGroup:
         if isinstance(f, sb.FiniteGroup):
             return f
         ar = np.arange(f)
-        return sb.build_from_table((ar[:, None] + ar) % f, labels=[str(i) for i in range(f)])
+        return sb.build_from_table((ar[:, None] + ar) % f)
 
     G = group(factors[0])
     for H in map(group, factors[1:]):
         n = G.order * H.order
         # entry [g, h, g', h'] is the index of (g g', h h')
         table = G.table.astype(np.int32)[:, None, :, None] * H.order + H.table[None, :, None, :]
-        labels = [f"({G.label(g)},{H.label(h)})" for g in range(G.order) for h in range(H.order)]
-        G = sb.build_from_table(table.reshape(n, n), labels=labels)
+        G = sb.build_from_table(table.reshape(n, n))
     return G
 
 A5_GENS = [(1, 2, 3, 4, 0), (1, 2, 0, 3, 4)]

@@ -340,6 +340,76 @@ def test_ratio_zappa_custom(capsys):
     assert (payload["numerator"], payload["denominator"]) == (4, 20)
 
 
+def _semidirect_name_checker(names: dict[int, str]) -> None:
+    # (r,s) is the pair at index r n + s, here with n = 6
+    for k, name in names.items():
+        r, s = map(int, re.fullmatch(r"\((\d+),(\d+)\)", name).groups())
+        assert r < 9 and s < 6 and r * 6 + s == k
+
+
+def _degraaf_name_checker(names: dict[int, str]) -> None:
+    # a name such as "a+2c" lists the nonzero base-3 digits of its index,
+    # least significant first on the basis a, b, c, d; "0" is point 0
+    for k, name in names.items():
+        coords = [0] * 4
+        for term in [] if name == "0" else name.split("+"):
+            coeff, basis = re.fullmatch(r"([12]?)([abcd])", term).groups()
+            assert coords["abcd".index(basis)] == 0
+            coords["abcd".index(basis)] = int(coeff or 1)
+        assert coords == [k // 3**i % 3 for i in range(4)]
+
+
+def _a5_name_checker(names: dict[int, str]) -> None:
+    # each name is a permutation of 5 points in cycle notation, and the
+    # named elements multiply as their permutations compose
+    table = skewbrace.a5_factorization().parent.table
+    perms = {}
+    for k, name in names.items():
+        (perm,) = parse_permutations(name)
+        perms[k] = (*perm, *range(len(perm), 5))
+    assert len(set(perms.values())) == len(perms)
+    for x, px in perms.items():
+        for y, py in perms.items():
+            assert perms[table[x, y]] == tuple(px[i] for i in py)
+
+
+@pytest.mark.parametrize(
+    "argv, check",
+    [
+        (["--family", "semidirect", "--m", "9", "--n", "6", "--b", "2", "--direction", "both"],
+         _semidirect_name_checker),
+        (["--algebra", "degraaf", "--p", "3", "--direction", "both"], _degraaf_name_checker),
+        (["--zappa-szep", "a5"], _a5_name_checker),
+    ],
+    ids=["semidirect-9-6-2", "degraaf-3", "a5"],
+)
+def test_ratio_names_each_printed_element_as_its_construction_indexed_it(capsys, argv, check):
+    code, report = run_json(capsys, "ratio", *argv)
+    assert code == EXIT_OK
+    names = {}
+    for payload in report["result"]["ratios"]:
+        for H in payload["stable_subgroups"]:
+            assert len(H["labels"]) == len(H["elements"]) == H["size"]
+            for k, name in zip(H["elements"], H["labels"]):
+                assert names.setdefault(k, name) == name
+    check(names)
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["--algebra", "degraaf", "--p", "3", "--direction", "both"],
+         "9d6ef909a94de4be22ab551dce4bf26ae72413b3d14a07eb47993a3b3dd6488d"),
+        (["--zappa-szep", "a5"], "ad329755dbe5e2ece996a54585cbeee562645ca0a6fda103f54e06aa1c987d91"),
+    ],
+    ids=["degraaf-3", "a5"],
+)
+def test_ratio_report_digest_is_pinned(capsys, argv, expected):
+    code, out = run(capsys, "--format", "json", "ratio", *argv)
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == expected
+
+
 FAMILY_SPEC = ["--family", "semidirect", "--m", "9", "--n", "6", "--b", "2"]
 
 

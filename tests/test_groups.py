@@ -15,7 +15,7 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 import skewbrace as sb
-from skewbrace import automorphisms, groups, lattice
+from skewbrace import automorphisms, constructions, groups, lattice
 from skewbrace.errors import (
     BudgetExceeded,
     ClosureCapExceeded,
@@ -27,7 +27,6 @@ from skewbrace.errors import (
     OrderCapExceeded,
     ValidationFailure,
 )
-from skewbrace.constructions import _cycle_label
 from skewbrace.groups import _prime_factors
 from skewbrace.lattice import (
     _cyclic_walk,
@@ -94,14 +93,14 @@ def test_z4_from_table():
     assert _cyclic_walk(G)[0][1] == 4
 
 
-def _rejection(table, labels=None) -> Exception | None:
+def _rejection(table) -> Exception | None:
     """The exception that build_from_table raises on ``table``, or None when
     it accepts it, once FiniteGroup built directly has raised the same
     class, message and witness."""
     seen = []
     for build in (sb.FiniteGroup, sb.build_from_table):
         try:
-            build(table, labels)
+            build(table)
             seen.append((None, None))
         except (ValueError, ValidationFailure) as exc:
             seen.append((exc, (type(exc), str(exc), getattr(exc, "witness", None))))
@@ -133,11 +132,11 @@ def test_no_inverse_rejected():
 Z3 = [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
 
 
-def test_a_group_checks_itself_and_takes_only_a_table_and_labels():
-    G, Z = sb.FiniteGroup(Z3, ["0", "1", "2"]), product_group(3)
+def test_a_group_checks_itself_and_takes_only_a_table():
+    G, Z = sb.FiniteGroup(Z3), product_group(3)
     assert G == Z and hash(G) == hash(Z)
     assert (G.order, G.identity, G.inv.tolist(), G.gens) == (Z.order, Z.identity, Z.inv.tolist(), Z.gens)
-    assert [f.name for f in dataclasses.fields(sb.FiniteGroup) if f.init] == ["table", "labels"]
+    assert [f.name for f in dataclasses.fields(sb.FiniteGroup) if f.init] == ["table"]
     for name in ("order", "identity", "inv", "gens"):
         with pytest.raises(TypeError):
             sb.FiniteGroup(Z3, **{name: Z.identity})
@@ -162,22 +161,20 @@ def test_out_of_range_witness_beyond_int64_is_exact(value):
 
 
 @pytest.mark.parametrize(
-    "table, labels",
+    "table",
     [
-        ([], None),
-        ([[0, 1, 2], [1, 2], [2, 0, 1]], None),
-        (Z3, ["0", "1"]),
-        (5, None),
-        (None, None),
-        ([5, [1, 0]], None),
-        (np.zeros((2, 2, 2), dtype=np.int64), None),
-        (np.zeros((3, 3, 1), dtype=np.int64), None),
+        [],
+        [[0, 1, 2], [1, 2], [2, 0, 1]],
+        5,
+        None,
+        [5, [1, 0]],
+        np.zeros((2, 2, 2), dtype=np.int64),
+        np.zeros((3, 3, 1), dtype=np.int64),
     ],
-    ids=["empty", "ragged", "label-count", "int", "none", "row-without-length", "cube",
-         "column-of-rows"],
+    ids=["empty", "ragged", "int", "none", "row-without-length", "cube", "column-of-rows"],
 )
-def test_malformed_table_or_labels_is_value_error(table, labels):
-    assert isinstance(_rejection(table, labels), ValueError)
+def test_malformed_table_or_labels_is_value_error(table):
+    assert isinstance(_rejection(table), ValueError)
 
 
 @pytest.mark.parametrize(
@@ -355,8 +352,6 @@ def test_groups_from_the_same_table_compare_equal():
     assert G == sb.build_from_table(table)
     assert G == sb.build_from_table(np.array(table))
     assert hash(G) == hash(sb.build_from_table(table))
-    assert G != sb.build_from_table(table, labels="abcd")
-    assert sb.build_from_table(table, labels="abcd") == sb.build_from_table(table, labels="abcd")
 
 
 def test_order_2000_group_keeps_one_small_table():
@@ -383,7 +378,7 @@ def test_associativity_checked_beyond_the_first_generator():
 
 @given(generated_groups())
 def test_generated_group_tables_pass_validation(G):
-    assert sb.build_from_table(G.table.tolist(), labels=G.labels) == G
+    assert sb.build_from_table(G.table.tolist()) == G
 
 
 @given(generated_groups(), st.data())
@@ -468,7 +463,6 @@ def _assert_semidirect_formula(m, n, b):
     expected = (r + b_to_s * r2) % m * n + (s + s2) % n
     assert np.array_equal(G.table, expected.reshape(m * n, m * n))
     assert G.table.dtype == np.min_scalar_type(-m * n)
-    assert G.labels == tuple(f"({r},{s})" for r in range(m) for s in range(n))
     return G
 
 
@@ -511,13 +505,13 @@ def test_order_cap_checked_before_any_table_is_built(tables_built, build):
 def test_semidirect_trivial_action_equals_the_direct_product_of_cyclic_groups(m, n):
     G = sb.semidirect_product_cyclic(m, n, 1)
     D = product_group(m, n)
-    assert G == D and G.labels == D.labels and G.table.dtype == D.table.dtype
+    assert G == D and G.table.dtype == D.table.dtype
 
 
 def test_semidirect_with_trivial_first_factor_is_cyclic():
     # modulo 1 every b is 0 and b^n = 0 = 1
     G = sb.semidirect_product_cyclic(1, 3, 0)
-    assert G.order == 3 and G.labels == ("(0,0)", "(0,1)", "(0,2)")
+    assert G.order == 3
     assert np.array_equal(G.table, product_group(3).table)
     assert sb.semidirect_product_cyclic(1, 1, 5).order == 1
 
@@ -634,9 +628,9 @@ def test_closure_cap():
 
 
 def test_closure_fixes_the_points_past_a_generator():
-    # equal groups have equal tables and labels
-    padded = sb.closure_from_permutations([(1, 0, 2), (0, 2, 1)])
-    assert sb.closure_from_permutations([(1, 0), (0, 2, 1)]) == padded
+    # equal groups have equal tables, here on the same permutations
+    padded = constructions._permutation_closure([(1, 0, 2), (0, 2, 1)], 10)
+    assert constructions._permutation_closure([(1, 0), (0, 2, 1)], 10) == padded
 
 
 S5_GENS = [(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)]
@@ -653,7 +647,7 @@ def test_closure_matches_plain_composition(gens):
     elems, rows = permutation_closure(gens)
     G = sb.closure_from_permutations(gens)
     assert G.table.tolist() == rows
-    assert G.labels == tuple(_cycle_label(p) for p in elems)
+    assert constructions._permutation_closure(gens, groups.DEFAULT_ORDER_CAP)[1] == elems
 
 
 # ---------------------------------------------------------------------------

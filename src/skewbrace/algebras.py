@@ -58,17 +58,15 @@ class FpAlgebra:
     dim >= 1, the primality of p, the shape and integer entries of ``sc``
     (ValueError), associativity on basis triples (bilinearity covers the
     rest), nilpotency by the power chain A, A^2, ... which must strictly
-    shrink to zero, and the count of ``basis_labels``.  p and dim are kept as
-    ints, ``sc`` as one read-only int64 array, read by the nilpotency chain
-    and the circle group, and ``nilpotency_index`` is the least e with every
-    e-fold product zero.  Two algebras are equal when their p, constants and
-    labels are.
+    shrink to zero.  p and dim are kept as ints, ``sc`` as one read-only
+    int64 array, read by the nilpotency chain and the circle group, and
+    ``nilpotency_index`` is the least e with every e-fold product zero.  Two
+    algebras are equal when their p and constants are.
     """
 
     p: int
     dim: int
     sc: np.ndarray = field(repr=False)
-    basis_labels: tuple[str, ...] | None = None
     nilpotency_index: int = field(init=False)
 
     def __post_init__(self) -> None:
@@ -102,24 +100,17 @@ class FpAlgebra:
                 raise NotNilpotent(index + 1, len(nxt))
             current = nxt
             index += 1
-        labels = self.basis_labels
-        if labels is not None:
-            labels = tuple(str(s) for s in labels)
-            if len(labels) != dim:
-                raise ValueError(f"got {len(labels)} labels for dimension {dim}")
-        for name, value in [("p", p), ("dim", dim), ("sc", SC), ("basis_labels", labels),
-                            ("nilpotency_index", index)]:
+        for name, value in [("p", p), ("dim", dim), ("sc", SC), ("nilpotency_index", index)]:
             object.__setattr__(self, name, value)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FpAlgebra):
             return NotImplemented
-        same = (self.p, self.basis_labels) == (other.p, other.basis_labels)
-        return same and np.array_equal(self.sc, other.sc)
+        return self.p == other.p and np.array_equal(self.sc, other.sc)
 
     def __hash__(self) -> int:
         # the array holds dim**3 entries, so equal bytes mean equal dims
-        return hash((self.p, self.sc.tobytes(), self.basis_labels))
+        return hash((self.p, self.sc.tobytes()))
 
 
 def _rref(rows: np.ndarray, p: int) -> np.ndarray:
@@ -141,8 +132,12 @@ def _rref(rows: np.ndarray, p: int) -> np.ndarray:
     return M[:rank]
 
 
+DEGRAAF_LABELS = ("a", "b", "c", "d")
+
+
 def degraaf_algebra(p: int) -> FpAlgebra:
-    """Four-dimensional algebra with a*a = c, a*b = d, other basis products zero.
+    """Four-dimensional algebra with a*a = c, a*b = d, other basis products
+    zero, its basis named by DEGRAAF_LABELS.
 
     Defined for odd primes only; ``FpAlgebra`` checks the budget and primality.
     """
@@ -152,20 +147,13 @@ def degraaf_algebra(p: int) -> FpAlgebra:
     sc = [[zero] * 4 for _ in range(4)]
     sc[0][0] = (0, 0, 1, 0)
     sc[0][1] = (0, 0, 0, 1)
-    return FpAlgebra(p, 4, sc, ("a", "b", "c", "d"))
+    return FpAlgebra(p, 4, sc)
 
 
 def _digits(n: int, p: int, width: int) -> np.ndarray:
     """Row k, for k < n, holds the ``width`` base-p digits of k, least
     significant first."""
     return np.arange(n)[:, None] // p ** np.arange(width) % p
-
-
-def format_vector(A: FpAlgebra, vec) -> str:
-    """Human-readable combination like 'a+2c'; '0' for the zero vector."""
-    names = A.basis_labels or tuple(f"e{i}" for i in range(A.dim))
-    parts = [name if coeff == 1 else f"{coeff}{name}" for coeff, name in zip(vec, names) if coeff]
-    return "+".join(parts) or "0"
 
 
 def _group_on_points(A: FpAlgebra, cap: int, sc: np.ndarray | None) -> FiniteGroup:

@@ -45,24 +45,6 @@ def semidirect_product_cyclic(
     return build_from_table(table.reshape(N, N))
 
 
-def _cycle_label(perm: tuple[int, ...]) -> str:
-    """One-line cycle notation, points printed 1-indexed."""
-    seen: set[int] = set()
-    parts = []
-    for i in range(len(perm)):
-        if i in seen or perm[i] == i:
-            continue
-        cyc = [i]
-        seen.add(i)
-        j = perm[i]
-        while j != i:
-            cyc.append(j)
-            seen.add(j)
-            j = perm[j]
-        parts.append("(" + " ".join(str(k + 1) for k in cyc) + ")")
-    return "".join(parts) or "()"
-
-
 def closure_from_permutations(gens, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     """Group generated by permutations, as a table.
 
@@ -163,16 +145,15 @@ def factorization_from_permutations(
     ``closure_from_permutations`` extends to one degree; each generator is
     found in the closure by its permutation at that degree.
     """
-    return _named_factorization(left, right, cap)[0]
+    return _factorization(left, right, cap)[0]
 
 
-def _named_factorization(left, right, cap: int) -> tuple[ExactFactorization, list[str]]:
-    """``factorization_from_permutations`` and each element's ``_cycle_label``."""
+def _factorization(left, right, cap: int) -> tuple[ExactFactorization, list[tuple[int, ...]]]:
+    """``factorization_from_permutations`` and each element as a permutation."""
     G, perms = _permutation_closure([*left, *right], cap)
     index = {p: k for k, p in enumerate(perms)}
     seeds = ([index[(*g, *perms[0][len(g):])] for g in gens] for gens in (left, right))
-    f = ExactFactorization(G, *(groups.generated_subgroup(G, seed) for seed in seeds))
-    return f, [_cycle_label(p) for p in perms]
+    return ExactFactorization(G, *(groups.generated_subgroup(G, seed) for seed in seeds)), perms
 
 
 _A5_GENERATORS = ([(1, 2, 3, 4, 0)], [(1, 2, 0, 3, 4), (1, 0, 3, 2, 4)])

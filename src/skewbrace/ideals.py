@@ -12,26 +12,27 @@ if TYPE_CHECKING:
     from . import algebras
 
 
-def _algebra_from_args(args) -> tuple[algebras.FpAlgebra, tuple[str, ...]]:
-    """The algebra of ``--algebra`` and the directions asked of it."""
+def _algebra_from_args(args) -> tuple[algebras.FpAlgebra, tuple[str, ...] | None, tuple[str, ...]]:
+    """The algebra of ``--algebra``, its basis labels (DEGRAAF_LABELS, or
+    the file's, or None) and the directions asked of it."""
     from . import algebras
 
     source = "--algebra degraaf" if args.algebra == "degraaf" else "--algebra FILE"
     wanted = _source_directions(args, source)
     if args.algebra == "degraaf":
-        return algebras.degraaf_algebra(args.p), wanted
+        return algebras.degraaf_algebra(args.p), algebras.DEGRAAF_LABELS, wanted
     from .verify import _load_input_file, _parse_algebra_json
 
     kind, data = _load_input_file(args.algebra, _read_input_file(args.algebra))
     if kind != "algebra":
         raise ParseError(f"{args.algebra} is not an algebra file")
-    return _parse_algebra_json(data), wanted
+    return (*_parse_algebra_json(data), wanted)
 
 
 def run(args, cfg: RunConfig) -> tuple[dict, int, bytes | dict]:
     from . import algebras
 
-    A, _ = _algebra_from_args(args)
+    A, _, _ = _algebra_from_args(args)
     source = {"algebra": args.algebra, "p": A.p, "dim": A.dim, "side": args.side}
     if args.side == "left":
         ideals = algebras.enumerate_left_ideals(A)

@@ -1,5 +1,5 @@
-"""``skewbrace ratio``: the correspondence ratio of one brace source, and
-the reading of permutation generators for ``--zappa-szep custom``."""
+"""``skewbrace ratio``: the correspondence ratio of one brace source, the reading of
+permutation generators for ``--zappa-szep custom``, and every element name it prints."""
 
 from __future__ import annotations
 
@@ -71,6 +71,27 @@ def parse_permutations(text: str, cap: int = groups.DEFAULT_ORDER_CAP) -> list[t
     return [tuple(m.get(i, i) - 1 for i in range(1, degree + 1)) for m in moves_per_perm]
 
 
+def _cycle_label(perm: tuple[int, ...]) -> str:
+    """One-line cycle notation, points printed 1-indexed, as ``parse_permutations`` reads it."""
+    seen: set[int] = set()
+    parts = []
+    for i in range(len(perm)):
+        cyc, j = [], i
+        while j not in seen and perm[j] != j:
+            seen.add(j)
+            cyc.append(str(j + 1))
+            j = perm[j]
+        if cyc:
+            parts.append(f"({' '.join(cyc)})")
+    return "".join(parts) or "()"
+
+
+def format_vector(labels: tuple[str, ...], vec) -> str:
+    """Combination of the basis ``labels`` like 'a+2c'; '0' for the zero vector."""
+    parts = [name if coeff == 1 else f"{coeff}{name}" for coeff, name in zip(vec, labels) if coeff]
+    return "+".join(parts) or "0"
+
+
 def run(args, cfg: RunConfig) -> tuple[dict, int, bytes | dict]:
     if args.family is not None:
         from . import constructions
@@ -91,7 +112,7 @@ def run(args, cfg: RunConfig) -> tuple[dict, int, bytes | dict]:
         from . import algebras
         from .ideals import _algebra_from_args
 
-        A, wanted = _algebra_from_args(args)
+        A, labels, wanted = _algebra_from_args(args)
         source = {"algebra": args.algebra, "p": A.p, "dim": A.dim}
         makers = {
             "circ": algebras.brace_from_radical,
@@ -99,7 +120,8 @@ def run(args, cfg: RunConfig) -> tuple[dict, int, bytes | dict]:
         }
         chosen = {name: makers[name](A, cfg.order_cap) for name in wanted}
         digits = algebras._digits(A.p**A.dim, A.p, A.dim).tolist()
-        names = [algebras.format_vector(A, vec) for vec in digits]
+        labels = labels or tuple(f"e{i}" for i in range(A.dim))
+        names = [format_vector(labels, vec) for vec in digits]
         provenance = "radical"
     elif args.zappa_szep is not None:
         from . import constructions
@@ -112,7 +134,8 @@ def run(args, cfg: RunConfig) -> tuple[dict, int, bytes | dict]:
             left = parse_permutations(args.left_gens, cfg.order_cap)
             right = parse_permutations(args.right_gens, cfg.order_cap)
             source = {"zappa_szep": "custom", "left": args.left_gens, "right": args.right_gens}
-        fact, names = constructions._named_factorization(left, right, cfg.order_cap)
+        fact, perms = constructions._factorization(left, right, cfg.order_cap)
+        names = list(map(_cycle_label, perms))
         chosen = {"circ": constructions.zappa_szep_brace(fact)}
         provenance = "zappa_szep"
     else:

@@ -44,7 +44,9 @@ def _json_list(value, where: str) -> list:
     return value
 
 
-def _parse_algebra_json(data: dict) -> algebras.FpAlgebra:
+def _parse_algebra_json(data: dict) -> tuple[algebras.FpAlgebra, tuple[str, ...] | None]:
+    """The algebra of a file and its basis labels, as strings, or None; the
+    label count is checked after the algebra has checked its constants."""
     from . import algebras
 
     # _load_input_file calls a file an algebra only when it has p and dim
@@ -70,7 +72,12 @@ def _parse_algebra_json(data: dict) -> algebras.FpAlgebra:
         sc[i][j] = tuple(
             _json_int(v, f"products[{k}].value[{l}]") for l, v in enumerate(value)
         )
-    return algebras.FpAlgebra(p, dim, sc, labels)
+    A = algebras.FpAlgebra(p, dim, sc)
+    if labels is not None:
+        labels = tuple(map(str, labels))
+        if len(labels) != dim:
+            raise ValueError(f"got {len(labels)} labels for dimension {dim}")
+    return A, labels
 
 
 def _parse_brace_json(data: dict, cap: int) -> list[np.ndarray]:
@@ -201,7 +208,7 @@ def run(args, cfg: RunConfig) -> tuple[dict, int, bytes | dict]:
         if kind == "algebra":
             from . import algebras
 
-            A = _parse_algebra_json(data)
+            A, _ = _parse_algebra_json(data)
             facts = {"p": A.p, "dim": A.dim, "nilpotency_index": A.nilpotency_index}
             bi_skew = algebras._triple_products_vanish(A)
         else:

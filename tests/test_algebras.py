@@ -118,7 +118,7 @@ def test_idempotent_rejected():
         sb.FpAlgebra(3, 1, sc)
 
 
-def test_an_algebra_checks_itself_and_takes_only_constants_and_labels():
+def test_an_algebra_checks_itself_and_takes_only_constants():
     # a a = b and a b = b a = c: x, x^2, x^3 with x^4 = 0, so A^4 = 0 and A^3 != 0
     zero = (0, 0, 0)
     sc = [[zero] * 3 for _ in range(3)]
@@ -128,7 +128,7 @@ def test_an_algebra_checks_itself_and_takes_only_constants_and_labels():
     with pytest.raises(NilpotencyTooDeep):
         sb.brace_from_radical_flipped(A)
     fields = dataclasses.fields(sb.FpAlgebra)
-    assert [f.name for f in fields if f.init] == ["p", "dim", "sc", "basis_labels"]
+    assert [f.name for f in fields if f.init] == ["p", "dim", "sc"]
     with pytest.raises(TypeError):
         sb.FpAlgebra(3, 3, sc, nilpotency_index=2)
 
@@ -195,7 +195,7 @@ def test_structure_constants_are_one_read_only_array(degraaf3):
     again = sb.degraaf_algebra(3)
     assert again == degraaf3 and hash(again) == hash(degraaf3)
     assert transported_algebra(degraaf3, 1) != degraaf3
-    assert sb.FpAlgebra(3, 4, degraaf3.sc) != degraaf3  # no labels
+    assert sb.FpAlgebra(3, 4, degraaf3.sc) == degraaf3  # labels are no part of an algebra
 
 
 # ---------------------------------------------------------------------------

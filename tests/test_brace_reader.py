@@ -14,6 +14,7 @@ import json
 import re
 import tempfile
 import tracemalloc
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,7 @@ from hypothesis import given, settings, strategies as st
 
 from skewbrace import groups, verify
 from skewbrace.cli import EXIT_CAP, EXIT_CONFIG, EXIT_INVALID, main
-from skewbrace.errors import OrderCapExceeded
+from skewbrace.errors import OrderCapExceeded, ParseError
 
 from conftest import generated_groups
 
@@ -31,35 +32,52 @@ def _compact(payload) -> str:
     return json.dumps(payload, separators=(",", ":"))
 
 
-# styles that keep a file plain: payload -> text
+# Every style writes a file from the compact texts of its tables, ``t``
+# ({"star": text, "circ": text}, in file order), as the text the json module
+# writes from the tables; its encoder indents in pure Python, slowly at order 1000
+def _object(t: dict[str, str], sep: str = ",", colon: str = ":") -> str:
+    return "{" + sep.join(f'"{k}"{colon}{v}' for k, v in t.items()) + "}"
+
+
+def _indented(t: dict[str, str]) -> str:
+    """``json.dumps(payload, indent=1)`` of the tables ``t`` writes compact."""
+    def table(text: str) -> str:
+        inner = text[2:-2].replace("],[", "\0").replace(",", ",\n   ")
+        return "[\n  [\n   " + inner.replace("\0", "\n  ],\n  [\n   ") + "\n  ]\n ]"
+
+    return "{\n" + ",\n".join(f' "{k}": {table(v)}' for k, v in t.items()) + "\n}"
+
+
+# styles that keep a file plain: compact texts -> text
 PLAIN = {
-    "compact": _compact,
-    "indented": lambda d: json.dumps(d, indent=1),
-    "default-separators": json.dumps,
-    "keys-swapped": lambda d: _compact({"circ": d["circ"], "star": d["star"]}),
+    "compact": _object,
+    "indented": _indented,
+    "default-separators": lambda t: _object({k: v.replace(",", ", ") for k, v in t.items()}, ", ", ": "),
+    "keys-swapped": lambda t: _object({"circ": t["circ"], "star": t["star"]}),
 }
 
-# styles that change the whole file: payload -> text
+# styles that change the whole file: compact texts -> text
 WHOLE = {
-    "extra-key": lambda d: _compact({**d, "note": 1}),
-    "duplicate-key": lambda d: _compact(d)[:-1] + ',"star":' + _compact(d["star"]) + "}",
-    "space-in-key": lambda d: _compact(d).replace('"star"', '"st ar"'),
-    "digit-in-key": lambda d: _compact(d).replace('"circ"', '"ci1rc"'),
-    "bom": lambda d: "\ufeff" + _compact(d),
-    "digit-before-object": lambda d: "0" + _compact(d),
-    "digit-after-object": lambda d: _compact(d) + "0",
+    "extra-key": lambda t: _object({**t, "note": "1"}),
+    "duplicate-key": lambda t: _object(t)[:-1] + ',"star":' + t["star"] + "}",
+    "space-in-key": lambda t: _object(t).replace('"star"', '"st ar"'),
+    "digit-in-key": lambda t: _object(t).replace('"circ"', '"ci1rc"'),
+    "bom": lambda t: "\ufeff" + _object(t),
+    "digit-before-object": lambda t: "0" + _object(t),
+    "digit-after-object": lambda t: _object(t) + "0",
     # one slot fewer and one stray number more keep the count of numbers
-    "empty-entry-and-digit-after-star": lambda d: _last_star_entry_empty(d, '0,"circ":'),
-    "empty-entry-and-digit-before-circ": lambda d: _last_star_entry_empty(d, ',0"circ":'),
-    "empty-entry-and-digit-after-object": lambda d: _last_star_entry_empty(d, ',"circ":') + "0",
+    "empty-entry-and-digit-after-star": lambda t: _last_star_entry_empty(t, '0,"circ":'),
+    "empty-entry-and-digit-before-circ": lambda t: _last_star_entry_empty(t, ',0"circ":'),
+    "empty-entry-and-digit-after-object": lambda t: _last_star_entry_empty(t, ',"circ":') + "0",
 }
 
 
-def _last_star_entry_empty(payload, between: str) -> str:
+def _last_star_entry_empty(t: dict[str, str], between: str) -> str:
     """The compact file with star's last entry left out, and ``between``
     in place of the text from star to the circ table."""
-    star = re.sub(r"\d+\]\]$", "]]", _compact(payload["star"]))
-    return '{"star":' + star + between + _compact(payload["circ"]) + "}"
+    star = re.sub(r"\d+\]\]$", "]]", t["star"])
+    return '{"star":' + star + between + t["circ"] + "}"
+
 
 def _split_below_n(entry: str, n: int) -> str:
     """The digits of n - 1 split by a newline, which joined make an entry
@@ -113,6 +131,17 @@ WIDE_ORDERS = [10, 100, 101, 1000, 1001]
 WIDE_STYLES = ["compact", "indented", "leading-zero", "entry-equal-n", "one-digit-more"]
 
 
+@cache
+def _seeded_texts(order: int) -> tuple[dict[str, str], str, int, int]:
+    """The compact texts of two tables of random entries below ``order``,
+    and the table, row and column of the entry a ROW style changes, all from
+    a generator seeded by the order; kept for each style that reads them."""
+    rng = np.random.default_rng(order)
+    texts = dict(zip(("star", "circ"), map(_compact, rng.integers(0, order, (2, order, order)).tolist())))
+    key, (i, j) = ("star", "circ")[rng.integers(2)], rng.integers(0, order, 2).tolist()
+    return texts, key, i, j
+
+
 @st.composite
 def styled_files(draw, style: str, order: int | None = None) -> tuple[str, int]:
     """A pair of tables written in ``style``, and its order: drawn, or
@@ -121,25 +150,19 @@ def styled_files(draw, style: str, order: int | None = None) -> tuple[str, int]:
     nothing and runs the one file."""
     if order is None:
         star, circ = draw(table_pairs())
+        texts, n = {"star": _compact(star), "circ": _compact(circ)}, len(star)
     else:
-        rng = np.random.default_rng(order)
-        star, circ = rng.integers(0, order, (2, order, order)).tolist()
-    n = len(star)
-    payload = {"star": star, "circ": circ}
+        (texts, key, i, j), n = _seeded_texts(order), order
     if style in PLAIN:
-        return PLAIN[style](payload), n
+        return PLAIN[style](texts), n
     if style in WHOLE:
-        return WHOLE[style](payload), n
-    texts = {key: _compact(table) for key, table in payload.items()}
+        return WHOLE[style](texts), n
     if order is None:
         key = draw(st.sampled_from(["star", "circ"]))
         i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
-    else:
-        key, (i, j) = ("star", "circ")[rng.integers(2)], rng.integers(0, n, 2).tolist()
-    rows = [[str(v) for v in row] for row in payload[key]]
-    rows[i] = ROW[style](rows[i], j, n)
-    texts[key] = "[" + ",".join("[" + ",".join(row) + "]" for row in rows) + "]"
-    return '{"star":%s,"circ":%s}' % (texts["star"], texts["circ"]), n
+    rows = texts[key][2:-2].split("],[")
+    rows[i] = ",".join(ROW[style](rows[i].split(","), j, n))
+    return _object({**texts, key: "[[" + "],[".join(rows) + "]]"}), n
 
 
 def _verify(path: Path, *options: str) -> tuple[int, str, list[str]]:
@@ -164,25 +187,43 @@ def _verify_declined(path: Path, *options: str) -> tuple[int, str, list[str]]:
 @given(data=st.data())
 def test_verify_reads_each_style_as_the_json_path_does(style, order, data):
     text, n = data.draw(styled_files(style, order))
-    with tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
         path = Path(tmp) / "brace.json"
         path.write_text(text, encoding="utf-8")
         blob = path.read_bytes()
+        # the file's one JSON parse, which every verify run below reads back
+        try:
+            kind, parsed = verify._load_input_file(str(path), blob)
+            mp.setattr(verify, "_load_input_file", lambda path, blob: (kind, dict(parsed)))
+        except ParseError as exc:
+            error = exc
+
+            def fail(path, blob):
+                raise error
+
+            mp.setattr(verify, "_load_input_file", fail)
         tables = verify._plain_brace_tables(blob, verify.RunConfig.order_cap)
         places = len(str(n - 1))
         if style in ("entry-at-least-n", "entry-equal-n"):
             # an entry of n or more is read when it is no wider than n - 1,
             # and left for the group check to name
-            wide = max(max(map(max, table)) for table in json.loads(blob).values()) >= 10**places
+            wide = max(max(map(max, table)) for table in parsed.values()) >= 10**places
             assert (tables is None) == wide
         else:
             assert (tables is not None) == (style in PLAIN)
-        if tables is not None:
-            for got, want in zip(tables, verify._parse_brace_json(json.loads(blob), n)):
-                assert got.dtype == np.min_scalar_type(10**places)
-                assert np.array_equal(got, want)
         # at the default cap, and with the cap below the order where one is
-        for options in [()] if n == 1 else [(), ("--order-cap", str(n - 1))]:
+        caps = [()] if n == 1 else [(), ("--order-cap", str(n - 1))]
+        if tables is None:
+            # declined at the lower cap too, so verify takes the JSON path at
+            # each cap, and a run with the reader made to decline is this run
+            assert verify._plain_brace_tables(blob, n - 1) is None
+            for options in caps:
+                _verify(path, *options)
+            return
+        for got, want in zip(tables, verify._parse_brace_json(dict(parsed), n)):
+            assert got.dtype == np.min_scalar_type(10**places)
+            assert np.array_equal(got, want)
+        for options in caps:
             assert _verify(path, *options) == _verify_declined(path, *options)
 
 

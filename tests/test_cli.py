@@ -148,6 +148,24 @@ def test_verify_invalid_algebra_file_names_its_error_and_witness(tmp_path, capsy
     assert (result["valid"], result["error"], result["witness"]) == (False, error, witness)
 
 
+@pytest.mark.parametrize(
+    "argv", [["verify"], ["ratio", "--algebra"], ["ideals", "--side", "left", "--algebra"]],
+    ids=["verify", "ratio", "ideals"],
+)
+def test_an_algebra_file_with_a_label_too_few_is_config_error(tmp_path, capsys, argv):
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps({**DEGRAAF3, "labels": ["a", "b", "c"]}))
+    assert main([*argv, str(path)]) == EXIT_CONFIG
+    assert "got 3 labels for dimension 4" in capsys.readouterr().err
+
+
+def test_the_reader_counts_labels_after_the_algebra_checks_its_constants(tmp_path, capsys):
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps({**INVALID_ALGEBRAS["idempotent"][0], "labels": ["a", "b"]}))
+    code, report = run_json(capsys, "verify", str(path))
+    assert (code, report["result"]["error"]) == (EXIT_INVALID, "NotNilpotent")
+
+
 def test_verify_empty_file_is_parse_error(tmp_path, capsys):
     path = tmp_path / "empty.json"
     path.write_text("")
@@ -408,6 +426,24 @@ def test_ratio_report_digest_is_pinned(capsys, argv, expected):
     code, out = run(capsys, "--format", "json", "ratio", *argv)
     assert code == EXIT_OK
     assert hashlib.sha256(out.encode()).hexdigest() == expected
+
+
+@pytest.mark.parametrize(
+    "labels, names", [([1, 2, 3, 4], ["0", "3", "23"]), (None, ["0", "e2", "2e2"])],
+    ids=["numeric-labels", "no-labels"],
+)
+def test_ratio_names_an_algebra_file_s_points_by_its_labels_or_by_position(tmp_path, capsys, labels, names):
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps({**DEGRAAF3, "labels": labels}))
+    code, report = run_json(capsys, "ratio", "--algebra", str(path), "--direction", "circ")
+    assert code == EXIT_OK
+    (payload,) = report["result"]["ratios"]
+    assert payload["stable_subgroups"][1]["labels"] == names
+
+
+def test_examples_loads_no_ratio_module_and_so_formats_no_element_name():
+    # ratio.py holds every function that formats an element name
+    assert "skewbrace.ratio" not in _skewbrace_modules("-m", "skewbrace", "examples")
 
 
 FAMILY_SPEC = ["--family", "semidirect", "--m", "9", "--n", "6", "--b", "2"]

@@ -1118,6 +1118,38 @@ def test_enumerate_subgroups_matches_the_join_fixpoint_on_order_120(build):
     assert_lattice_matches_the_join_fixpoint(build())
 
 
+def degree_6_generators(seed: int) -> list[tuple[int, ...]]:
+    """One to three random permutations of 6 points, drawn from a generator
+    seeded by ``seed``."""
+    rng = random.Random(seed)
+    return [tuple(rng.sample(range(6), 6)) for _ in range(rng.choice([1, 2, 2, 3]))]
+
+
+# seed -> (order, transitive) of the closure of its draw.  Most draws generate
+# S6, whose lattice is pinned by its digest; these stay at order 360 or less.
+# A transitive group of order 120 in S6 is PGL(2, 5), one of order 60
+# PSL(2, 5), and the one of order 360 is A6
+DEGREE_6_DRAWS = {
+    5: (12, True), 23: (20, False), 22: (48, False), 16: (60, False), 25: (60, True),
+    13: (120, False), 34: (120, True), 7: (360, True),
+}
+
+
+@pytest.mark.parametrize(
+    "seed, order, transitive", [(seed, *draw) for seed, draw in DEGREE_6_DRAWS.items()],
+    ids=[f"seed-{seed}" for seed in DEGREE_6_DRAWS],
+)
+def test_degree_6_lattices_match_the_join_fixpoint(seed, order, transitive):
+    gens = degree_6_generators(seed)
+    G = sb.closure_from_permutations(gens)
+    assert G.order == order
+    orbit = [0]
+    for x in orbit:  # the orbit of point 0 grows while it is walked
+        orbit += sorted({g[x] for g in gens} - set(orbit))
+    assert (len(orbit) == 6) == transitive
+    assert_lattice_matches_the_join_fixpoint(G)
+
+
 # counts too slow for the join fixpoint: S6, the circle group Z6 x S5 of the
 # S6 Zappa-Szep brace, and ASL(2,4)
 @pytest.mark.parametrize(

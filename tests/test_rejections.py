@@ -10,6 +10,7 @@ import pytest
 
 import skewbrace as sb
 from skewbrace.algebras import check_point_budget
+from skewbrace.verify import _parse_algebra_json
 from skewbrace.errors import (
     BraceLawViolation,
     BudgetExceeded,
@@ -120,8 +121,9 @@ REJECTIONS = {
         lambda: sb.FpAlgebra(3, 2, [[[0, 0], [0, 0]], [[0, 0]]]),
         ValueError, "structure constant table must be dim x dim x dim",
     ),
+    # an algebra carries no labels: the file reader counts them
     "algebra-label-count": (
-        lambda: sb.FpAlgebra(3, 1, [[[0]]], basis_labels=["a", "b"]),
+        lambda: _parse_algebra_json({"p": 3, "dim": 1, "labels": ["a", "b"]}),
         ValueError, "got 2 labels for dimension 1",
     ),
     "subspace-of-another-space": (

@@ -1,7 +1,7 @@
 """``skewbrace examples``: the example regression, which no other command
-imports.  It is one (builder id, builder) entry per worked example.  A
-builder returns rows judged against values pinned inside it; an error it
-raises becomes one failed row under the builder id.  The library is called
+imports.  It is one flat list of (row id, thunk) pairs in ``run``; a thunk
+returns rows judged against values pinned inside its builder, and an error
+it raises becomes one failed row under the row id.  The library is called
 through module attributes (``braces.gc_ratio``), so a function wrapped in
 its module is wrapped here too.
 """
@@ -9,7 +9,6 @@ its module is wrapped here too.
 from __future__ import annotations
 
 import random
-from collections.abc import Callable
 from functools import cache, partial
 
 import numpy as np
@@ -29,33 +28,23 @@ def _pinned(row_id: str, detail: str, got: tuple, want: tuple) -> dict:
     return _row(row_id, got == want, detail.format(*got))
 
 
-# the order-54 pair of braces (add_galois, mult_galois) that six builders
-# share, and the pair of their ratios (mult-galois, add-galois): callables
-# that build on first use and raise their build error on every call until
-# they succeed
-Z9Z6 = Callable[[], tuple[braces.SkewBrace, braces.SkewBrace]]
-Z9Z6Ratios = Callable[[], tuple[braces.GcRatio, braces.GcRatio]]
-
-
-def _z9z6_counts(z9z6: Z9Z6, ratios: Z9Z6Ratios, cfg: RunConfig) -> list[dict]:
-    r_mult, r_add = ratios()
-    # the mult-galois circ group is the add-galois star group
-    G = z9z6()[0].star
+def _z9z6_counts(
+    r_mult: braces.GcRatio, r_add: braces.GcRatio, G: groups.FiniteGroup
+) -> list[dict]:
+    # G, the add-galois star group, is the mult-galois circ group
     cyclic = len({groups.generated_subgroup(G, [x]) for x in range(G.order)})
     got = (r_add.denominator, r_mult.denominator, cyclic, r_mult.denominator - cyclic)
     detail = "subgroups: add={} mult={} (mult split: cyclic={} noncyclic={})"
     return [_pinned("semidirect-9-6-2-counts", detail, got, (20, 36, 26, 10))]
 
 
-def _z9z6_ratios(ratios: Z9Z6Ratios, cfg: RunConfig) -> list[dict]:
-    r_mult, r_add = ratios()
+def _z9z6_ratios(r_mult: braces.GcRatio, r_add: braces.GcRatio) -> list[dict]:
     got = (r_mult.numerator, r_mult.denominator, r_add.numerator, r_add.denominator)
     detail = "mult-galois {}/{}, add-galois {}/{}"
     return [_pinned("semidirect-9-6-2-ratios", detail, got, (12, 36, 9, 20))]
 
 
-def _z9z6_shortcuts(ratios: Z9Z6Ratios, cfg: RunConfig) -> list[dict]:
-    r_mult, r_add = ratios()
+def _z9z6_shortcuts(r_mult: braces.GcRatio, r_add: braces.GcRatio) -> list[dict]:
     # r_add's lattice is the semidirect star's; a subgroup outside it is not
     # add-stable
     stable_mult, stable_add = set(r_mult.stable), set(r_add.stable)
@@ -67,9 +56,9 @@ def _z9z6_shortcuts(ratios: Z9Z6Ratios, cfg: RunConfig) -> list[dict]:
     return [_pinned("semidirect-9-6-2-shortcuts", detail, (agree, r_add.denominator), (20, 20))]
 
 
-def _zappa_a5(cfg: RunConfig) -> list[dict]:
-    fact = constructions.a5_factorization(cfg.order_cap)
-    ratio = braces.gc_ratio(constructions.zappa_szep_brace(fact), cfg.order_cap)
+def _zappa_a5(cap: int) -> list[dict]:
+    fact = constructions.a5_factorization(cap)
+    ratio = braces.gc_ratio(constructions.zappa_szep_brace(fact), cap)
     got = (ratio.numerator, ratio.denominator, sorted(H.size for H in ratio.stable))
     return [_pinned("zappa-a5", "ratio {}/{}, stable orders {}", got, (4, 20, [1, 5, 10, 60]))]
 
@@ -89,7 +78,7 @@ def _power_formula_holds(A: algebras.FpAlgebra, circ_table: np.ndarray) -> bool:
     return True
 
 
-def _algebra_rows(p: int, cfg: RunConfig) -> list[dict]:
+def _algebra_rows(p: int, cap: int) -> list[dict]:
     A = algebras.degraaf_algebra(p)
     n_left, n_right = p**2 + 3 * p + 5, 2 * p**2 + 3 * p + 5
     n_circle = 2 * p**3 + 4 * p**2 + 3 * p + 5
@@ -99,9 +88,9 @@ def _algebra_rows(p: int, cfg: RunConfig) -> list[dict]:
     got = (len(left), len(right))
     rows = [_pinned(f"algebra-p{p}-ideals", "left={} right={}", got, (n_left, n_right))]
     subspaces = algebras.enumerate_subspaces(A.p, A.dim)
-    rad = algebras.brace_from_radical(A, cfg.order_cap)
-    circ = braces.gc_ratio(rad, cfg.order_cap)
-    add = braces.gc_ratio(algebras.brace_from_radical_flipped(A, cfg.order_cap), cfg.order_cap)
+    rad = algebras.brace_from_radical(A, cap)
+    circ = braces.gc_ratio(rad, cap)
+    add = braces.gc_ratio(algebras.brace_from_radical_flipped(A, cap), cap)
     got = (circ.denominator, add.denominator, len(subspaces))
     detail = "circle={} additive={} subspaces={}"
     rows.append(_pinned(f"algebra-p{p}-subgroup-counts", detail, got, (n_circle, n_add, n_add)))
@@ -142,9 +131,8 @@ def _family_example(row_id: str, spec_args: tuple, cfg: RunConfig) -> list[dict]
     return [_row(row_id, row["predicted_match"] == "true" and ok, detail)]
 
 
-def _fuzz(z9z6: Z9Z6, cfg: RunConfig) -> list[dict]:
-    add_galois, _ = z9z6()
-    rng = random.Random(cfg.seed)
+def _fuzz(add_galois: braces.SkewBrace, seed: int) -> list[dict]:
+    rng = random.Random(seed)
     # the star group is the validated one of the pair; only each mutated
     # circ table is built anew
     star, circ_table = add_galois.star, add_galois.circ.table
@@ -163,60 +151,53 @@ def _fuzz(z9z6: Z9Z6, cfg: RunConfig) -> list[dict]:
             braces.SkewBrace(star, groups.build_from_table(mutated))
         except ValidationFailure:
             rejected += 1
-    detail = f"{rejected}/{trials} single-entry circ mutations rejected (seed {cfg.seed})"
+    detail = f"{rejected}/{trials} single-entry circ mutations rejected (seed {seed})"
     return [_row("fuzz-semidirect-9-6-2", rejected == trials, detail)]
 
 
-def _stability_maps(z9z6: Z9Z6, cfg: RunConfig) -> list[dict]:
+def _stability_maps(pair: tuple[braces.SkewBrace, braces.SkewBrace]) -> list[dict]:
     ok = all(
         groups.is_automorphism(brace.star, braces.stability_map(brace, g))
-        for brace in z9z6()
+        for brace in pair
         for g in range(brace.order)
     )
     detail = "every stability map is a star-automorphism (exhaustive)"
     return [_row("stability-maps-9-6-2", ok, detail)]
 
 
-def _aut_counts(z9z6: Z9Z6, cfg: RunConfig) -> list[dict]:
-    add_galois, _ = z9z6()
-    total, both = braces.automorphism_counts(add_galois, cfg.aut_cap)
+def _aut_counts(add_galois: braces.SkewBrace, aut_cap: int) -> list[dict]:
+    total, both = braces.automorphism_counts(add_galois, aut_cap)
     got = (total, both, total // both)
     detail = "|Aut(add)|={} two-sided={} quotient={}"
     return [_pinned("aut-counts-9-6-2", detail, got, (108, 6, 18))]
 
 
-def _example_builders(
-    p_list, z9z6: Z9Z6, ratios: Z9Z6Ratios
-) -> list[tuple[str, Callable[[RunConfig], list[dict]]]]:
-    dihedral_ms, pq_specs = FAMILY_SOURCE["dihedral"], FAMILY_SOURCE["pq"]
-    family_rows = [
-        *((f"dihedral-{m}", ("generalized_dihedral", m, 2, m - 1)) for m in dihedral_ms),
-        *((f"pq-{p}-{q}-{b}", ("pq", p, q, b)) for p, q, b in pq_specs),
-    ]
-    return [
-        ("semidirect-9-6-2-counts", partial(_z9z6_counts, z9z6, ratios)),
-        ("semidirect-9-6-2-ratios", partial(_z9z6_ratios, ratios)),
-        ("semidirect-9-6-2-shortcuts", partial(_z9z6_shortcuts, ratios)),
-        ("zappa-a5", _zappa_a5),
-        *((f"algebra-p{p}", partial(_algebra_rows, p)) for p in p_list),
-        *((row_id, partial(_family_example, row_id, spec)) for row_id, spec in family_rows),
-        ("fuzz", partial(_fuzz, z9z6)),
-        ("stability-maps", partial(_stability_maps, z9z6)),
-        ("aut-counts", partial(_aut_counts, z9z6)),
-    ]
-
-
 def run(args, cfg: RunConfig) -> tuple[dict, int, bytes | dict]:
-    p_list = args.p or [3]
-    # a failed build is not cached, so each builder reports the error itself
-    z9z6 = cache(partial(constructions.semidirect_biskew, 9, 6, 2, cfg.order_cap))
-    ratios = cache(lambda: tuple(braces.gc_ratio(b, cfg.order_cap) for b in z9z6()[::-1]))
+    p_list, cap = args.p or [3], cfg.order_cap
+    # the order-54 pair (add_galois, mult_galois) and its ratios (mult-galois,
+    # add-galois); a failed build is not cached, so each row reports it itself
+    z9z6 = cache(partial(constructions.semidirect_biskew, 9, 6, 2, cap))
+    ratios = cache(lambda: tuple(braces.gc_ratio(b, cap) for b in z9z6()[::-1]))
+    family = [
+        (f"dihedral-{m}", ("generalized_dihedral", m, 2, m - 1)) for m in FAMILY_SOURCE["dihedral"]
+    ]
+    family += [(f"pq-{p}-{q}-{b}", ("pq", p, q, b)) for p, q, b in FAMILY_SOURCE["pq"]]
     rows: list[dict] = []
-    for builder_id, build in _example_builders(p_list, z9z6, ratios):
+    for row_id, thunk in [
+        ("semidirect-9-6-2-counts", lambda: _z9z6_counts(*ratios(), z9z6()[0].star)),
+        ("semidirect-9-6-2-ratios", lambda: _z9z6_ratios(*ratios())),
+        ("semidirect-9-6-2-shortcuts", lambda: _z9z6_shortcuts(*ratios())),
+        ("zappa-a5", partial(_zappa_a5, cap)),
+        *((f"algebra-p{p}", partial(_algebra_rows, p, cap)) for p in p_list),
+        *((fid, partial(_family_example, fid, spec, cfg)) for fid, spec in family),
+        ("fuzz", lambda: _fuzz(z9z6()[0], cfg.seed)),
+        ("stability-maps", lambda: _stability_maps(z9z6())),
+        ("aut-counts", lambda: _aut_counts(z9z6()[0], cfg.aut_cap)),
+    ]:
         try:
-            rows += build(cfg)
+            rows += thunk()
         except (CapExceeded, ValidationFailure, ValueError) as exc:
-            rows.append(_row(builder_id, False, f"error: {type(exc).__name__}: {exc}"))
+            rows.append(_row(row_id, False, f"error: {type(exc).__name__}: {exc}"))
     failed = [row for row in rows if not row["ok"]]
     source = {"p": p_list, **FAMILY_SOURCE}
     result = {"rows": rows, "passed": len(rows) - len(failed), "failed": len(failed)}

@@ -714,14 +714,14 @@ def test_examples_build_the_order_54_pair_once(capsys, tables_built):
 
 
 def test_algebra_rows_take_both_ratios_from_the_two_braces(tables_built, lattices_enumerated):
-    rows = _algebra_rows(3, RunConfig())
+    rows = _algebra_rows(3, groups.DEFAULT_ORDER_CAP)
     assert all(row["ok"] for row in rows)
     assert tables_built.count(81) == 4
     assert lattices_enumerated == [81, 81]
 
 
 def test_the_aut_row_lists_aut_circ_once(automorphism_searches, z9z6_braces):
-    rows = _aut_counts(lambda: z9z6_braces, RunConfig())
+    rows = _aut_counts(z9z6_braces[0], groups.DEFAULT_AUT_CAP)
     detail = "|Aut(add)|=108 two-sided=6 quotient=18"
     assert rows == [{"id": "aut-counts-9-6-2", "ok": True, "detail": detail}]
     assert automorphism_searches == [54]
@@ -739,10 +739,38 @@ def test_power_formula_check_reads_the_circle_table():
 
 
 def test_examples_row_errors_are_collected(capsys):
-    # a tiny cap turns rows into recorded failures instead of aborting
+    # a tiny cap turns rows into recorded failures instead of aborting: each
+    # row that needs the order-54 pair reports its failed build itself
     code, out = run(capsys, "examples", "--order-cap", "50")
     assert code == EXIT_INVALID
-    assert "FAIL" in out and "rows passed" in out
+    over = "error: OrderCapExceeded: group order {} exceeds the configured cap 50"
+    assert out.splitlines() == [
+        *(f"FAIL  semidirect-9-6-2-{row}: {over.format(54)}" for row in ("counts", "ratios", "shortcuts")),
+        "FAIL  zappa-a5: error: ClosureCapExceeded: permutation closure exceeds the configured cap 50",
+        f"FAIL  algebra-p3: {over.format(81)}",
+        EXAMPLES_DEFAULT_LINES[9],
+        EXAMPLES_DEFAULT_LINES[10],
+        *(f"FAIL  {row}: {over.format(54)}" for row in ("fuzz", "stability-maps", "aut-counts")),
+        "2/10 rows passed",
+    ]
+
+
+def test_examples_aut_cap_fails_the_aut_row_alone(capsys):
+    code, out = run(capsys, "examples", "--aut-cap", "1")
+    assert code == EXIT_INVALID
+    assert out.splitlines() == [
+        *EXAMPLES_DEFAULT_LINES[:-2],
+        "FAIL  aut-counts: error: OrderCapExceeded: group order 54 exceeds the configured cap 1",
+        "13/14 rows passed",
+    ]
+
+
+def test_examples_json_report_with_the_p5_rows_is_pinned(capsys):
+    # covers the order-625 algebra rows and the input_digest of the source
+    code, out = run(capsys, "--format", "json", "examples", "--p", "3", "5")
+    assert code == EXIT_OK
+    expected = "4c1cb8ed00f34a4b67204c95c367f4fbe06fdc157aabb3f0f9bf188ae71636a0"
+    assert hashlib.sha256(out.encode()).hexdigest() == expected
 
 
 # ---------------------------------------------------------------------------

@@ -760,7 +760,7 @@ def test_examples_aut_cap_fails_the_aut_row_alone(capsys):
     assert code == EXIT_INVALID
     assert out.splitlines() == [
         *EXAMPLES_DEFAULT_LINES[:-2],
-        "FAIL  aut-counts: error: OrderCapExceeded: group order 54 exceeds the configured cap 1",
+        "FAIL  aut-counts: error: OrderCapExceeded: automorphism search over group order 54 exceeds the configured cap 1",
         "13/14 rows passed",
     ]
 
@@ -770,6 +770,49 @@ def test_examples_json_report_with_the_p5_rows_is_pinned(capsys):
     code, out = run(capsys, "--format", "json", "examples", "--p", "3", "5")
     assert code == EXIT_OK
     expected = "4c1cb8ed00f34a4b67204c95c367f4fbe06fdc157aabb3f0f9bf188ae71636a0"
+    assert hashlib.sha256(out.encode()).hexdigest() == expected
+
+
+# The north star's reports: stdout sha256 and exit code of each command of
+# the standing byte-identity rule.  A change that alters one of these reports
+# on purpose edits its digest here and names the change.
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        ("examples", "b2da68d42d1ecede3dc43e714f4c7bacd97a83a218438f42afbdc19e1bd44566"),
+        ("examples --p 3 5", "eeef3b9d909ca0ecfcbbd7ca52d9f61422785364e491b74fc580038088820a71"),
+        ("--format json examples", "160bf2da4dc0588d48ad6d0d18da7ffa9e41a44176f2decece25872b4a291748"),
+        ("ratio --family semidirect --m 9 --n 6 --b 2",
+         "d20854505340569dd0f390e06ac3f03fb7d7fd82cba1116306d816881ff64f78"),
+        ("--format json ratio --family semidirect --m 9 --n 6 --b 2",
+         "fff7f5fdfe0f3146e48b72c5d79ba3cf5df98ef0085b6661461f80d10ae63d22"),
+        ("--format json ratio --algebra degraaf --p 3 --direction both",
+         "9d6ef909a94de4be22ab551dce4bf26ae72413b3d14a07eb47993a3b3dd6488d"),
+        ("ratio --algebra degraaf --p 5 --direction both",
+         "bd7ae8b11ec564188c9c02f8c66245332095c8ac832f592bd3050c020b29fc87"),
+        ("--format json ratio --zappa-szep a5", "ad329755dbe5e2ece996a54585cbeee562645ca0a6fda103f54e06aa1c987d91"),
+        ("ratio --family semidirect --m 1000 --n 2 --b 999",
+         "baf869b42900db5bed7bf4ecb35aa53e71d539f756edb6fb66e86e2e31557237"),
+        ("ratio --family generalized_dihedral --m 995 --n 2 --b 994",
+         "f72154b30f26cd40bc9d41e524677dff4c899241a0ead868ac0ed6471deda2b0"),
+        ("--format csv family --family pq --m 7 --n 3 --b 2",
+         "c055bee9371c5a93df2f32f8ef1879140f9998fb57535c0480fa0b7b4044b134"),
+        ("--format json ratio --family pq --m 7 --n 3 --b 2",
+         "bfcc2217b02faf8e01ba840fe83f28f29091547925cd6719d985aa1f474ace94"),
+        ("ideals --algebra degraaf --p 3 --side left",
+         "116ef8c35b0ba1b8831d62badb2771eb508bc1e412f8ca30bcdc3d99cd5d94fb"),
+        ("ideals --algebra degraaf --p 3 --side right",
+         "cdad5f64144df85212326634f24753aa63778714c7c17e8b0f37b57d098cb060"),
+    ],
+    ids=[
+        "examples", "examples-p3-p5", "examples-json", "semidirect-9-6-2", "semidirect-9-6-2-json",
+        "degraaf-3-json", "degraaf-5", "a5-json", "semidirect-1000-2-999", "generalized-dihedral-995",
+        "family-pq-7-3-2-csv", "pq-7-3-2-json", "ideals-left-3", "ideals-right-3",
+    ],
+)
+def test_north_star_report_is_pinned(capsys, argv, expected):
+    code, out = run(capsys, *argv.split())
+    assert code == EXIT_OK
     assert hashlib.sha256(out.encode()).hexdigest() == expected
 
 

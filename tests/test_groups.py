@@ -995,19 +995,12 @@ def test_is_automorphism_matches_the_full_table_check(G, data):
 
 def test_automorphism_search_budget_names_the_count(monkeypatch):
     G = product_group(2, 2, 2)
-    nodes = []
-    original = automorphisms._extend_hom
-
-    def counting(*args):
-        nodes.append(args)
-        return original(*args)
-
-    monkeypatch.setattr(automorphisms, "_extend_hom", counting)
-    assert len(sb.automorphism_group(G)) == 168  # |GL(3,2)|
-    count = len(nodes)
+    # 1 empty map, 7 images of the first generator, 7 * 7 of the second and
+    # 7 * 6 * 7 of the third
+    count = 351
     # a budget equal to the node count admits the search, one less stops it
     monkeypatch.setattr(automorphisms, "AUT_SEARCH_BUDGET", count)
-    assert len(sb.automorphism_group(G)) == 168
+    assert len(sb.automorphism_group(G)) == 168  # |GL(3,2)|
     monkeypatch.setattr(automorphisms, "AUT_SEARCH_BUDGET", count - 1)
     message = f"automorphism search node count of at least {count} exceeds the enumeration budget"
     with pytest.raises(BudgetExceeded, match=message):
@@ -1017,10 +1010,65 @@ def test_automorphism_search_budget_names_the_count(monkeypatch):
         sb.automorphism_counts(sb.validate_skew_brace(G.table, G.table))
 
 
+# each group's |Aut|, the least AUT_SEARCH_BUDGET that admits its search and
+# the sha256 of the repr() of its sorted automorphism list
+@pytest.mark.parametrize(
+    "make, auts, nodes, digest",
+    [
+        (lambda: product_group(2, 2, 2), 168, 351,
+         "9e3919964a4414a26074012c132eb3f4c48aa118056d85b2b08dd7c9f788059f"),
+        (lambda: product_group(3, 3, 3), 11_232, 16_927,
+         "5e3e9422b5477af1decb32ab78416f301824f3a86d40fbca257c9c7c9489a9f9"),
+        (lambda: product_group(9, 6), 108, 153,
+         "adac025be7d48572fc037844a87e036389b0e930d500f05cf7b1e424dfc3912e"),
+        (lambda: sb.semidirect_product_cyclic(9, 6, 2), 54, 343,
+         "3a9850fdbdb367c832b6f8aaba78b1c94755f895c365e3e08998ab73738ec953"),
+        (lambda: sb.semidirect_product_cyclic(15, 2, 14), 120, 136,
+         "2eb8d78c05c67ce033d6c892a227bc2a0a4d67d4f0ace75b28827069ebf3d2e0"),
+        (lambda: sb.closure_from_permutations([(1, 0, 2, 3), (1, 2, 3, 0)]), 24, 64,
+         "12a58a9e8a262f3b2d013b190a20389a1b9067898320a81812f1de10e505ca82"),
+        (lambda: sb.closure_from_permutations(A5_GENS), 120, 505,
+         "dff771f3b3fc050c970ce689bb7a03b72d019af39ed5ad1d4efbade9c3336df3"),
+    ],
+    ids=["z2^3", "z3^3", "z9xz6", "semidirect-9-6-2", "semidirect-15-2-14", "s4", "a5"],
+)
+def test_automorphism_search_node_count_is_the_least_admitting_budget(
+    monkeypatch, make, auts, nodes, digest
+):
+    G = make()
+    monkeypatch.setattr(automorphisms, "AUT_SEARCH_BUDGET", nodes)
+    found = sb.automorphism_group(G)
+    assert len(set(found)) == len(found) == auts
+    assert groups._respects(G, np.array(found)).all()
+    assert hashlib.sha256(repr(found).encode()).hexdigest() == digest
+    monkeypatch.setattr(automorphisms, "AUT_SEARCH_BUDGET", nodes - 1)
+    with pytest.raises(BudgetExceeded, match=f"at least {nodes} "):
+        sb.automorphism_group(G)
+
+
 def test_automorphism_search_of_z2_to_the_fifth_stops_at_the_budget():
     # inside the aut cap of 200, but |GL(5,2)| = 9,999,360 automorphisms
     with pytest.raises(BudgetExceeded, match=f"at least {automorphisms.AUT_SEARCH_BUDGET + 1} "):
         sb.automorphism_group(product_group(2, 2, 2, 2, 2))
+
+
+def test_automorphism_search_of_an_order_200_group_stops_at_the_budget():
+    # Z_5^2 x Z_2^3, at the aut cap: |GL(2,5)| |GL(3,2)| = 80,640 automorphisms
+    with pytest.raises(BudgetExceeded, match=f"at least {automorphisms.AUT_SEARCH_BUDGET + 1} "):
+        sb.automorphism_group(product_group(5, 5, 2, 2, 2))
+
+
+def test_automorphism_search_of_z3_cubed_peaks_within_8_mib():
+    # at most AUT_SEARCH_BUDGET rows of 27 one-byte entries per level, and the
+    # 11,232 result tuples (2.8 MiB) with the lists they are made from
+    G = product_group(3, 3, 3)
+    tracemalloc.start()
+    try:
+        sb.automorphism_group(G)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20
 
 
 def test_aut_cap():

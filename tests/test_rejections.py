@@ -132,7 +132,7 @@ REJECTIONS = {
     ),
     "isomorphism-over-the-aut-cap": (
         lambda: sb.automorphism_group(product_group(201)),
-        OrderCapExceeded, "group order 201 exceeds the configured cap 200",
+        OrderCapExceeded, "automorphism search over group order 201 exceeds the configured cap 200",
     ),
     "closure-of-no-generators": (
         lambda: sb.closure_from_permutations([]),

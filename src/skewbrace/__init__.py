@@ -8,7 +8,6 @@ Importing the package loads no submodule: each public name is imported from
 its module on first access (PEP 562).
 """
 
-import importlib
 import os
 
 # no BLAS call is made (all arithmetic is on integers), so an idle OpenBLAS pool would only spin
@@ -48,10 +47,11 @@ _MODULE_OF = {
 
 def __getattr__(name: str):
     # read through the module each time, so a name replaced there (a test's
-    # counting wrapper, say) is replaced here too
+    # counting wrapper, say) is replaced here too; -X importtime lists a
+    # module loaded by __import__, unlike by importlib
     if name not in _MODULE_OF:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(importlib.import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
+    return getattr(__import__(f"{__name__}.{_MODULE_OF[name]}", fromlist=[name]), name)
 
 
 def __dir__() -> list[str]:

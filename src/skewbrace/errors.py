@@ -1,4 +1,9 @@
-"""Exception types for table validation, brace laws, and resource caps."""
+"""Exception types for table validation, brace laws, and resource caps.
+
+A failure whose class has a ``message`` template keeps the values that the
+template names as its ``witness``: one value alone, None for none.  A failure
+without a template is raised with its whole message and keeps witness None.
+"""
 
 from __future__ import annotations
 
@@ -6,31 +11,31 @@ from __future__ import annotations
 class ValidationFailure(Exception):
     """Base class for inputs that violate a structural axiom."""
 
+    message: str | None = None
+    witness: object = None
+
+    def __init__(self, *values) -> None:
+        if self.message is not None:
+            self.witness = values[0] if len(values) == 1 else values or None
+            values = (self.message.format(*values),)
+        # Exception by name, not super(): NonIntegralQuotient shares this constructor
+        Exception.__init__(self, *values)
+
 
 class NotClosed(ValidationFailure):
-    def __init__(self, row: int, col: int, value: object):
-        self.witness = (row, col, value)
-        super().__init__(
-            f"table entry ({row},{col}) = {value!r} is not a valid element index"
-        )
+    message = "table entry ({},{}) = {!r} is not a valid element index"
 
 
 class NoIdentity(ValidationFailure):
-    def __init__(self) -> None:
-        super().__init__("table has no two-sided identity element")
+    message = "table has no two-sided identity element"
 
 
 class NoInverse(ValidationFailure):
-    def __init__(self, element: int):
-        self.witness = element
-        super().__init__(f"element {element} has no two-sided inverse")
+    message = "element {} has no two-sided inverse"
 
 
 class NotAssociative(ValidationFailure):
-    def __init__(self, triple: tuple[int, int, int]):
-        self.witness = tuple(triple)
-        a, b, c = self.witness
-        super().__init__(f"associativity fails at ({a},{b},{c})")
+    message = "associativity fails at ({0[0]},{0[1]},{0[2]})"
 
 
 class InvalidAction(ValidationFailure):
@@ -38,19 +43,11 @@ class InvalidAction(ValidationFailure):
 
 
 class IdentityMismatch(ValidationFailure):
-    def __init__(self, star_identity: int, circ_identity: int):
-        self.witness = (star_identity, circ_identity)
-        super().__init__(
-            f"the two group tables have different identities "
-            f"({star_identity} vs {circ_identity})"
-        )
+    message = "the two group tables have different identities ({} vs {})"
 
 
 class BraceLawViolation(ValidationFailure):
-    def __init__(self, triple: tuple[int, int, int]):
-        self.witness = tuple(triple)
-        a, b, c = self.witness
-        super().__init__(f"left brace law fails at ({a},{b},{c})")
+    message = "left brace law fails at ({0[0]},{0[1]},{0[2]})"
 
 
 class NotComplementary(ValidationFailure):
@@ -58,21 +55,11 @@ class NotComplementary(ValidationFailure):
 
 
 class NotNilpotent(ValidationFailure):
-    def __init__(self, power: int, dimension: int):
-        self.witness = (power, dimension)
-        super().__init__(
-            f"power chain stabilizes at a nonzero subspace "
-            f"(A^{power} has dimension {dimension})"
-        )
+    message = "power chain stabilizes at a nonzero subspace (A^{} has dimension {})"
 
 
 class NilpotencyTooDeep(ValidationFailure):
-    def __init__(self, index: int):
-        self.witness = index
-        super().__init__(
-            f"construction requires the cube of the algebra to vanish "
-            f"(nilpotency index {index} > 3)"
-        )
+    message = "construction requires the cube of the algebra to vanish (nilpotency index {} > 3)"
 
 
 class DimensionMismatch(ValidationFailure):
@@ -80,17 +67,14 @@ class DimensionMismatch(ValidationFailure):
 
 
 class WrongParent(ValidationFailure):
-    def __init__(self, expected: int, got: int):
-        self.witness = (expected, got)
-        super().__init__(f"subgroup parent order {got} does not match {expected}")
+    message = "subgroup parent order {1} does not match {0}"
 
 
 class NonIntegralQuotient(RuntimeError):
     """Automorphism count quotient failed to be integral; signals a bug."""
 
-    def __init__(self, total: int, sub: int):
-        self.witness = (total, sub)
-        super().__init__(f"{total} is not divisible by {sub}")
+    message = "{} is not divisible by {}"
+    __init__ = ValidationFailure.__init__
 
 
 class CapExceeded(Exception):
@@ -99,8 +83,7 @@ class CapExceeded(Exception):
 
 class OrderCapExceeded(CapExceeded):
     def __init__(self, order: int | str, cap: int, what: str = "group order"):
-        self.order = order
-        self.cap = cap
+        self.order, self.cap = order, cap
         super().__init__(f"{what} {order} exceeds the configured cap {cap}")
 
 
@@ -112,8 +95,7 @@ class ClosureCapExceeded(CapExceeded):
 
 class BudgetExceeded(CapExceeded):
     def __init__(self, size: int | str, budget: int, what: str = "point count"):
-        self.size = size
-        self.budget = budget
+        self.size, self.budget = size, budget
         super().__init__(f"{what} {size} exceeds the enumeration budget {budget}")
 
 

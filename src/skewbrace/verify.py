@@ -218,13 +218,12 @@ def run(args, cfg: RunConfig) -> tuple[dict, int, bytes | dict]:
             facts, bi_skew = {"order": brace.order}, braces.is_bi_skew(brace)
         result = {"kind": kind, "valid": True, **facts, "bi_skew": bi_skew}
     except ValidationFailure as exc:
-        witness = getattr(exc, "witness", None)
         result = {
             "kind": kind,
             "valid": False,
             "error": type(exc).__name__,
             "message": str(exc),
-            "witness": list(witness) if isinstance(witness, tuple) else witness,
+            "witness": exc.witness,
         }
     code = EXIT_OK if result["valid"] else EXIT_INVALID
     return _report("verify", {"path": args.input}, cfg, result), code, blob

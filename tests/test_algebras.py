@@ -198,6 +198,12 @@ def test_structure_constants_are_one_read_only_array(degraaf3):
     assert sb.FpAlgebra(3, 4, degraaf3.sc) == degraaf3  # labels are no part of an algebra
 
 
+@pytest.mark.parametrize("other", [None, 3, "degraaf", (3, 4)], ids=["None", "int", "str", "tuple"])
+def test_an_algebra_is_unequal_to_a_value_of_another_type(degraaf3, other):
+    assert (degraaf3 == other) is False and (other == degraaf3) is False
+    assert (degraaf3 != other) is True and (other != degraaf3) is True
+
+
 # ---------------------------------------------------------------------------
 # products
 

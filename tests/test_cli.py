@@ -1188,6 +1188,10 @@ def test_importing_the_package_loads_no_submodule():
     assert _skewbrace_modules("-c", "import skewbrace") == {"skewbrace"}
 
 
+def test_a_module_the_package_loads_on_first_access_is_listed_by_importtime():
+    assert "skewbrace.algebras" in _skewbrace_modules("-c", "import skewbrace as sb; sb.FpAlgebra")
+
+
 # the public names of the package and the module that defines each
 PUBLIC_NAMES = {
     "algebras": [

@@ -354,6 +354,13 @@ def test_groups_from_the_same_table_compare_equal():
     assert hash(G) == hash(sb.build_from_table(table))
 
 
+@pytest.mark.parametrize("other", [None, 4, "Z4", [[0, 1], [1, 0]]], ids=["None", "int", "str", "list"])
+def test_a_group_is_unequal_to_a_value_of_another_type(other):
+    G = sb.build_from_table([[(i + j) % 4 for j in range(4)] for i in range(4)])
+    assert (G == other) is False and (other == G) is False
+    assert (G != other) is True and (other != G) is True
+
+
 def test_order_2000_group_keeps_one_small_table():
     Z40, Z50 = product_group(40), product_group(50)
     tracemalloc.start()

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import skewbrace as sb
+from skewbrace import errors
 from skewbrace.algebras import check_point_budget
 from skewbrace.verify import _parse_algebra_json
 from skewbrace.errors import (
@@ -210,3 +211,91 @@ def test_a_skew_brace_built_directly_fails_as_validation_does(fault):
             build()
         raised.append((type(info.value), str(info.value), getattr(info.value, "witness", None)))
     assert raised[0] == raised[1]
+
+
+# every exception class of skewbrace.errors, built from literal arguments, with
+# its one base class, its message, its witness (None where it keeps none) and
+# the attributes that name its arguments
+EXCEPTIONS = [
+    (errors.ValidationFailure("a table is no group"), Exception, "a table is no group", None, {}),
+    (
+        errors.NotClosed(1, 2, 7), errors.ValidationFailure,
+        "table entry (1,2) = 7 is not a valid element index", (1, 2, 7), {},
+    ),
+    (errors.NoIdentity(), errors.ValidationFailure, "table has no two-sided identity element", None, {}),
+    (errors.NoInverse(3), errors.ValidationFailure, "element 3 has no two-sided inverse", 3, {}),
+    (errors.NotAssociative((1, 2, 2)), errors.ValidationFailure, "associativity fails at (1,2,2)", (1, 2, 2), {}),
+    (
+        errors.InvalidAction("b=4 must have order 3 modulo 7"), errors.ValidationFailure,
+        "b=4 must have order 3 modulo 7", None, {},
+    ),
+    (
+        errors.IdentityMismatch(0, 1), errors.ValidationFailure,
+        "the two group tables have different identities (0 vs 1)", (0, 1), {},
+    ),
+    (errors.BraceLawViolation((1, 1, 1)), errors.ValidationFailure, "left brace law fails at (1,1,1)", (1, 1, 1), {}),
+    (
+        errors.NotComplementary("the factors meet in 2 elements"), errors.ValidationFailure,
+        "the factors meet in 2 elements", None, {},
+    ),
+    (
+        errors.NotNilpotent(2, 1), errors.ValidationFailure,
+        "power chain stabilizes at a nonzero subspace (A^2 has dimension 1)", (2, 1), {},
+    ),
+    (
+        errors.NilpotencyTooDeep(4), errors.ValidationFailure,
+        "construction requires the cube of the algebra to vanish (nilpotency index 4 > 3)", 4, {},
+    ),
+    (
+        errors.DimensionMismatch("subspace of F_5^4 is not in F_3^4"), errors.ValidationFailure,
+        "subspace of F_5^4 is not in F_3^4", None, {},
+    ),
+    (
+        errors.WrongParent(54, 12), errors.ValidationFailure,
+        "subgroup parent order 12 does not match 54", (54, 12), {},
+    ),
+    (errors.NonIntegralQuotient(12, 5), RuntimeError, "12 is not divisible by 5", (12, 5), {}),
+    (errors.CapExceeded("over a cap"), Exception, "over a cap", None, {}),
+    (
+        errors.OrderCapExceeded(2001, 2000), errors.CapExceeded,
+        "group order 2001 exceeds the configured cap 2000", None, {"order": 2001, "cap": 2000},
+    ),
+    (
+        errors.OrderCapExceeded("of 12 digits", 2000, "permutation point"), errors.CapExceeded,
+        "permutation point of 12 digits exceeds the configured cap 2000", None,
+        {"order": "of 12 digits", "cap": 2000},
+    ),
+    (
+        errors.ClosureCapExceeded(2000), errors.CapExceeded,
+        "permutation closure exceeds the configured cap 2000", None, {"cap": 2000},
+    ),
+    (
+        errors.BudgetExceeded("3^11", 100000), errors.CapExceeded,
+        "point count 3^11 exceeds the enumeration budget 100000", None, {"size": "3^11", "budget": 100000},
+    ),
+    (
+        errors.BudgetExceeded(1002, 1000, "subspace count"), errors.CapExceeded,
+        "subspace count 1002 exceeds the enumeration budget 1000", None, {"size": 1002, "budget": 1000},
+    ),
+    (errors.ParseError("no permutations given"), Exception, "no permutations given", None, {"position": None}),
+    (
+        errors.ParseError("not valid JSON", position="brace.json:3"), Exception,
+        "brace.json:3: not valid JSON", None, {"position": "brace.json:3"},
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "exc, base, message, witness, attributes", EXCEPTIONS, ids=[type(e).__name__ for e, *_ in EXCEPTIONS]
+)
+def test_each_exception_keeps_its_base_message_and_witness(exc, base, message, witness, attributes):
+    assert type(exc).__bases__ == (base,)
+    assert str(exc) == message
+    assert getattr(exc, "witness", None) == witness
+    assert type(getattr(exc, "witness", None)) is type(witness)
+    assert {name: getattr(exc, name) for name in attributes} == attributes
+
+
+def test_every_exception_class_is_pinned():
+    classes = {obj for obj in vars(errors).values() if isinstance(obj, type) and issubclass(obj, Exception)}
+    assert classes == {type(exc) for exc, *_ in EXCEPTIONS}

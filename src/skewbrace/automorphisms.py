@@ -14,25 +14,25 @@ from .groups import DEFAULT_AUT_CAP, FiniteGroup
 from .lattice import _cyclic_walk
 
 # more search nodes (candidate maps tested, the empty map included) than this
-# stop an automorphism search with BudgetExceeded: Z_3^3 (11,232
-# automorphisms, 16,927 nodes) completes in about 30 ms on a 2-core machine,
-# and Z_2^5 and the order-200 Z_5^2 x Z_2^3 stop in under 20 ms
+# stop a search with BudgetExceeded: Z_3^3 (11,232 automorphisms, 16,927 nodes)
+# takes under 30 ms on a 2-core machine; Z_2^5 and Z_5^2 x Z_2^3 stop in under 20 ms
 AUT_SEARCH_BUDGET = 20_000
 
 
-def automorphism_group(G: FiniteGroup, cap: int = DEFAULT_AUT_CAP) -> list[tuple[int, ...]]:
-    """All automorphisms as element permutations, sorted lexicographically.
+def automorphism_group(G: FiniteGroup, cap: int = DEFAULT_AUT_CAP) -> np.ndarray:
+    """Every automorphism, one row of images of 0..n-1 in the table's dtype.
 
-    Level k keeps, as the rows of one array, every choice of images for
-    gens[:k] that is injective and respects the table on <gens[:k]>; a
-    row's entries outside that subgroup are never read.  The next level
-    gives gens[k] each image of its order in turn, fills in the new
-    elements of <gens[:k+1]> along one breadth-first walk, and keeps the
-    rows that are injective there with phi(x h) = phi(x) phi(h) for every
-    generator h so far.  Each row tested is a node; the empty map is the
-    first.  A level that would take the count past AUT_SEARCH_BUDGET raises
-    BudgetExceeded before it is built, so the array never holds more than
-    AUT_SEARCH_BUDGET rows of G.order entries of the table's dtype.
+    Level k keeps, as rows, every choice of images for gens[:k] that is
+    injective and respects the table on <gens[:k]>; entries outside that
+    subgroup are never read.  The next level repeats each row in order over
+    the targets, the elements of gens[k]'s order ascending, fills in
+    <gens[:k+1]> along one breadth-first walk and keeps, in order, the rows
+    injective there with phi(x h) = phi(x) phi(h) for each generator h so
+    far.  So the rows come out in strictly increasing lexicographic order:
+    gens[k] is the least element outside <gens[:k]>, so every position below
+    it holds the image of an element of <gens[:k]>, and two maps first
+    differ at the first generator whose images differ.  A level that would
+    pass AUT_SEARCH_BUDGET nodes raises BudgetExceeded before it is built.
     """
     if G.order > cap:
         raise OrderCapExceeded(G.order, cap, "automorphism search over group order")
@@ -62,4 +62,4 @@ def automorphism_group(G: FiniteGroup, cap: int = DEFAULT_AUT_CAP) -> list[tuple
         for h, image in zip(gens, images):
             ok &= (T[sub, image[:, None]] == maps[:, T[elems, h]]).all(axis=1)
         maps = maps[ok]
-    return sorted(map(tuple, maps.tolist()))
+    return maps

@@ -21,8 +21,8 @@ are closed under circ: circ.gens decide the law.  Each lambda_g is tested
 on star.gens, len(circ.gens) * len(star.gens) * n cells instead of n^3
 triples.  Only when a generator's lambda_g fails is the full scan run: it
 builds every lambda_a and reports the lexicographically first violating
-triple.  ``automorphism_counts`` lists Aut(circ) alone and keeps the maps
-that respect star, so Aut(star) is never listed.
+triple.  ``automorphism_counts`` keeps the rows of the search's Aut(circ)
+array, as it comes, that respect star, so Aut(star) is never listed.
 
 A star-subgroup H is circ-stable when every stability map gamma_g: x ->
 (g circ x) star g^-1 (Childs, J. Algebra 511, 2018) sends H into itself.
@@ -182,7 +182,7 @@ def automorphism_counts(b: SkewBrace, cap: int = DEFAULT_AUT_CAP) -> tuple[int, 
     """(|Aut(circ)|, |Aut(B)|), both read off one listing of Aut(circ): the
     two-sided automorphisms are the circ-automorphisms that respect star.
     The second divides the first, and a remainder signals a bug."""
-    auts = np.array(groups.automorphism_group(b.circ, cap))
+    auts = groups.automorphism_group(b.circ, cap)
     total, both = len(auts), int(_respects(b.star, auts).sum())
     if total % both:
         raise NonIntegralQuotient(total, both)

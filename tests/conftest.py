@@ -143,7 +143,7 @@ def respects_table(G: sb.FiniteGroup, perm) -> bool:
 def two_sided_count_from_star(b: sb.SkewBrace) -> int:
     """|Aut(B)| read off the star side: the automorphisms of the star group
     that respect the circ table in all n^2 pairs."""
-    return sum(respects_table(b.circ, phi) for phi in sb.automorphism_group(b.star))
+    return sum(respects_table(b.circ, phi) for phi in sb.automorphism_group(b.star).tolist())
 
 
 def _walk(op, identity: int, gens) -> set[int]:

@@ -918,7 +918,7 @@ def test_aut_elementary_abelian_9():
 
 
 def test_aut_s3_matches_brute_force(s3):
-    fast = set(sb.automorphism_group(s3))
+    fast = set(map(tuple, sb.automorphism_group(s3).tolist()))
     assert fast == brute_force_automorphisms(s3)
     assert len(fast) == 6
 
@@ -929,18 +929,18 @@ def test_aut_matches_brute_force_on_order_8():
         product_group(2, 2, 2),
         sb.semidirect_product_cyclic(4, 2, 3),
     ):
-        assert set(sb.automorphism_group(G)) == brute_force_automorphisms(G)
+        assert set(map(tuple, sb.automorphism_group(G).tolist())) == brute_force_automorphisms(G)
 
 
 @given(semidirect_params(max_m=4, max_n=2))
 def test_aut_matches_brute_force_on_generated_groups(params):
     G = sb.semidirect_product_cyclic(*params)
-    assert set(sb.automorphism_group(G)) == brute_force_automorphisms(G)
+    assert set(map(tuple, sb.automorphism_group(G).tolist())) == brute_force_automorphisms(G)
 
 
 def test_aut_a5_is_s5():
     G = sb.closure_from_permutations(A5_GENS)
-    auts = sb.automorphism_group(G)
+    auts = list(map(tuple, sb.automorphism_group(G).tolist()))
     op = G.table.tolist()
     assert len(set(auts)) == len(auts) == 120
     for phi in auts:
@@ -949,7 +949,7 @@ def test_aut_a5_is_s5():
 
 def test_aut_group_closed_under_composition_and_inverse(s3):
     for G in (s3, product_group(6)):
-        auts = set(sb.automorphism_group(G))
+        auts = set(map(tuple, sb.automorphism_group(G).tolist()))
         ident = tuple(range(G.order))
         assert ident in auts
         for f in auts:
@@ -991,7 +991,7 @@ def test_is_automorphism_matches_the_full_table_check(G, data):
     for x, y in zip(others, moved):
         perm[x] = y
     assert sb.is_automorphism(G, perm) == respects_table(G, perm)
-    phi = list(data.draw(st.sampled_from(sb.automorphism_group(G))))
+    phi = list(data.draw(st.sampled_from(list(map(tuple, sb.automorphism_group(G).tolist())))))
     assert sb.is_automorphism(G, phi) and respects_table(G, phi)
     # the automorphism with the images of two elements swapped
     if len(others) >= 2:
@@ -1045,12 +1045,63 @@ def test_automorphism_search_node_count_is_the_least_admitting_budget(
     G = make()
     monkeypatch.setattr(automorphisms, "AUT_SEARCH_BUDGET", nodes)
     found = sb.automorphism_group(G)
-    assert len(set(found)) == len(found) == auts
-    assert groups._respects(G, np.array(found)).all()
-    assert hashlib.sha256(repr(found).encode()).hexdigest() == digest
+    rows = list(map(tuple, found.tolist()))
+    assert len(set(rows)) == len(rows) == auts
+    assert groups._respects(G, found).all()
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest
     monkeypatch.setattr(automorphisms, "AUT_SEARCH_BUDGET", nodes - 1)
     with pytest.raises(BudgetExceeded, match=f"at least {nodes} "):
         sb.automorphism_group(G)
+
+
+def moved_off_zero(G, seed) -> tuple[np.ndarray, sb.FiniteGroup]:
+    """A seeded permutation of G's elements that sends the identity off 0,
+    and G with its table relabelled by it."""
+    perm = np.array(random.Random(seed).sample(range(G.order), G.order))
+    if perm[G.identity] == 0:
+        perm = np.roll(perm, 1)
+    moved = np.empty_like(G.table)
+    moved[perm[:, None], perm] = perm[G.table]
+    return perm, sb.build_from_table(moved)
+
+
+# the search returns its last level unsorted: each level repeats the rows of
+# the one before in order over ascending images of the next generator, which
+# is the least element not yet generated, so the rows stay lexicographic
+@pytest.mark.parametrize(
+    "make, count",
+    [
+        (lambda: sb.closure_from_permutations([(1, 2, 0), (1, 0, 2)]), 6),
+        (lambda: product_group(2, 2, 2), 168),
+        (lambda: sb.semidirect_product_cyclic(4, 2, 3), 8),
+        (lambda: product_group(3, 3, 3), 11_232),
+        (lambda: product_group(symmetric_group(4), 2), 48),
+        (lambda: sb.closure_from_permutations(A5_GENS), 120),
+        (lambda: sb.semidirect_product_cyclic(9, 6, 2), 54),
+        (lambda: sb.semidirect_product_cyclic(15, 2, 14), 120),
+    ],
+    ids=["s3", "z2^3", "d4", "z3^3", "s4xz2", "a5", "semidirect-9-6-2", "semidirect-15-2-14"],
+)
+@pytest.mark.parametrize("seed", [None, 1, 2], ids=["as-built", "moved-1", "moved-2"])
+def test_automorphism_search_rows_are_strictly_increasing(make, count, seed):
+    G = make()
+    if seed is not None:
+        _, G = moved_off_zero(G, seed)
+        assert G.identity != 0
+    auts = sb.automorphism_group(G)
+    assert auts.dtype == G.table.dtype and auts.shape == (count, G.order)
+    rows = list(map(tuple, auts.tolist()))
+    assert all(a < b for a, b in zip(rows, rows[1:]))
+    T = G.table
+    assert (auts[:, T] == T[auts[:, :, None], auts[:, None, :]]).all()
+    if G.order <= 8:
+        assert rows == sorted(brute_force_automorphisms(G))
+    else:
+        # Aut of a relabelled group is Aut(G) conjugated by the relabelling
+        perm, M = moved_off_zero(G, 3)
+        inv = np.argsort(perm)
+        conjugated = sorted(map(tuple, perm[auts[:, inv]].tolist()))
+        assert list(map(tuple, sb.automorphism_group(M).tolist())) == conjugated
 
 
 def test_automorphism_search_of_z2_to_the_fifth_stops_at_the_budget():
@@ -1065,9 +1116,9 @@ def test_automorphism_search_of_an_order_200_group_stops_at_the_budget():
         sb.automorphism_group(product_group(5, 5, 2, 2, 2))
 
 
-def test_automorphism_search_of_z3_cubed_peaks_within_8_mib():
-    # at most AUT_SEARCH_BUDGET rows of 27 one-byte entries per level, and the
-    # 11,232 result tuples (2.8 MiB) with the lists they are made from
+def test_automorphism_search_of_z3_cubed_peaks_within_3_mib():
+    # at most AUT_SEARCH_BUDGET rows of 27 one-byte entries per level, and
+    # the copies and masks the last level's tests build from its rows
     G = product_group(3, 3, 3)
     tracemalloc.start()
     try:
@@ -1075,7 +1126,7 @@ def test_automorphism_search_of_z3_cubed_peaks_within_8_mib():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 8 * 2**20
+    assert peak <= 3 * 2**20
 
 
 def test_aut_cap():
@@ -1104,9 +1155,8 @@ def test_a_relabelling_fixing_the_identity_maps_the_lattice_mask_for_mask(G, dat
 
 
 # Hol(Z9) = Z9:Z6 and S4 are complete; Aut(S3 x Z4) is Aut(S3) x Aut(Z4)
-# x Hom(S3, Z4), 6 * 2 * 2; Aut(A5) is S5; Aut(Z_3^3) is GL(3,3), whose
-# 11,232 elements take two searches of about 1 s in all, past the deadline
-# of one generated example
+# x Hom(S3, Z4), 6 * 2 * 2; Aut(A5) is S5; Aut(Z_3^3) is GL(3,3), of
+# 11,232 elements
 @pytest.mark.parametrize(
     "build, count",
     [
